@@ -13,10 +13,10 @@ Two kinds of metric, with deliberately different strictness:
 
 * **Ratio metrics** (``floor``) — speedups of one code path over another
   measured in the same process on the same machine.  These are
-  scale-invariant, so they get a hard floor: if the vectorized MPC stops
-  being faster than the reference, or a warm artifact store stops being
-  >= 3x faster than cold construction, the optimization has regressed no
-  matter how slow the CI box is.
+  scale-invariant, so they get a hard floor: if batched MPC solving
+  stops being >= 3x faster per row than one window per call, or a warm
+  artifact store stops being >= 3x faster than cold construction, the
+  optimization has regressed no matter how slow the CI box is.
 
 * **Throughput metrics** (``min_fraction``) — absolute rates such as
   sessions per second.  CI hardware varies wildly, so these only fail
@@ -63,9 +63,9 @@ def _extra(report: dict, name: str, key: str) -> float:
 def extract_metrics(report: dict) -> dict[str, float]:
     """Derive the baseline-tracked metrics from a benchmark report."""
     return {
-        "mpc_vectorized_speedup": (
-            _mean(report, "test_mpc_choose_reference")
-            / _mean(report, "test_mpc_choose_vectorized")
+        "mpc_batch_speedup": (
+            _mean(report, "test_mpc_choose_single")
+            / _mean(report, "test_mpc_choose_batch")
         ),
         "warm_prep_speedup": _extra(
             report, "test_content_prep_cold_vs_warm", "warm_speedup"
@@ -103,6 +103,10 @@ def extract_metrics(report: dict) -> dict[str, float]:
         ),
         "population_sessions_per_second": _extra(
             report, "test_population_engine_speedup",
+            "population_sessions_per_second"
+        ),
+        "population_ours_sessions_per_second": _extra(
+            report, "test_population_ours_throughput",
             "population_sessions_per_second"
         ),
         "serving_batched_speedup": _extra(

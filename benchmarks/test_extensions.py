@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import run_once
-from repro.core import MpcConfig, MpcSegment, OursScheme, solve_offline
+from repro.core import MpcConfig, MpcWindow, OursScheme, solve_offline
 from repro.geometry import DEFAULT_GRID
 from repro.power import PIXEL_3, EnergyModel
 from repro.ptile import build_video_ptiles
@@ -55,11 +55,11 @@ def test_extension_edge_cache(benchmark, assets):
     assert stats["ptile"].hit_ratio > 0.5
 
 
-def _mpc_segments(manifest, ptiles, speed=10.0):
+def _mpc_window(manifest, ptiles, speed=10.0):
     """Version tables for the offline solver, from the real manifests."""
     quality_model = QualityModel()
     rates = DEFAULT_LADDER.rates()
-    segments = []
+    sizes_all, qoe_all = [], []
     for seg in manifest:
         sp = ptiles[seg.segment_index]
         if not sp.ptiles:
@@ -80,18 +80,19 @@ def _mpc_segments(manifest, ptiles, speed=10.0):
                     frame_rate=rate, fps=30.0,
                 ) + background
                 qoe[vi, fi] = qo * frame_rate_factor(rate, 30.0, alpha)
-        segments.append(MpcSegment(sizes, qoe, rates))
-    return segments
+        sizes_all.append(sizes)
+        qoe_all.append(qoe)
+    return MpcWindow(np.stack(sizes_all), np.stack(qoe_all), rates)
 
 
 def test_extension_offline_gap(benchmark, assets):
     """The online MPC lands within a modest factor of the oracle."""
     dataset, manifest, ptiles, _, trace2 = assets
-    segments = _mpc_segments(manifest, ptiles)
+    window = _mpc_window(manifest, ptiles)
 
     def run():
         return solve_offline(
-            segments, trace2, EnergyModel(PIXEL_3),
+            window, trace2, EnergyModel(PIXEL_3),
             MpcConfig(bandwidth_safety=1.0),
         )
 

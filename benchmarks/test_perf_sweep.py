@@ -1,9 +1,11 @@
 """Sweep-throughput micro-benchmarks (sessions/second).
 
-Quantifies the two PR-level optimizations:
+Quantifies:
 
-* the cached/vectorized hot path — ``EnergyQoEMpc.choose`` versus the
-  scalar ``choose_reference`` it replaced, on identical windows;
+* the MPC solver's batching — ``EnergyQoEMpc.choose`` (one window per
+  call, the session loop's path) versus ``choose_batch`` over 64-row
+  stacks (the population engine's and decision service's path), on
+  identical H=5 windows;
 * end-to-end session throughput through the sweep runner, serial and
   with a 2-worker pool (on multicore hardware the pool multiplies the
   serial gain; on one core it only adds dispatch overhead).
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.optimizer import EnergyQoEMpc, MpcSegment
+from repro.core.optimizer import EnergyQoEMpc, MpcWindow
 from repro.experiments import make_schemes
 from repro.experiments.runner import (
     SessionJob,
@@ -29,8 +31,10 @@ from repro.video.framerate import DEFAULT_LADDER
 
 from conftest import bench_users, run_once, shared_setup
 
+_MPC_BATCH = 64
 
-def _mpc_windows(n_windows: int = 100):
+
+def _mpc_windows(n_windows: int = 4 * _MPC_BATCH):
     rng = np.random.default_rng(2022)
     rates = DEFAULT_LADDER.rates()
     windows = []
@@ -41,15 +45,17 @@ def _mpc_windows(n_windows: int = 100):
         qoe = np.sort(rng.uniform(1.0, 5.0, size=5))[:, None] * np.sort(
             rng.uniform(0.6, 1.0, size=len(rates))
         )
-        window = [
-            MpcSegment(sizes_mbit=sizes, qoe=qoe, frame_rates=rates)
-            for _ in range(5)
-        ]
+        window = MpcWindow(
+            sizes_mbit=np.repeat(sizes[None], 5, axis=0),
+            qoe=np.repeat(qoe[None], 5, axis=0),
+            frame_rates=rates,
+        )
         windows.append((window, float(10 ** rng.uniform(0.0, 2.0)), 2.0))
     return windows
 
 
-def test_mpc_choose_vectorized(benchmark):
+def test_mpc_choose_single(benchmark):
+    """One window per call (B=1)."""
     mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
     windows = _mpc_windows()
 
@@ -60,16 +66,30 @@ def test_mpc_choose_vectorized(benchmark):
     assert len(decisions) == len(windows)
 
 
-def test_mpc_choose_reference(benchmark):
-    """The pre-vectorization DP, for the before/after ratio."""
+def test_mpc_choose_batch(benchmark):
+    """The same windows, 64 rows per ``choose_batch`` call."""
     mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
     windows = _mpc_windows()
+    rates = windows[0][0].frame_rates
+    blocks = []
+    for lo in range(0, len(windows), _MPC_BATCH):
+        block = windows[lo:lo + _MPC_BATCH]
+        blocks.append((
+            np.stack([w.sizes_mbit for w, _, _ in block]),
+            np.stack([w.qoe for w, _, _ in block]),
+            np.array([bw for _, bw, _ in block]),
+            np.array([b for _, _, b in block]),
+        ))
 
     def solve():
-        return [mpc.choose_reference(w, bw, b) for w, bw, b in windows]
+        return [
+            d
+            for sizes, qoe, bws, bufs in blocks
+            for d in mpc.choose_batch(sizes, qoe, rates, bws, bufs)
+        ]
 
     decisions = run_once(benchmark, solve)
-    assert len(decisions) == len(windows)
+    assert decisions == [mpc.choose(w, bw, b) for w, bw, b in windows]
 
 
 def _sweep_inputs():

@@ -3,7 +3,7 @@
 from .config import StreamingConfig
 from .controller import OursScheme
 from .offline import OfflinePlan, solve_offline
-from .optimizer import EnergyQoEMpc, MpcConfig, MpcDecision, MpcSegment, MpcWindow
+from .optimizer import EnergyQoEMpc, MpcConfig, MpcDecision, MpcWindow
 from .plan_tables import PlanTables
 from .robust import RobustScheme, expected_quality_window
 
@@ -17,7 +17,6 @@ __all__ = [
     "EnergyQoEMpc",
     "MpcConfig",
     "MpcDecision",
-    "MpcSegment",
     "MpcWindow",
     "PlanTables",
 ]

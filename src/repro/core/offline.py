@@ -24,7 +24,7 @@ import numpy as np
 from ..power.energy import EnergyModel
 from ..power.models import TilingScheme
 from ..traces.network import NetworkTrace
-from .optimizer import MpcConfig, MpcSegment
+from .optimizer import MpcConfig, MpcWindow
 
 __all__ = ["OfflinePlan", "solve_offline"]
 
@@ -50,7 +50,7 @@ class OfflinePlan:
 
 
 def solve_offline(
-    segments: list[MpcSegment],
+    window: MpcWindow,
     network: NetworkTrace,
     energy_model: EnergyModel,
     config: MpcConfig = MpcConfig(),
@@ -58,8 +58,9 @@ def solve_offline(
 ) -> OfflinePlan:
     """Solve Eq. 8 over a whole session with perfect future knowledge.
 
-    ``segments`` holds every segment's (sizes, QoE) version tables (the
-    same :class:`MpcSegment` structure the MPC consumes).  The DP state
+    ``window`` stacks every segment's (sizes, QoE) version tables (the
+    same :class:`MpcWindow` structure the MPC consumes, spanning the
+    whole session instead of one horizon).  The DP state
     is (segment index, discretized buffer level); each state carries the
     earliest wall-clock time it can be reached at minimum energy, so
     download durations are integrated over the true trace.
@@ -69,8 +70,6 @@ def solve_offline(
     segment's download window, mirroring the online controller's
     sustainable-vm rule but with oracle knowledge.
     """
-    if not segments:
-        raise ValueError("need at least one segment")
     levels = config.state_levels()
     n_states = len(levels)
 
@@ -81,7 +80,7 @@ def solve_offline(
     ] * n_states
     best[config.snap(initial_buffer_s)] = (0.0, 0.0, [])
 
-    for segment in segments:
+    for sizes, qoe in zip(window.sizes_mbit, window.qoe):
         nxt: list[tuple[float, float, list[tuple[int, int]]] | None] = [
             None
         ] * n_states
@@ -95,9 +94,9 @@ def solve_offline(
                 t_request = wall_t + wait
                 level_at_request = buffer_level - wait
 
-                for v, f in _feasible(segment, network, t_request,
-                                       level_at_request, config):
-                    size = float(segment.sizes_mbit[v - 1, f - 1])
+                for v, f in _feasible(sizes, qoe, network, t_request,
+                                       config):
+                    size = float(sizes[v - 1, f - 1])
                     dl = network.download_time(size, t_request)
                     stall = max(dl - level_at_request, 0.0)
                     # Eq. 7 forbids rebuffering; startup is exempt, and
@@ -105,7 +104,7 @@ def solve_offline(
                     # network leaves no stall-free option at all.
                     if stall > 0 and path and not allow_stall:
                         continue
-                    rate = segment.frame_rates[f - 1]
+                    rate = window.frame_rates[f - 1]
                     energy = (
                         energy_model.transmission_energy_from_time_j(dl)
                         + energy_model.decoding_energy_j(
@@ -139,7 +138,7 @@ def solve_offline(
     )
     energy, _, path = entry
     qoe = sum(
-        float(seg.qoe[v - 1, f - 1]) for seg, (v, f) in zip(segments, path)
+        float(seg_qoe[v - 1, f - 1]) for seg_qoe, (v, f) in zip(window.qoe, path)
     )
     return OfflinePlan(
         decisions=tuple(path),
@@ -150,15 +149,15 @@ def solve_offline(
 
 
 def _feasible(
-    segment: MpcSegment,
+    sizes_mbit: np.ndarray,
+    qoe: np.ndarray,
     network: NetworkTrace,
     t_request: float,
-    buffer_s: float,
     config: MpcConfig,
 ) -> list[tuple[int, int]]:
-    """Versions satisfying the oracle's QoE floor (constraint 8c)."""
-    v_count = segment.num_qualities
-    f_count = segment.num_rates
+    """Versions of one (V, F) segment satisfying the oracle's QoE
+    floor (constraint 8c)."""
+    v_count, f_count = sizes_mbit.shape
     top_f = f_count
 
     def sustainable(v: int) -> bool:
@@ -166,7 +165,7 @@ def _feasible(
         # vm grow with the instantaneous buffer would make the QoE floor
         # buffer-dependent and reward the oracle for starving its own
         # buffer to keep the floor low.
-        size = float(segment.sizes_mbit[v - 1, top_f - 1])
+        size = float(sizes_mbit[v - 1, top_f - 1])
         dl = network.download_time(size, t_request)
         return dl <= config.segment_seconds
 
@@ -176,16 +175,15 @@ def _feasible(
             vm = v
             break
     if vm == 0:
-        floor = (1.0 - config.qoe_tolerance) * float(segment.qoe[0, top_f - 1])
+        floor = (1.0 - config.qoe_tolerance) * float(qoe[0, top_f - 1])
         return [
-            (1, f) for f in range(1, f_count + 1)
-            if segment.qoe[0, f - 1] >= floor
+            (1, f) for f in range(1, f_count + 1) if qoe[0, f - 1] >= floor
         ]
-    floor = (1.0 - config.qoe_tolerance) * float(segment.qoe[vm - 1, top_f - 1])
+    floor = (1.0 - config.qoe_tolerance) * float(qoe[vm - 1, top_f - 1])
     feasible = [
         (v, f)
         for v in range(1, v_count + 1)
         for f in range(1, f_count + 1)
-        if segment.qoe[v - 1, f - 1] >= floor
+        if qoe[v - 1, f - 1] >= floor
     ]
     return feasible or [(vm, top_f)]

@@ -24,12 +24,14 @@ passes:
   QoE advance as (num_sessions,)-shaped arrays, replicating the scalar
   arithmetic operation for operation so per-session aggregates agree
   with ``run_session`` to numeric tolerance (most sums are bit-exact).
-* **MPC decisions over shared windows.**  The Ours scheme's buffer-state
-  DP has per-session inputs (bandwidth estimate, buffer level), so it
-  runs the production :class:`~repro.core.optimizer.EnergyQoEMpc`
-  solver per session — but over the precomputed shared windows, which
-  removes the predictor/geometry/table-assembly cost that dominates the
-  scalar loop.
+* **Batched MPC decisions over shared windows.**  The Ours scheme's
+  buffer-state DP has per-session inputs (bandwidth estimate, buffer
+  level), but every session's step-k window has the same shape, so
+  each step stacks the precomputed shared windows of all MPC rows into
+  one :meth:`~repro.core.optimizer.EnergyQoEMpc.choose_batch` call —
+  the same solver ``run_session`` uses, one row at a time — which
+  removes the predictor/geometry/table-assembly cost that dominates
+  the scalar loop and amortizes the DP's per-call overhead.
 
 Supported: :class:`~repro.streaming.schemes.CtileScheme`,
 :class:`~repro.streaming.schemes.PtileScheme`,
@@ -776,7 +778,7 @@ class PopulationEngine:
             level_req = level - wait
             est = self._estimate(ring, pos, cnt, window)
 
-            # --- plan: vectorized ABR, per-session MPC over shared windows
+            # --- plan: vectorized ABR, batched MPC over shared windows
             sizes_k = SZ[inv, k]  # (n, Q)
             budget_time = np.where(
                 level_req < abr.low_buffer_s,
@@ -800,8 +802,8 @@ class PopulationEngine:
             mpc_rows = np.flatnonzero(MPC[inv, k])
             if self.decision_client is not None and mpc_rows.size:
                 # Service seam: one plan_many over every co-arriving MPC
-                # request — the service batches them into vectorized
-                # choose passes, decisions bit-identical to _mpc.choose.
+                # request — the service batches them into choose_batch
+                # passes, decisions bit-identical to the in-process path.
                 from ..serving.requests import PlanRequest
 
                 horizon_end = min(k + config.horizon, self.length)
@@ -834,21 +836,24 @@ class PopulationEngine:
                     decode[i] = self._decode_rate_j[f_idx]
                     render[i] = self._render_rate_j[f_idx]
                     factor[i] = FACTS[inv[i], k, f_idx]
-            else:
-                for i in mpc_rows:
-                    win = plans[inv[i]].windows[k]
-                    decision = self._mpc.choose(
-                        win, float(est[i]), float(level_req[i])
-                    )
-                    q_idx[i] = decision.quality - 1
-                    f_idx = decision.frame_rate_index - 1
-                    size[i] = float(
-                        win.sizes_mbit[0, decision.quality - 1, f_idx]
-                    )
-                    frame_rate[i] = decision.frame_rate
-                    decode[i] = self._decode_rate_j[f_idx]
-                    render[i] = self._render_rate_j[f_idx]
-                    factor[i] = FACTS[inv[i], k, f_idx]
+            elif mpc_rows.size:
+                # Every MPC window of step k has the same (H, V, F), so
+                # all rows go through one choose_batch call.
+                windows = [plans[inv[i]].windows[k] for i in mpc_rows]
+                sizes_b = np.stack([w.sizes_mbit for w in windows])
+                decisions = self._mpc.choose_batch(
+                    sizes_b, np.stack([w.qoe for w in windows]),
+                    self._rates, est[mpc_rows], level_req[mpc_rows],
+                )
+                v_idx = np.array([d.quality - 1 for d in decisions])
+                f_idx = np.array([d.frame_rate_index - 1 for d in decisions])
+                q_idx[mpc_rows] = v_idx
+                size[mpc_rows] = sizes_b[np.arange(mpc_rows.size), 0,
+                                         v_idx, f_idx]
+                frame_rate[mpc_rows] = np.array(self._rates)[f_idx]
+                decode[mpc_rows] = self._decode_rate_j[f_idx]
+                render[mpc_rows] = self._render_rate_j[f_idx]
+                factor[mpc_rows] = FACTS[inv[mpc_rows], k, f_idx]
 
             # --- download against the shared trace (edge split first)
             if edge is not None:

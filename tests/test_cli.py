@@ -288,3 +288,18 @@ class TestRobustCommand:
         assert "none:robust" in out
         assert "lossy:robust" in out
         assert "sigma=" in out and "expcov=" in out
+
+
+class TestPopulationCli:
+    def test_population_tiny_run(self, capsys):
+        rc = main([
+            "population", "--duration", "12", "--arrival-window", "30",
+            "--arrival-rate", "0.2", "--no-artifact-cache",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "-- population (ours, rate 0.2/s" in out
+        line = next(l for l in out.splitlines() if l.strip().startswith("ours"))
+        sessions = int(line.split("sessions")[1].split()[0])
+        assert sessions > 0
+        assert "E/seg" in line and "QoE" in line

@@ -7,6 +7,8 @@ from repro.geometry import Viewport
 from repro.power import PIXEL_3, TilingScheme
 from repro.streaming import PlanContext, run_session
 
+from .mpc_reference import choose_reference
+
 
 @pytest.fixture
 def ours(device):
@@ -143,8 +145,8 @@ class TestPlanTablesPath:
         tables = ours._plan_tables(ctx)
         window = tables.window(ctx, ptile)
         mpc = ours._mpc(ctx.segment_seconds)
-        want = mpc.choose_reference(
-            window, ctx.bandwidth_mbps, ctx.buffer_s
+        want = choose_reference(
+            mpc, window, ctx.bandwidth_mbps, ctx.buffer_s
         )
         assert plan.quality == want.quality
         assert plan.frame_rate == want.frame_rate

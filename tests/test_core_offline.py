@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import EnergyQoEMpc, MpcConfig, MpcSegment, solve_offline
+from repro.core import EnergyQoEMpc, MpcConfig, MpcWindow, solve_offline
 from repro.power import EnergyModel, PIXEL_3
 from repro.traces import NetworkTrace
 
 RATES = (21.0, 24.0, 27.0, 30.0)
 
 
-def make_segment(base_size=1.0, alpha=5.0):
+def make_window(n, base_size=1.0, alpha=5.0):
+    """``n`` identical segments of 5 qualities x 4 frame rates."""
     sizes = np.empty((5, 4))
     qoe = np.empty((5, 4))
     for vi in range(5):
@@ -20,7 +21,11 @@ def make_segment(base_size=1.0, alpha=5.0):
             sizes[vi, fi] = size_v * (1 - 0.6 * (1 - rate / 30.0))
             factor = (1 - np.exp(-alpha * rate / 30.0)) / (1 - np.exp(-alpha))
             qoe[vi, fi] = qo * factor
-    return MpcSegment(sizes_mbit=sizes, qoe=qoe, frame_rates=RATES)
+    return MpcWindow(
+        sizes_mbit=np.repeat(sizes[None], n, axis=0),
+        qoe=np.repeat(qoe[None], n, axis=0),
+        frame_rates=RATES,
+    )
 
 
 @pytest.fixture
@@ -35,44 +40,44 @@ def energy_model():
 
 class TestSolveOffline:
     def test_one_decision_per_segment(self, flat_network, energy_model):
-        plan = solve_offline([make_segment()] * 10, flat_network, energy_model)
+        plan = solve_offline(make_window(10), flat_network, energy_model)
         assert plan.num_segments == 10
         for v, f in plan.decisions:
             assert 1 <= v <= 5
             assert 1 <= f <= 4
 
     def test_positive_cost(self, flat_network, energy_model):
-        plan = solve_offline([make_segment()] * 5, flat_network, energy_model)
+        plan = solve_offline(make_window(5), flat_network, energy_model)
         assert plan.total_energy_j > 0
         assert plan.total_qoe > 0
         assert 0 <= plan.final_buffer_s <= 3.0
 
     def test_fast_switching_drops_frames(self, flat_network, energy_model):
         plan = solve_offline(
-            [make_segment(alpha=50.0)] * 8, flat_network, energy_model
+            make_window(8, alpha=50.0), flat_network, energy_model
         )
         assert plan.mean_frame_rate_index() < 4.0
 
     def test_static_gaze_keeps_frames(self, flat_network, energy_model):
         plan = solve_offline(
-            [make_segment(alpha=0.1)] * 8, flat_network, energy_model
+            make_window(8, alpha=0.1), flat_network, energy_model
         )
         assert plan.mean_frame_rate_index() == 4.0
 
     def test_richer_network_higher_quality(self, energy_model):
         slow = solve_offline(
-            [make_segment()] * 8, NetworkTrace("s", np.full(60, 1.5)),
+            make_window(8), NetworkTrace("s", np.full(60, 1.5)),
             energy_model,
         )
         fast = solve_offline(
-            [make_segment()] * 8, NetworkTrace("f", np.full(60, 20.0)),
+            make_window(8), NetworkTrace("f", np.full(60, 20.0)),
             energy_model,
         )
         assert fast.mean_quality() >= slow.mean_quality()
 
     def test_empty_rejected(self, flat_network, energy_model):
         with pytest.raises(ValueError):
-            solve_offline([], flat_network, energy_model)
+            solve_offline(make_window(0), flat_network, energy_model)
 
 
 class TestOracleBoundsMpc:
@@ -80,10 +85,10 @@ class TestOracleBoundsMpc:
         """The oracle's energy lower-bounds the online MPC's plan on the
         same inputs when the bandwidth prediction happens to be exact."""
         network = NetworkTrace("flat", np.full(60, 4.0))
-        segments = [make_segment(alpha=5.0)] * 6
+        window = make_window(6, alpha=5.0)
 
         offline = solve_offline(
-            segments, network, energy_model,
+            window, network, energy_model,
             MpcConfig(bandwidth_safety=1.0), initial_buffer_s=3.0,
         )
 
@@ -94,11 +99,14 @@ class TestOracleBoundsMpc:
         total = 0.0
         from repro.power import TilingScheme
 
-        for k in range(len(segments)):
-            decision = mpc.choose(segments[k:], 4.0, buffer)
+        for k in range(window.num_segments):
+            lookahead = MpcWindow(
+                window.sizes_mbit[k:], window.qoe[k:], RATES
+            )
+            decision = mpc.choose(lookahead, 4.0, buffer)
             size = float(
-                segments[k].sizes_mbit[
-                    decision.quality - 1, decision.frame_rate_index - 1
+                window.sizes_mbit[
+                    k, decision.quality - 1, decision.frame_rate_index - 1
                 ]
             )
             dl = size / 4.0

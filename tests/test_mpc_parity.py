@@ -1,10 +1,12 @@
-"""DP-parity regression: vectorized MPC == scalar reference.
+"""DP-parity regression: the dense MPC solver == scalar reference.
 
-``EnergyQoEMpc.choose`` (the vectorized production path) must return
-decisions bit-identical to ``choose_reference`` (the original scalar
-dynamic program) — same (v, f), same planned energy to the last ulp —
-across randomized lookahead windows, bandwidths, and buffer levels.
-Anything less means the vectorization changed experiment results.
+``EnergyQoEMpc.choose_batch`` (the production DP; ``choose`` is its
+one-row form) must return decisions bit-identical to
+``choose_reference`` (the original scalar dynamic program, kept in
+``tests/mpc_reference.py``) — same (v, f), same planned energy to the
+last ulp — across randomized lookahead windows, bandwidths, buffer
+levels, and batch sizes.  Anything less means the vectorization changed
+experiment results.
 """
 
 from __future__ import annotations
@@ -12,35 +14,48 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.optimizer import EnergyQoEMpc, MpcConfig, MpcSegment, MpcWindow
+from repro.core.optimizer import EnergyQoEMpc, MpcConfig, MpcWindow
 from repro.power import PIXEL_3
 from repro.power.energy import EnergyModel
 from repro.video.framerate import DEFAULT_LADDER
 
+from .mpc_reference import choose_reference
 
-def random_segment(rng: np.random.Generator, rates: tuple[float, ...]) -> MpcSegment:
-    """A plausible lookahead segment: sizes and QoE grow with quality."""
+
+def random_window(
+    rng: np.random.Generator, rates: tuple[float, ...], n_segments: int
+) -> MpcWindow:
+    """A plausible lookahead window: sizes and QoE grow with quality."""
     v_count = int(rng.integers(2, 6))
-    base_sizes = np.sort(rng.lognormal(mean=1.0, sigma=0.8, size=v_count))
+    sizes = np.empty((n_segments, v_count, len(rates)))
+    qoe = np.empty((n_segments, v_count, len(rates)))
     rate_factor = 0.7 + 0.3 * np.asarray(rates) / max(rates)
-    sizes = base_sizes[:, None] * rate_factor[None, :]
-    base_qoe = np.sort(rng.uniform(1.0, 5.0, size=v_count))
-    qoe_factor = np.sort(rng.uniform(0.6, 1.0, size=len(rates)))
-    qoe = base_qoe[:, None] * qoe_factor[None, :]
-    return MpcSegment(sizes_mbit=sizes, qoe=qoe, frame_rates=rates)
+    for h in range(n_segments):
+        base_sizes = np.sort(rng.lognormal(mean=1.0, sigma=0.8, size=v_count))
+        sizes[h] = base_sizes[:, None] * rate_factor[None, :]
+        base_qoe = np.sort(rng.uniform(1.0, 5.0, size=v_count))
+        qoe_factor = np.sort(rng.uniform(0.6, 1.0, size=len(rates)))
+        qoe[h] = base_qoe[:, None] * qoe_factor[None, :]
+    return MpcWindow(sizes_mbit=sizes, qoe=qoe, frame_rates=rates)
 
 
-def assert_same_decision(mpc, segments, bandwidth, buffer_s):
-    got = mpc.choose(segments, bandwidth, buffer_s)
-    want = mpc.choose_reference(segments, bandwidth, buffer_s)
+def assert_same(got, want, context: str = "") -> None:
     assert (got.quality, got.frame_rate_index) == (
         want.quality,
         want.frame_rate_index,
-    ), f"decision mismatch at bw={bandwidth}, buffer={buffer_s}"
+    ), f"decision mismatch {context}: got={got} want={want}"
     assert got.frame_rate == want.frame_rate
-    # Bit-identical, not approximately equal: the vectorized path must
+    # Bit-identical, not approximately equal: the dense solver must
     # preserve the reference's floating-point operation order.
     assert got.planned_energy_j == want.planned_energy_j
+
+
+def assert_same_decision(mpc, window, bandwidth, buffer_s):
+    assert_same(
+        mpc.choose(window, bandwidth, buffer_s),
+        choose_reference(mpc, window, bandwidth, buffer_s),
+        f"at bw={bandwidth}, buffer={buffer_s}",
+    )
 
 
 class TestDpParity:
@@ -49,10 +64,7 @@ class TestDpParity:
         rates = DEFAULT_LADDER.rates()
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
         for _ in range(200):
-            window = [
-                random_segment(rng, rates)
-                for _ in range(int(rng.integers(1, 6)))
-            ]
+            window = random_window(rng, rates, int(rng.integers(1, 6)))
             bandwidth = float(10 ** rng.uniform(-1.0, 2.0))
             buffer_s = float(rng.uniform(0.0, 3.0))
             assert_same_decision(mpc, window, bandwidth, buffer_s)
@@ -64,14 +76,14 @@ class TestDpParity:
         rates = DEFAULT_LADDER.rates()
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
         for _ in range(50):
-            window = [random_segment(rng, rates) for _ in range(3)]
+            window = random_window(rng, rates, 3)
             assert_same_decision(mpc, window, 0.05, float(rng.uniform(0.0, 3.0)))
 
     def test_single_rate_ladder(self):
         rng = np.random.default_rng(11)
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
         for _ in range(50):
-            window = [random_segment(rng, (30.0,)) for _ in range(4)]
+            window = random_window(rng, (30.0,), 4)
             assert_same_decision(
                 mpc, window, float(10 ** rng.uniform(0.0, 1.5)), 1.5
             )
@@ -87,10 +99,7 @@ class TestDpParity:
         )
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0), config)
         for _ in range(100):
-            window = [
-                random_segment(rng, rates)
-                for _ in range(int(rng.integers(1, 5)))
-            ]
+            window = random_window(rng, rates, int(rng.integers(1, 5)))
             bandwidth = float(10 ** rng.uniform(-0.5, 2.0))
             assert_same_decision(
                 mpc, window, bandwidth, float(rng.uniform(0.0, 4.0))
@@ -101,7 +110,7 @@ class TestDpParity:
         rng = np.random.default_rng(17)
         rates = DEFAULT_LADDER.rates()
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
-        window = [random_segment(rng, rates) for _ in range(5)]
+        window = random_window(rng, rates, 5)
         first = mpc.choose(window, 25.0, 2.0)
         for _ in range(3):
             again = mpc.choose(window, 25.0, 2.0)
@@ -113,36 +122,24 @@ class TestDpParity:
 
     def test_validation_matches_reference(self):
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
+        rates = DEFAULT_LADDER.rates()
+        # An empty window is rejected by the window and by the solver.
         with pytest.raises(ValueError):
-            mpc.choose([], 10.0, 1.0)
+            MpcWindow(np.ones((0, 3, len(rates))), np.ones((0, 3, len(rates))),
+                      rates)
         with pytest.raises(ValueError):
-            mpc.choose_reference([], 10.0, 1.0)
-        seg = random_segment(np.random.default_rng(1), DEFAULT_LADDER.rates())
+            mpc.choose_batch(np.ones((1, 0, 3, len(rates))),
+                             np.ones((1, 0, 3, len(rates))), rates,
+                             np.array([10.0]), np.array([1.0]))
+        window = random_window(np.random.default_rng(1), rates, 2)
         with pytest.raises(ValueError):
-            mpc.choose([seg], 0.0, 1.0)
+            mpc.choose(window, 0.0, 1.0)
         with pytest.raises(ValueError):
-            mpc.choose_reference([seg], 0.0, 1.0)
-
-
-def random_window(
-    rng: np.random.Generator, rates: tuple[float, ...], n_segments: int
-) -> MpcWindow:
-    """A stacked lookahead window sharing one (V, F) version grid."""
-    v_count = int(rng.integers(2, 6))
-    sizes = np.empty((n_segments, v_count, len(rates)))
-    qoe = np.empty((n_segments, v_count, len(rates)))
-    rate_factor = 0.7 + 0.3 * np.asarray(rates) / max(rates)
-    for h in range(n_segments):
-        base_sizes = np.sort(rng.lognormal(mean=1.0, sigma=0.8, size=v_count))
-        sizes[h] = base_sizes[:, None] * rate_factor[None, :]
-        base_qoe = np.sort(rng.uniform(1.0, 5.0, size=v_count))
-        qoe_factor = np.sort(rng.uniform(0.6, 1.0, size=len(rates)))
-        qoe[h] = base_qoe[:, None] * qoe_factor[None, :]
-    return MpcWindow(sizes_mbit=sizes, qoe=qoe, frame_rates=rates)
+            choose_reference(mpc, window, 0.0, 1.0)
 
 
 class TestBatchedWindowParity:
-    """The stacked MpcWindow hot path must equal the scalar oracle."""
+    """The stacked MpcWindow path must equal the scalar oracle."""
 
     def test_randomized_windows_across_durations_and_horizons(self):
         # Property test over the axes that shape the DP: segment
@@ -162,22 +159,30 @@ class TestBatchedWindowParity:
             buffer_s = float(rng.uniform(0.0, 3.0))
             assert_same_decision(mpc, window, bandwidth, buffer_s)
 
-    def test_window_equals_equivalent_segment_list(self):
-        # The same data fed as a stacked window and as a per-segment
-        # list must produce bit-identical decisions.
+    def test_batch_rows_equal_single_row_choose(self):
+        # A row's decision must not depend on the batch it rides in:
+        # choose_batch over many rows equals choose on each row alone.
         rng = np.random.default_rng(42)
         rates = DEFAULT_LADDER.rates()
         mpc = EnergyQoEMpc(EnergyModel(PIXEL_3, 1.0))
-        for _ in range(50):
-            window = random_window(rng, rates, int(rng.integers(1, 6)))
-            bandwidth = float(10 ** rng.uniform(-0.5, 1.5))
-            buffer_s = float(rng.uniform(0.0, 3.0))
-            batched = mpc.choose(window, bandwidth, buffer_s)
-            listed = mpc.choose(window.segments(), bandwidth, buffer_s)
-            assert (batched.quality, batched.frame_rate_index) == (
-                listed.quality, listed.frame_rate_index
+        windows = []
+        while len(windows) < 50:
+            window = random_window(rng, rates, 4)
+            if window.num_qualities == 4:
+                windows.append(window)
+        bandwidths = 10 ** rng.uniform(-0.5, 1.5, size=len(windows))
+        buffers = rng.uniform(0.0, 3.0, size=len(windows))
+        decisions = mpc.choose_batch(
+            np.stack([w.sizes_mbit for w in windows]),
+            np.stack([w.qoe for w in windows]),
+            rates, bandwidths, buffers,
+        )
+        for b, window in enumerate(windows):
+            assert_same(
+                decisions[b],
+                mpc.choose(window, float(bandwidths[b]), float(buffers[b])),
+                f"row {b}",
             )
-            assert batched.planned_energy_j == listed.planned_energy_j
 
     def test_cold_start_nothing_stall_free(self):
         # Empty buffer and starved bandwidth: the vm == 0 relaxation
@@ -210,14 +215,3 @@ class TestBatchedWindowParity:
                 qoe=np.ones((2, 3, len(rates))),
                 frame_rates=rates,
             )
-
-    def test_segments_roundtrip(self):
-        window = random_window(
-            np.random.default_rng(3), DEFAULT_LADDER.rates(), 4
-        )
-        segments = window.segments()
-        assert len(segments) == window.num_segments
-        for h, segment in enumerate(segments):
-            assert np.array_equal(segment.sizes_mbit, window.sizes_mbit[h])
-            assert np.array_equal(segment.qoe, window.qoe[h])
-            assert segment.frame_rates == window.frame_rates
