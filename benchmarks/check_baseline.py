@@ -76,6 +76,9 @@ def extract_metrics(report: dict) -> dict[str, float]:
         "shard_read_speedup": _extra(
             report, "test_shard_read_vs_per_pickle", "shard_read_speedup"
         ),
+        "context_digest_pickle_ratio": _extra(
+            report, "test_context_digest_cost", "digest_pickle_ratio"
+        ),
         "planner_plans_per_second": _extra(
             report, "test_planner_throughput", "plans_per_second"
         ),

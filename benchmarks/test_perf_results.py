@@ -1,6 +1,6 @@
 """Session-results cache benchmarks.
 
-Two gates on the results-store layer:
+Three gates on the results-store layer:
 
 * ``test_results_cache_cold_vs_warm`` — the PR-level optimization: with
   a (sharded) results store, a warm re-run of an identical sweep
@@ -18,19 +18,30 @@ Two gates on the results-store layer:
   exactly what a million-session sweep multiplies — dominates the
   comparison.
 
+* ``test_context_digest_cost`` — every sweep pass digests its context
+  once per video group to key that group's shard, so a warm re-run costs
+  little more than its shard reads only while the digest stays cheap.
+  The cost is gated as a ratio to ``pickle.dumps`` of the same sliced
+  context: both walk the same objects, so the ratio is scale-invariant,
+  and a return of per-node hashing or of array repr-printing in the
+  fingerprint multiplies it.
+
 The measured speedups land in ``extra_info`` for the CI regression
 gate.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 
 from repro.experiments import make_setup, run_comparison
 from repro.experiments.artifacts import (
     ShardedResultsStore,
     content_digest,
+    sweep_context_digest,
 )
+from repro.experiments.setup import build_sweep
 from repro.power import PIXEL_3
 
 from conftest import bench_duration, bench_users, run_once
@@ -140,3 +151,34 @@ def test_shard_read_vs_per_pickle(benchmark, tmp_path):
         f" ({shard_s * 1e6 / _SHARD_ROWS:.2f}us/row vs"
         f" {legacy_s * 1e6 / _SHARD_ROWS:.2f}us/row)"
     )
+
+
+_DIGEST_ROUNDS = 9
+
+
+def test_context_digest_cost(benchmark):
+    """Per-video sliced-context digest vs pickling the same slice.
+
+    The slice is what ``run_session_jobs`` digests for one video group
+    of the Fig. 9 sweep: all five schemes, both networks, and one
+    video's manifest, Ptiles, Ftiles and test head traces (20-s video,
+    dataset seed 2017).  Min-of-rounds on both sides.
+    """
+    # A one-video catalog: its sweep context is already that slice.
+    setup = make_setup(max_duration_s=20, video_ids=(8,))
+    context, _ = build_sweep(setup, workers=1)
+
+    pickle_s = float("inf")
+    for _ in range(_DIGEST_ROUNDS):
+        t0 = time.perf_counter()
+        pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle_s = min(pickle_s, time.perf_counter() - t0)
+
+    benchmark.pedantic(sweep_context_digest, args=(context,),
+                       rounds=_DIGEST_ROUNDS, iterations=1)
+    digest_s = benchmark.stats["min"]
+
+    ratio = digest_s / pickle_s
+    benchmark.extra_info["digest_ms"] = 1e3 * digest_s
+    benchmark.extra_info["pickle_ms"] = 1e3 * pickle_s
+    benchmark.extra_info["digest_pickle_ratio"] = ratio

@@ -154,38 +154,75 @@ def default_cache_dir() -> Path:
 # where ambiguous, so distinct structures can never collide byte-wise
 # ("ab","c" vs "a","bc"), and no process-local hash() is involved — the
 # digest is stable across processes, platforms, and Python versions.
+#
+# The encoding is one pass: tokens are appended to a list and hashed by
+# a single SHA-256 update, since a context fingerprint has ~10^4 small
+# nodes and per-node hasher calls used to dominate.  The exact-type
+# checks in _encode cover the node types that make up almost all of a
+# fingerprint; everything else (bool, numpy scalars, bytes, arrays,
+# dicts, subclasses) takes the isinstance chain in _encode_other, whose
+# order decides the tag of a value that matches several branches.
 # ----------------------------------------------------------------------
 
+_pack_u32 = struct.Struct("<I").pack
+_pack_f64 = struct.Struct("<d").pack
 
-def _update(h: "hashlib._Hash", obj: Any) -> None:
+
+def _encode(obj: Any, out: list) -> None:
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        out.append(b"t" + _pack_u32(len(obj)))
+        for part in obj:
+            _encode(part, out)
+    elif kind is str:
+        raw = obj.encode("utf-8")
+        out.append(b"s" + _pack_u32(len(raw)) + raw)
+    elif kind is int:
+        raw = str(obj).encode("ascii")
+        out.append(b"i" + _pack_u32(len(raw)) + raw)
+    elif kind is float:
+        out.append(b"f" + _pack_f64(obj))
+    else:
+        _encode_other(obj, out)
+
+
+def _encode_other(obj: Any, out: list) -> None:
     if obj is None:
-        h.update(b"N")
+        out.append(b"N")
     elif isinstance(obj, bool):
-        h.update(b"b1" if obj else b"b0")
+        out.append(b"b1" if obj else b"b0")
     elif isinstance(obj, (int, np.integer)):
         raw = str(int(obj)).encode("ascii")
-        h.update(b"i" + struct.pack("<I", len(raw)) + raw)
+        out.append(b"i" + _pack_u32(len(raw)) + raw)
     elif isinstance(obj, (float, np.floating)):
-        h.update(b"f" + struct.pack("<d", float(obj)))
+        out.append(b"f" + _pack_f64(float(obj)))
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        h.update(b"s" + struct.pack("<I", len(raw)) + raw)
+        out.append(b"s" + _pack_u32(len(raw)) + raw)
     elif isinstance(obj, bytes):
-        h.update(b"y" + struct.pack("<I", len(obj)) + obj)
+        out.append(b"y" + _pack_u32(len(obj)) + obj)
     elif isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            # tobytes() of an object array is its pointers: a digest of
+            # them would differ per process and could alias across runs.
+            raise TypeError(
+                f"cannot digest an object-dtype array ({obj.dtype}); "
+                "pass a fingerprint of its elements instead"
+            )
         arr = np.ascontiguousarray(obj)
         meta = f"{arr.dtype.str}{arr.shape}".encode("ascii")
-        h.update(b"a" + struct.pack("<I", len(meta)) + meta + arr.tobytes())
+        out.append(b"a" + _pack_u32(len(meta)) + meta)
+        out.append(arr.tobytes())
     elif isinstance(obj, (tuple, list)):
-        h.update(b"t" + struct.pack("<I", len(obj)))
+        out.append(b"t" + _pack_u32(len(obj)))
         for part in obj:
-            _update(h, part)
+            _encode(part, out)
     elif isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        h.update(b"d" + struct.pack("<I", len(items)))
+        out.append(b"d" + _pack_u32(len(items)))
         for key, value in items:
-            _update(h, key)
-            _update(h, value)
+            _encode(key, out)
+            _encode(value, out)
     else:
         raise TypeError(
             f"cannot digest {type(obj).__name__}; pass a fingerprint of "
@@ -195,9 +232,9 @@ def _update(h: "hashlib._Hash", obj: Any) -> None:
 
 def content_digest(*parts: Any) -> str:
     """SHA-256 hex digest of a nested structure of primitives/arrays."""
-    h = hashlib.sha256()
-    _update(h, parts)
-    return h.hexdigest()
+    out: list = []
+    _encode(parts, out)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def video_fingerprint(video: Video) -> tuple:
@@ -386,7 +423,17 @@ def structural_fingerprint(obj: Any) -> Any:
             (structural_fingerprint(k), structural_fingerprint(v))
             for k, v in obj.items()
         ]
-        return ("dict", tuple(sorted(items, key=repr)))
+        # Order entries by their key's repr alone: repr-printing whole
+        # entries would format every array value only to recover the
+        # order the unique keys already fix.  Distinct keys with one
+        # repr fall back to the whole-entry order, so the result never
+        # depends on insertion order.
+        by_key = {repr(k): (k, v) for k, v in items}
+        if len(by_key) == len(items):
+            items = [by_key[r] for r in sorted(by_key)]
+        else:
+            items.sort(key=repr)
+        return ("dict", tuple(items))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return (
             "obj",

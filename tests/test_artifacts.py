@@ -310,9 +310,11 @@ class TestRunComparisonIdentity:
 
     def test_warm_run_skips_construction(self, fresh_setup, tmp_path,
                                          device, monkeypatch):
-        """On a warm store the construction entry points must never run."""
+        """On a warm store the construction entry points must never run,
+        and the multi-video sweep still reproduces the cold run."""
+        kwargs = dict(SWEEP_KW, video_ids=(2, 8))
         store = ArtifactStore(tmp_path)
-        run_comparison(fresh_setup(store), device, **SWEEP_KW)
+        cold = run_comparison(fresh_setup(store), device, **kwargs)
 
         import repro.experiments.setup as setup_mod
 
@@ -323,9 +325,12 @@ class TestRunComparisonIdentity:
         monkeypatch.setattr(setup_mod, "build_video_ftiles", boom)
         monkeypatch.setattr(setup_mod, "VideoManifest", boom)
         warm_setup = fresh_setup(ArtifactStore(tmp_path))
-        warm = run_comparison(warm_setup, device, **SWEEP_KW)
+        warm = run_comparison(warm_setup, device, **kwargs)
         assert warm_setup.artifacts.stats.total_misses == 0
-        assert result_signature(warm)
+        assert warm_setup.artifacts.stats.hits == {
+            "manifest": 2, "ptiles": 2, "ftiles": 2
+        }
+        assert result_signature(warm) == result_signature(cold)
 
 
 class TestInvalidation:

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import make_schemes
+from repro.experiments import make_schemes, run_comparison
 from repro.experiments.artifacts import (
     ArtifactStore,
     ShardedResultsStore,
@@ -44,7 +44,9 @@ from repro.experiments.runner import (
     SweepContext,
     run_session_jobs,
 )
+from repro.experiments.setup import ExperimentSetup
 from repro.streaming.session import SessionConfig
+from repro.video import EncoderModel
 
 
 @pytest.fixture(scope="module")
@@ -427,3 +429,45 @@ class TestSweepIdentity:
         row = int(np.searchsorted(digests, want)[0])
         shard_blob = buf[base + int(offsets[row]) : base + int(ends[row])]
         assert shard_blob == legacy_blob
+
+
+class TestRunComparisonShards:
+    def test_one_shard_per_video_and_warm_runs_no_session(
+        self, small_dataset, network_traces, device, tmp_path, monkeypatch
+    ):
+        """The full comparison entry point over a two-video catalog:
+        one shard per (context, video) group, no per-session pickles,
+        and a warm re-run served entirely from the shards."""
+        setup = ExperimentSetup(
+            dataset=small_dataset,
+            encoder=EncoderModel(),
+            trace1=network_traces[0],
+            trace2=network_traces[1],
+        )
+        kwargs = dict(users_per_video=1, video_ids=(2, 8),
+                      scheme_names=("ctile", "ours"))
+        off = run_comparison(setup, device, **kwargs)
+        cold = run_comparison(setup, device,
+                              results_store=ShardedResultsStore(tmp_path),
+                              **kwargs)
+        shards = sorted((tmp_path / "results-shards").glob("*.shard"))
+        assert len(shards) == 2, [s.name for s in shards]
+        assert not list(tmp_path.rglob("results/*.pkl"))
+
+        def boom(self, job):  # pragma: no cover - must not run
+            raise AssertionError("a session ran on a warm shard store")
+
+        monkeypatch.setattr(SweepContext, "run_job", boom)
+        warm_store = ShardedResultsStore(tmp_path)
+        warm = run_comparison(setup, device, results_store=warm_store,
+                              **kwargs)
+        assert warm_store.stats.misses.get("results") is None
+
+        def signature(results):
+            return [
+                (key, session_signature(r))
+                for key, sessions in sorted(results.items())
+                for r in sessions
+            ]
+
+        assert signature(off) == signature(cold) == signature(warm)
