@@ -104,6 +104,10 @@ class ViewportPredictor:
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError("window must be positive")
+        # Written to reject NaN too: a NaN bound would make the trend
+        # clamp a no-op.
+        if not self.max_trend_deg_s >= 0:
+            raise ValueError("max trend speed must be non-negative")
 
     def observe(self, t: float, yaw: float, pitch: float) -> None:
         """Record a head sample; yaw is unwrapped against the history."""
@@ -114,7 +118,7 @@ class ViewportPredictor:
             # Unwrap: choose the representation closest to the last yaw.
             delta = (yaw - last_yaw + 180.0) % 360.0 - 180.0
             yaw = last_yaw + delta
-        self._history.append((t, yaw, float(np.clip(pitch, -90.0, 90.0))))
+        self._history.append((t, yaw, float(min(max(pitch, -90.0), 90.0))))
         cutoff = t - self.window_s
         while self._history and self._history[0][0] < cutoff:
             self._history.popleft()
@@ -137,7 +141,7 @@ class ViewportPredictor:
         pitches = np.array([h[2] for h in self._history])
         t_last, yaw_last, pitch_last = self._history[-1]
         if len(self._history) < 4 or t_target <= t_last:
-            return yaw_last % 360.0, float(np.clip(pitch_last, -90.0, 90.0))
+            return yaw_last % 360.0, float(min(max(pitch_last, -90.0), 90.0))
 
         rel = (times - t_last)[:, None]
         yaw_model = RidgeRegressor(self.lam).fit(rel, yaws)
@@ -149,13 +153,15 @@ class ViewportPredictor:
         yaw_hat = float(yaw_model.predict(np.array([[horizon]]))[0])
         pitch_hat = float(pitch_model.predict(np.array([[horizon]]))[0])
 
-        # Clamp the implied trend speed.
+        # Clamp the implied trend speed.  min/max on plain floats gives
+        # np.clip's result (NaN and -0.0 included) without a numpy scalar
+        # round trip per clamp.
         max_move = self.max_trend_deg_s * horizon
-        yaw_hat = yaw_last + float(np.clip(yaw_hat - yaw_last, -max_move, max_move))
+        yaw_hat = yaw_last + float(min(max(yaw_hat - yaw_last, -max_move), max_move))
         pitch_hat = pitch_last + float(
-            np.clip(pitch_hat - pitch_last, -max_move, max_move)
+            min(max(pitch_hat - pitch_last, -max_move), max_move)
         )
-        return yaw_hat % 360.0, float(np.clip(pitch_hat, -90.0, 90.0))
+        return yaw_hat % 360.0, float(min(max(pitch_hat, -90.0), 90.0))
 
     def predict_viewport(self, t_target: float) -> Viewport:
         yaw, pitch = self.predict_center(t_target)

@@ -307,15 +307,21 @@ class ServiceRunner:
     def close(self) -> None:
         if self._loop.is_closed():
             return
-        for server in self._servers:
-            server.close()
-            asyncio.run_coroutine_threadsafe(
-                server.wait_closed(), self._loop
-            ).result()
-        self._servers.clear()
-        asyncio.run_coroutine_threadsafe(
-            self.service.close(), self._loop
-        ).result()
+        servers, self._servers = self._servers, []
+
+        # Everything runs on the loop: asyncio.Server is not thread-safe,
+        # and closing it from this thread races the loop's own
+        # connection teardown.
+        async def shutdown() -> None:
+            for server in servers:
+                server.close()
+                # EOF to open connections, as run_server does.
+                for writer in list(server.repro_connections):
+                    writer.close()
+                await server.wait_closed()
+            await self.service.close()
+
+        asyncio.run_coroutine_threadsafe(shutdown(), self._loop).result()
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()

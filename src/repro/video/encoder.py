@@ -176,12 +176,14 @@ class EncoderModel:
     ladder: EncodingLadder = DEFAULT_ENCODING_LADDER
 
     def __post_init__(self) -> None:
-        if self.segment_seconds <= 0:
-            raise ValueError("segment duration must be positive")
-        if self.ref_bitrate_mbps <= 0:
-            raise ValueError("reference bitrate must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        # ``math.isfinite`` first: NaN compares false against any bound,
+        # so a bare ``<= 0`` check would let it through.
+        if not (math.isfinite(self.segment_seconds) and self.segment_seconds > 0):
+            raise ValueError("segment duration must be positive and finite")
+        if not (math.isfinite(self.ref_bitrate_mbps) and self.ref_bitrate_mbps > 0):
+            raise ValueError("reference bitrate must be positive and finite")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise sigma must be non-negative and finite")
 
     # ------------------------------------------------------------------
     # Rate-quality law
@@ -189,7 +191,7 @@ class EncoderModel:
 
     def content_factor(self, si: float, ti: float) -> float:
         """Bitrate multiplier for content complexity (1.0 near SI 33, TI 14)."""
-        return float(np.clip(0.35 + 0.011 * si + 0.022 * ti, 0.3, 2.5))
+        return float(min(max(0.35 + 0.011 * si + 0.022 * ti, 0.3), 2.5))
 
     def full_frame_bitrate_at_crf(self, crf: float, si: float, ti: float) -> float:
         """Bitrate (Mbps) of the whole 4K frame encoded at a raw CRF.
@@ -332,8 +334,8 @@ class EncoderModel:
         size = content + overhead
         if frame_rate is not None:
             size *= self.frame_rate_factor(frame_rate, fps)
-        if noise_key is not None and self.noise_sigma > 0:
-            size *= self._noise(noise_key)
+        if noise_key is not None:
+            size *= self.noise_factor(noise_key)
         return size
 
     def tile_size_mbit(
@@ -374,7 +376,16 @@ class EncoderModel:
 
     # ------------------------------------------------------------------
 
-    def _noise(self, key: tuple) -> float:
-        rng = np.random.default_rng([self.seed & 0xFFFFFFFF] + _stable_key_ints(key))
+    def noise_factor(self, key: tuple) -> float:
+        """Multiplicative encoder noise of the region ``key`` names.
+
+        Log-normal with unit mean, drawn from an RNG seeded by
+        ``(seed, key)`` alone: it does not depend on quality or frame
+        rate, so one draw serves every version of a region.  ``1.0``
+        when ``noise_sigma`` is zero.
+        """
         sigma = self.noise_sigma
+        if sigma == 0:
+            return 1.0
+        rng = np.random.default_rng([self.seed & 0xFFFFFFFF] + _stable_key_ints(key))
         return float(math.exp(rng.normal(-0.5 * sigma * sigma, sigma)))

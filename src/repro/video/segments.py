@@ -60,15 +60,29 @@ class SegmentManifest:
     def grid(self) -> TileGrid:
         return self.encoder.grid
 
+    def _noise(self, *region: object) -> float:
+        """The encoder noise factor of one region, drawn once and memoized.
+
+        The noise depends only on ``(video, segment, region)``, never on
+        quality or frame rate, so every version of a region shares one
+        draw.  Memoized under the bare region parts, a key no size or
+        bitrate entry uses.
+        """
+        factor = self._size_cache.get(region)
+        if factor is None:
+            factor = self.encoder.noise_factor(
+                (self.video_id, self.segment_index) + region
+            )
+            self._size_cache[region] = factor
+        return factor
+
     def tile_size_mbit(self, tile: Tile, quality: float) -> float:
         """Size of one conventional grid tile at a quality level."""
         cache_key = ("tile", tile.row, tile.col, quality)
         size = self._size_cache.get(cache_key)
         if size is None:
-            key = (self.video_id, self.segment_index, "tile", tile.row, tile.col)
-            size = self.encoder.tile_size_mbit(
-                quality, self.si, self.ti, noise_key=key
-            )
+            size = self.encoder.tile_size_mbit(quality, self.si, self.ti)
+            size *= self._noise("tile", tile.row, tile.col)
             self._size_cache[cache_key] = size
         return size
 
@@ -93,7 +107,6 @@ class SegmentManifest:
         cache_key = (region_key, area_fraction, quality, frame_rate, fps)
         size = self._size_cache.get(cache_key)
         if size is None:
-            key = (self.video_id, self.segment_index, region_key)
             size = self.encoder.region_size_mbit(
                 quality,
                 self.si,
@@ -101,8 +114,8 @@ class SegmentManifest:
                 area_fraction,
                 frame_rate=frame_rate,
                 fps=fps,
-                noise_key=key,
             )
+            size *= self._noise(region_key)
             self._size_cache[cache_key] = size
         return size
 

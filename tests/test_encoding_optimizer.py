@@ -144,6 +144,23 @@ class TestCatalogSearch:
             assert warm[vid].ladder == cold[vid].ladder
             assert warm[vid].qo_opt == cold[vid].qo_opt
 
+    def test_default_search_identical_across_workers_and_cache(
+        self, video8, encoder, tmp_path
+    ):
+        # The default (noisy) encoder and default targets: serial ==
+        # pooled == cold == warm, and the warm search is one pure hit.
+        videos = [video8]
+        serial = optimize_catalog(videos, encoder, workers=1)
+        pooled = optimize_catalog(videos, encoder, workers=2)
+        store = ArtifactStore(tmp_path / "ladder-cache")
+        cold = optimize_catalog(videos, encoder, store=store)
+        warm = optimize_catalog(videos, encoder, store=store)
+        assert store.stats.misses.get("ladder") == 1, store.stats.report()
+        assert (serial[8].ladder == pooled[8].ladder
+                == cold[8].ladder == warm[8].ladder)
+        assert (serial[8].qo_opt == pooled[8].qo_opt
+                == cold[8].qo_opt == warm[8].qo_opt)
+
     def test_store_respects_config(self, small_dataset, noise_free_encoder,
                                    targets, tmp_path):
         # A different search config must not reuse the cached search.

@@ -1,7 +1,12 @@
 """Unit tests for ridge regression and viewport prediction."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.prediction import RidgeRegressor, ViewportPredictor
 
@@ -125,6 +130,54 @@ class TestViewportPredictor:
     def test_validation(self):
         with pytest.raises(ValueError):
             ViewportPredictor(window_s=0.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                ViewportPredictor(max_trend_deg_s=bad)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestClampParity:
+    """The predictor clamps with min/max; they must equal np.clip bit
+    for bit, NaN and signed zeros included (NaN bounds are rejected at
+    construction, which is where the two would differ)."""
+
+    any_float = st.floats(allow_nan=True, allow_infinity=True)
+    bound = st.sampled_from([0.0, -0.0, math.inf]) | st.floats(0.0, 1e6)
+
+    @given(any_float, bound)
+    @settings(max_examples=300)
+    def test_symmetric_clamp_matches_np_clip(self, x, m):
+        got = float(min(max(x, -m), m))
+        assert _bits(got) == _bits(float(np.clip(x, -m, m)))
+
+    @given(any_float)
+    @settings(max_examples=300)
+    def test_pitch_clamp_matches_np_clip(self, pitch):
+        # observe() stores the clamped pitch, and the short-history
+        # fallback returns it.
+        p = ViewportPredictor()
+        p.observe(0.0, 10.0, pitch)
+        _, got = p.predict_center(1.0)
+        assert type(got) is float
+        assert _bits(got) == _bits(float(np.clip(pitch, -90.0, 90.0)))
+
+    @given(st.lists(st.floats(-200.0, 200.0), min_size=4, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_trend_clamp_holds_last_sample(self, pitches):
+        # max_trend_deg_s = 0 clamps the trend to [-0.0, 0.0]: the
+        # prediction is the last sample exactly.
+        p = ViewportPredictor(max_trend_deg_s=0.0)
+        for i, pitch in enumerate(pitches):
+            p.observe(0.1 * i, 3.0 * i, pitch)
+        yaw, pitch = p.predict_center(0.1 * len(pitches) + 0.5)
+        last = len(pitches) - 1
+        assert _bits(yaw) == _bits((3.0 * last) % 360.0)
+        assert _bits(pitch) == _bits(
+            float(np.clip(pitches[-1], -90.0, 90.0))
+        )
 
 
 class TestPredictionBoundary:

@@ -385,11 +385,11 @@ class TestTcp:
                 # connection survives the error
                 assert client.plan(requests[0]) == expected[0]
 
-    def test_concurrent_remote_clients(self, planner2, manifest2):
-        requests = _requests(2, manifest2.num_segments, count=12)
-        expected = [planner2.plan_one(r) for r in requests]
+    @staticmethod
+    def _three_clients(planner, requests):
+        """Open a TCP service, serve 3 concurrent clients, close it."""
         service = DecisionService(
-            [planner2], ServiceConfig(max_batch=36, batch_wait_us=300.0)
+            [planner], ServiceConfig(max_batch=36, batch_wait_us=300.0)
         )
         with ServiceRunner(service) as runner:
             port = runner.serve_tcp(port=0)
@@ -404,8 +404,24 @@ class TestTcp:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
-        assert got == [expected] * 3
+                t.join(timeout=60)
+                assert not t.is_alive()
+        return got
+
+    def test_concurrent_remote_clients(self, planner2, manifest2):
+        requests = _requests(2, manifest2.num_segments, count=12)
+        expected = [planner2.plan_one(r) for r in requests]
+        assert self._three_clients(planner2, requests) == [expected] * 3
+
+    def test_repeated_open_serve_close(self, planner2, manifest2):
+        # Shutdown used to close the asyncio server from the caller's
+        # thread, racing the loop's connection teardown, and a single
+        # cycle failed intermittently.  No sleeps or retries: every
+        # cycle must pass.
+        requests = _requests(2, manifest2.num_segments, count=4)
+        expected = [planner2.plan_one(r) for r in requests]
+        for _ in range(25):
+            assert self._three_clients(planner2, requests) == [expected] * 3
 
 
 class TestStreamingSeams:
