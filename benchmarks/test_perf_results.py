@@ -12,11 +12,11 @@ Three gates on the results-store layer:
 
 * ``test_shard_read_vs_per_pickle`` — the storage-layer optimization
   that unlocks population scale: serving one (context, video) group
-  from a single columnar shard read must be >= 10x faster than the
-  legacy one-pickle-per-session path it replaces.  Measured on a
-  many-row store of small payloads so per-file open/stat overhead —
-  exactly what a million-session sweep multiplies — dominates the
-  comparison.
+  from a single columnar shard read must be >= 10x faster than reading
+  the same rows one pickle per row through the per-object
+  ``ArtifactStore.get`` path.  Measured on a many-row store of small
+  payloads so per-file open/stat overhead — exactly what a
+  million-session sweep would multiply — dominates the comparison.
 
 * ``test_context_digest_cost`` — every sweep pass digests its context
   once per video group to key that group's shard, so a warm re-run costs
@@ -37,7 +37,7 @@ import time
 
 from repro.experiments import make_setup, run_comparison
 from repro.experiments.artifacts import (
-    ShardedResultsStore,
+    ArtifactStore,
     content_digest,
     sweep_context_digest,
 )
@@ -52,7 +52,7 @@ def _fresh_setup(cache_dir):
     # only the disk stores can carry anything between runs.  Setup
     # construction (synthesizing the dataset) happens outside the timed
     # region — the cache accelerates the sweep, not input generation.
-    store = ShardedResultsStore(cache_dir)
+    store = ArtifactStore(cache_dir)
     return make_setup(max_duration_s=bench_duration(), artifacts=store), store
 
 
@@ -93,47 +93,39 @@ _SHARD_ROUNDS = 5
 def test_shard_read_vs_per_pickle(benchmark, tmp_path):
     """Warm many-row read: one shard open vs one open per session.
 
-    Rows are small on purpose: the legacy path's cost at population
+    Rows are small on purpose: a per-row layout's cost at population
     scale is per-*file* overhead (open/read/close per session), which
-    small payloads isolate.  Min-of-rounds on both sides — the first
+    small payloads isolate.  The per-row side stores the same payloads
+    under a per-object artifact kind, one pickle file each.  Min-of-rounds on both sides — the first
     pass pays page-cache and allocator warmup that a warm sweep never
     sees again, and the gate is a same-process ratio of sub-second
     regions.
     """
-    store = ShardedResultsStore(tmp_path)
+    store = ArtifactStore(tmp_path)
     payloads = {
         content_digest("job", i): float(i) for i in range(_SHARD_ROWS)
     }
-    legacy_keys = {
-        digest: content_digest("legacy-key", digest)
-        for digest in payloads
-    }
     for digest, payload in payloads.items():
-        store.put("results", legacy_keys[digest], payload)
+        store.put("manifest", digest, payload)
     shard_digest = content_digest("bench-shard-group")
     store.merge_shard(shard_digest, payloads)
-    entries = [
-        (digest, legacy_keys[digest]) for digest in payloads
-    ]
+    entries = list(payloads)
     expected = list(payloads.values())
 
     def read_per_pickle():
-        reader = ShardedResultsStore(tmp_path)
-        return [
-            reader.get("results", key) for _, key in entries
-        ]
+        reader = ArtifactStore(tmp_path)
+        return [reader.get("manifest", digest) for digest in entries]
 
     def read_shard():
-        reader = ShardedResultsStore(tmp_path)
-        out, _ = reader.get_results_batch(shard_digest, entries)
-        return out
+        reader = ArtifactStore(tmp_path)
+        return reader.get_results_batch(shard_digest, entries)
 
     assert read_per_pickle() == expected
-    legacy_s = float("inf")
+    per_pickle_s = float("inf")
     for _ in range(_SHARD_ROUNDS):
         t0 = time.perf_counter()
         out = read_per_pickle()
-        legacy_s = min(legacy_s, time.perf_counter() - t0)
+        per_pickle_s = min(per_pickle_s, time.perf_counter() - t0)
     assert out == expected
 
     sharded = benchmark.pedantic(read_shard, rounds=_SHARD_ROUNDS,
@@ -141,15 +133,15 @@ def test_shard_read_vs_per_pickle(benchmark, tmp_path):
     shard_s = benchmark.stats["min"]
     assert sharded == expected  # bit-for-bit the same rows
 
-    speedup = legacy_s / shard_s if shard_s > 0 else float("inf")
+    speedup = per_pickle_s / shard_s if shard_s > 0 else float("inf")
     benchmark.extra_info["rows"] = _SHARD_ROWS
-    benchmark.extra_info["per_pickle_s"] = legacy_s
+    benchmark.extra_info["per_pickle_s"] = per_pickle_s
     benchmark.extra_info["shard_s"] = shard_s
     benchmark.extra_info["shard_read_speedup"] = speedup
     assert speedup >= 10.0, (
         f"shard read only {speedup:.1f}x faster than per-pickle"
         f" ({shard_s * 1e6 / _SHARD_ROWS:.2f}us/row vs"
-        f" {legacy_s * 1e6 / _SHARD_ROWS:.2f}us/row)"
+        f" {per_pickle_s * 1e6 / _SHARD_ROWS:.2f}us/row)"
     )
 
 

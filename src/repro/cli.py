@@ -20,7 +20,6 @@ import sys
 
 from .experiments import (
     ArtifactStore,
-    ShardedResultsStore,
     default_cache_dir,
     make_setup,
     print_lines,
@@ -110,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-results-cache", action="store_true",
         help="disable the session-results cache and re-simulate every "
              "session",
-    )
-    parser.add_argument(
-        "--legacy-results-cache", action="store_true",
-        help="store session results as one pickle per session instead "
-             "of columnar per-(context, video) shards; reads existing "
-             "entries either way, but sweeps at population scale are "
-             "much slower (one file open per session)",
     )
     parser.add_argument(
         "--cache-capacities", metavar="MBIT[,MBIT...]",
@@ -278,21 +270,15 @@ def _artifact_store(args: argparse.Namespace) -> ArtifactStore | None:
 
 
 def _results_store(args: argparse.Namespace) -> ArtifactStore | None:
-    # Columnar shards by default: one file per (context, video) group
-    # instead of one pickle per session.  --legacy-results-cache keeps
-    # the old per-session layout; both read entries written by either.
-    store_cls = (
-        ArtifactStore if args.legacy_results_cache else ShardedResultsStore
-    )
     if args.no_results_cache:
         return None
     if args.results_cache is not None:
-        return store_cls(args.results_cache)
+        return ArtifactStore(args.results_cache)
     # By default the results cache shares the artifact-cache directory,
     # so disabling that disables this too unless a directory is given.
     if args.no_artifact_cache:
         return None
-    return store_cls(args.artifact_cache)
+    return ArtifactStore(args.artifact_cache)
 
 
 def _run_one(name: str, args: argparse.Namespace) -> None:

@@ -413,9 +413,8 @@ def sweep_shared_cache(
     Capacity 0 is the no-edge-cache baseline.  Deterministic and
     cache-stable: aggregates are identical at any ``workers`` count and
     with the ``results`` store warm or cold (the per-video models are
-    part of the sweep-context digest); a
-    :class:`~repro.experiments.artifacts.ShardedResultsStore` serves
-    each capacity point's sessions from one columnar shard per video.
+    part of the sweep-context digest); the store serves each capacity
+    point's sessions from one columnar shard per video.
     """
     if video_ids is None:
         video_ids = tuple(v.meta.video_id for v in setup.videos)
@@ -543,9 +542,8 @@ def sweep_resilience(
     in ``extra``.  Deterministic and cache-stable: aggregates are
     identical at any ``workers`` count and with the ``results`` store
     warm or cold (the fault plan and policy are part of the context
-    digest); a
-    :class:`~repro.experiments.artifacts.ShardedResultsStore` serves
-    each profile's sessions from one columnar shard per video.
+    digest); the store serves each profile's sessions from one
+    columnar shard per video.
     """
     if not profiles:
         raise ValueError("need at least one fault profile")

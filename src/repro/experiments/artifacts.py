@@ -1,4 +1,4 @@
-"""Disk-backed content-preparation artifact store.
+"""Disk-backed, content-addressed artifact and session-results store.
 
 The paper's content-preparation pipeline (Sec. IV-A, Alg. 1) is pure
 preprocessing over historical head traces: for a given video, tile grid,
@@ -10,8 +10,9 @@ deterministic function of their inputs.  Rebuilding them on every
 ``repro-360`` invocation wastes minutes of Algorithm 1 clustering that
 could be a single deserialization.
 
-:class:`ArtifactStore` caches those objects on disk, keyed by a SHA-256
-**content digest** of everything that can change the result:
+:class:`ArtifactStore` caches those objects on disk, one pickle per
+object, keyed by a SHA-256 **content digest** of everything that can
+change the result:
 
 * the video's metadata and per-segment SI/TI features,
 * the encoder model (grid geometry, rate law parameters, noise seed),
@@ -23,7 +24,7 @@ could be a single deserialization.
 Keys are *content* hashes, not config names, so any change to the
 inputs — a different δ/σ, a truncated video, a different train/test
 split seed — lands in a different cache slot and a stale hit is
-impossible.  Values are pickled with an atomic write (temp file +
+impossible.  Values are written atomically (temp file +
 ``os.replace``), so concurrent writers at worst duplicate work, and a
 corrupt or truncated file is treated as a miss and rebuilt.
 
@@ -32,16 +33,20 @@ The store is wired into :class:`~repro.experiments.setup.ExperimentSetup`
 ``~/.cache/repro-360`` (``--artifact-cache DIR`` / ``--no-artifact-cache``
 to relocate or disable, ``REPRO_ARTIFACT_CACHE`` as the env override).
 
-Session **results** are cached the same way: a
+Session **results** live in the same store but in one layout only:
+columnar shards, one file per ``(sweep context, video)`` group.  A
 :class:`~repro.streaming.metrics.SessionResult` is a deterministic
 function of the sweep context (schemes, device, manifests, Ptiles,
 traces, session config) and the job (scheme, video, network, user,
-per-job overrides), so :func:`results_key` digests both — via
-:func:`structural_fingerprint`, which reduces the live experiment
+per-job overrides).  :func:`results_shard_key` digests the context —
+via :func:`structural_fingerprint`, which reduces the live experiment
 objects to primitives — plus :data:`RESULTS_SCHEMA_VERSION` and the
-package version.  Any change to the simulation inputs or the code
-version lands in a different slot; ``repro-360 --no-results-cache``
-opts out (see ``run_session_jobs``).
+package version; :func:`session_job_digest` keys the job's row inside
+the shard.  Any change to the simulation inputs or the code version
+lands in a different slot; ``repro-360 --no-results-cache`` opts out
+(see ``run_session_jobs``).  A ``results/`` directory of per-session
+pickles left by older releases is neither read nor cleared; it can be
+deleted by hand.
 """
 
 from __future__ import annotations
@@ -88,8 +93,6 @@ __all__ = [
     "manifest_key",
     "ptiles_key",
     "ftiles_key",
-    "results_key",
-    "results_key_from_digest",
     "results_shard_key",
     "session_job_digest",
     "structural_fingerprint",
@@ -135,7 +138,8 @@ it every VideoManifest and sweep-context digest) now covers the
 encoding ladder, so sessions run under the fixed and an optimized
 ladder can never share a cached result."""
 
-ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "results", "ladder")
+ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder")
+"""Kinds stored one pickle per object; session results are sharded."""
 
 
 def default_cache_dir() -> Path:
@@ -475,32 +479,14 @@ def session_job_digest(job: Any) -> str:
     return content_digest("session-job", parts)
 
 
-def results_key_from_digest(context_digest: str, job_digest: str) -> str:
-    """Cache key of one session's result from its precomputed job digest.
-
-    Split out of :func:`results_key` so the sharded runner path, which
-    already needs :func:`session_job_digest` as the shard column key,
-    does not hash every job twice.
-    """
-    return _versioned(
-        "results", RESULTS_SCHEMA_VERSION, context_digest, job_digest
-    )
-
-
-def results_key(context_digest: str, job: Any) -> str:
-    """Cache key of one session's result under one sweep context."""
-    return results_key_from_digest(context_digest, session_job_digest(job))
-
-
 def results_shard_key(context_digest: str, video_id: int) -> str:
     """Key of the columnar shard holding every session result of one
     ``(sweep context, video)`` group.
 
-    Within a shard, columns are keyed by :func:`session_job_digest`
-    alone: the schema version, code version, and context digest are
-    already pinned by the shard key, so the pair ``(shard key, job
-    digest)`` spans exactly the same space as the flat
-    :func:`results_key`.
+    Within a shard, rows are keyed by :func:`session_job_digest` alone:
+    the schema version, code version, and context digest are already
+    pinned by the shard key, so the pair ``(shard key, job digest)``
+    names one session result.
     """
     return _versioned(
         "results-shard", RESULTS_SCHEMA_VERSION, context_digest, video_id
@@ -514,7 +500,11 @@ def results_shard_key(context_digest: str, video_id: int) -> str:
 
 @dataclass
 class ArtifactStats:
-    """Per-kind hit/miss/write counters for one store instance."""
+    """Per-kind hit/miss/write counters for one store instance.
+
+    Session results count under ``"results"``: one hit or miss per
+    requested row and one write per merged row.
+    """
 
     hits: dict[str, int] = field(default_factory=dict)
     misses: dict[str, int] = field(default_factory=dict)
@@ -534,7 +524,7 @@ class ArtifactStats:
 
     def report(self) -> str:
         parts = []
-        for kind in ARTIFACT_KINDS:
+        for kind in (*ARTIFACT_KINDS, "results"):
             parts.append(
                 f"{kind}: {self.hits.get(kind, 0)} hit(s),"
                 f" {self.misses.get(kind, 0)} miss(es),"
@@ -546,8 +536,7 @@ class ArtifactStats:
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 SHARD_DIR = "results-shards"
-"""Subdirectory of columnar session-result shards (see
-:class:`ShardedResultsStore`)."""
+"""Subdirectory of the columnar session-result shards."""
 
 
 def _validate_digest(digest: str) -> str:
@@ -565,8 +554,103 @@ def _validate_digest(digest: str) -> str:
     return digest
 
 
+def _discard(path: Path) -> None:
+    """Unlink a file, ignoring one that is already gone or locked."""
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
+# ----------------------------------------------------------------------
+# Columnar session-result shards.  One shard file holds every cached
+# session of one (sweep-context digest, video) group, so a warm
+# million-session sweep opens one file per group instead of one per
+# session.  Layout (all little-endian, written atomically):
+#
+#   magic        b"RSHARD1\n"
+#   digests      .npy, S32, binary SHA-256 job digests, ascending
+#   offsets      .npy, int64, payload offset of each column
+#   ends         .npy, int64, payload end of each column
+#   payload      concatenated per-column pickle blobs
+#
+# Columns are individually pickled (highest protocol), so a row is
+# deserialized without touching its neighbours.  Keeping the index as
+# raw numpy arrays (not a zip/npz container) lets a batch lookup run as
+# a handful of vector ops: one read(), three read_array() calls, one
+# searchsorted over the sorted digest column, then one pickle.loads per
+# requested row.
+# ----------------------------------------------------------------------
+
+_SHARD_MAGIC = b"RSHARD1\n"
+
+
+def _index_consistent(
+    digests: np.ndarray, offsets: np.ndarray, ends: np.ndarray,
+    payload_len: int,
+) -> bool:
+    """Whether a shard index tiles its payload exactly, in digest order.
+
+    Digests must be strictly ascending (lookups binary-search them) and
+    the rows' byte ranges contiguous from offset 0 to the end of the
+    file.  Anything else — a reordered, overlapping, or padded index —
+    could serve one job's row for another, so it marks the shard
+    corrupt.
+    """
+    if not (
+        digests.dtype == np.dtype("S32")
+        and offsets.dtype == ends.dtype == np.dtype(np.int64)
+        and digests.ndim == offsets.ndim == ends.ndim == 1
+        and len(digests) == len(offsets) == len(ends)
+    ):
+        return False
+    if len(digests) == 0:
+        return payload_len == 0
+    return bool(
+        offsets[0] == 0
+        and ends[-1] == payload_len
+        and (offsets[1:] == ends[:-1]).all()
+        and (ends >= offsets).all()
+        and (digests[1:] > digests[:-1]).all()
+    )
+
+
+@contextmanager
+def _merge_lock(lock_path: Path) -> Iterator[None]:
+    """Serialize shard read-merge-replace cycles between writers.
+
+    With ``fcntl`` (any POSIX platform) concurrent merges queue on an
+    exclusive lock, so two writers merging disjoint job sets both land
+    in the final shard.  Without it the merge degrades to documented
+    last-writer-wins: the losing writer's rows are recomputed (never
+    corrupted) on the next run.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    with open(lock_path, "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
 class ArtifactStore:
-    """Disk-backed, content-hash-keyed cache of content-prep artifacts.
+    """Disk-backed, content-hash-keyed cache of artifacts and results.
+
+    Content-prep artifacts (:data:`ARTIFACT_KINDS`) are stored one
+    pickle per object through :meth:`get`/:meth:`put` — there are a
+    handful per video.  Session results are stored only in columnar
+    shards, one per ``(sweep-context digest, video)`` group:
+
+    * :meth:`get_results_batch` — one shard read serves every requested
+      job of the group.
+    * :meth:`merge_shard` — append-merge: read the existing shard raw
+      (columns are never deserialized), overlay the new columns, and
+      atomically replace the file.  Merges are serialized by an
+      exclusive file lock, so concurrent writers with disjoint job sets
+      cannot lose each other's rows.
 
     ``root=None`` resolves to :func:`default_cache_dir`.  The directory
     is created lazily on the first write, so constructing a store never
@@ -588,6 +672,8 @@ class ArtifactStore:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(root={str(self.root)!r})"
 
+    # -- per-object artifacts -------------------------------------------
+
     def path_for(self, kind: str, digest: str) -> Path:
         if kind not in ARTIFACT_KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
@@ -599,21 +685,15 @@ class ArtifactStore:
         try:
             with open(path, "rb") as fh:
                 obj = pickle.load(fh)
-        except FileNotFoundError:
-            self.stats.record(self.stats.misses, kind)
-            return None
-        except MemoryError:
-            # A transient OOM loading a large artifact says nothing
-            # about the file: report a miss but keep the entry intact.
+        except (FileNotFoundError, MemoryError):
+            # Absent, or a transient OOM loading a large artifact that
+            # says nothing about the file: a miss that keeps the entry.
             self.stats.record(self.stats.misses, kind)
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError):
             # Truncated/corrupt/stale-class pickle: drop it and rebuild.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _discard(path)
             self.stats.record(self.stats.misses, kind)
             return None
         self.stats.record(self.stats.hits, kind)
@@ -629,12 +709,159 @@ class ArtifactStore:
                 pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         finally:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            _discard(tmp)
         self.stats.record(self.stats.writes, kind)
         return path
+
+    # -- session-result shards ------------------------------------------
+
+    def shard_path(self, shard_digest: str) -> Path:
+        return self.root / SHARD_DIR / f"{_validate_digest(shard_digest)}.shard"
+
+    def _read_shard_raw(
+        self, shard_digest: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes, int] | None:
+        """``(digests, offsets, ends, file_bytes, payload_base)`` or
+        ``None`` when the shard is absent (corrupt shards are dropped
+        and reported absent; a transient ``MemoryError`` leaves the file
+        in place)."""
+        path = self.shard_path(shard_digest)
+        try:
+            with open(path, "rb") as fh:
+                buf = fh.read()
+        except (OSError, MemoryError):
+            return None
+        try:
+            if buf[: len(_SHARD_MAGIC)] != _SHARD_MAGIC:
+                raise ValueError("bad shard magic")
+            bio = io.BytesIO(buf)
+            bio.seek(len(_SHARD_MAGIC))
+            digests = np.lib.format.read_array(bio, allow_pickle=False)
+            offsets = np.lib.format.read_array(bio, allow_pickle=False)
+            ends = np.lib.format.read_array(bio, allow_pickle=False)
+            base = bio.tell()
+            if not _index_consistent(digests, offsets, ends, len(buf) - base):
+                raise ValueError("inconsistent shard index")
+        except MemoryError:
+            return None
+        except Exception:
+            # Truncated or corrupt shard: drop it and let the sweep
+            # rebuild its rows.
+            _discard(path)
+            return None
+        return digests, offsets, ends, buf, base
+
+    def _write_shard_raw(
+        self, shard_digest: str, blobs: dict[bytes, bytes]
+    ) -> Path:
+        """Atomically write a shard from ``{binary digest: pickle}``."""
+        path = self.shard_path(shard_digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        ordered = sorted(blobs)
+        lengths = np.array([len(blobs[d]) for d in ordered], dtype=np.int64)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        offsets = ends - lengths
+        digests = np.array(ordered, dtype="S32")
+        tmp = path.parent / f".{shard_digest}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_SHARD_MAGIC)
+                np.lib.format.write_array(fh, digests, allow_pickle=False)
+                np.lib.format.write_array(fh, offsets, allow_pickle=False)
+                np.lib.format.write_array(fh, ends, allow_pickle=False)
+                for digest in ordered:
+                    fh.write(blobs[digest])
+            os.replace(tmp, path)
+        finally:
+            _discard(tmp)
+        return path
+
+    def get_results_batch(
+        self, shard_digest: str, entries: Sequence[str]
+    ) -> list[Any]:
+        """Look up many session results of one shard group at once.
+
+        ``entries`` are job digests (:func:`session_job_digest`).
+        Returns one result per entry, in request order, with ``None``
+        where the shard holds no such row.  Every requested row is
+        counted exactly once, as a ``results`` hit or miss.
+        """
+        results: list[Any] = [None] * len(entries)
+        served = 0
+        raw = self._read_shard_raw(shard_digest)
+        if raw is not None and len(raw[0]):
+            digests, offsets, ends, buf, base = raw
+            want = np.frombuffer(
+                bytes.fromhex("".join(entries)), dtype="S32"
+            )
+            # Search on a big-endian u64 view of each digest's first 8
+            # bytes: same sort order as the S32 column but ~2x faster
+            # to compare.  Exact whenever no two shard digests share a
+            # prefix (anything else is a SHA-256 near-collision); the
+            # astronomically-rare duplicate falls back to the full
+            # lexicographic search.
+            prefix = digests.view(">u8")[::4]
+            if len(prefix) > 1 and (prefix[1:] == prefix[:-1]).any():
+                pos = np.searchsorted(digests, want)
+            else:
+                pos = np.searchsorted(
+                    prefix, np.ascontiguousarray(want.view(">u8")[::4])
+                )
+            clipped = np.minimum(pos, len(digests) - 1)
+            hits = (digests[clipped] == want).tolist()
+            starts = (offsets[clipped] + base).tolist()
+            stops = (ends[clipped] + base).tolist()
+            loads = pickle.loads
+            view = memoryview(buf)  # slice without copying each row
+            try:
+                for i, hit in enumerate(hits):
+                    if hit:
+                        results[i] = loads(view[starts[i] : stops[i]])
+                        served += 1
+            except MemoryError:
+                raise
+            except Exception:
+                # A consistent index over a corrupt payload: drop the
+                # shard and report the whole batch missing.
+                _discard(self.shard_path(shard_digest))
+                results = [None] * len(entries)
+                served = 0
+        self.stats.record(self.stats.hits, "results", served)
+        self.stats.record(self.stats.misses, "results", len(entries) - served)
+        return results
+
+    def merge_shard(self, shard_digest: str, entries: dict[str, Any]) -> Path:
+        """Append-merge ``{job digest: result}`` into a shard.
+
+        Existing columns are carried over as raw bytes (never
+        deserialized); a digest present on both sides takes the new
+        value.  The read-merge-replace cycle holds an exclusive lock so
+        concurrent writers cannot overwrite each other's merges, and
+        the final write is the usual temp-file + ``os.replace``.
+        """
+        path = self.shard_path(shard_digest)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        lock_path = path.parent / f".{shard_digest}.lock"
+        with _merge_lock(lock_path):
+            blobs: dict[bytes, bytes] = {}
+            raw = self._read_shard_raw(shard_digest)
+            if raw is not None:
+                digests, offsets, ends, buf, base = raw
+                starts = (offsets + base).tolist()
+                stops = (ends + base).tolist()
+                for digest, start, stop in zip(
+                    digests.tolist(), starts, stops
+                ):
+                    blobs[digest] = buf[start:stop]
+            for job_digest, obj in entries.items():
+                blobs[bytes.fromhex(_validate_digest(job_digest))] = (
+                    pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+                )
+            self._write_shard_raw(shard_digest, blobs)
+        self.stats.record(self.stats.writes, "results", len(entries))
+        return path
+
+    # -- housekeeping ---------------------------------------------------
 
     def _directories(self) -> Iterator[Path]:
         for kind in ARTIFACT_KINDS:
@@ -655,7 +882,8 @@ class ArtifactStore:
         return removed
 
     def clear(self) -> int:
-        """Delete every stored artifact; returns the number removed.
+        """Delete every stored artifact and shard; returns the number
+        removed.
 
         Also sweeps orphaned writer temp files (age-gated, so a live
         writer's in-flight temp file is never yanked away) and shard
@@ -695,265 +923,5 @@ class ArtifactStore:
         return total
 
 
-# ----------------------------------------------------------------------
-# Columnar session-result shards.  One shard file holds every cached
-# session of one (sweep-context digest, video) group, so a warm
-# million-session sweep opens one file per group instead of one per
-# session.  Layout (all little-endian, written atomically):
-#
-#   magic        b"RSHARD1\n"
-#   digests      .npy, S32, binary SHA-256 job digests, ascending
-#   offsets      .npy, int64, payload offset of each column
-#   ends         .npy, int64, payload end of each column
-#   payload      concatenated per-column pickle blobs
-#
-# Columns are individually pickled with the same protocol as the legacy
-# per-session files, so a result read from a shard is bit-for-bit the
-# object the legacy path would have produced.  Keeping the index as raw
-# numpy arrays (not a zip/npz container) lets a batch lookup run as a
-# handful of vector ops: one read(), three read_array() calls, one
-# searchsorted over the sorted digest column, then one pickle.loads per
-# requested row.
-# ----------------------------------------------------------------------
-
-_SHARD_MAGIC = b"RSHARD1\n"
-
-
-@contextmanager
-def _merge_lock(lock_path: Path) -> Iterator[None]:
-    """Serialize shard read-merge-replace cycles between writers.
-
-    With ``fcntl`` (any POSIX platform) concurrent merges queue on an
-    exclusive lock, so two writers merging disjoint job sets both land
-    in the final shard.  Without it the merge degrades to documented
-    last-writer-wins: the losing writer's rows are recomputed (never
-    corrupted) on the next run.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX platforms
-        yield
-        return
-    with open(lock_path, "ab") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
-
-
-class ShardedResultsStore(ArtifactStore):
-    """Artifact store whose session results live in columnar shards.
-
-    Everything except the ``results`` kind behaves exactly like
-    :class:`ArtifactStore` (manifests, Ptiles, and Ftiles keep their
-    one-file-per-object layout — there are a handful per video).  For
-    session results it adds a batch interface keyed by the shard of one
-    ``(sweep-context digest, video)`` group:
-
-    * :meth:`get_results_batch` — one shard read serves every requested
-      job of the group; jobs absent from the shard fall back to the
-      legacy per-session ``results/*.pkl`` files, and those legacy hits
-      are returned for migration so the caller can fold them into the
-      shard (after which the per-session files are dead weight,
-      removable with ``clear()``).
-    * :meth:`merge_shard` — append-merge: read the existing shard raw
-      (columns are never deserialized), overlay the new columns, and
-      atomically replace the file.  Merges are serialized by an
-      exclusive file lock, so concurrent writers with disjoint job sets
-      cannot lose each other's rows.
-
-    The per-session :meth:`get`/:meth:`put` API is inherited unchanged,
-    so code written against :class:`ArtifactStore` (including the CLI
-    flags and the worker fan-out) keeps working; only the batch entry
-    points read or write shards.
-    """
-
-    def shard_path(self, shard_digest: str) -> Path:
-        return self.root / SHARD_DIR / f"{_validate_digest(shard_digest)}.shard"
-
-    # -- raw shard I/O --------------------------------------------------
-
-    def _read_shard_raw(
-        self, shard_digest: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bytes, int] | None:
-        """``(digests, offsets, ends, file_bytes, payload_base)`` or
-        ``None`` when the shard is absent (corrupt shards are dropped
-        and reported absent; a transient ``MemoryError`` leaves the file
-        in place)."""
-        path = self.shard_path(shard_digest)
-        try:
-            with open(path, "rb") as fh:
-                buf = fh.read()
-        except FileNotFoundError:
-            return None
-        except MemoryError:
-            return None
-        except OSError:
-            return None
-        try:
-            if buf[: len(_SHARD_MAGIC)] != _SHARD_MAGIC:
-                raise ValueError("bad shard magic")
-            bio = io.BytesIO(buf)
-            bio.seek(len(_SHARD_MAGIC))
-            digests = np.lib.format.read_array(bio, allow_pickle=False)
-            offsets = np.lib.format.read_array(bio, allow_pickle=False)
-            ends = np.lib.format.read_array(bio, allow_pickle=False)
-            base = bio.tell()
-            if not (
-                digests.dtype == np.dtype("S32")
-                and len(digests) == len(offsets) == len(ends)
-                and (len(ends) == 0 or int(ends[-1]) + base <= len(buf))
-            ):
-                raise ValueError("inconsistent shard index")
-        except MemoryError:
-            return None
-        except Exception:
-            # Truncated or corrupt shard: drop it and let the sweep
-            # rebuild (or re-migrate) its rows.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return digests, offsets, ends, buf, base
-
-    def _write_shard_raw(
-        self, shard_digest: str, blobs: dict[bytes, bytes]
-    ) -> Path:
-        """Atomically write a shard from ``{binary digest: pickle}``."""
-        path = self.shard_path(shard_digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        ordered = sorted(blobs)
-        lengths = np.array([len(blobs[d]) for d in ordered], dtype=np.int64)
-        ends = np.cumsum(lengths, dtype=np.int64)
-        offsets = ends - lengths
-        digests = np.array(ordered, dtype="S32")
-        tmp = path.parent / f".{shard_digest}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_SHARD_MAGIC)
-                np.lib.format.write_array(fh, digests, allow_pickle=False)
-                np.lib.format.write_array(fh, offsets, allow_pickle=False)
-                np.lib.format.write_array(fh, ends, allow_pickle=False)
-                for digest in ordered:
-                    fh.write(blobs[digest])
-            os.replace(tmp, path)
-        finally:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        return path
-
-    # -- batch interface ------------------------------------------------
-
-    def get_results_batch(
-        self,
-        shard_digest: str,
-        entries: Sequence[tuple[str, str]],
-        *,
-        _retry: bool = True,
-    ) -> tuple[list[Any], dict[str, Any]]:
-        """Look up many session results of one shard group at once.
-
-        ``entries`` is a sequence of ``(job digest, legacy results
-        key)`` pairs.  Returns ``(results, migrated)``: ``results`` has
-        one entry per input (``None`` on miss), and ``migrated`` maps
-        job digests to results that were served from legacy per-session
-        pickles and should be folded into the shard by the caller's
-        next :meth:`merge_shard` so future runs need only the shard.
-
-        Every row is counted in the ``results`` hit/miss stats exactly
-        once, shard-served or legacy-served.
-        """
-        raw = self._read_shard_raw(shard_digest)
-        results: list[Any] = [None] * len(entries)
-        hits: list[bool] = [False] * len(entries)
-        shard_hits = 0
-        if raw is not None and len(raw[0]):
-            digests, offsets, ends, buf, base = raw
-            want = np.frombuffer(
-                bytes.fromhex("".join([digest for digest, _ in entries])),
-                dtype="S32",
-            )
-            # Search on a big-endian u64 view of each digest's first 8
-            # bytes: same sort order as the S32 column but ~2x faster
-            # to compare.  Exact whenever no two shard digests share a
-            # prefix (anything else is a SHA-256 near-collision); the
-            # astronomically-rare duplicate falls back to the full
-            # lexicographic search.
-            prefix = digests.view(">u8")[::4]
-            if len(prefix) > 1 and (prefix[1:] == prefix[:-1]).any():
-                pos = np.searchsorted(digests, want)
-            else:
-                pos = np.searchsorted(
-                    prefix, np.ascontiguousarray(want.view(">u8")[::4])
-                )
-            clipped = np.minimum(pos, len(digests) - 1)
-            hits = (digests[clipped] == want).tolist()
-            starts = (offsets[clipped] + base).tolist()
-            stops = (ends[clipped] + base).tolist()
-            loads = pickle.loads
-            view = memoryview(buf)  # slice without copying each row
-            try:
-                for i, hit in enumerate(hits):
-                    if hit:
-                        results[i] = loads(view[starts[i] : stops[i]])
-                        shard_hits += 1
-            except MemoryError:
-                raise
-            except Exception:
-                # A valid index over a corrupt payload: drop the shard
-                # and serve the whole batch from scratch.
-                try:
-                    self.shard_path(shard_digest).unlink()
-                except OSError:
-                    pass
-                if _retry:
-                    return self.get_results_batch(
-                        shard_digest, entries, _retry=False
-                    )
-                raise
-        self.stats.record(self.stats.hits, "results", shard_hits)
-        if shard_hits == len(entries):  # fully warm: no legacy fallback
-            return results, {}
-
-        migrated: dict[str, Any] = {}
-        for i, (job_digest, legacy_key) in enumerate(entries):
-            if hits[i]:
-                continue
-            obj = self.get("results", legacy_key)  # counts hit or miss
-            if obj is not None:
-                results[i] = obj
-                migrated[job_digest] = obj
-        return results, migrated
-
-    def merge_shard(self, shard_digest: str, entries: dict[str, Any]) -> Path:
-        """Append-merge ``{job digest: result}`` into a shard.
-
-        Existing columns are carried over as raw bytes (never
-        deserialized); a digest present on both sides takes the new
-        value.  The read-merge-replace cycle holds an exclusive lock so
-        concurrent writers cannot overwrite each other's merges, and
-        the final write is the usual temp-file + ``os.replace``.
-        """
-        path = self.shard_path(shard_digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lock_path = path.parent / f".{shard_digest}.lock"
-        with _merge_lock(lock_path):
-            blobs: dict[bytes, bytes] = {}
-            raw = self._read_shard_raw(shard_digest)
-            if raw is not None:
-                digests, offsets, ends, buf, base = raw
-                starts = (offsets + base).tolist()
-                stops = (ends + base).tolist()
-                for digest, start, stop in zip(
-                    digests.tolist(), starts, stops
-                ):
-                    blobs[digest] = buf[start:stop]
-            for job_digest, obj in entries.items():
-                blobs[bytes.fromhex(_validate_digest(job_digest))] = (
-                    pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            self._write_shard_raw(shard_digest, blobs)
-        self.stats.record(self.stats.writes, "results", len(entries))
-        return path
+ShardedResultsStore = ArtifactStore
+"""Alias of :class:`ArtifactStore`: every store shards session results."""

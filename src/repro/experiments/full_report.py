@@ -37,9 +37,8 @@ class ReportConfig:
     video_ids: tuple[int, ...] | None = None  # None = the full catalog
     workers: int | None = 1  # session-sweep processes; 0 = auto-detect
     artifacts: ArtifactStore | None = None  # content-prep disk cache
-    results: ArtifactStore | None = None  # session-results disk cache
-    # (a ShardedResultsStore batches results into per-(context, video)
-    # columnar shards; the CLI passes one by default)
+    # session-results disk cache, in per-(context, video) columnar shards
+    results: ArtifactStore | None = None
 
 
 def generate_report(

@@ -45,9 +45,6 @@ from ..power.models import DevicePowerModel
 from ..ptile.construction import SegmentPtiles
 from .artifacts import (
     ArtifactStore,
-    ShardedResultsStore,
-    results_key,
-    results_key_from_digest,
     results_shard_key,
     session_job_digest,
     sweep_context_digest,
@@ -421,20 +418,14 @@ def run_session_jobs(
     any failure raises after the sweep; otherwise failed slots are
     ``None`` and described in ``SweepRun.failures``.
 
-    With a ``results`` store, each job is first looked up under its
-    (sweep-context digest, job digest, schema/code version) key; hits
-    skip execution entirely and fresh results are written back, so a
-    warm re-run of an identical sweep is pure deserialization while
-    staying byte-identical to an uncached one.  Only the cache misses
-    hit the pool, and cached/computed results merge back in job order.
-
-    A :class:`~repro.experiments.artifacts.ShardedResultsStore` batches
-    that lookup per (context, video) group: jobs are grouped by shard
-    key, each group is served by a single columnar shard read, and
-    fresh results (plus any rows migrated from legacy per-session
-    pickles) append-merge back into the shard — one file per group
-    instead of one per session.  A plain :class:`ArtifactStore` keeps
-    the legacy per-session pickle layout.
+    With a ``results`` store, jobs are grouped by video and each
+    (sweep-context digest, video) group is looked up in its columnar
+    shard with a single read, one row per job digest.  Hits skip
+    execution entirely and fresh results append-merge back into their
+    group's shard, so a warm re-run of an identical sweep is pure
+    deserialization while staying byte-identical to an uncached one.
+    Only the cache misses hit the pool, and cached/computed results
+    merge back in job order.
     """
     jobs = tuple(jobs)
     # Ship only the videos these jobs reference; each worker's payload
@@ -455,41 +446,26 @@ def run_session_jobs(
 
     start = time.perf_counter()
     context_digest = sweep_context_digest(context)
-    sharded = isinstance(results, ShardedResultsStore)
-    merged: list[Any]
-    if sharded:
-        job_digests = [session_job_digest(job) for job in jobs]
-        keys = [
-            results_key_from_digest(context_digest, digest)
-            for digest in job_digests
-        ]
-        groups: dict[int, list[int]] = {}
-        for i, job in enumerate(jobs):
-            groups.setdefault(job.video_id, []).append(i)
-        shard_keys = {
-            video_id: results_shard_key(context_digest, video_id)
-            for video_id in groups
-        }
-        merged = [None] * len(jobs)
-        # Rows served from legacy per-session pickles, queued up to be
-        # folded into their shard alongside this run's fresh results.
-        to_merge: dict[int, dict[str, Any]] = {}
-        for video_id, indices in groups.items():
-            batch, migrated = results.get_results_batch(
-                shard_keys[video_id],
-                [(job_digests[i], keys[i]) for i in indices],
-            )
-            for i, result in zip(indices, batch):
-                merged[i] = result
-            if migrated:
-                to_merge[video_id] = migrated
-    else:
-        keys = [results_key(context_digest, job) for job in jobs]
-        merged = [results.get("results", key) for key in keys]
+    job_digests = [session_job_digest(job) for job in jobs]
+    groups: dict[int, list[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(job.video_id, []).append(i)
+    shard_keys = {
+        video_id: results_shard_key(context_digest, video_id)
+        for video_id in groups
+    }
+    merged: list[Any] = [None] * len(jobs)
+    for video_id, indices in groups.items():
+        batch = results.get_results_batch(
+            shard_keys[video_id], [job_digests[i] for i in indices]
+        )
+        for i, result in zip(indices, batch):
+            merged[i] = result
     pending = [i for i, hit in enumerate(merged) if hit is None]
 
     timings: list[JobTiming] = []
     failures: list[JobFailure] = []
+    fresh: dict[int, dict[str, Any]] = {}  # video -> {job digest: result}
     if pending:
         sub = _execute_sweep(
             context,
@@ -503,12 +479,9 @@ def run_session_jobs(
         for position, i in enumerate(pending):
             merged[i] = sub.results[position]
             if position not in failed_positions and sub.results[position] is not None:
-                if sharded:
-                    to_merge.setdefault(jobs[i].video_id, {})[
-                        job_digests[i]
-                    ] = sub.results[position]
-                else:
-                    results.put("results", keys[i], sub.results[position])
+                fresh.setdefault(jobs[i].video_id, {})[job_digests[i]] = (
+                    sub.results[position]
+                )
         timings = sub.timings
         # Failure indices refer to the original job list, not the
         # pending subset the pool actually ran.
@@ -525,9 +498,8 @@ def run_session_jobs(
     else:
         used_workers = 1
         chunk = resolve_chunk_size(chunk_size, 0, 1)
-    if sharded:
-        for video_id, entries in to_merge.items():
-            results.merge_shard(shard_keys[video_id], entries)
+    for video_id, entries in fresh.items():
+        results.merge_shard(shard_keys[video_id], entries)
 
     run = SweepRun(
         results=merged,

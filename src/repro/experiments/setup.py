@@ -365,10 +365,9 @@ def run_comparison(
     videos; results are identical for any worker count, and identical
     with the artifact store on or off.  ``results_store`` additionally
     serves previously computed sessions from the results cache (see
-    :func:`~repro.experiments.runner.run_session_jobs`); pass a
-    :class:`~repro.experiments.artifacts.ShardedResultsStore` to read
-    and write columnar per-(context, video) shards — one file open per
-    video group instead of one per session — with identical results.
+    :func:`~repro.experiments.runner.run_session_jobs`), read from and
+    written to columnar per-(context, video) shards — one file open per
+    video group, not one per session — with identical results.
     """
     context, jobs = build_sweep(
         setup, device, users_per_video, video_ids, scheme_names,

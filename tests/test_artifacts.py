@@ -158,6 +158,15 @@ class TestArtifactStore:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ArtifactStore(tmp_path).get("bogus", "00")
+        # Session results live only in shards, never as per-object
+        # pickles.
+        store = ArtifactStore(tmp_path)
+        digest = content_digest("job")
+        for call in (store.path_for, store.get):
+            with pytest.raises(ValueError):
+                call("results", digest)
+        with pytest.raises(ValueError):
+            store.put("results", digest, "payload")
 
     def test_corrupt_file_is_a_miss_and_removed(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -187,18 +196,18 @@ class TestArtifactStore:
         stays on disk and a later load (with memory back) hits."""
         store = ArtifactStore(tmp_path)
         digest = content_digest("big")
-        path = store.put("results", digest, {"payload": list(range(50))})
+        path = store.put("manifest", digest, {"payload": list(range(50))})
 
         def oom(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(pickle, "load", oom)
-        assert store.get("results", digest) is None
+        assert store.get("manifest", digest) is None
         assert path.exists()  # NOT unlinked, unlike a corrupt pickle
-        assert store.stats.misses == {"results": 1}
+        assert store.stats.misses == {"manifest": 1}
 
         monkeypatch.undo()
-        assert store.get("results", digest) == {"payload": list(range(50))}
+        assert store.get("manifest", digest) == {"payload": list(range(50))}
 
     def test_malformed_digest_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -212,11 +221,11 @@ class TestArtifactStore:
             "",
         ):
             with pytest.raises(ValueError):
-                store.path_for("results", bad)
+                store.path_for("manifest", bad)
             with pytest.raises(ValueError):
-                store.get("results", bad)
+                store.get("manifest", bad)
             with pytest.raises(ValueError):
-                store.put("results", bad, "payload")
+                store.put("manifest", bad, "payload")
 
     def test_path_stays_inside_kind_directory(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -228,8 +237,8 @@ class TestArtifactStore:
         clear()/size_bytes(); the age-gated sweep reclaims it while a
         fresh (possibly live) writer's file is left alone."""
         store = ArtifactStore(tmp_path, stale_tmp_age_s=60.0)
-        store.put("results", content_digest("keep"), "v")
-        kind_dir = tmp_path / "results"
+        store.put("manifest", content_digest("keep"), "v")
+        kind_dir = tmp_path / "manifest"
 
         stale = kind_dir / f".{content_digest('dead')}.12345.tmp"
         stale.write_bytes(b"x" * 100)

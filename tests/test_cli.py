@@ -41,30 +41,25 @@ class TestParser:
         args = parser.parse_args(["fig9", "--no-artifact-cache"])
         assert args.no_artifact_cache
 
-    def test_results_store_defaults_to_sharded(self, tmp_path):
+    def test_results_store_defaults_to_sharded(self, tmp_path, capsys):
         from repro.cli import _results_store
-        from repro.experiments.artifacts import (
-            ArtifactStore,
-            ShardedResultsStore,
-        )
+        from repro.experiments.artifacts import ArtifactStore
 
         parser = build_parser()
         args = parser.parse_args(
             ["fig9", "--results-cache", str(tmp_path)]
         )
-        assert not args.legacy_results_cache
-        store = _results_store(args)
-        assert type(store) is ShardedResultsStore
-
-        args = parser.parse_args(
-            ["fig9", "--results-cache", str(tmp_path),
-             "--legacy-results-cache"]
-        )
         store = _results_store(args)
         assert type(store) is ArtifactStore
+        assert store.root == tmp_path
 
         args = parser.parse_args(["fig9", "--no-results-cache"])
         assert _results_store(args) is None
+
+        # Session results have a single (sharded) layout.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fig9", "--legacy-results-cache"])
+        assert "--legacy-results-cache" in capsys.readouterr().err
 
     def test_shared_cache_flag_defaults(self):
         parser = build_parser()

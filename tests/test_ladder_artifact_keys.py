@@ -17,7 +17,7 @@ import pytest
 from repro.core import OursScheme
 from repro.encoding import EncodingLadder, LadderSearchConfig
 from repro.experiments import (
-    ShardedResultsStore,
+    ArtifactStore,
     SweepContext,
     content_digest,
     make_setup,
@@ -140,11 +140,13 @@ class TestResultsKeys:
 
     def test_sharded_store_no_cross_reads(self, contexts, tmp_path):
         base, override = contexts
-        store = ShardedResultsStore(tmp_path / "results")
+        store = ArtifactStore(tmp_path / "results")
         key_a = results_shard_key(sweep_context_digest(base), 8)
         key_b = results_shard_key(sweep_context_digest(override), 8)
-        store.put("results", key_a, {"job": "payload"})
-        assert store.get("results", key_b) is None
+        job = content_digest("job")
+        store.merge_shard(key_a, {job: {"job": "payload"}})
+        assert store.get_results_batch(key_b, [job]) == [None]
+        assert store.get_results_batch(key_a, [job]) == [{"job": "payload"}]
 
 
 class TestServingMemos:

@@ -492,22 +492,51 @@ class TestSweepResilience:
         )
 
     def test_serial_and_pooled_identical(self, tiny_setup):
+        # Every profile family and default scheme: the pool must not
+        # perturb the seeded fault overlays.
         kwargs = dict(
-            profiles=("none", "lossy"), users=2,
-            scheme_names=("ctile", "ptile"),
+            profiles=("none", "outages", "lossy"), users=2, fault_seed=11,
         )
         serial = sweep_resilience(tiny_setup, workers=1, **kwargs)
         pooled = sweep_resilience(tiny_setup, workers=2, **kwargs)
         assert serial == pooled
 
     def test_cold_and_warm_results_cache_identical(self, tiny_setup, tmp_path):
-        store = ArtifactStore(tmp_path / "results")
         kwargs = dict(
             profiles=("lossy",), users=2, scheme_names=("ptile",),
         )
-        cold = sweep_resilience(tiny_setup, results=store, **kwargs)
-        warm = sweep_resilience(tiny_setup, results=store, **kwargs)
+        cold_store = ArtifactStore(tmp_path)
+        cold = sweep_resilience(tiny_setup, results=cold_store, **kwargs)
+        sessions = cold_store.stats.misses["results"]
+        warm_store = ArtifactStore(tmp_path)
+        warm = sweep_resilience(tiny_setup, results=warm_store, **kwargs)
         assert cold == warm
+        assert warm_store.stats.hits == {"results": sessions}
+        assert warm_store.stats.misses.get("results") is None, (
+            warm_store.stats.report()
+        )
+
+    def test_fault_profiles_inject_observable_faults(self, tiny_setup):
+        """Faults show up only where injected: the ``none`` profile
+        records none, and every faulted profile records some retries,
+        timeouts, or degraded segments (over the default schemes)."""
+        points = sweep_resilience(
+            tiny_setup, profiles=("none", "outages", "lossy"), users=2,
+            fault_seed=11,
+        )
+        counters = ("retries", "timeouts", "degraded", "skipped")
+        by_profile: dict[str, list] = {}
+        for point in points:
+            by_profile.setdefault(point.label.split(":")[0], []).append(point)
+        assert set(by_profile) == {"none", "outages", "lossy"}
+        for point in by_profile["none"]:
+            assert all(point.extra[c] == 0.0 for c in counters), point
+        for profile in ("outages", "lossy"):
+            assert any(
+                point.extra["retries"] > 0 or point.extra["timeouts"] > 0
+                or point.extra["degraded"] > 0
+                for point in by_profile[profile]
+            ), f"{profile} produced no observable faults"
 
     def test_none_profile_matches_fault_free_sessions(self, tiny_setup):
         points = sweep_resilience(

@@ -3,7 +3,8 @@
 The load-bearing properties mirror the content-prep artifact store:
 
 * **Identity** — warm aggregates are byte-identical to cache-off runs,
-  at any worker count.
+  at any worker count, and every session satisfies the per-segment
+  invariants of ``tests/session_invariants.py``.
 * **No recomputation** — a fully warm run never executes a session.
 * **Invalidation** — any input that changes a session's outcome
   (device, traces, session config, job parameters) changes the key;
@@ -19,7 +20,6 @@ import pytest
 from repro.experiments import make_schemes, run_comparison
 from repro.experiments.artifacts import (
     ArtifactStore,
-    results_key,
     session_job_digest,
     structural_fingerprint,
     sweep_context_digest,
@@ -34,6 +34,8 @@ from repro.power import GALAXY_S20
 from repro.streaming import EdgeHitModel
 from repro.streaming.session import SessionConfig
 from repro.video import EncoderModel
+
+from .session_invariants import check_invariants
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +85,26 @@ class TestWarmIdentity:
         cold = run_session_jobs(sweep_context, jobs, workers=1,
                                 results=store)
         assert cold.cache_hits == 0
-        assert store.stats.writes.get("results") == len(jobs)
+        assert store.stats.misses == {"results": len(jobs)}
+        assert store.stats.writes == {"results": len(jobs)}
+        assert not store.stats.hits
 
+        runs = [off, cold]
         for workers in (1, 2):
+            warm_store = ArtifactStore(tmp_path)
             warm = run_session_jobs(sweep_context, jobs, workers=workers,
-                                    results=ArtifactStore(tmp_path))
+                                    results=warm_store)
             assert warm.cache_hits == len(jobs)
-            assert [session_signature(r) for r in warm.results] == [
+            assert warm_store.stats.hits == {"results": len(jobs)}
+            assert not warm_store.stats.misses
+            assert not warm_store.stats.writes
+            runs.append(warm)
+        for run in runs:
+            assert [session_signature(r) for r in run.results] == [
                 session_signature(r) for r in off.results
             ]
-        assert [session_signature(r) for r in cold.results] == [
-            session_signature(r) for r in off.results
-        ]
+            for result in run.results:
+                check_invariants(result, sweep_context.config)
 
     def test_partial_hits_merge_in_job_order(self, sweep_context, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -156,11 +166,8 @@ class TestInvalidation:
                        network="trace2", user_index=0)
         b = dataclasses.replace(a, key=("entirely", "different"))
         assert session_job_digest(a) == session_job_digest(b)
-        digest = sweep_context_digest(sweep_context)
-        assert results_key(digest, a) == results_key(digest, b)
 
-    def test_key_sensitive_to_job_parameters(self, sweep_context):
-        digest = sweep_context_digest(sweep_context)
+    def test_key_sensitive_to_job_parameters(self):
         base = SessionJob(key="k", scheme="ctile", video_id=2,
                           network="trace2", user_index=0)
         for changed in (
@@ -170,7 +177,7 @@ class TestInvalidation:
             dataclasses.replace(base, use_ptiles=False),
             dataclasses.replace(base, config=SessionConfig(max_segments=3)),
         ):
-            assert results_key(digest, changed) != results_key(digest, base)
+            assert session_job_digest(changed) != session_job_digest(base)
 
     def test_context_digest_sensitive_to_device_and_config(
         self, sweep_context

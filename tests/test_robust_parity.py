@@ -23,7 +23,7 @@ from repro.core import OursScheme, RobustScheme
 from repro.experiments import (
     RESULTS_SCHEMA_VERSION,
     SessionJob,
-    ShardedResultsStore,
+    ArtifactStore,
     SweepContext,
     make_setup,
     run_session_jobs,
@@ -197,7 +197,7 @@ class TestActiveRobust:
                                   chunk_size=1).results
         assert [s.records for s in serial] == [p.records for p in pooled]
 
-        store = ShardedResultsStore(tmp_path)
+        store = ArtifactStore(tmp_path)
         cold = run_session_jobs(context, jobs, workers=1,
                                 results=store).results
         warm = run_session_jobs(context, jobs, workers=1,

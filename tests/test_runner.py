@@ -18,7 +18,7 @@ from repro.experiments.runner import (
     resolve_workers,
     run_session_jobs,
 )
-from repro.experiments.setup import ExperimentSetup
+from repro.experiments.setup import SCHEME_ORDER, ExperimentSetup
 from repro.streaming.session import SessionConfig
 from repro.video import EncoderModel
 
@@ -207,17 +207,15 @@ class TestRunComparisonParallel:
             trace1=network_traces[0],
             trace2=network_traces[1],
         )
-        kwargs = dict(
-            users_per_video=1,
-            video_ids=(2,),
-            scheme_names=("ctile", "ours"),
-        )
+        # Every default scheme over both catalog videos.
+        kwargs = dict(users_per_video=2, video_ids=(2, 8))
         serial = run_comparison(setup, device, workers=1, **kwargs)
         parallel = run_comparison(setup, device, workers=2, **kwargs)
+        assert {key[1] for key in serial} == set(SCHEME_ORDER)
         assert list(serial.keys()) == list(parallel.keys())
         for key in serial:
-            assert [session_signature(r) for r in serial[key]] == [
-                session_signature(r) for r in parallel[key]
+            assert [r.records for r in serial[key]] == [
+                r.records for r in parallel[key]
             ]
 
 

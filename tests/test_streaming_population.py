@@ -2,7 +2,9 @@
 
 The engine's contract is numeric agreement with
 :func:`~repro.streaming.session.run_session` on identical inputs, so
-most tests here run both paths and compare per-session aggregates.
+most tests here run both paths and compare per-session aggregates; the
+scalar reference sessions must also satisfy the per-segment invariants
+of ``tests/session_invariants.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.streaming import (
 from repro.streaming.cache import build_edge_hit_model
 from repro.traces import DiurnalPoissonArrivals, NetworkTrace, assign_users
 
+from .session_invariants import check_invariants
+
 RTOL = 1e-9
 CFG = SessionConfig(max_segments=10)
 
@@ -33,6 +37,7 @@ def _assert_parity(engine, scheme, manifest, traces, network, device,
             scheme, manifest, traces[u], network, device,
             ptiles=ptiles, config=config,
         )
+        check_invariants(scalar, config)
         sq = scalar.session_qoe
         pairs = [
             ("transmission_j", res.transmission_j[j], scalar.energy.transmission_j),
