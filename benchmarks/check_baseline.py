@@ -70,6 +70,9 @@ def extract_metrics(report: dict) -> dict[str, float]:
         "warm_prep_speedup": _extra(
             report, "test_content_prep_cold_vs_warm", "warm_speedup"
         ),
+        "viewport_tiles_speedup": _extra(
+            report, "test_viewport_tiles_vs_reference", "viewport_tiles_speedup"
+        ),
         "warm_results_speedup": _extra(
             report, "test_results_cache_cold_vs_warm", "warm_speedup"
         ),

@@ -7,15 +7,27 @@ acceptance bar is a >= 3x speedup of the content-prep phase on a warm
 cache, with byte-identical downstream results (asserted in
 ``tests/test_artifacts.py``); the measured cold/warm wall times and the
 speedup land in ``extra_info`` for the CI regression gate.
+
+``test_viewport_tiles_vs_reference`` times FoV-tile coverage (the inner
+loop of Ptile construction and of every Ctile plan) against the per-tile
+reference loop it replaced, in the same process on the same viewports.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
+
+import numpy as np
 
 from repro.experiments import ArtifactStore, make_setup
+from repro.geometry import TileGrid, Viewport
 
 from conftest import bench_duration, run_once
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.content_reference import viewport_tiles_reference  # noqa: E402
 
 
 def _fresh_setup(store: ArtifactStore | None):
@@ -55,3 +67,41 @@ def test_content_prep_parallel_cold(benchmark, tmp_path):
     run_once(benchmark, setup.prepare, workers=2)
     assert setup.artifacts.stats.total_hits == 0
     benchmark.extra_info["videos"] = len(setup.videos)
+
+
+def _min_time(func, rounds: int) -> float:
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        func()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_viewport_tiles_vs_reference(benchmark):
+    rng = np.random.default_rng(16)
+    viewports = [
+        Viewport(float(yaw), float(pitch))
+        for yaw, pitch in zip(rng.uniform(0.0, 360.0, 2000),
+                              rng.uniform(-85.0, 85.0, 2000))
+    ]
+    grid = TileGrid(4, 8)
+
+    def fast():
+        grid._viewport_cache.clear()  # time the geometry, not the memo
+        return [grid.viewport_tiles(vp) for vp in viewports]
+
+    def reference():
+        return [viewport_tiles_reference(grid, vp) for vp in viewports]
+
+    assert [list(s) for s in fast()] == [list(s) for s in reference()]
+    reference_s = _min_time(reference, 3)
+    fast_s = _min_time(fast, 5)
+    run_once(benchmark, fast)
+    speedup = reference_s / fast_s
+    benchmark.extra_info["reference_us"] = 1e6 * reference_s / len(viewports)
+    benchmark.extra_info["viewport_tiles_us"] = 1e6 * fast_s / len(viewports)
+    benchmark.extra_info["viewport_tiles_speedup"] = speedup
+    assert speedup >= 4.0, (
+        f"viewport_tiles only {speedup:.1f}x faster than the per-tile loop"
+    )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..streaming.metrics import SessionResult
 
@@ -140,6 +139,9 @@ def paired_comparison(
     if np.allclose(diffs, 0.0):
         p_value = 1.0
     else:
+        # Imported here: scipy is slow to import and only this test needs it.
+        from scipy import stats as scipy_stats
+
         p_value = float(scipy_stats.wilcoxon(diffs).pvalue)
     return PairedComparison(
         metric=metric,

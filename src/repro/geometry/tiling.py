@@ -19,6 +19,16 @@ from .viewport import Rect, Viewport
 
 __all__ = ["Tile", "TileGrid", "DEFAULT_GRID", "FTILE_BLOCK_GRID"]
 
+VIEWPORT_CACHE_CAP = 1 << 16
+"""Entries a grid's viewport-coverage memo holds before it is cleared.
+
+A long-running decision service sees an unbounded stream of distinct
+viewports on the shared :data:`DEFAULT_GRID`; clearing at a fixed cap
+keeps the memo's memory flat (about 64 MB at the cap) while a sweep's
+working set stays far below it."""
+
+_DERIVED_FIELDS = ("_col_bounds", "_row_bounds", "_tile_objs")
+
 
 @dataclass(frozen=True, order=True)
 class Tile:
@@ -47,18 +57,38 @@ class TileGrid:
         self.tile_width = self.FRAME_WIDTH_DEG / cols
         self.tile_height = self.FRAME_HEIGHT_DEG / rows
         self._viewport_cache: dict = {}
+        self._init_bounds()
+
+    def _init_bounds(self) -> None:
+        # Per-column x and per-row y tile edges, the same floats
+        # tile_rect computes, plus the Tile objects in row-major order.
+        x0 = [col * self.tile_width for col in range(self.cols)]
+        y1 = [90.0 - row * self.tile_height for row in range(self.rows)]
+        self._col_bounds = [(x, x + self.tile_width) for x in x0]
+        self._row_bounds = [(y - self.tile_height, y) for y in y1]
+        self._tile_objs = tuple(
+            tuple(Tile(row, col) for col in range(self.cols))
+            for row in range(self.rows)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TileGrid(rows={self.rows}, cols={self.cols})"
 
     def __getstate__(self) -> dict:
-        # The viewport-coverage memo is pure derived state and can grow
-        # to thousands of entries on a shared grid (DEFAULT_GRID is a
-        # process-wide singleton); serializing it would bloat worker
-        # payloads and disk artifacts for no benefit.
+        # The viewport-coverage memo and the tile bounds are pure derived
+        # state; the memo can grow to thousands of entries on a shared
+        # grid (DEFAULT_GRID is a process-wide singleton).  Serializing
+        # either would bloat worker payloads and change the bytes of
+        # every pickled artifact that holds a grid.
         state = self.__dict__.copy()
         state["_viewport_cache"] = {}
+        for key in _DERIVED_FIELDS:
+            state.pop(key, None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._init_bounds()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -109,13 +139,31 @@ class TileGrid:
         """
         if not (0.0 <= min_overlap < 1.0):
             raise ValueError("min_overlap must be in [0, 1)")
-        tile_area = self.tile_width * self.tile_height
-        result: set[Tile] = set()
-        for tile in self.tiles():
-            overlap = self.tile_rect(tile).intersection_area(rect)
-            if overlap > min_overlap * tile_area:
-                result.add(tile)
-        return result
+        threshold = min_overlap * (self.tile_width * self.tile_height)
+        # Fresh Tile objects: Ptiles hold these sets, and Tile instances
+        # shared between sets would change their pickled bytes.
+        return {
+            Tile(row, col)
+            for row, col, area in self._overlaps(rect)
+            if area > threshold
+        }
+
+    def _overlaps(self, rect: Rect) -> Iterator[tuple[int, int, float]]:
+        """``(row, col, area)`` of each tile a non-wrapping rect overlaps,
+        row-major: the area ``tile_rect(tile).intersection_area(rect)``
+        gives, from tile edges computed once per grid."""
+        cols = []
+        for col, (tx0, tx1) in enumerate(self._col_bounds):
+            dx = min(tx1, rect.x1) - max(tx0, rect.x0)
+            if dx > 0:
+                cols.append((col, dx))
+        for row, (ty0, ty1) in enumerate(self._row_bounds):
+            dy = min(ty1, rect.y1) - max(ty0, rect.y0)
+            if dy > 0:
+                for col, dx in cols:
+                    area = dx * dy
+                    if area > 0:  # a product of tiny overlaps can underflow
+                        yield row, col, area
 
     def viewport_tiles(
         self, viewport: Viewport, min_overlap: float = 0.1
@@ -134,22 +182,26 @@ class TileGrid:
         per segment.  The returned frozenset must not be mutated.
         """
         cache_key = (viewport, min_overlap)
-        cached = self._viewport_cache.get(cache_key)
+        cache = self._viewport_cache
+        cached = cache.get(cache_key)
         if cached is not None:
             return cached
+        # Tiles are inserted rect by rect in row-major order: the
+        # frozenset's iteration order, and so every float sum taken over
+        # it, depends on that order.
+        tiles = self._tile_objs
         overlap_by_tile: dict[Tile, float] = {}
-        tile_area = self.tile_width * self.tile_height
         for rect in viewport.rects():
-            for tile in self.tiles():
-                area = self.tile_rect(tile).intersection_area(rect)
-                if area > 0:
-                    overlap_by_tile[tile] = overlap_by_tile.get(tile, 0.0) + area
+            for row, col, area in self._overlaps(rect):
+                tile = tiles[row][col]
+                overlap_by_tile[tile] = overlap_by_tile.get(tile, 0.0) + area
+        threshold = min_overlap * (self.tile_width * self.tile_height)
         result = frozenset(
-            tile
-            for tile, area in overlap_by_tile.items()
-            if area > min_overlap * tile_area
+            tile for tile, area in overlap_by_tile.items() if area > threshold
         )
-        self._viewport_cache[cache_key] = result
+        if len(cache) >= VIEWPORT_CACHE_CAP:
+            cache.clear()
+        cache[cache_key] = result
         return result
 
     def bounding_rect(self, tiles: Iterable[Tile]) -> Rect:

@@ -27,6 +27,8 @@ reproducible.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -111,25 +113,66 @@ def cluster_viewing_centers(
     if not nodes:
         return []
 
-    # Line 1: close-neighbor sets over the full input.
+    # Line 1: close-neighbor sets over the full input, from one pairwise
+    # distance matrix (the diagonal is each node itself).
+    pairs = _PairDistances(nodes)
+    close = pairs.compare(operator.le, delta)
+    np.fill_diagonal(close, False)
     neighbors: dict[int, list[ViewingCenter]] = {
-        u.user_id: [n for n in nodes if n.user_id != u.user_id
-                    and u.distance_to(n) <= delta]
-        for u in nodes
+        u.user_id: [nodes[j] for j in np.flatnonzero(row).tolist()]
+        for u, row in zip(nodes, close)
     }
+    index_of = {u.user_id: i for i, u in enumerate(nodes)}
 
     remaining: dict[int, ViewingCenter] = {u.user_id: u for u in nodes}
     clusters: list[Cluster] = []
     while remaining:
         members = _expand_cluster(remaining, neighbors)
         cluster = Cluster(tuple(sorted(members)))
-        if cluster.diameter() > sigma:
+        idx = [index_of[m.user_id] for m in cluster.members]
+        if pairs.compare(operator.gt, sigma, idx).any():  # diameter > sigma
             clusters.extend(_split(cluster, sigma, recursive_split))
         else:
             clusters.append(cluster)
 
     clusters.sort(key=lambda c: (-c.size, c.members[0].user_id))
     return clusters
+
+
+class _PairDistances:
+    """Pairwise :func:`equirect_distance` of a node list, as one matrix.
+
+    The wrapped yaw and pitch differences are exact in numpy, but
+    ``np.hypot`` and ``math.hypot`` may round one ulp apart, so every
+    comparison whose matrix value lies within a tiny band of its limit
+    is re-decided with ``math.hypot`` — the exact value
+    :meth:`ViewingCenter.distance_to` gives.
+    """
+
+    _BAND_REL = 1e-9
+    _BAND_ABS = 1e-300
+
+    def __init__(self, nodes: list[ViewingCenter]):
+        yaw = np.array([n.yaw for n in nodes]) % 360.0
+        pitch = np.array([n.pitch for n in nodes])
+        dyaw = np.abs(yaw[:, None] - yaw[None, :])
+        self.dyaw = np.minimum(dyaw, 360.0 - dyaw)
+        self.dpitch = pitch[:, None] - pitch[None, :]
+        self.dist = np.hypot(self.dyaw, self.dpitch)
+
+    def compare(
+        self, op, limit: float, idx: list[int] | None = None
+    ) -> np.ndarray:
+        """Boolean matrix of ``op(distance, limit)`` over the nodes (or
+        the sub-list ``idx``), e.g. ``op=operator.le``."""
+        dist = self.dist if idx is None else self.dist[np.ix_(idx, idx)]
+        result = op(dist, limit)
+        band = np.abs(dist - limit) <= limit * self._BAND_REL + self._BAND_ABS
+        for i, j in zip(*np.nonzero(band)):
+            a, b = (i, j) if idx is None else (idx[i], idx[j])
+            exact = math.hypot(float(self.dyaw[a, b]), float(self.dpitch[a, b]))
+            result[i, j] = op(exact, limit)
+        return result
 
 
 def _expand_cluster(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..video.content import Video
 from ..video.encoder import EncoderModel
@@ -111,6 +110,10 @@ def fit_qo_model(
 
     def residuals(params: np.ndarray) -> np.ndarray:
         return predict(params) - vmaf
+
+    # Imported here: scipy costs about a second to import, and nothing
+    # else on the CLI's or the service's import path needs it.
+    from scipy.optimize import least_squares
 
     start = np.array([0.0, 0.01, -0.01, 0.1])
     solution = least_squares(residuals, start, method="lm", max_nfev=20000)

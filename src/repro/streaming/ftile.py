@@ -15,6 +15,7 @@ longer axis, until ten leaves remain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,10 @@ def _popularity_map(
     pop = np.zeros((grid.rows, grid.cols))
     for viewport in viewports:
         for rect in viewport.rects():
-            c0 = int(np.floor(rect.x0 / grid.tile_width))
-            c1 = int(np.ceil(rect.x1 / grid.tile_width))
-            r0 = int(np.floor((90.0 - rect.y1) / grid.tile_height))
-            r1 = int(np.ceil((90.0 - rect.y0) / grid.tile_height))
+            c0 = math.floor(rect.x0 / grid.tile_width)
+            c1 = math.ceil(rect.x1 / grid.tile_width)
+            r0 = math.floor((90.0 - rect.y1) / grid.tile_height)
+            r1 = math.ceil((90.0 - rect.y0) / grid.tile_height)
             pop[max(r0, 0) : min(r1, grid.rows), max(c0, 0) : min(c1, grid.cols)] += 1
     return pop
 
@@ -82,12 +83,18 @@ def build_ftile_partition(
     pop = _popularity_map(viewports, grid)
     leaves: list[tuple[int, int, int, int]] = [(0, grid.rows, 0, grid.cols)]
 
+    scores: dict[tuple[int, int, int, int], float] = {}
+
     def score(leaf: tuple[int, int, int, int]) -> float:
-        r0, r1, c0, c1 = leaf
-        region = pop[r0:r1, c0:c1]
-        if region.size <= 1:
-            return -1.0
-        return float(np.var(region) * region.size)
+        # A pure function of the leaf's bounds: computed once per leaf,
+        # not on every re-sort.
+        cached = scores.get(leaf)
+        if cached is None:
+            r0, r1, c0, c1 = leaf
+            region = pop[r0:r1, c0:c1]
+            cached = -1.0 if region.size <= 1 else float(np.var(region) * region.size)
+            scores[leaf] = cached
+        return cached
 
     while len(leaves) < n_tiles:
         leaves.sort(key=score, reverse=True)

@@ -88,9 +88,10 @@ class HeadTrace:
         cached = self._kinematics_cache.get(cache_key)
         if cached is not None:
             return cached
-        tc = float(np.clip(t, self.timestamps[0], self.timestamps[-1]))
-        yaw = float(np.interp(tc, self.timestamps, self.yaw_unwrapped)) % 360.0
-        pitch = float(np.interp(tc, self.timestamps, self.pitch))
+        ts = self.timestamps
+        tc = float(min(max(t, ts[0]), ts[-1]))
+        yaw = float(np.interp(tc, ts, self.yaw_unwrapped)) % 360.0
+        pitch = float(np.interp(tc, ts, self.pitch))
         self._kinematics_cache[cache_key] = (yaw, pitch)
         return yaw, pitch
 

@@ -22,6 +22,7 @@ always produces the same trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,82 +166,86 @@ def generate_user_trace(
     offset_yaw = rng.normal(0.0, params.personal_offset_deg)
     offset_pitch = rng.normal(0.0, params.personal_offset_deg * 0.6)
 
-    yaw = np.empty(n)
-    pitch = np.empty(n)
-    yaw[0], pitch[0] = roi.at(0)
-    yaw[0] += offset_yaw
-    pitch[0] = float(np.clip(pitch[0] + offset_pitch, -80.0, 80.0))
+    # Traces are pinned bit for bit (golden digests; they feed every
+    # artifact key), so the RNG draw order and each float operation
+    # must stay as they are.  The state is kept in plain floats.
+    normal, random, uniform = rng.normal, rng.random, rng.uniform
+    roi_yaws = roi.yaw_unwrapped.tolist()
+    roi_pitches = roi.pitch.tolist()
+    times = t.tolist()
+    yaw_prev = roi_yaws[0] + offset_yaw
+    pitch_prev = min(max(roi_pitches[0] + offset_pitch, -80.0), 80.0)
+    yaws = [yaw_prev]
+    pitches = [pitch_prev]
     vel_yaw = 0.0
     vel_pitch = 0.0
 
-    exploring = exploratory and rng.random() < 0.5
+    exploring = exploratory and random() < 0.5
     on_secondary = False
-    waypoint = (yaw[0], pitch[0])
+    waypoint = (yaw_prev, pitch_prev)
     next_waypoint_at = 0.0
     offset_theta = 1.0 / params.offset_time_constant_s
     offset_sigma = params.personal_offset_deg
+    offset_step = math.sqrt(2 * offset_theta * dt)
+    offset_noise_yaw = offset_sigma * offset_step
+    offset_noise_pitch = 0.6 * offset_sigma * offset_step
+    p_explore_to_follow = params.explore_to_follow_per_s * dt
+    p_follow_to_explore = params.follow_to_explore_per_s * dt
+    p_switch = params.secondary_switch_per_s * dt
+    gain, damping, jitter = (
+        params.pursuit_gain, params.pursuit_damping, params.jitter_deg
+    )
 
     for i in range(1, n):
-        now = t[i]
+        now = times[i]
         # Slowly wandering personal offset (users do not stare at the
         # exact ROI point).
-        offset_yaw += (
-            -offset_theta * offset_yaw * dt
-            + offset_sigma * np.sqrt(2 * offset_theta * dt) * rng.normal()
-        )
+        offset_yaw += -offset_theta * offset_yaw * dt + offset_noise_yaw * normal()
         offset_pitch += (
-            -offset_theta * offset_pitch * dt
-            + 0.6 * offset_sigma * np.sqrt(2 * offset_theta * dt) * rng.normal()
+            -offset_theta * offset_pitch * dt + offset_noise_pitch * normal()
         )
 
         # Behavioural state transitions.
         if exploratory:
             if exploring:
-                if rng.random() < params.explore_to_follow_per_s * dt:
+                if random() < p_explore_to_follow:
                     exploring = False
-            elif rng.random() < params.follow_to_explore_per_s * dt:
+            elif random() < p_follow_to_explore:
                 exploring = True
-        if secondary_viewer and rng.random() < params.secondary_switch_per_s * dt:
+        if secondary_viewer and random() < p_switch:
             on_secondary = not on_secondary
 
         # Current target.
-        roi_yaw, roi_pitch = roi.at(i)
         if exploring:
             if now >= next_waypoint_at:
                 lo, hi = params.waypoint_interval_s
-                next_waypoint_at = now + rng.uniform(lo, hi)
+                next_waypoint_at = now + uniform(lo, hi)
                 waypoint = (
-                    yaw[i - 1] + rng.uniform(-1.0, 1.0) * params.waypoint_yaw_span_deg,
-                    rng.uniform(*params.waypoint_pitch_range),
+                    yaw_prev + uniform(-1.0, 1.0) * params.waypoint_yaw_span_deg,
+                    uniform(*params.waypoint_pitch_range),
                 )
             target_yaw, target_pitch = waypoint
         else:
-            target_yaw = roi_yaw + offset_yaw
-            target_pitch = roi_pitch + offset_pitch
+            target_yaw = roi_yaws[i] + offset_yaw
+            target_pitch = roi_pitches[i] + offset_pitch
             if on_secondary:
                 target_yaw += params.secondary_roi_offset_deg
-        target_pitch = float(np.clip(target_pitch, -80.0, 80.0))
+        target_pitch = min(max(target_pitch, -80.0), 80.0)
 
         # Damped pursuit dynamics.
-        acc_yaw = (
-            params.pursuit_gain * (target_yaw - yaw[i - 1])
-            - params.pursuit_damping * vel_yaw
-        )
-        acc_pitch = (
-            params.pursuit_gain * (target_pitch - pitch[i - 1])
-            - params.pursuit_damping * vel_pitch
-        )
+        acc_yaw = gain * (target_yaw - yaw_prev) - damping * vel_yaw
+        acc_pitch = gain * (target_pitch - pitch_prev) - damping * vel_pitch
         vel_yaw += acc_yaw * dt
         vel_pitch += acc_pitch * dt
-        yaw[i] = yaw[i - 1] + vel_yaw * dt + rng.normal(0.0, params.jitter_deg)
-        pitch[i] = float(
-            np.clip(
-                pitch[i - 1] + vel_pitch * dt + rng.normal(0.0, params.jitter_deg),
-                -85.0,
-                85.0,
-            )
+        yaw_prev = yaw_prev + vel_yaw * dt + normal(0.0, jitter)
+        pitch_prev = min(
+            max(pitch_prev + vel_pitch * dt + normal(0.0, jitter), -85.0), 85.0
         )
+        yaws.append(yaw_prev)
+        pitches.append(pitch_prev)
 
+    yaw = np.array(yaws)
+    pitch = np.array(pitches)
     return HeadTrace(
         user_id=user_id,
         video_id=video.meta.video_id,

@@ -478,3 +478,52 @@ class TestStreamingSeams:
                 network_traces[1], device, config=CFG,
                 decision_client=object(),
             )
+
+
+class TestExperimentSetupService:
+    """A service built from an experiment setup (``build_planners``, the
+    path ``repro-360 serve`` takes) on the exploratory video 8: decisions
+    from train-trace viewports are identical offline, in process and over
+    TCP, and a session against the service reproduces the offline one."""
+
+    def test_build_planners_identity(self, device):
+        from repro.experiments import make_setup
+        from repro.serving import build_planners
+
+        setup = make_setup(max_duration_s=30, n_users=16, n_train=12,
+                           seed=7, video_ids=(8,))
+        planner = build_planners(setup, (8,), device=device)[8]
+        seg_s = setup.session_config.segment_seconds
+        fov = setup.session_config.fov_deg
+        n = planner.num_segments
+        requests = []
+        for u, trace in enumerate(setup.dataset.train_traces(8)):
+            for k in range(0, n, 2):
+                vp = trace.viewport_at((k + 0.5) * seg_s, fov)
+                requests.append(PlanRequest(
+                    video_id=8, segment_index=k,
+                    buffer_s=0.5 * ((u + k) % 7),
+                    bandwidth_mbps=6.0 + 2.0 * ((u + k) % 8),
+                    yaw=vp.yaw, pitch=vp.pitch, fov_h=vp.fov_h, fov_v=vp.fov_v,
+                    speed_deg_s=5.0 * (k % 4), window=min(5, n - k)))
+        offline = [planner.plan_one(r) for r in requests]
+
+        service = DecisionService({8: planner}, ServiceConfig(max_batch=64))
+        with ServiceRunner(service) as runner:
+            port = runner.serve_tcp(port=0)
+            assert runner.plan_many(requests) == offline
+            with RemoteClient("127.0.0.1", port) as remote:
+                assert remote.plan_many(requests) == offline
+        assert service.stats.snapshot()["max_batch_seen"] > 1
+
+        trace = setup.dataset.test_traces(8)[0]
+        config = SessionConfig(max_segments=12)
+        want = run_session(OursScheme(device=device), setup.manifest(8),
+                           trace, setup.trace2, device,
+                           ptiles=setup.ptiles(8), config=config)
+        service = DecisionService({8: planner}, ServiceConfig(max_batch=64))
+        with ServiceRunner(service) as runner:
+            got = run_session(ServiceClient(runner), setup.manifest(8),
+                              trace, setup.trace2, device,
+                              ptiles=setup.ptiles(8), config=config)
+        assert got.records == want.records
