@@ -20,7 +20,6 @@ from repro.qoe import QualityModel, alpha_from_behavior, frame_rate_factor
 from repro.streaming import (
     PtileScheme,
     SessionConfig,
-    capacity_sweep,
     ptile_vs_ctile_caching,
     run_session,
 )
@@ -116,18 +115,27 @@ def test_extension_offline_gap(benchmark, assets):
 
 
 def test_extension_multiclient_capacity(benchmark, assets):
+    """N viewers sharing one cell: each streams over the fair share
+    ``trace1.scaled(1/N)`` of the link (processor sharing)."""
     dataset, manifest, ptiles, trace1, _ = assets
     heads = dataset.test_traces(2)
+    config = SessionConfig(max_segments=60)
 
     def run():
-        return capacity_sweep(
-            PtileScheme, manifest, heads, trace1, PIXEL_3,
-            client_counts=(1, 2, 4, 8), ptiles=ptiles,
-            config=SessionConfig(max_segments=60),
-        )
+        qualities = {}
+        for n in (1, 2, 4, 8):
+            fair = trace1.scaled(1.0 / n)
+            sessions = [
+                run_session(PtileScheme(), manifest, heads[i % len(heads)],
+                            fair, PIXEL_3, ptiles=ptiles, config=config)
+                for i in range(n)
+            ]
+            qualities[n] = float(
+                np.mean([s.mean_quality_level for s in sessions])
+            )
+        return qualities
 
-    results = run_once(benchmark, run)
-    qualities = {n: results[n].mean_quality for n in sorted(results)}
+    qualities = run_once(benchmark, run)
     print("  clients -> mean quality:", {
         n: round(q, 2) for n, q in qualities.items()
     })

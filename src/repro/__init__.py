@@ -11,7 +11,7 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured comparison of every table and figure.
 """
 
-from .core import EnergyQoEMpc, MpcConfig, OursScheme, StreamingConfig
+from .core import EnergyQoEMpc, MpcConfig, OursScheme
 from .power import (
     DEVICES,
     DevicePowerModel,
@@ -56,7 +56,6 @@ __all__ = [
     "EnergyQoEMpc",
     "MpcConfig",
     "OursScheme",
-    "StreamingConfig",
     "DEVICES",
     "DevicePowerModel",
     "EnergyModel",

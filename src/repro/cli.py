@@ -1,16 +1,19 @@
 """Command-line interface.
 
 ``repro-360`` regenerates any of the paper's tables and figures from the
-terminal::
+terminal, one command per output, flags after the command::
 
     repro-360 table1
     repro-360 fig8
     repro-360 fig9 --device galaxys20 --duration 120 --users 2
     repro-360 all --duration 60 --users 1
+    repro-360 fig9 --help
 
-Experiments that simulate streaming sessions accept ``--duration`` (clip
-videos to a prefix, seconds) and ``--users`` (test users per video) to
-trade fidelity for speed; the defaults run a moderate subsample.
+Each command takes only the flags it reads and each flag checks its own
+value, so a bad value is a usage error (exit code 2) before any work
+starts.  Session experiments trade fidelity for speed with
+``--duration`` (clip videos to a prefix, seconds) and ``--users`` (test
+users per video); the defaults run a moderate subsample.
 """
 
 from __future__ import annotations
@@ -30,16 +33,100 @@ from .experiments import (
     run_fig7,
     run_fig8,
     run_fig9,
-    run_fig11,
     run_table2,
     summarize_energy,
     summarize_qoe,
     table1_rows,
     table3_rows,
 )
-from .power.models import PIXEL_3, get_device
+from .power.models import DEVICES, get_device
 
 __all__ = ["main", "build_parser"]
+
+
+# Argument types.  Each raises ArgumentTypeError, which argparse reports
+# as a usage error naming the flag.
+
+
+def _checked(convert, valid, expected: str):
+    """An argparse type: ``convert`` the string, then require ``valid``."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
+_non_negative_float = _checked(float, lambda v: v >= 0, "a number >= 0")
+_port = _checked(int, lambda v: 0 <= v <= 65535, "a TCP port in [0, 65535]")
+_workers_arg = _checked(int, lambda v: v >= 0, "a worker count: a positive "
+                        "number of processes, or 0 to auto-detect CPUs")
+
+
+def _csv(convert, check):
+    """An argparse type for comma-separated ``convert``-ed values;
+    ``check(values)`` returns an error message or None."""
+
+    def parse(raw: str) -> tuple:
+        try:
+            values = tuple(
+                convert(part.strip()) for part in raw.split(",") if part.strip()
+            )
+        except ValueError:
+            values = ()
+        error = (check(values) if values
+                 else f"expected comma-separated values, got {raw!r}")
+        if error:
+            raise argparse.ArgumentTypeError(error)
+        return values
+
+    return parse
+
+
+def _each(valid, expected: str):
+    def check(values: tuple) -> str | None:
+        bad = [str(v) for v in values if not valid(v)]
+        return f"expected {expected}, got {', '.join(bad)}" if bad else None
+
+    return check
+
+
+def _known(noun: str, names):
+    """Check values against ``names()``, imported only when parsed."""
+
+    def check(values: tuple) -> str | None:
+        available = names()
+        unknown = [v for v in values if v not in available]
+        if not unknown:
+            return None
+        return (f"unknown {noun}(s) {', '.join(map(repr, unknown))}; "
+                f"available: {', '.join(map(str, sorted(available)))}")
+
+    return check
+
+
+def _video_ids() -> set[int]:
+    from .video import VIDEO_CATALOG
+
+    return {meta.video_id for meta in VIDEO_CATALOG}
+
+
+def _fault_profiles():
+    from .resilience.faults import FAULT_PROFILES
+
+    return FAULT_PROFILES
+
+
+_video_list = _csv(int, _known("video id", _video_ids))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,219 +135,250 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Reproduce tables and figures of 'Energy-Efficient and "
             "QoE-Aware 360-Degree Video Streaming on Mobile Devices' "
-            "(ICDCS 2022)."
+            "(ICDCS 2022). Run 'repro-360 COMMAND --help' for the flags "
+            "of one command."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "table1", "table2", "table3",
-            "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "fig10", "fig11", "ablation", "ladder", "shared-cache",
-            "resilience", "robust", "population", "serve", "report", "all",
-        ],
+    commands = parser.add_subparsers(
+        dest="experiment", metavar="command", required=True,
         help="which table/figure to regenerate (or 'serve' to run the "
              "online decision service)",
     )
-    parser.add_argument(
-        "--duration", type=int, default=120,
-        help="clip videos to this many seconds (session experiments)",
-    )
-    parser.add_argument(
-        "--users", type=int, default=2,
-        help="test users per video (session experiments)",
-    )
-    parser.add_argument(
-        "--device", default="pixel3",
-        help="device for fig9/fig11 (pixel3, nexus5x, galaxys20)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2017, help="dataset seed"
-    )
-    parser.add_argument(
+
+    # Flag groups shared by several commands, as parent parsers.
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    dataset = group()
+    dataset.add_argument("--duration", type=_positive_int, default=120,
+                         help="clip videos to this many seconds")
+    dataset.add_argument("--seed", type=int, default=2017,
+                         help="dataset seed")
+    users = group()
+    users.add_argument("--users", type=_positive_int, default=2,
+                       help="test users per video")
+    device = group()
+    device.add_argument("--device", choices=sorted(DEVICES),
+                        default="pixel3", help="device power model")
+    workers = group()
+    workers.add_argument(
         "--workers", type=_workers_arg, default=1,
-        help="worker processes for session sweeps (1 = serial,"
-             " 0 = auto-detect CPUs); results are identical either way",
+        help="worker processes for session sweeps (1 = serial, 0 = "
+             "auto-detect CPUs); results are identical either way",
     )
-    parser.add_argument(
-        "--output", default=None,
-        help="write the report to this file (report command)",
-    )
-    parser.add_argument(
+    artifacts = group()
+    artifacts.add_argument(
         "--artifact-cache", metavar="DIR", default=None,
         help="directory of the content-prep artifact cache (default: "
              f"{default_cache_dir()}; env REPRO_ARTIFACT_CACHE overrides). "
              "Warm runs skip manifest/Ptile/Ftile construction; results "
              "are identical either way",
     )
-    parser.add_argument(
+    artifacts.add_argument(
         "--no-artifact-cache", action="store_true",
         help="disable the artifact cache and rebuild all content-prep "
              "artifacts from scratch",
     )
-    parser.add_argument(
+    results = group()
+    results.add_argument(
         "--results-cache", metavar="DIR", default=None,
         help="directory of the session-results cache (default: shares "
-             "the artifact-cache directory). Warm runs of an identical "
-             "sweep deserialize stored results instead of re-simulating; "
-             "aggregates are identical either way",
+             "the artifact-cache directory); warm re-runs read stored "
+             "results, identical either way",
     )
-    parser.add_argument(
+    results.add_argument(
         "--no-results-cache", action="store_true",
         help="disable the session-results cache and re-simulate every "
              "session",
     )
-    parser.add_argument(
-        "--cache-capacities", metavar="MBIT[,MBIT...]",
-        default="0,500,2000,8000",
-        help="shared edge-cache capacities to sweep, comma-separated "
-             "Mbit (shared-cache experiment; 0 = no cache baseline)",
-    )
-    parser.add_argument(
-        "--cache-policy", choices=("lru", "lfu"), default="lru",
-        help="eviction policy of the shared edge cache "
-             "(shared-cache experiment)",
-    )
-    parser.add_argument(
-        "--tenant-videos", metavar="ID[,ID...]", default="5,8",
-        help="video ids of the tenant populations competing for the "
-             "shared edge cache (shared-cache experiment)",
-    )
-    parser.add_argument(
-        "--tenant-viewers", type=int, default=8,
+    tenants = group()
+    tenants.add_argument(
+        "--tenant-viewers", type=_positive_int, default=8,
         help="training viewers per tenant video in the shared-cache "
-             "population (shared-cache experiment)",
+             "population",
     )
-    parser.add_argument(
+    tenants.add_argument("--cache-policy", choices=("lru", "lfu"),
+                         default="lru",
+                         help="eviction policy of the shared edge cache")
+    faults = group()
+    faults.add_argument(
         "--fault-profile", metavar="NAME[,NAME...]",
+        type=_csv(str, _known("fault profile", _fault_profiles)),
         default="none,outages,collapse,lossy,stress",
-        help="fault profiles to sweep, comma-separated (resilience "
-             "experiment); 'none' runs the ideal fault-free path",
+        help="fault profiles to sweep, comma-separated; 'none' runs the "
+             "ideal fault-free path",
     )
-    parser.add_argument(
+    faults.add_argument(
         "--fault-seed", type=int, default=7,
-        help="seed of the deterministic fault plans (resilience "
-             "experiment); a fixed (profile, seed) pair always yields "
-             "byte-identical sessions",
+        help="seed of the deterministic fault plans; a fixed (profile, "
+             "seed) pair always yields byte-identical sessions",
     )
-    parser.add_argument(
-        "--arrival-rate", type=float, default=0.5,
-        help="mean session arrivals per second (population experiment)",
+    faults.add_argument(
+        "--retry-budget", type=_non_negative_int, default=2,
+        help="download attempts beyond the first per segment before "
+             "degrading to a skip (0 = no retries)",
     )
-    parser.add_argument(
-        "--diurnal-amplitude", type=float, default=0.3,
-        help="sinusoidal swing of the arrival rate in [0, 1) "
-             "(population experiment; 0 = homogeneous Poisson)",
+    faults.add_argument(
+        "--timeout-slack", type=_non_negative_float, default=0.75,
+        help="seconds past the playback deadline a segment fetch may run "
+             "before being aborted",
     )
-    parser.add_argument(
-        "--arrival-window", type=float, default=120.0,
-        help="seconds of arrivals to simulate (population experiment)",
+    sessions = (dataset, artifacts, users, workers, results)
+
+    def command(name: str, handler, *groups, help: str, runs=None):
+        sub = commands.add_parser(name, parents=groups, help=help,
+                                  description=help)
+        sub.set_defaults(runs=runs or ((name, handler),))
+        return sub
+
+    paper = (
+        ("table1", (), "Table I: power models of three phones",
+         lambda args: table1_rows()),
+        ("table2", (), "Table II: fitted QoE coefficients",
+         lambda args: run_table2().report()),
+        ("table3", (), "Table III: the eight test videos",
+         lambda args: table3_rows()),
+        ("fig2", (workers,), "Fig. 2: Ptile vs Ctile transmission and "
+         "decoding energy",
+         lambda args: run_fig2(workers=args.workers).report()),
+        ("fig4", (), "Fig. 4: SI/TI and the quality model",
+         lambda args: run_fig4().report()),
+        ("fig5", (dataset,), "Fig. 5: view switching speed distribution",
+         lambda args: run_fig5(make_setup(max_duration_s=args.duration,
+                                          seed=args.seed).dataset).report()),
+        ("fig6", (), "Fig. 6: Ptile split of an oversized cluster", _fig6),
+        ("fig7", (dataset, artifacts),
+         "Fig. 7: Ptiles per segment and users covered",
+         lambda args: run_fig7(_setup(args)).report()),
+        ("fig8", (), "Fig. 8: Ptile/Ctile size ratio",
+         lambda args: run_fig8(segments_per_video=60).report()),
+        ("fig9", (*sessions, device),
+         "Fig. 9: energy per scheme on one device", _fig9),
+        ("fig10", sessions,
+         "Fig. 10: normalized energy on Nexus 5X and Galaxy S20", _fig10),
+        ("fig11", (*sessions, device), "Fig. 11: QoE per scheme", _fig11),
     )
-    parser.add_argument(
-        "--population-scheme", default="ours",
-        choices=("ctile", "ptile", "ours"),
-        help="streaming scheme the population runs (population "
-             "experiment; the batched engine supports these three)",
+    for name, groups, help, handler in paper:
+        command(name, handler, *groups, help=help)
+    command("ablation", _ablation, dataset, artifacts, users, workers,
+            tenants, help="ablation sweeps of the design choices")
+
+    sub = command("shared-cache", _shared_cache, *sessions, tenants,
+                  help="shared edge cache across tenant populations")
+    sub.add_argument(
+        "--cache-capacities", metavar="MBIT[,MBIT...]",
+        type=_csv(float, _each(lambda c: c >= 0, "capacities >= 0")),
+        default="0,500,2000,8000",
+        help="shared edge-cache capacities to sweep, comma-separated Mbit "
+             "(0 = no cache baseline)",
     )
-    parser.add_argument(
-        "--port", type=int, default=7360,
-        help="TCP port of the decision service (serve command; 0 picks "
-             "an ephemeral port)",
+    sub.add_argument(
+        "--tenant-videos", metavar="ID[,ID...]", type=_video_list,
+        default="5,8",
+        help="video ids of the tenant populations competing for the "
+             "shared edge cache",
     )
-    parser.add_argument(
-        "--max-batch", type=int, default=64,
-        help="most plan requests coalesced into one vectorized MPC "
-             "pass (serve command)",
-    )
-    parser.add_argument(
-        "--batch-wait-us", type=float, default=200.0,
-        help="microseconds the dispatcher waits after the first queued "
-             "request for co-arrivals before serving the batch (serve "
-             "command; 0 = only coalesce what already queued)",
-    )
-    parser.add_argument(
-        "--videos", metavar="ID[,ID...]", default="8",
-        help="video ids the decision service builds plan tables for "
-             "(serve command)",
-    )
-    parser.add_argument(
-        "--quality-targets", metavar="QO[,QO...]", default=None,
-        help="per-level mean-quality (Eq. 3 Qo) floors the ladder "
-             "optimizer must hold, comma-separated lowest-to-highest "
-             "level (ladder experiment; default: the catalog's 25th-"
-             "percentile per-level quality under the fixed ladder)",
-    )
-    parser.add_argument(
-        "--ladder-cache", metavar="DIR", default=None,
-        help="directory of the per-video ladder-search cache (ladder "
-             "experiment; default: shares the artifact-cache directory). "
-             "Warm runs reuse searches keyed by video content, targets, "
-             "and search config; results are identical either way",
-    )
-    parser.add_argument(
-        "--movable-levels", type=int, default=1,
-        help="how many of the lowest quality rungs the ladder search "
-             "may move (ladder experiment; 0 = all non-pinned rungs). "
-             "The default moves only the background rung, which is a "
-             "strict bits-and-energy win; larger values shed more "
-             "ladder bits but let the MPC trade them into quality",
-    )
-    parser.add_argument(
-        "--uncertainty", type=float, default=8.0,
+
+    command("resilience", _resilience, *sessions, faults,
+            help="sessions under injected network faults")
+
+    sub = command("robust", _robust, *sessions, faults, device,
+                  help="uncertainty-aware planning under faults")
+    sub.add_argument(
+        "--uncertainty", type=_non_negative_float, default=8.0,
         help="base angular error scale sigma in degrees of the robust "
-             "planner's Gaussian error model (robust experiment; 0 "
-             "degenerates to the point-prediction 'ours' bit-for-bit)",
+             "planner's Gaussian error model (0 degenerates to the "
+             "point-prediction 'ours' bit-for-bit)",
     )
-    parser.add_argument(
-        "--uncertainty-growth", type=float, default=6.0,
-        help="degrees of additional error scale per second of "
-             "prediction horizon (robust experiment)",
+    sub.add_argument(
+        "--uncertainty-growth", type=_non_negative_float, default=6.0,
+        help="degrees of additional error scale per second of prediction "
+             "horizon",
     )
-    parser.add_argument(
+    sub.add_argument(
         "--robust-scheme", choices=("robust", "pano"), default="robust",
         help="robust planner variant: 'robust' maximizes expected "
              "viewport coverage; 'pano' adds the Pano-style perceptual "
-             "polar discount to the hypothesis weights (robust "
-             "experiment)",
+             "polar discount to the hypothesis weights",
     )
-    parser.add_argument(
-        "--retry-budget", type=int, default=2,
-        help="download attempts beyond the first per segment before "
-             "degrading to a skip (resilience experiment)",
+
+    sub = command("population", _population, dataset, artifacts, device,
+                  help="a viewer population on the batched engine")
+    sub.add_argument("--arrival-rate", type=_positive_float, default=0.5,
+                     help="mean session arrivals per second")
+    sub.add_argument(
+        "--diurnal-amplitude", default=0.3,
+        type=_checked(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+        help="sinusoidal swing of the arrival rate (0 = homogeneous "
+             "Poisson)",
     )
-    parser.add_argument(
-        "--timeout-slack", type=float, default=0.75,
-        help="seconds past the playback deadline a segment fetch may "
-             "run before being aborted (resilience experiment)",
+    sub.add_argument("--arrival-window", type=_positive_float,
+                     default=120.0, help="seconds of arrivals to simulate")
+    sub.add_argument(
+        "--population-scheme", choices=("ctile", "ptile", "ours"),
+        default="ours",
+        help="streaming scheme the population runs (the batched engine "
+             "supports these three)",
     )
+
+    sub = command("serve", _serve, dataset, artifacts, device, workers,
+                  help="run the online decision service over TCP")
+    sub.add_argument(
+        "--port", type=_port, default=7360,
+        help="TCP port of the decision service (0 picks an ephemeral port)",
+    )
+    sub.add_argument(
+        "--max-batch", type=_positive_int, default=64,
+        help="most plan requests coalesced into one vectorized MPC pass",
+    )
+    sub.add_argument(
+        "--batch-wait-us", type=_non_negative_float, default=200.0,
+        help="microseconds the dispatcher waits after the first queued "
+             "request for co-arrivals before serving the batch (0 = only "
+             "coalesce what already queued)",
+    )
+    sub.add_argument(
+        "--videos", metavar="ID[,ID...]", type=_video_list, default="8",
+        help="video ids the decision service builds plan tables for",
+    )
+
+    sub = command("ladder", _ladder, *sessions, device,
+                  help="per-video encoding-ladder optimization")
+    sub.add_argument(
+        "--quality-targets", metavar="QO[,QO...]", default=None,
+        type=_csv(float, _each(lambda t: 0.0 <= t <= 100.0,
+                               "Qo scores in [0, 100]")),
+        help="per-level mean-quality (Eq. 3 Qo) floors the ladder "
+             "optimizer must hold, comma-separated lowest-to-highest level "
+             "(default: the catalog's 25th-percentile per-level quality "
+             "under the fixed ladder)",
+    )
+    sub.add_argument(
+        "--ladder-cache", metavar="DIR", default=None,
+        help="directory of the per-video ladder-search cache (default: "
+             "shares the artifact-cache directory); results are identical "
+             "either way",
+    )
+    sub.add_argument(
+        "--movable-levels", type=_non_negative_int, default=1,
+        help="how many of the lowest quality rungs the ladder search may "
+             "move (0 = all non-pinned rungs; the default moves only the "
+             "background rung, a strict bits-and-energy win)",
+    )
+
+    sub = command("report", _report, *sessions, device,
+                  help="the full paper report")
+    sub.add_argument("--output", default=None,
+                     help="write the report to this file")
+
+    command("all", None, *sessions, device,
+            help="every paper table and figure, in order",
+            runs=tuple((name, run) for name, _, _, run in paper))
     return parser
 
 
-def _workers_arg(raw: str) -> int:
-    """Validate ``--workers`` at parse time with an actionable message
-    instead of failing deep inside the process pool."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer worker count, got {raw!r}"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"{value} is not a valid worker count: pass a positive "
-            "number of worker processes, or 0 to auto-detect CPUs"
-        )
-    return value
-
-
-def _parse_csv(raw: str, convert, flag: str, parser) -> tuple:
-    try:
-        values = tuple(convert(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        parser.error(f"{flag} expects comma-separated values, got {raw!r}")
-    if not values:
-        parser.error(f"{flag} needs at least one value")
-    return values
+# ----------------------------------------------------------------------
+# One handler per command; each reads only the flags its command takes.
 
 
 def _artifact_store(args: argparse.Namespace) -> ArtifactStore | None:
@@ -281,275 +399,212 @@ def _results_store(args: argparse.Namespace) -> ArtifactStore | None:
     return ArtifactStore(args.artifact_cache)
 
 
-def _run_one(name: str, args: argparse.Namespace) -> None:
-    if name == "table1":
-        print_lines(table1_rows())
-    elif name == "table2":
-        print_lines(run_table2().report())
-    elif name == "table3":
-        print_lines(table3_rows())
-    elif name == "fig2":
-        print_lines(run_fig2(workers=args.workers).report())
-    elif name == "fig4":
-        print_lines(run_fig4().report())
-    elif name == "fig5":
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed)
-        print_lines(run_fig5(setup.dataset).report())
-    elif name == "fig6":
-        from .experiments import run_fig6
+def _setup(args: argparse.Namespace, video_ids=None):
+    return make_setup(max_duration_s=args.duration, seed=args.seed,
+                      video_ids=video_ids, artifacts=_artifact_store(args))
 
-        print_lines(run_fig6().report())
-    elif name == "fig7":
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           artifacts=_artifact_store(args))
-        print_lines(run_fig7(setup).report())
-    elif name == "fig8":
-        print_lines(run_fig8(segments_per_video=60).report())
-    elif name in ("fig9", "fig11"):
-        device = get_device(args.device)
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           artifacts=_artifact_store(args))
-        results = run_comparison(setup, device, users_per_video=args.users,
-                                 workers=args.workers,
-                                 results_store=_results_store(args))
-        if name == "fig9":
-            print_lines(summarize_energy(results, device.name).report())
-        else:
-            print_lines(summarize_qoe(results).report())
-    elif name == "fig10":
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           artifacts=_artifact_store(args))
-        for device_name in ("nexus5x", "galaxys20"):
-            device = get_device(device_name)
-            comparison = run_fig9(setup, device, users_per_video=args.users,
-                                  workers=args.workers,
-                                  results_store=_results_store(args))
-            print_lines(comparison.report())
-    elif name == "shared-cache":
-        from .experiments import sweep_shared_cache
 
-        videos = args.tenant_videos_parsed
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           video_ids=videos,
-                           artifacts=_artifact_store(args))
-        points = sweep_shared_cache(
-            setup,
-            capacities_mbit=args.cache_capacities_parsed,
-            video_ids=videos,
-            tenant_viewers=args.tenant_viewers,
-            users=args.users,
+def _fig6(args):
+    from .experiments import run_fig6
+
+    return run_fig6().report()
+
+
+def _comparison(args):
+    device = get_device(args.device)
+    results = run_comparison(_setup(args), device, users_per_video=args.users,
+                             workers=args.workers,
+                             results_store=_results_store(args))
+    return device, results
+
+
+def _fig9(args):
+    device, results = _comparison(args)
+    return summarize_energy(results, device.name).report()
+
+
+def _fig11(args):
+    return summarize_qoe(_comparison(args)[1]).report()
+
+
+def _fig10(args):
+    setup = _setup(args)
+    return [
+        line for name in ("nexus5x", "galaxys20")
+        for line in run_fig9(setup, get_device(name),
+                             users_per_video=args.users, workers=args.workers,
+                             results_store=_results_store(args)).report()
+    ]
+
+
+def _sweep_options(args) -> dict:
+    return dict(users=args.users, workers=args.workers,
+                results=_results_store(args))
+
+
+def _fault_options(args) -> dict:
+    return dict(profiles=args.fault_profile, fault_seed=args.fault_seed,
+                retry_budget=args.retry_budget,
+                timeout_slack_s=args.timeout_slack)
+
+
+def _section(title: str, points) -> list[str]:
+    return [f"-- {title} --", *(point.report() for point in points)]
+
+
+def _shared_cache(args):
+    from .experiments import sweep_shared_cache
+
+    videos = args.tenant_videos
+    points = sweep_shared_cache(
+        _setup(args, videos), capacities_mbit=args.cache_capacities,
+        video_ids=videos, tenant_viewers=args.tenant_viewers,
+        policy=args.cache_policy, **_sweep_options(args),
+    )
+    return _section(f"shared edge cache ({args.cache_policy}, "
+                    f"{len(videos)} tenant video(s))", points)
+
+
+def _resilience(args):
+    from .experiments import sweep_resilience
+
+    points = sweep_resilience(_setup(args, (8,)), **_fault_options(args),
+                              **_sweep_options(args))
+    return _section(f"resilience (seed {args.fault_seed}, "
+                    f"retry budget {args.retry_budget}, "
+                    f"timeout slack {args.timeout_slack:g}s)", points)
+
+
+def _robust(args):
+    from .experiments import sweep_robust
+
+    points = sweep_robust(
+        _setup(args, (8,)), device=get_device(args.device),
+        uncertainty_deg=args.uncertainty,
+        uncertainty_growth_deg_s=args.uncertainty_growth,
+        perceptual=args.robust_scheme == "pano",
+        **_fault_options(args), **_sweep_options(args),
+    )
+    return _section(f"robust planning ({args.robust_scheme}, "
+                    f"sigma {args.uncertainty:g}deg "
+                    f"+{args.uncertainty_growth:g}deg/s, "
+                    f"fault seed {args.fault_seed})", points)
+
+
+def _population(args):
+    from .experiments import run_population
+    from .traces.arrivals import DiurnalPoissonArrivals
+
+    arrivals = DiurnalPoissonArrivals(
+        rate_per_s=args.arrival_rate,
+        amplitude=args.diurnal_amplitude,
+        # diurnal cycle compressed onto the simulated window so the
+        # swing is visible inside short runs
+        period_s=max(args.arrival_window, 1.0),
+        seed=args.seed,
+    )
+    summary = run_population(
+        _setup(args, (8,)), get_device(args.device),
+        scheme_name=args.population_scheme, arrivals=arrivals,
+        window_s=args.arrival_window,
+    )
+    return _section(f"population ({args.population_scheme}, "
+                    f"rate {args.arrival_rate:g}/s, "
+                    f"amplitude {args.diurnal_amplitude:g}, "
+                    f"window {args.arrival_window:g}s)", [summary])
+
+
+def _serve(args):
+    from .serving import DecisionService, ServiceConfig, build_planners
+    from .serving import run_server
+
+    videos = args.videos
+    planners = build_planners(_setup(args, videos), videos,
+                              device=get_device(args.device),
+                              workers=args.workers)
+    service = DecisionService(planners, ServiceConfig(
+        max_batch=args.max_batch, batch_wait_us=args.batch_wait_us,
+    ))
+
+    def _on_ready(port: int) -> None:
+        print(f"decision service: videos {sorted(planners)} on "
+              f"127.0.0.1:{port} (max batch {args.max_batch}, "
+              f"batch wait {args.batch_wait_us:g}us); Ctrl-C stops",
+              flush=True)
+
+    run_server(service, port=args.port, on_ready=_on_ready)
+    snap = service.stats.snapshot()
+    return [f"served {snap['requests']} request(s) in "
+            f"{snap['batches']} batch(es), mean batch "
+            f"{snap['mean_batch_size']:.2f}, p50 {snap['p50_ms']:.3f}ms, "
+            f"p99 {snap['p99_ms']:.3f}ms, {snap['errors']} error(s)"]
+
+
+def _ladder(args):
+    from .encoding import LadderSearchConfig
+    from .experiments import sweep_ladder
+
+    if args.ladder_cache is not None:
+        ladder_store = ArtifactStore(args.ladder_cache)
+    else:
+        ladder_store = _artifact_store(args)
+    targets, movable = args.quality_targets, args.movable_levels
+    points = sweep_ladder(
+        _setup(args), device=get_device(args.device),
+        quality_targets=targets,
+        search_config=LadderSearchConfig(movable_levels=movable or None),
+        ladder_store=ladder_store, **_sweep_options(args),
+    )
+    targets_desc = (
+        "q25 catalog targets" if targets is None
+        else "targets " + ",".join(f"{t:g}" for t in targets)
+    )
+    movable_desc = "all rungs" if movable == 0 else f"lowest {movable} rung(s)"
+    return _section(f"encoding ladder ({targets_desc}, {movable_desc})",
+                    points)
+
+
+def _ablation(args):
+    from .experiments import (
+        sweep_bandwidth_estimator,
+        sweep_clustering_sigma,
+        sweep_edge_cache,
+        sweep_frame_rate_ladder,
+        sweep_mpc_horizon,
+        sweep_qoe_tolerance,
+        sweep_shared_cache,
+        sweep_viewport_predictor,
+    )
+
+    setup = _setup(args, (5, 8))
+    common = dict(users=args.users, workers=args.workers)
+    sweeps = {
+        "MPC horizon": sweep_mpc_horizon(setup, **common),
+        "QoE tolerance": sweep_qoe_tolerance(setup, **common),
+        "frame-rate ladder": sweep_frame_rate_ladder(setup, **common),
+        "bandwidth estimator": sweep_bandwidth_estimator(setup, **common),
+        "clustering sigma": sweep_clustering_sigma(setup,
+                                                   workers=args.workers),
+        "edge cache": sweep_edge_cache(setup, **common),
+        "shared edge cache": sweep_shared_cache(
+            setup, **common, tenant_viewers=args.tenant_viewers,
             policy=args.cache_policy,
-            workers=args.workers,
-            results=_results_store(args),
-        )
-        print(f"-- shared edge cache ({args.cache_policy},"
-              f" {len(videos)} tenant video(s)) --")
-        for point in points:
-            print(point.report())
-    elif name == "resilience":
-        from .experiments import sweep_resilience
+        ),
+        "viewport predictor": sweep_viewport_predictor(setup, **common),
+    }
+    return [line for title, points in sweeps.items()
+            for line in _section(title, points)]
 
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           video_ids=(8,),
-                           artifacts=_artifact_store(args))
-        points = sweep_resilience(
-            setup,
-            profiles=args.fault_profiles_parsed,
-            users=args.users,
-            fault_seed=args.fault_seed,
-            retry_budget=args.retry_budget,
-            timeout_slack_s=args.timeout_slack,
-            workers=args.workers,
-            results=_results_store(args),
-        )
-        print(f"-- resilience (seed {args.fault_seed}, "
-              f"retry budget {args.retry_budget}, "
-              f"timeout slack {args.timeout_slack:g}s) --")
-        for point in points:
-            print(point.report())
-    elif name == "robust":
-        from .experiments import sweep_robust
 
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           video_ids=(8,),
-                           artifacts=_artifact_store(args))
-        points = sweep_robust(
-            setup,
-            profiles=args.fault_profiles_parsed,
-            device=get_device(args.device),
-            users=args.users,
-            uncertainty_deg=args.uncertainty,
-            uncertainty_growth_deg_s=args.uncertainty_growth,
-            perceptual=args.robust_scheme == "pano",
-            fault_seed=args.fault_seed,
-            retry_budget=args.retry_budget,
-            timeout_slack_s=args.timeout_slack,
-            workers=args.workers,
-            results=_results_store(args),
-        )
-        print(f"-- robust planning ({args.robust_scheme}, "
-              f"sigma {args.uncertainty:g}deg "
-              f"+{args.uncertainty_growth:g}deg/s, "
-              f"fault seed {args.fault_seed}) --")
-        for point in points:
-            print(point.report())
-    elif name == "population":
-        from .experiments import run_population
-        from .traces.arrivals import DiurnalPoissonArrivals
+def _report(args):
+    from .experiments.full_report import ReportConfig, generate_report
 
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           video_ids=(8,),
-                           artifacts=_artifact_store(args))
-        arrivals = DiurnalPoissonArrivals(
-            rate_per_s=args.arrival_rate,
-            amplitude=args.diurnal_amplitude,
-            # diurnal cycle compressed onto the simulated window so the
-            # swing is visible inside short runs
-            period_s=max(args.arrival_window, 1.0),
-            seed=args.seed,
-        )
-        summary = run_population(
-            setup,
-            get_device(args.device),
-            scheme_name=args.population_scheme,
-            arrivals=arrivals,
-            window_s=args.arrival_window,
-        )
-        print(f"-- population ({args.population_scheme}, "
-              f"rate {args.arrival_rate:g}/s, "
-              f"amplitude {args.diurnal_amplitude:g}, "
-              f"window {args.arrival_window:g}s) --")
-        print(summary.report())
-    elif name == "serve":
-        from .serving import DecisionService, ServiceConfig, build_planners
-        from .serving import run_server
-
-        videos = args.videos_parsed
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           video_ids=videos,
-                           artifacts=_artifact_store(args))
-        planners = build_planners(setup, videos,
-                                  device=get_device(args.device),
-                                  workers=args.workers)
-        service = DecisionService(planners, ServiceConfig(
-            max_batch=args.max_batch, batch_wait_us=args.batch_wait_us,
-        ))
-
-        def _on_ready(port: int) -> None:
-            print(f"decision service: videos {sorted(planners)} on "
-                  f"127.0.0.1:{port} (max batch {args.max_batch}, "
-                  f"batch wait {args.batch_wait_us:g}us); Ctrl-C stops",
-                  flush=True)
-
-        run_server(service, port=args.port, on_ready=_on_ready)
-        snap = service.stats.snapshot()
-        print(f"served {snap['requests']} request(s) in "
-              f"{snap['batches']} batch(es), mean batch "
-              f"{snap['mean_batch_size']:.2f}, p50 {snap['p50_ms']:.3f}ms, "
-              f"p99 {snap['p99_ms']:.3f}ms, {snap['errors']} error(s)")
-    elif name == "ladder":
-        from .encoding import LadderSearchConfig
-        from .experiments import sweep_ladder
-
-        setup = make_setup(max_duration_s=args.duration, seed=args.seed,
-                           artifacts=_artifact_store(args))
-        if args.ladder_cache is not None:
-            ladder_store = ArtifactStore(args.ladder_cache)
-        else:
-            ladder_store = _artifact_store(args)
-        config = LadderSearchConfig(
-            movable_levels=(
-                None if args.movable_levels == 0 else args.movable_levels
-            ),
-        )
-        points = sweep_ladder(
-            setup,
-            device=get_device(args.device),
-            users=args.users,
-            quality_targets=args.quality_targets_parsed,
-            search_config=config,
-            ladder_store=ladder_store,
-            workers=args.workers,
-            results=_results_store(args),
-        )
-        targets_desc = (
-            "q25 catalog targets" if args.quality_targets_parsed is None
-            else f"targets {args.quality_targets}"
-        )
-        movable_desc = (
-            "all rungs" if args.movable_levels == 0
-            else f"lowest {args.movable_levels} rung(s)"
-        )
-        print(f"-- encoding ladder ({targets_desc}, {movable_desc}) --")
-        for point in points:
-            print(point.report())
-    elif name == "ablation":
-        from .experiments import (
-            make_setup as _make_setup,
-            sweep_bandwidth_estimator,
-            sweep_clustering_sigma,
-            sweep_edge_cache,
-            sweep_frame_rate_ladder,
-            sweep_mpc_horizon,
-            sweep_qoe_tolerance,
-            sweep_shared_cache,
-            sweep_viewport_predictor,
-        )
-
-        setup = _make_setup(max_duration_s=args.duration, seed=args.seed,
-                            video_ids=(5, 8),
-                            artifacts=_artifact_store(args))
-        sweeps = {
-            "MPC horizon": sweep_mpc_horizon(
-                setup, users=args.users, workers=args.workers
-            ),
-            "QoE tolerance": sweep_qoe_tolerance(
-                setup, users=args.users, workers=args.workers
-            ),
-            "frame-rate ladder": sweep_frame_rate_ladder(
-                setup, users=args.users, workers=args.workers
-            ),
-            "bandwidth estimator": sweep_bandwidth_estimator(
-                setup, users=args.users, workers=args.workers
-            ),
-            "clustering sigma": sweep_clustering_sigma(
-                setup, workers=args.workers
-            ),
-            "edge cache": sweep_edge_cache(
-                setup, users=args.users, workers=args.workers
-            ),
-            "shared edge cache": sweep_shared_cache(
-                setup, users=args.users, workers=args.workers,
-                tenant_viewers=args.tenant_viewers,
-                policy=args.cache_policy,
-            ),
-            "viewport predictor": sweep_viewport_predictor(
-                setup, users=args.users, workers=args.workers
-            ),
-        }
-        for title, points in sweeps.items():
-            print(f"-- {title} --")
-            for point in points:
-                print(point.report())
-    elif name == "report":
-        from .experiments.full_report import ReportConfig, generate_report
-
-        report_config = ReportConfig(
-            max_duration_s=args.duration,
-            users_per_video=args.users,
-            device=args.device,
-            seed=args.seed,
-            workers=args.workers,
-            artifacts=_artifact_store(args),
-            results=_results_store(args),
-        )
-        text = generate_report(report_config, path=args.output)
-        if args.output:
-            print(f"report written to {args.output}")
-        else:
-            print(text)
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValueError(f"unknown experiment {name}")
+    text = generate_report(ReportConfig(
+        max_duration_s=args.duration, users_per_video=args.users,
+        device=args.device, seed=args.seed, workers=args.workers,
+        artifacts=_artifact_store(args), results=_results_store(args),
+    ), path=args.output)
+    return [f"report written to {args.output}" if args.output else text]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -567,74 +622,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tenant_viewers < 1:
-        parser.error("--tenant-viewers must be >= 1")
-    args.cache_capacities_parsed = _parse_csv(
-        args.cache_capacities, float, "--cache-capacities", parser
-    )
-    args.tenant_videos_parsed = _parse_csv(
-        args.tenant_videos, int, "--tenant-videos", parser
-    )
-    if any(c < 0 for c in args.cache_capacities_parsed):
-        parser.error("--cache-capacities must be non-negative")
-    args.fault_profiles_parsed = _parse_csv(
-        args.fault_profile, str.strip, "--fault-profile", parser
-    )
-    args.videos_parsed = _parse_csv(args.videos, int, "--videos", parser)
-    if args.quality_targets is None:
-        args.quality_targets_parsed = None
-    else:
-        args.quality_targets_parsed = _parse_csv(
-            args.quality_targets, float, "--quality-targets", parser
-        )
-        if any(not 0.0 <= t <= 100.0 for t in args.quality_targets_parsed):
-            parser.error("--quality-targets must be Qo scores in [0, 100]")
-    if args.movable_levels < 0:
-        parser.error("--movable-levels must be >= 0 (0 = all non-pinned "
-                     "rungs)")
-    if not 0 <= args.port <= 65535:
-        parser.error("--port must be in [0, 65535]")
-    if args.max_batch < 1:
-        parser.error("--max-batch must be >= 1")
-    if args.batch_wait_us < 0:
-        parser.error("--batch-wait-us must be >= 0")
-    from .resilience.faults import FAULT_PROFILES
-
-    unknown_profiles = [
-        p for p in args.fault_profiles_parsed if p not in FAULT_PROFILES
-    ]
-    if unknown_profiles:
-        parser.error(
-            f"unknown fault profile(s) {', '.join(map(repr, unknown_profiles))}; "
-            f"available: {', '.join(sorted(FAULT_PROFILES))}"
-        )
-    if args.retry_budget < 0:
-        parser.error("--retry-budget must be >= 0 (0 = no retries)")
-    if args.uncertainty < 0:
-        parser.error("--uncertainty must be >= 0 degrees")
-    if args.uncertainty_growth < 0:
-        parser.error("--uncertainty-growth must be >= 0 degrees/second")
-    if args.timeout_slack < 0:
-        parser.error("--timeout-slack must be >= 0 seconds")
-    if args.arrival_rate <= 0:
-        parser.error("--arrival-rate must be positive")
-    if not 0.0 <= args.diurnal_amplitude < 1.0:
-        parser.error("--diurnal-amplitude must be in [0, 1)")
-    if args.arrival_window <= 0:
-        parser.error("--arrival-window must be positive")
-    if args.experiment == "all":
-        names = [
-            "table1", "table2", "table3",
-            "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "fig10", "fig11",
-        ]
-    else:
-        names = [args.experiment]
-    for name in names:
+    args = build_parser().parse_args(argv)
+    for name, handler in args.runs:
         print(f"== {name} ==")
-        _run_one(name, args)
+        print_lines(handler(args))
         print()
     return 0
 

@@ -1,6 +1,5 @@
-"""Core contribution: configuration, MPC optimizer, Ours controller."""
+"""Core contribution: MPC optimizer, Ours controller."""
 
-from .config import StreamingConfig
 from .controller import OursScheme
 from .offline import OfflinePlan, solve_offline
 from .optimizer import EnergyQoEMpc, MpcConfig, MpcDecision, MpcWindow
@@ -8,7 +7,6 @@ from .plan_tables import PlanTables
 from .robust import RobustScheme, expected_quality_window
 
 __all__ = [
-    "StreamingConfig",
     "OursScheme",
     "RobustScheme",
     "expected_quality_window",

@@ -110,10 +110,6 @@ class MpcWindow:
     def num_qualities(self) -> int:
         return int(self.sizes_mbit.shape[1])
 
-    @property
-    def num_rates(self) -> int:
-        return int(self.sizes_mbit.shape[2])
-
 
 @dataclass(frozen=True)
 class MpcDecision:

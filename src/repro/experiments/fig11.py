@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..power.models import DevicePowerModel, PIXEL_3
 from ..streaming.metrics import SessionResult
-from .setup import ExperimentSetup, SCHEME_ORDER, run_comparison
+from .setup import SCHEME_ORDER
 
-__all__ = ["QoEComparison", "run_fig11"]
+__all__ = ["QoEComparison", "summarize_qoe"]
 
 
 @dataclass(frozen=True)
@@ -97,23 +96,3 @@ def summarize_qoe(
         traces=traces,
         schemes=schemes,
     )
-
-
-def run_fig11(
-    setup: ExperimentSetup,
-    device: DevicePowerModel = PIXEL_3,
-    users_per_video: int | None = None,
-    results: dict[tuple[str, str, int], list[SessionResult]] | None = None,
-    workers: int | None = 1,
-    results_store=None,
-) -> QoEComparison:
-    """Run (or reuse) the session matrix and summarize QoE.
-
-    ``workers`` parallelizes the sweep (0 = auto-detect) without
-    changing its results.
-    """
-    if results is None:
-        results = run_comparison(setup, device, users_per_video,
-                                 workers=workers,
-                                 results_store=results_store)
-    return summarize_qoe(results)

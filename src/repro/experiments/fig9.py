@@ -51,9 +51,6 @@ class EnergyComparison:
         base = means["ctile"]
         return {scheme: value / base for scheme, value in means.items()}
 
-    def saving_vs_ctile(self, scheme: str, trace: str | None = None) -> float:
-        return 1.0 - self.normalized(trace)[scheme]
-
     def breakdown_for(
         self, video_id: int, trace: str
     ) -> dict[str, tuple[float, float, float]]:

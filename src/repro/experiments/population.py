@@ -3,8 +3,8 @@
 Drives the batched :class:`~repro.streaming.population.PopulationEngine`
 with a seeded diurnal-Poisson arrival process over the synthetic user
 pool: sessions arrive over a window, share the cell's capacity as a
-fair-share link (the :mod:`~repro.streaming.multiclient` processor-
-sharing approximation), optionally sit behind a shared edge cache, and
+fair-share link (``NetworkTrace.scaled(1 / N)``, a processor-sharing
+approximation), optionally sit behind a shared edge cache, and
 each replays one held-out head trace.  The result summarizes the same
 per-session aggregates the paper's single-session tables report, now as
 population means.

@@ -6,43 +6,15 @@ reports, so benchmark logs read like the original tables and figures.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
-__all__ = ["format_row", "format_table", "format_normalized", "print_lines"]
+__all__ = ["format_row", "print_lines"]
 
 
 def format_row(label: str, values: Iterable[float], fmt: str = "{:>8.3f}") -> str:
     """One labelled row of numbers."""
     cells = "".join(fmt.format(v) for v in values)
     return f"{label:<22}{cells}"
-
-
-def format_table(
-    headers: Iterable[str],
-    rows: Mapping[str, Iterable[float]],
-    fmt: str = "{:>8.3f}",
-) -> list[str]:
-    """A labelled table: header line plus one row per entry."""
-    head = f"{'':<22}" + "".join(f"{h:>8}" for h in headers)
-    lines = [head]
-    for label, values in rows.items():
-        lines.append(format_row(label, values, fmt))
-    return lines
-
-
-def format_normalized(
-    values: Mapping[str, float], baseline: str, title: str
-) -> list[str]:
-    """Values normalized by a baseline entry, printed as percentages."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} missing")
-    base = values[baseline]
-    lines = [title]
-    for name, value in values.items():
-        ratio = value / base
-        delta = (1.0 - ratio) * 100.0
-        lines.append(f"  {name:<10} {ratio:6.3f}x  ({delta:+.1f}% vs {baseline})")
-    return lines
 
 
 def print_lines(lines: Iterable[str]) -> None:

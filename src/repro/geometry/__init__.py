@@ -1,6 +1,5 @@
-"""Geometry substrate: spherical math, viewports, tile grids, projection."""
+"""Geometry substrate: spherical math, viewports, tile grids."""
 
-from .projection import EquirectFrame, ViewRenderer
 from .quaternion import (
     angles_to_quaternion,
     quaternion_conjugate,
@@ -13,20 +12,15 @@ from .quaternion import (
 )
 from .sphere import (
     angular_distance,
-    clamp_pitch,
     equirect_distance,
     orientation_angles,
     orientation_vector,
-    switching_speed,
     switching_speed_series,
-    wrap_yaw,
 )
 from .tiling import DEFAULT_GRID, FTILE_BLOCK_GRID, Tile, TileGrid
 from .viewport import DEFAULT_FOV_DEG, Rect, Viewport
 
 __all__ = [
-    "EquirectFrame",
-    "ViewRenderer",
     "angles_to_quaternion",
     "quaternion_conjugate",
     "quaternion_multiply",
@@ -36,13 +30,10 @@ __all__ = [
     "quaternion_to_angles",
     "quaternion_to_direction",
     "angular_distance",
-    "clamp_pitch",
     "equirect_distance",
     "orientation_angles",
     "orientation_vector",
-    "switching_speed",
     "switching_speed_series",
-    "wrap_yaw",
     "DEFAULT_GRID",
     "FTILE_BLOCK_GRID",
     "Tile",

@@ -26,30 +26,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "wrap_yaw",
-    "clamp_pitch",
     "orientation_vector",
     "orientation_angles",
     "angular_distance",
     "equirect_distance",
-    "switching_speed",
     "switching_speed_series",
 ]
-
-
-def wrap_yaw(yaw: float | np.ndarray) -> float | np.ndarray:
-    """Wrap a yaw angle (degrees) into the canonical range ``[0, 360)``.
-
-    Works on scalars and numpy arrays alike.
-    """
-    return np.asarray(yaw) % 360.0 if isinstance(yaw, np.ndarray) else yaw % 360.0
-
-
-def clamp_pitch(pitch: float | np.ndarray) -> float | np.ndarray:
-    """Clamp a pitch angle (degrees) into ``[-90, +90]``."""
-    if isinstance(pitch, np.ndarray):
-        return np.clip(pitch, -90.0, 90.0)
-    return max(-90.0, min(90.0, pitch))
 
 
 def orientation_vector(yaw: float, pitch: float) -> np.ndarray:
@@ -117,24 +99,6 @@ def equirect_distance(
     dyaw = min(dyaw, 360.0 - dyaw)
     dpitch = pitch1 - pitch2
     return math.hypot(dyaw, dpitch)
-
-
-def switching_speed(
-    yaw1: float,
-    pitch1: float,
-    t1: float,
-    yaw2: float,
-    pitch2: float,
-    t2: float,
-) -> float:
-    """View switching speed in degrees per second (paper Eq. 5).
-
-    ``t1`` and ``t2`` are timestamps in seconds; ``t2`` must be strictly
-    after ``t1``.
-    """
-    if t2 <= t1:
-        raise ValueError(f"timestamps must be increasing, got {t1} -> {t2}")
-    return angular_distance(yaw1, pitch1, yaw2, pitch2) / (t2 - t1)
 
 
 def switching_speed_series(

@@ -7,7 +7,6 @@ from .strategies import (
     PredictorProtocol,
     StaticPredictor,
     oracle_predictor_factory,
-    ridge_predictor_factory,
     static_predictor_factory,
 )
 from .uncertainty import (
@@ -36,7 +35,6 @@ __all__ = [
     "PredictorProtocol",
     "StaticPredictor",
     "oracle_predictor_factory",
-    "ridge_predictor_factory",
     "static_predictor_factory",
     "AngularErrorModel",
     "RidgeRegressor",

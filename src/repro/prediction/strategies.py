@@ -23,13 +23,11 @@ import numpy as np
 
 from ..geometry.viewport import DEFAULT_FOV_DEG, Viewport
 from ..traces.head_movement import HeadTrace
-from .viewport import ViewportPredictor
 
 __all__ = [
     "PredictorProtocol",
     "StaticPredictor",
     "OraclePredictor",
-    "ridge_predictor_factory",
     "static_predictor_factory",
     "oracle_predictor_factory",
 ]
@@ -116,12 +114,6 @@ class OraclePredictor:
         if end <= t:
             return 0.0
         return self.trace.speed_quantile_in(t, end, quantile)
-
-
-def ridge_predictor_factory(trace: HeadTrace, fov_deg: float,
-                            window_s: float = 2.0) -> ViewportPredictor:
-    """The paper's ridge-regression predictor (default)."""
-    return ViewportPredictor(window_s=window_s, fov_deg=fov_deg)
 
 
 def static_predictor_factory(trace: HeadTrace, fov_deg: float,

@@ -18,7 +18,6 @@ from .policy import (
     DegradationLevel,
     DownloadOutcome,
     DownloadPolicy,
-    build_degradation_ladder,
     execute_download,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "DegradationLevel",
     "DownloadOutcome",
     "DownloadPolicy",
-    "build_degradation_ladder",
     "execute_download",
 ]

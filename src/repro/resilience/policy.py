@@ -48,7 +48,6 @@ __all__ = [
     "DegradationLevel",
     "DownloadPolicy",
     "DownloadOutcome",
-    "build_degradation_ladder",
     "execute_download",
 ]
 
@@ -166,17 +165,6 @@ def _skip_plan(plan: DownloadPlan, fps: float) -> DownloadPlan:
 
 # Fetchable rungs before SKIP: FULL, REDUCED, LOW_LAYER.
 _LADDER_DEPTH = 3
-
-
-def build_degradation_ladder(
-    plan: DownloadPlan, seg, fps: float
-) -> tuple[tuple[DegradationLevel, DownloadPlan], ...]:
-    """The fetchable rungs for one segment, best first (SKIP excluded)."""
-    return (
-        (DegradationLevel.FULL, plan),
-        (DegradationLevel.REDUCED, _reduced_plan(plan, seg, fps)),
-        (DegradationLevel.LOW_LAYER, _low_layer_plan(plan, seg, fps)),
-    )
 
 
 def execute_download(

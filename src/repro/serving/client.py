@@ -39,9 +39,6 @@ class ServiceClient:
         """StreamingScheme entry point used by ``run_session``."""
         return self.transport.plan(request_from_context(ctx))
 
-    def plan_request(self, request: PlanRequest) -> DownloadPlan:
-        return self.transport.plan(request)
-
     def plan_many(self, requests) -> list[DownloadPlan]:
         """Resolve raw requests concurrently (results in order).
 

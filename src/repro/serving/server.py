@@ -23,15 +23,23 @@ from .service import DecisionService
 
 __all__ = ["serve_tcp", "run_server"]
 
+# asyncio's default stream limit: the longest request line served.
+_LINE_LIMIT = 2**16
+
 
 async def serve_tcp(
     service: DecisionService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
     """Start the TCP front-end (the service must be started already)."""
 
-    async def answer(line: bytes, writer, write_lock) -> None:
+    async def answer(line: bytes | None, writer, write_lock) -> None:
         request_id = None
         try:
+            if line is None:
+                raise PlanRequestError(
+                    "bad_request",
+                    f"line longer than the {_LINE_LIMIT}-byte limit",
+                )
             request_id, request = decode_request_line(line)
             outcome = await service.plan(request)
         except PlanRequestError as err:
@@ -53,8 +61,8 @@ async def serve_tcp(
         connections.add(writer)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 task = loop.create_task(answer(line, writer, write_lock))
                 pending.add(task)
@@ -69,11 +77,29 @@ async def serve_tcp(
             except (ConnectionError, OSError):
                 pass
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=_LINE_LIMIT)
     # Closing these writers sends EOF to every open connection, letting
     # their handler tasks finish instead of being cancelled at shutdown.
     server.repro_connections = connections
     return server
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or None for a line longer than
+    the stream limit, whose bytes are read and dropped."""
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as err:
+            line = err.partial
+        except asyncio.LimitOverrunError as err:
+            # Drop what is buffered up to the newline, or all of it
+            # when the newline has not arrived yet, and read on.
+            overrun = True
+            await reader.readexactly(err.consumed)
+            continue
+        return None if overrun else line
 
 
 def run_server(

@@ -213,19 +213,23 @@ class DecisionService:
                         f"(available: {sorted(self.planners)})",
                     )
             except PlanRequestError as err:
-                future.set_exception(err)
+                _resolve(future, err)
                 errors += 1
                 continue
             by_video.setdefault(request.video_id, []).append(entry)
         for video_id, entries in by_video.items():
             planner = self.planners[video_id]
-            outcomes = planner.plan_batch([e[0] for e in entries])
+            requests = [e[0] for e in entries]
+            try:
+                outcomes = planner.plan_batch(requests)
+            except Exception:  # noqa: BLE001 — keep the dispatcher alive
+                # A request that passes validation can still fail to
+                # plan; re-solve row by row so only it gets the error
+                # and its batchmates still get their plan_one plans.
+                outcomes = [_plan_alone(planner, r) for r in requests]
             for (_, future, _), outcome in zip(entries, outcomes):
-                if isinstance(outcome, PlanRequestError):
-                    future.set_exception(outcome)
-                    errors += 1
-                else:
-                    future.set_result(outcome)
+                _resolve(future, outcome)
+                errors += isinstance(outcome, PlanRequestError)
         now = self._loop.time()
         self.stats.record_batch(
             len(batch),
@@ -234,6 +238,26 @@ class DecisionService:
             None if self.config.slo_ms is None
             else self.config.slo_ms * 1e-3,
         )
+
+
+def _plan_alone(planner: VideoPlanner, request: PlanRequest):
+    """``plan_one``'s plan, or the error it raised as a PlanRequestError."""
+    try:
+        return planner.plan_one(request)
+    except PlanRequestError as err:
+        return err
+    except Exception as err:  # noqa: BLE001
+        return PlanRequestError("internal", f"{type(err).__name__}: {err}")
+
+
+def _resolve(future: asyncio.Future, outcome) -> None:
+    # A caller that gave up cancelled its future; setting it would raise.
+    if future.done():
+        return
+    if isinstance(outcome, PlanRequestError):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 class ServiceRunner:

@@ -25,9 +25,7 @@ from .metrics import (
     SegmentRecord,
     SessionResult,
     mean_sessions,
-    normalize_by,
 )
-from .multiclient import SharedLinkResult, capacity_sweep, run_shared_link
 from .population import PopulationEngine, PopulationResult
 from .schemes import (
     CtileScheme,
@@ -59,9 +57,6 @@ __all__ = [
     "TimelineEntry",
     "session_timeline",
     "timeline_csv",
-    "SharedLinkResult",
-    "capacity_sweep",
-    "run_shared_link",
     "PopulationEngine",
     "PopulationResult",
     "FtileCell",
@@ -71,7 +66,6 @@ __all__ = [
     "SegmentRecord",
     "SessionResult",
     "mean_sessions",
-    "normalize_by",
     "CtileScheme",
     "DownloadPlan",
     "FtileScheme",

@@ -17,7 +17,7 @@ from ..power.energy import SegmentEnergy
 from ..power.models import TilingScheme
 from ..qoe.metrics import SegmentQoE, SessionQoE
 
-__all__ = ["SegmentRecord", "SessionResult", "mean_sessions", "normalize_by"]
+__all__ = ["SegmentRecord", "SessionResult", "mean_sessions"]
 
 
 @dataclass(frozen=True)
@@ -230,16 +230,3 @@ def mean_sessions(results: list[SessionResult]) -> dict[str, float]:
         "frame_rate": float(np.mean([r.mean_frame_rate for r in results])),
         "coverage": float(np.mean([r.mean_coverage for r in results])),
     }
-
-
-def normalize_by(
-    metrics: dict[str, dict[str, float]], baseline: str, key: str
-) -> dict[str, float]:
-    """Normalize one metric across schemes by a baseline scheme
-    (the paper normalizes energy and QoE by Ctile)."""
-    if baseline not in metrics:
-        raise KeyError(f"baseline {baseline!r} missing from metrics")
-    base = metrics[baseline][key]
-    if base == 0:
-        raise ZeroDivisionError(f"baseline metric {key!r} is zero")
-    return {scheme: values[key] / base for scheme, values in metrics.items()}

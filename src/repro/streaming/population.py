@@ -40,8 +40,8 @@ Supported: :class:`~repro.streaming.schemes.CtileScheme`,
 additionally stacks the probability tensors — expected coverage, error
 scale, per-tile viewing probabilities — next to the Ptile-match data)
 against a plain
-:class:`~repro.traces.network.NetworkTrace` (optionally scaled for fair
-sharing, as :mod:`repro.streaming.multiclient` does) with an optional
+:class:`~repro.traces.network.NetworkTrace` (optionally scaled by
+``1 / N`` for a fair share of a link N clients split) with an optional
 :class:`~repro.streaming.cache.EdgeHitModel`.  Resilience overlays and
 custom predictor factories keep per-session control flow and stay on
 ``run_session``.

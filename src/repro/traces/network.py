@@ -171,14 +171,6 @@ class NetworkTrace:
                 raise RuntimeError("bounded download did not converge")
         return size_mbit - remaining, budget_s, False
 
-    def mean_throughput_over(self, start_t: float, duration: float) -> float:
-        """Average bandwidth over a window (used as realized throughput)."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        steps = max(int(np.ceil(duration / self.bin_seconds)) * 4, 4)
-        times = start_t + np.linspace(0, duration, steps, endpoint=False)
-        return float(np.mean([self.bandwidth_at(float(x)) for x in times]))
-
     def scaled(self, factor: float, name: str | None = None) -> "NetworkTrace":
         """Linearly scaled copy (the paper's trace 1 = 2 x trace 2)."""
         if factor <= 0:

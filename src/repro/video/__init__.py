@@ -15,7 +15,6 @@ from .encoder import (
     EncoderModel,
     EncodingLadder,
     QUALITY_LEVELS,
-    quality_to_crf,
 )
 from .framerate import DEFAULT_LADDER, FrameRateLadder
 from .segments import SegmentManifest, VideoManifest
@@ -34,7 +33,6 @@ __all__ = [
     "EncoderModel",
     "EncodingLadder",
     "QUALITY_LEVELS",
-    "quality_to_crf",
     "DEFAULT_LADDER",
     "FrameRateLadder",
     "SegmentManifest",

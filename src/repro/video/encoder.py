@@ -44,7 +44,6 @@ __all__ = [
     "EncoderModel",
     "EncodingLadder",
     "QUALITY_LEVELS",
-    "quality_to_crf",
 ]
 
 QUALITY_LEVELS = DEFAULT_ENCODING_LADDER.levels
@@ -97,24 +96,6 @@ _FRAME_BIT_SHARE = 0.6
 # Log-compression scale mapping FoV bitrate onto the Eq. 3 logistic's
 # sensitive band (see EncoderModel.qoe_bitrate_mbps).
 _QOE_BITRATE_SCALE = 1.6
-
-
-def quality_to_crf(quality: float) -> float:
-    """Map a quality level to the x264 CRF used in the paper.
-
-    Quality 1 -> CRF 38 (worst), quality 5 -> CRF 18 (best).  The five
-    integer levels are the paper's ladder; fractional levels in [1, 5]
-    interpolate the CRF sweep and model the denser ladders whole-video
-    players (Nontile / YouTube) use.
-
-    .. deprecated::
-        This is the *default* ladder only.  New code should go through
-        :meth:`EncodingLadder.crf` (usually ``encoder.ladder.crf``), which
-        validates and interpolates for any per-video ladder; this shim
-        delegates to :data:`DEFAULT_ENCODING_LADDER` and stays for the
-        paper-ladder call sites and tests.
-    """
-    return DEFAULT_ENCODING_LADDER.crf(quality)
 
 
 def _efficiency_exponent(quality: float) -> float:

@@ -1,15 +1,17 @@
-"""Equirectangular projection and view generation.
+"""Equirectangular projection and gnomonic view generation, as a test
+reference.
 
-After decoding, the client generates the displayed view by mapping
-display pixels back onto the equirectangular frame based on the head
+After decoding, a 360-degree player generates the displayed view by
+mapping display pixels back onto the equirectangular frame from the head
 orientation ("drawing the pixel values onto the display", paper
 Section II).  This module implements that coordinate mapping: the
-gnomonic (perspective) projection used by real 360-degree players, plus
-pixel/angle conversions for the equirectangular frame.
+gnomonic (perspective) projection real players use, plus pixel/angle
+conversions for the equirectangular frame.
 
-These routines let examples and tests verify which parts of the frame a
-rendered view actually samples — e.g. that a Ptile covering the
-predicted viewport contains every pixel the renderer needs.
+Nothing in the library renders views; tests use this ray-cast mapping as
+an independent check of the rectangle geometry the library plans with,
+e.g. that a Ptile covering the predicted viewport contains the pixels
+the renderer samples.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .viewport import Viewport
+from repro.geometry.viewport import Viewport
 
 __all__ = ["EquirectFrame", "ViewRenderer"]
 

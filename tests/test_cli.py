@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import ast
+import importlib.util
+import re
+import shlex
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -17,6 +27,8 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["fig8"])
         assert args.experiment == "fig8"
+        args = parser.parse_args(["fig9"])
+        assert args.experiment == "fig9"
         assert args.duration == 120
         assert args.users == 2
 
@@ -64,9 +76,9 @@ class TestParser:
     def test_shared_cache_flag_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["shared-cache"])
-        assert args.cache_capacities == "0,500,2000,8000"
+        assert args.cache_capacities == (0.0, 500.0, 2000.0, 8000.0)
         assert args.cache_policy == "lru"
-        assert args.tenant_videos == "5,8"
+        assert args.tenant_videos == (5, 8)
         assert args.tenant_viewers == 8
 
     def test_shared_cache_flag_parsing(self):
@@ -76,9 +88,9 @@ class TestParser:
             "--cache-policy", "lfu", "--tenant-videos", "2,8",
             "--tenant-viewers", "4",
         ])
-        assert args.cache_capacities == "0,300.5"
+        assert args.cache_capacities == (0.0, 300.5)
         assert args.cache_policy == "lfu"
-        assert args.tenant_videos == "2,8"
+        assert args.tenant_videos == (2, 8)
         assert args.tenant_viewers == 4
 
     def test_invalid_cache_policy_rejected(self):
@@ -177,7 +189,7 @@ class TestLadderCli:
             "ladder", "--quality-targets", "40,50,60,70,80",
             "--ladder-cache", "/tmp/ladders", "--movable-levels", "0",
         ])
-        assert args.quality_targets == "40,50,60,70,80"
+        assert args.quality_targets == (40.0, 50.0, 60.0, 70.0, 80.0)
         assert args.ladder_cache == "/tmp/ladders"
         assert args.movable_levels == 0
 
@@ -207,7 +219,9 @@ class TestResilienceCli:
     def test_flag_defaults(self):
         parser = build_parser()
         args = parser.parse_args(["resilience"])
-        assert args.fault_profile == "none,outages,collapse,lossy,stress"
+        assert args.fault_profile == (
+            "none", "outages", "collapse", "lossy", "stress"
+        )
         assert args.fault_seed == 7
         assert args.retry_budget == 2
         assert args.timeout_slack == 0.75
@@ -219,7 +233,7 @@ class TestResilienceCli:
             "--fault-seed", "42", "--retry-budget", "1",
             "--timeout-slack", "1.5",
         ])
-        assert args.fault_profile == "lossy,stress"
+        assert args.fault_profile == ("lossy", "stress")
         assert args.fault_seed == 42
         assert args.retry_budget == 1
         assert args.timeout_slack == 1.5
@@ -298,3 +312,179 @@ class TestPopulationCli:
         sessions = int(line.split("sessions")[1].split()[0])
         assert sessions > 0
         assert "E/seg" in line and "QoE" in line
+
+
+# Each command's flags: exactly what its handler reads.
+DATASET = {"--duration", "--seed"}
+ARTIFACTS = {"--artifact-cache", "--no-artifact-cache"}
+SESSIONS = DATASET | ARTIFACTS | {
+    "--users", "--workers", "--results-cache", "--no-results-cache",
+}
+FAULTS = {"--fault-profile", "--fault-seed", "--retry-budget",
+          "--timeout-slack"}
+TENANTS = {"--tenant-viewers", "--cache-policy"}
+COMMAND_FLAGS = {
+    "table1": set(), "table2": set(), "table3": set(), "fig4": set(),
+    "fig6": set(), "fig8": set(),
+    "fig2": {"--workers"},
+    "fig5": DATASET,
+    "fig7": DATASET | ARTIFACTS,
+    "fig9": SESSIONS | {"--device"},
+    "fig10": SESSIONS,
+    "fig11": SESSIONS | {"--device"},
+    "all": SESSIONS | {"--device"},
+    "report": SESSIONS | {"--device", "--output"},
+    "ablation": DATASET | ARTIFACTS | TENANTS | {"--users", "--workers"},
+    "shared-cache": SESSIONS | TENANTS | {"--cache-capacities",
+                                          "--tenant-videos"},
+    "resilience": SESSIONS | FAULTS,
+    "robust": SESSIONS | FAULTS | {"--device", "--uncertainty",
+                                   "--uncertainty-growth",
+                                   "--robust-scheme"},
+    "population": DATASET | ARTIFACTS | {
+        "--device", "--arrival-rate", "--diurnal-amplitude",
+        "--arrival-window", "--population-scheme",
+    },
+    "serve": DATASET | ARTIFACTS | {
+        "--device", "--workers", "--videos", "--max-batch",
+        "--batch-wait-us", "--port",
+    },
+    "ladder": SESSIONS | {"--device", "--quality-targets", "--ladder-cache",
+                          "--movable-levels"},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions
+                 if a.dest == "experiment" and a.choices]
+    return action.choices
+
+
+class TestCommandShape:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        accepted = {
+            name: {o for a in sub._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, sub in _subparsers().items()
+        }
+        assert accepted == COMMAND_FLAGS
+        assert sum(map(len, accepted.values())) == 131
+
+    def test_flag_of_another_command_rejected(self, capsys):
+        for argv in (["table1", "--duration", "30"],
+                     ["fig8", "--users", "1"],
+                     ["serve", "--users", "1"],
+                     ["fig10", "--device", "pixel3"]):
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args(argv)
+            assert exit_.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig9", "--users", "0"],
+        ["fig9", "--users", "-1"],
+        ["fig5", "--duration", "0"],
+        ["fig9", "--device", "bogus"],
+        ["shared-cache", "--tenant-videos", "99"],
+        ["serve", "--videos", "99"],
+        ["serve", "--port", "70000"],
+        ["serve", "--max-batch", "0"],
+        ["serve", "--batch-wait-us", "-1"],
+        ["population", "--arrival-rate", "0"],
+        ["population", "--diurnal-amplitude", "1"],
+        ["population", "--arrival-window", "-5"],
+        ["robust", "--uncertainty", "nan"],
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, capsys):
+        # These used to reach a traceback, or the wrong experiment
+        # (--users -1 ran 7 of the 8 test users).
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}" in err
+        assert "Traceback" not in err
+
+
+# The documents whose command lines must parse; the last is the
+# repository's build-and-verify recipe.
+DOCS = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+
+
+def _code_snippets(text: str):
+    """Fenced code lines (comments dropped) and inline code spans."""
+    fenced = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            yield line.split("#", 1)[0]
+        else:
+            yield from re.findall(r"`([^`]+)`", line)
+
+
+def _documented_invocations():
+    """Every concrete ``repro-360``/``python -m repro.cli`` command line
+    in the docs, as ``(source, argv)``; placeholders are skipped."""
+    for doc in DOCS:
+        for snippet in _code_snippets((ROOT / doc).read_text()):
+            match = re.match(
+                r"\s*(?:\w+=\S+\s+)*(?:repro-360|python -m repro\.cli)\s+(.*)$",
+                snippet,
+            )
+            if match is None:
+                continue
+            argv = shlex.split(re.split(r"[|>&;\\]", match.group(1))[0])
+            if argv and not any(a[0] in "<[" for a in argv):
+                yield doc, argv
+
+
+def _e2e_serve_argvs():
+    """The ``serve`` arguments the end-to-end benchmark sends, read from
+    its ``Server`` class for every benchmark scale."""
+    path = ROOT / "benchmarks" / "e2e" / "run.py"
+    spec = importlib.util.spec_from_file_location("_e2e_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    (args_node,) = [
+        node.value for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["args"]
+        and isinstance(node.value, ast.List)
+        and isinstance(node.value.elts[0], ast.Constant)
+        and node.value.elts[0].value == "serve"
+    ]
+    code = compile(ast.Expression(args_node), str(path), "eval")
+    for scale in module.SCALES.values():
+        run = types.SimpleNamespace(scale=scale)
+        yield eval(code, {**vars(module), "run": run})
+
+
+class TestDocumentedInvocations:
+    def test_docs_name_commands(self):
+        found = list(_documented_invocations())
+        assert len(found) >= 20
+        assert {doc for doc, _ in found} == set(DOCS)
+
+    @pytest.mark.parametrize(
+        "doc,argv", list(_documented_invocations()),
+        ids=lambda value: (" ".join(value) if isinstance(value, list)
+                           else Path(value).name),
+    )
+    def test_documented_invocation_parses(self, doc, argv, capsys):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exit_:  # --help exits 0; a usage error, 2
+            assert exit_.code == 0, capsys.readouterr().err
+
+    def test_e2e_benchmark_serve_arguments_parse(self):
+        argvs = list(_e2e_serve_argvs())
+        assert argvs
+        for argv in argvs:
+            args = build_parser().parse_args(argv)
+            assert args.experiment == "serve" and args.port == 0

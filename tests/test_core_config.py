@@ -1,43 +1,56 @@
-"""Unit tests for the central StreamingConfig."""
+"""The paper's streaming configuration (Section V-A), read from the
+modules that own each default: ``SessionConfig``, ``MpcConfig``,
+``PtileConfig``, the tile grid, the ladders and ``build_dataset``."""
+
+import inspect
 
 import pytest
 
-from repro.core import StreamingConfig
+from repro.core import MpcConfig
+from repro.encoding import DEFAULT_ENCODING_LADDER
+from repro.geometry import DEFAULT_GRID
+from repro.ptile import PtileConfig
+from repro.qoe import QoEWeights
+from repro.streaming import SessionConfig
+from repro.traces import build_dataset
+from repro.video import DEFAULT_LADDER
 
 
 class TestStreamingConfig:
     def test_paper_defaults(self):
-        cfg = StreamingConfig()
-        assert cfg.segment_seconds == 1.0
-        assert (cfg.grid_rows, cfg.grid_cols) == (4, 8)
-        assert cfg.fov_deg == 100.0
-        assert cfg.buffer_threshold_s == 3.0
-        assert cfg.qualities == (1, 2, 3, 4, 5)
-        assert cfg.qoe_tolerance == 0.05
-        assert cfg.mpc_horizon == 5
-        assert (cfg.n_users, cfg.n_train_users) == (48, 40)
+        session = SessionConfig()
+        assert session.segment_seconds == 1.0
+        assert (DEFAULT_GRID.rows, DEFAULT_GRID.cols) == (4, 8)
+        assert session.fov_deg == 100.0
+        assert session.buffer_threshold_s == 3.0
+        assert DEFAULT_ENCODING_LADDER.levels == (1, 2, 3, 4, 5)
+        assert MpcConfig().qoe_tolerance == 0.05
+        assert session.horizon == MpcConfig().horizon == 5
+        defaults = inspect.signature(build_dataset).parameters
+        assert (defaults["n_users"].default, defaults["n_train"].default) == (
+            48, 40,
+        )
 
     def test_make_grid(self):
-        grid = StreamingConfig().make_grid()
-        assert grid.num_tiles == 32
+        assert DEFAULT_GRID.num_tiles == 32
 
     def test_make_ptile_config(self):
-        pcfg = StreamingConfig().make_ptile_config()
-        grid = StreamingConfig().make_grid()
-        assert pcfg.resolved_sigma(grid) == 45.0
-        assert pcfg.resolved_delta(grid) == pytest.approx(45.0 / 4)
+        pcfg = PtileConfig()
+        assert pcfg.resolved_sigma(DEFAULT_GRID) == 45.0
+        assert pcfg.resolved_delta(DEFAULT_GRID) == pytest.approx(45.0 / 4)
 
     def test_make_mpc_config(self):
-        mpc = StreamingConfig().make_mpc_config()
+        mpc = MpcConfig()
         assert mpc.horizon == 5
         assert mpc.buffer_granularity_s == 0.5
         assert mpc.qoe_tolerance == 0.05
+        assert mpc.buffer_threshold_s == SessionConfig().buffer_threshold_s
+        assert mpc.segment_seconds == SessionConfig().segment_seconds
 
     def test_frame_rate_ladder(self):
-        cfg = StreamingConfig()
-        assert cfg.ladder.rates() == (21.0, 24.0, 27.0, 30.0)
+        assert DEFAULT_LADDER.rates() == (21.0, 24.0, 27.0, 30.0)
 
     def test_qoe_weights(self):
-        cfg = StreamingConfig()
-        assert cfg.qoe_weights.variation == 1.0
-        assert cfg.qoe_weights.rebuffering == 1.0
+        weights = QoEWeights()
+        assert weights.variation == 1.0
+        assert weights.rebuffering == 1.0

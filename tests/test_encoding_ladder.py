@@ -11,12 +11,12 @@ from repro.encoding import (
     EncodingLadder,
     MIN_CRF_SPACING,
 )
-from repro.video import quality_to_crf
+from repro.video import EncoderModel
 
 
 class TestDefaultLadder:
     def test_reproduces_paper_formula(self):
-        # quality_to_crf(q) = 43 - 5q, CRF 38..18 step 5.
+        # The paper's CRF = 43 - 5q, CRF 38..18 step 5.
         assert DEFAULT_ENCODING_LADDER.crfs == (38.0, 33.0, 28.0, 23.0, 18.0)
         for q in (1, 2, 3, 4, 5):
             assert DEFAULT_ENCODING_LADDER.crf(q) == 43.0 - 5.0 * q
@@ -38,7 +38,8 @@ class TestDefaultLadder:
         assert EncodingLadder() == DEFAULT_ENCODING_LADDER
 
     def test_quality_to_crf_delegates(self):
-        assert quality_to_crf(2.5) == DEFAULT_ENCODING_LADDER.crf(2.5)
+        # The encoder's quality-to-CRF mapping is the default ladder's.
+        assert EncoderModel().ladder.crf(2.5) == DEFAULT_ENCODING_LADDER.crf(2.5)
 
 
 class TestValidation:

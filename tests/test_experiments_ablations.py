@@ -252,7 +252,9 @@ class TestRenderedViewSupply:
     def test_ptile_supplies_rendered_view(self, ptiles2):
         """Cross-module: the gnomonic renderer's sampled directions fall
         inside the Ptile for a viewport centered on its cluster."""
-        from repro.geometry import ViewRenderer, Viewport
+        from repro.geometry import Viewport
+
+        from .projection_reference import ViewRenderer
 
         sp = next(sp for sp in ptiles2 if sp.num_ptiles > 0)
         ptile = sp.ptiles[0]

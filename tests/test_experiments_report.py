@@ -1,8 +1,6 @@
 """Unit tests for report formatting helpers."""
 
-import pytest
-
-from repro.experiments import format_normalized, format_row, format_table
+from repro.experiments import format_row
 
 
 class TestFormatRow:
@@ -15,23 +13,3 @@ class TestFormatRow:
         row = format_row("x", [0.123456], fmt="{:>8.1f}")
         assert "0.1" in row
 
-
-class TestFormatTable:
-    def test_header_plus_rows(self):
-        lines = format_table(["a", "b"], {"r1": [1.0, 2.0], "r2": [3.0, 4.0]})
-        assert len(lines) == 3
-        assert "a" in lines[0] and "b" in lines[0]
-        assert lines[1].startswith("r1")
-
-
-class TestFormatNormalized:
-    def test_ratios_and_deltas(self):
-        lines = format_normalized(
-            {"ctile": 2.0, "ours": 1.0}, "ctile", "Energy"
-        )
-        assert lines[0] == "Energy"
-        assert any("0.500x" in ln and "+50.0%" in ln for ln in lines)
-
-    def test_missing_baseline(self):
-        with pytest.raises(KeyError):
-            format_normalized({"a": 1.0}, "b", "t")

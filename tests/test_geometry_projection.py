@@ -1,9 +1,12 @@
-"""Unit tests for equirectangular projection and view generation."""
+"""Unit tests for the equirectangular projection and gnomonic view
+generation reference that other tests check Ptile coverage against."""
 
 import numpy as np
 import pytest
 
-from repro.geometry import EquirectFrame, ViewRenderer, Viewport
+from repro.geometry import Viewport
+
+from .projection_reference import EquirectFrame, ViewRenderer
 
 
 class TestEquirectFrame:

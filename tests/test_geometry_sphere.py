@@ -6,35 +6,45 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
+    Viewport,
     angular_distance,
-    clamp_pitch,
     equirect_distance,
     orientation_angles,
     orientation_vector,
-    switching_speed,
     switching_speed_series,
-    wrap_yaw,
 )
+from repro.traces import HeadTrace
+
+
+def _speed(yaw1, pitch1, t1, yaw2, pitch2, t2) -> float:
+    """Eq. 5 switching speed between two samples."""
+    return float(switching_speed_series([t1, t2], [yaw1, yaw2],
+                                        [pitch1, pitch2])[0])
 
 
 class TestWrapClamp:
+    """Yaw wraps into [0, 360) and pitch stays in [-90, 90]."""
+
     def test_wrap_yaw_basic(self):
-        assert wrap_yaw(370.0) == pytest.approx(10.0)
-        assert wrap_yaw(-10.0) == pytest.approx(350.0)
-        assert wrap_yaw(0.0) == 0.0
+        assert Viewport(370.0, 0.0).yaw == pytest.approx(10.0)
+        assert Viewport(-10.0, 0.0).yaw == pytest.approx(350.0)
+        assert Viewport(0.0, 0.0).yaw == 0.0
 
     def test_wrap_yaw_array(self):
-        out = wrap_yaw(np.array([-90.0, 450.0]))
-        assert np.allclose(out, [270.0, 90.0])
+        trace = HeadTrace(user_id=0, video_id=1, timestamps=[0.0, 1.0],
+                          yaw_unwrapped=[-90.0, 450.0], pitch=[0.0, 0.0])
+        assert np.allclose(trace.yaw_wrapped, [270.0, 90.0])
 
     def test_clamp_pitch_scalar(self):
-        assert clamp_pitch(95.0) == 90.0
-        assert clamp_pitch(-95.0) == -90.0
-        assert clamp_pitch(42.0) == 42.0
+        assert Viewport(0.0, 95.0).pitch == 90.0
+        assert Viewport(0.0, -95.0).pitch == -90.0
+        assert Viewport(0.0, 42.0).pitch == 42.0
 
     def test_clamp_pitch_array(self):
-        out = clamp_pitch(np.array([-120.0, 0.0, 120.0]))
-        assert np.allclose(out, [-90.0, 0.0, 90.0])
+        # Traces reject out-of-range pitch instead of clamping it.
+        with pytest.raises(ValueError, match="pitch"):
+            HeadTrace(user_id=0, video_id=1, timestamps=[0.0, 1.0],
+                      yaw_unwrapped=[0.0, 0.0], pitch=[-120.0, 120.0])
 
 
 class TestOrientationVector:
@@ -106,22 +116,23 @@ class TestEquirectDistance:
 class TestSwitchingSpeed:
     def test_eq5_basic(self):
         # 90 degrees in half a second = 180 deg/s.
-        assert switching_speed(0, 0, 0.0, 90, 0, 0.5) == pytest.approx(180.0)
+        assert _speed(0, 0, 0.0, 90, 0, 0.5) == pytest.approx(180.0)
 
     def test_zero_for_static_view(self):
-        assert switching_speed(30, 10, 0.0, 30, 10, 1.0) == pytest.approx(0.0)
+        assert _speed(30, 10, 0.0, 30, 10, 1.0) == pytest.approx(0.0)
 
     def test_rejects_non_increasing_time(self):
         with pytest.raises(ValueError):
-            switching_speed(0, 0, 1.0, 10, 0, 1.0)
+            _speed(0, 0, 1.0, 10, 0, 1.0)
 
     def test_series_matches_scalar(self):
         t = [0.0, 0.1, 0.2]
         yaw = [0.0, 1.0, 3.0]
         pitch = [0.0, 0.0, 0.0]
         series = switching_speed_series(t, yaw, pitch)
-        assert series[0] == pytest.approx(switching_speed(0, 0, 0.0, 1, 0, 0.1))
-        assert series[1] == pytest.approx(switching_speed(1, 0, 0.1, 3, 0, 0.2))
+        # Eq. 5: great-circle angle over elapsed time, sample by sample.
+        assert series[0] == pytest.approx(angular_distance(0, 0, 1, 0) / 0.1)
+        assert series[1] == pytest.approx(angular_distance(1, 0, 3, 0) / 0.1)
 
     def test_series_handles_seam(self):
         # 359 -> 1 degree is a 2-degree move, not 358.

@@ -5,15 +5,18 @@ module pins each number the paper fixes to the module that owns it, so
 any accidental change fails loudly with a pointer to the paper section.
 """
 
+import inspect
+
 import pytest
 
-from repro.core import MpcConfig, StreamingConfig
+from repro.core import MpcConfig
 from repro.geometry import DEFAULT_FOV_DEG, DEFAULT_GRID, FTILE_BLOCK_GRID
 from repro.power import GALAXY_S20, NEXUS_5X, PIXEL_3, PIXEL3_DECODER_MODEL
 from repro.ptile import PtileConfig
 from repro.qoe import QoEWeights, TABLE_II
 from repro.streaming import SessionConfig
-from repro.video import DEFAULT_LADDER, VIDEO_CATALOG, quality_to_crf
+from repro.traces import build_dataset
+from repro.video import DEFAULT_ENCODING_LADDER, DEFAULT_LADDER, VIDEO_CATALOG
 
 
 class TestSectionII:
@@ -80,13 +83,11 @@ class TestSectionV:
     """Experiment setup."""
 
     def test_crf_ladder_38_to_18_step_5(self):
-        assert [quality_to_crf(q) for q in (1, 2, 3, 4, 5)] == [
-            38, 33, 28, 23, 18,
-        ]
+        assert DEFAULT_ENCODING_LADDER.crfs == (38, 33, 28, 23, 18)
 
     def test_one_second_segments(self):
         assert SessionConfig().segment_seconds == 1.0
-        assert StreamingConfig().segment_seconds == 1.0
+        assert MpcConfig().segment_seconds == 1.0
 
     def test_three_second_buffer(self):
         assert SessionConfig().buffer_threshold_s == 3.0
@@ -107,8 +108,10 @@ class TestSectionV:
         assert _N_FTILES == 10
 
     def test_48_users_40_train(self):
-        cfg = StreamingConfig()
-        assert (cfg.n_users, cfg.n_train_users) == (48, 40)
+        defaults = inspect.signature(build_dataset).parameters
+        assert (defaults["n_users"].default, defaults["n_train"].default) == (
+            48, 40,
+        )
 
     def test_table3_durations_and_titles(self):
         expected = {

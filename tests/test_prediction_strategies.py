@@ -6,7 +6,6 @@ from repro.prediction import (
     OraclePredictor,
     StaticPredictor,
     oracle_predictor_factory,
-    ridge_predictor_factory,
     static_predictor_factory,
 )
 from repro.streaming import PtileScheme, SessionConfig, run_session
@@ -70,11 +69,6 @@ class TestOraclePredictor:
 class TestFactories:
     def test_factory_types(self, small_dataset):
         trace = small_dataset.traces[2][0]
-        from repro.prediction import ViewportPredictor
-
-        assert isinstance(
-            ridge_predictor_factory(trace, 100.0), ViewportPredictor
-        )
         assert isinstance(
             static_predictor_factory(trace, 100.0), StaticPredictor
         )

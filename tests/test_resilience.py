@@ -331,12 +331,14 @@ class TestExecuteDownload:
             assert outcome.retries <= budget
 
     def test_reduced_rung_is_smaller_and_slower(self, manifest8):
-        from repro.resilience.policy import build_degradation_ladder
+        # The rungs execute_download falls through: FULL, REDUCED,
+        # LOW_LAYER.
+        from repro.resilience.policy import _low_layer_plan, _reduced_plan
 
         seg = manifest8[0]
-        plan = _plan(size_mbit=seg.full_frame_size_mbit(3))
-        ladder = build_degradation_ladder(plan, seg, 30.0)
-        (_, full), (_, reduced), (_, low) = ladder
+        full = _plan(size_mbit=seg.full_frame_size_mbit(3))
+        reduced = _reduced_plan(full, seg, 30.0)
+        low = _low_layer_plan(full, seg, 30.0)
         assert reduced.quality < full.quality
         assert reduced.total_size_mbit < full.total_size_mbit
         assert reduced.frame_rate <= 0.8 * 30.0

@@ -4,12 +4,8 @@ import pytest
 
 from repro.power import SegmentEnergy, TilingScheme
 from repro.qoe import SegmentQoE
-from repro.streaming import (
-    SegmentRecord,
-    SessionResult,
-    mean_sessions,
-    normalize_by,
-)
+from repro.experiments.fig9 import EnergyComparison
+from repro.streaming import SegmentRecord, SessionResult, mean_sessions
 
 
 def make_record(index=0, quality=3, stall=0.0, used_ptile=False,
@@ -92,19 +88,26 @@ class TestAggregation:
         with pytest.raises(ValueError):
             mean_sessions([])
 
+    # The paper normalizes energy and QoE by Ctile (Fig. 9(c), 11(c)).
+    @staticmethod
+    def _energy(per_scheme):
+        return EnergyComparison(
+            device_name="pixel3",
+            per_video={("trace1", scheme, 1): value
+                       for scheme, value in per_scheme.items()},
+            breakdown={}, video_ids=(1,), traces=("trace1",),
+            schemes=tuple(per_scheme),
+        )
+
     def test_normalize_by(self):
-        metrics = {
-            "ctile": {"energy_j": 10.0},
-            "ours": {"energy_j": 5.0},
-        }
-        normalized = normalize_by(metrics, "ctile", "energy_j")
+        normalized = self._energy({"ctile": 10.0, "ours": 5.0}).normalized()
         assert normalized["ours"] == 0.5
         assert normalized["ctile"] == 1.0
 
     def test_normalize_missing_baseline(self):
         with pytest.raises(KeyError):
-            normalize_by({"a": {"x": 1.0}}, "b", "x")
+            self._energy({"ours": 1.0}).normalized()
 
     def test_normalize_zero_baseline(self):
         with pytest.raises(ZeroDivisionError):
-            normalize_by({"a": {"x": 0.0}}, "a", "x")
+            self._energy({"ctile": 0.0, "ours": 1.0}).normalized()

@@ -1,7 +1,10 @@
-"""Unit tests for the shared-bottleneck multi-client simulation."""
+"""N clients sharing one bottleneck link: each runs ``run_session`` over
+the fair share ``network.scaled(1 / N)`` (processor sharing, exact while
+every client stays backlogged)."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.streaming import (
@@ -9,8 +12,7 @@ from repro.streaming import (
     EdgeHitModel,
     PtileScheme,
     SessionConfig,
-    capacity_sweep,
-    run_shared_link,
+    run_session,
 )
 
 
@@ -19,14 +21,29 @@ def short_config():
     return SessionConfig(max_segments=15)
 
 
+def _shared_link(scheme_cls, manifest, heads, network, device, n=None,
+                 **kwargs):
+    """Per-client results of ``n`` clients (default: one per head trace,
+    reusing heads round-robin) on the fair share of ``network``."""
+    n = len(heads) if n is None else n
+    fair = network.scaled(1.0 / n)
+    return [
+        run_session(scheme_cls(), manifest, heads[i % len(heads)], fair,
+                    device, **kwargs)
+        for i in range(n)
+    ]
+
+
+def _mean_quality(results) -> float:
+    return float(np.mean([r.mean_quality_level for r in results]))
+
+
 class TestRunSharedLink:
     def test_single_client_equals_full_link(
         self, small_dataset, manifest2, network_traces, device, short_config
     ):
-        from repro.streaming import run_session
-
         head = small_dataset.test_traces(2)[0]
-        shared = run_shared_link(
+        (shared,) = _shared_link(
             CtileScheme, manifest2, [head], network_traces[1], device,
             config=short_config,
         )
@@ -34,58 +51,46 @@ class TestRunSharedLink:
             CtileScheme(), manifest2, head, network_traces[1], device,
             config=short_config,
         )
-        assert shared.per_client[0].total_energy_j == pytest.approx(
-            solo.total_energy_j
-        )
+        assert shared.total_energy_j == pytest.approx(solo.total_energy_j)
 
-    def test_fair_share_scaling(
-        self, small_dataset, manifest2, network_traces, device, short_config
-    ):
-        heads = small_dataset.test_traces(2)[:2]
-        shared = run_shared_link(
-            CtileScheme, manifest2, heads, network_traces[0], device,
-            config=short_config,
-        )
-        assert shared.n_clients == 2
-        assert shared.fair_share_trace.mean_mbps == pytest.approx(
-            network_traces[0].mean_mbps / 2
-        )
+    def test_fair_share_scaling(self, network_traces):
+        fair = network_traces[0].scaled(1.0 / 2)
+        assert fair.mean_mbps == pytest.approx(network_traces[0].mean_mbps / 2)
 
     def test_quality_degrades_with_contention(
         self, small_dataset, manifest2, network_traces, device, short_config
     ):
         heads = small_dataset.test_traces(2)
-        alone = run_shared_link(
+        alone = _shared_link(
             CtileScheme, manifest2, heads[:1], network_traces[0], device,
             config=short_config,
         )
-        crowded = run_shared_link(
+        crowded = _shared_link(
             CtileScheme, manifest2, heads[:4], network_traces[0], device,
             config=short_config,
         )
-        assert crowded.mean_quality <= alone.mean_quality
-
-    def test_empty_clients_rejected(
-        self, manifest2, network_traces, device
-    ):
-        with pytest.raises(ValueError):
-            run_shared_link(
-                CtileScheme, manifest2, [], network_traces[1], device
-            )
+        assert _mean_quality(crowded) <= _mean_quality(alone)
 
 
 class TestCapacitySweep:
+    def test_invalid_count(self, network_traces):
+        # A fair share only exists for a positive client count.
+        for share in (0.0, 1.0 / -2):
+            with pytest.raises(ValueError):
+                network_traces[1].scaled(share)
+
     def test_sweep_shape(
         self, small_dataset, manifest2, network_traces, device, ptiles2,
         short_config
     ):
         heads = small_dataset.test_traces(2)
-        results = capacity_sweep(
-            PtileScheme, manifest2, heads, network_traces[0], device,
-            client_counts=(1, 2, 4), ptiles=ptiles2, config=short_config,
-        )
-        assert set(results) == {1, 2, 4}
-        qualities = [results[n].mean_quality for n in (1, 2, 4)]
+        qualities = [
+            _mean_quality(_shared_link(
+                PtileScheme, manifest2, heads, network_traces[0], device, n,
+                ptiles=ptiles2, config=short_config,
+            ))
+            for n in (1, 2, 4)
+        ]
         assert qualities == sorted(qualities, reverse=True)
 
     def test_ptile_scales_further_than_ctile(
@@ -95,106 +100,81 @@ class TestCapacitySweep:
         """The deployment argument: Ptile sustains more viewers per
         cell at a given quality than Ctile."""
         heads = small_dataset.test_traces(2)
-        ptile = capacity_sweep(
-            PtileScheme, manifest2, heads, network_traces[0], device,
-            client_counts=(4,), ptiles=ptiles2, config=short_config,
-        )[4]
-        ctile = capacity_sweep(
-            CtileScheme, manifest2, heads, network_traces[0], device,
-            client_counts=(4,), config=short_config,
-        )[4]
-        assert ptile.mean_quality >= ctile.mean_quality
-
-    def test_invalid_count(
-        self, small_dataset, manifest2, network_traces, device
-    ):
-        with pytest.raises(ValueError):
-            capacity_sweep(
-                CtileScheme, manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, client_counts=(0,),
-            )
-
-    def test_empty_head_traces_raise_clear_error(
-        self, manifest2, network_traces, device
-    ):
-        """Regression: used to crash with ZeroDivisionError on
-        ``available[i % len(available)]`` for empty head traces."""
-        with pytest.raises(ValueError, match="head trace"):
-            capacity_sweep(
-                CtileScheme, manifest2, [], network_traces[1], device,
-            )
+        ptile = _shared_link(
+            PtileScheme, manifest2, heads, network_traces[0], device, 4,
+            ptiles=ptiles2, config=short_config,
+        )
+        ctile = _shared_link(
+            CtileScheme, manifest2, heads, network_traces[0], device, 4,
+            config=short_config,
+        )
+        assert _mean_quality(ptile) >= _mean_quality(ctile)
 
 
 class TestSharedEdgeCacheWiring:
     def test_edge_model_recorded_per_segment(
-        self, small_dataset, manifest2, network_traces, device, short_config
+        self, small_dataset, manifest2, network_traces, device
     ):
         heads = small_dataset.test_traces(2)[:2]
         model = EdgeHitModel(hit_ratios=(0.5,) * manifest2.num_segments)
-        shared = run_shared_link(
+        shared = _shared_link(
             CtileScheme, manifest2, heads, network_traces[1], device,
-            config=short_config, edge_model=model,
+            config=SessionConfig(max_segments=15, edge_model=model),
         )
-        for result in shared.per_client:
+        for result in shared:
             assert result.total_edge_hit_mbit > 0
             assert result.edge_hit_fraction == pytest.approx(0.5)
 
     def test_edge_model_threaded_through_capacity_sweep(
-        self, small_dataset, manifest2, network_traces, device, short_config
+        self, small_dataset, manifest2, network_traces, device
     ):
         heads = small_dataset.test_traces(2)[:2]
         model = EdgeHitModel(hit_ratios=(1.0,), edge_bandwidth_mbps=1e6)
-        results = capacity_sweep(
-            CtileScheme, manifest2, heads, network_traces[0], device,
-            client_counts=(4,), config=short_config, edge_model=model,
+        crowded = _shared_link(
+            CtileScheme, manifest2, heads, network_traces[0], device, 4,
+            config=SessionConfig(max_segments=15, edge_model=model),
         )
         # Full hits at a near-infinite edge rate: downloads are
         # effectively instantaneous, so nothing can stall post-startup
         # no matter how many clients share the backhaul.
-        assert results[4].total_rebuffers == 0
-        for result in results[4].per_client:
+        assert sum(r.rebuffer_count for r in crowded) == 0
+        for result in crowded:
             assert result.edge_hit_fraction == pytest.approx(1.0)
 
     def test_no_edge_model_records_zero(
         self, small_dataset, manifest2, network_traces, device, short_config
     ):
         head = small_dataset.test_traces(2)[0]
-        shared = run_shared_link(
+        (shared,) = _shared_link(
             CtileScheme, manifest2, [head], network_traces[1], device,
             config=short_config,
         )
-        assert shared.per_client[0].total_edge_hit_mbit == 0.0
-        assert shared.per_client[0].edge_hit_fraction == 0.0
+        assert shared.total_edge_hit_mbit == 0.0
+        assert shared.edge_hit_fraction == 0.0
 
 
 class TestSharedLinkDeterminism:
     def _run(self, small_dataset, manifest2, network_traces, device,
-             short_config, edge_model=None):
+             edge_model=None):
         heads = small_dataset.test_traces(2)[:3]
-        return run_shared_link(
+        return _shared_link(
             CtileScheme, manifest2, heads, network_traces[1], device,
-            config=short_config, edge_model=edge_model,
+            config=SessionConfig(max_segments=15, edge_model=edge_model),
         )
 
     def test_repeated_runs_byte_identical(
-        self, small_dataset, manifest2, network_traces, device, short_config
+        self, small_dataset, manifest2, network_traces, device
     ):
-        first = self._run(small_dataset, manifest2, network_traces, device,
-                          short_config)
-        second = self._run(small_dataset, manifest2, network_traces, device,
-                           short_config)
-        assert pickle.dumps(first.per_client) == pickle.dumps(
-            second.per_client
-        )
+        first = self._run(small_dataset, manifest2, network_traces, device)
+        second = self._run(small_dataset, manifest2, network_traces, device)
+        assert pickle.dumps(first) == pickle.dumps(second)
 
     def test_repeated_edge_cache_runs_byte_identical(
-        self, small_dataset, manifest2, network_traces, device, short_config
+        self, small_dataset, manifest2, network_traces, device
     ):
         model = EdgeHitModel(hit_ratios=(0.7,) * manifest2.num_segments)
         first = self._run(small_dataset, manifest2, network_traces, device,
-                          short_config, edge_model=model)
+                          edge_model=model)
         second = self._run(small_dataset, manifest2, network_traces, device,
-                           short_config, edge_model=model)
-        assert pickle.dumps(first.per_client) == pickle.dumps(
-            second.per_client
-        )
+                           edge_model=model)
+        assert pickle.dumps(first) == pickle.dumps(second)

@@ -2,27 +2,28 @@
 
 import pytest
 
-from repro.video import EncoderModel, QUALITY_LEVELS, quality_to_crf
+from repro.video import EncoderModel, QUALITY_LEVELS
 
 SI, TI = 33.0, 14.0  # average-complexity content
 
 
 class TestQualityToCrf:
+    """The encoder prices a quality level at its ladder's CRF."""
+
     def test_paper_ladder(self):
-        assert quality_to_crf(1) == 38
-        assert quality_to_crf(2) == 33
-        assert quality_to_crf(3) == 28
-        assert quality_to_crf(4) == 23
-        assert quality_to_crf(5) == 18
+        crf = EncoderModel().ladder.crf
+        assert [crf(q) for q in (1, 2, 3, 4, 5)] == [38, 33, 28, 23, 18]
 
     def test_fractional_interpolates(self):
-        assert quality_to_crf(2.5) == pytest.approx(30.5)
+        assert EncoderModel().ladder.crf(2.5) == pytest.approx(30.5)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            quality_to_crf(0.5)
-        with pytest.raises(ValueError):
-            quality_to_crf(5.5)
+        encoder = EncoderModel(noise_sigma=0.0)
+        for quality in (0.5, 5.5):
+            with pytest.raises(ValueError):
+                encoder.ladder.crf(quality)
+            with pytest.raises(ValueError):
+                encoder.full_frame_bitrate_mbps(quality, SI, TI)
 
 
 class TestRateQualityLaw:
