@@ -21,10 +21,10 @@ Three gates on the results-store layer:
 * ``test_context_digest_cost`` — every sweep pass digests its context
   once per video group to key that group's shard, so a warm re-run costs
   little more than its shard reads only while the digest stays cheap.
-  The cost is gated as a ratio to ``pickle.dumps`` of the same sliced
-  context: both walk the same objects, so the ratio is scale-invariant,
-  and a return of per-node hashing or of array repr-printing in the
-  fingerprint multiplies it.
+  The digest is composed from the content keys each component was
+  built under, so it costs a fraction of ``pickle.dumps`` of the same
+  sliced context; the ratio is scale-invariant, and a return of the
+  walk over the built Ptiles and Ftiles multiplies it past the ceiling.
 
 The measured speedups land in ``extra_info`` for the CI regression
 gate.
@@ -32,6 +32,7 @@ gate.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import time
 
@@ -154,7 +155,12 @@ def test_context_digest_cost(benchmark):
     The slice is what ``run_session_jobs`` digests for one video group
     of the Fig. 9 sweep: all five schemes, both networks, and one
     video's manifest, Ptiles, Ftiles and test head traces (20-s video,
-    dataset seed 2017).  Min-of-rounds on both sides.
+    dataset seed 2017).  Each round digests a fresh copy of the
+    context, so it pays the walk of the shared fields that a sweep
+    makes once, not only the per-video part.  Min-of-rounds on both
+    sides.  The digest reads the content keys of the Ptiles and Ftiles
+    instead of walking them: about 0.2-0.3 of the pickle time, where
+    the walk measured about 4.7.
     """
     # A one-video catalog: its sweep context is already that slice.
     setup = make_setup(max_duration_s=20, video_ids=(8,))
@@ -166,8 +172,11 @@ def test_context_digest_cost(benchmark):
         pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
         pickle_s = min(pickle_s, time.perf_counter() - t0)
 
-    benchmark.pedantic(sweep_context_digest, args=(context,),
-                       rounds=_DIGEST_ROUNDS, iterations=1)
+    benchmark.pedantic(
+        sweep_context_digest,
+        setup=lambda: ((dataclasses.replace(context),), {}),
+        rounds=_DIGEST_ROUNDS,
+    )
     digest_s = benchmark.stats["min"]
 
     ratio = digest_s / pickle_s

@@ -20,11 +20,7 @@ import numpy as np
 
 from repro.core.optimizer import EnergyQoEMpc, MpcWindow
 from repro.experiments import make_schemes
-from repro.experiments.runner import (
-    SessionJob,
-    SweepContext,
-    run_session_jobs,
-)
+from repro.experiments.runner import SessionJob, run_session_jobs
 from repro.power import PIXEL_3
 from repro.power.energy import EnergyModel
 from repro.video.framerate import DEFAULT_LADDER
@@ -95,17 +91,9 @@ def test_mpc_choose_batch(benchmark):
 def _sweep_inputs():
     setup = shared_setup()
     vid = setup.videos[0].meta.video_id
-    context = SweepContext(
-        schemes=make_schemes(PIXEL_3),
-        device=PIXEL_3,
-        networks={"trace2": setup.trace2},
-        manifests={vid: setup.manifest(vid)},
-        head_traces={
-            vid: tuple(setup.dataset.test_traces(vid)[: bench_users()])
-        },
-        ptiles={vid: setup.ptiles(vid)},
-        ftiles={vid: setup.ftiles(vid)},
-        config=setup.session_config,
+    context = setup.sweep_context(
+        make_schemes(PIXEL_3), PIXEL_3, {"trace2": setup.trace2}, (vid,),
+        bench_users(), ftiles=True,
     )
     jobs = [
         SessionJob(key=(name, vid, u), scheme=name, video_id=vid,

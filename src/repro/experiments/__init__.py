@@ -43,7 +43,7 @@ from .fig8 import Fig8Result, PAPER_MEDIANS, run_fig8
 from .fig9 import EnergyComparison, run_fig9, summarize_energy
 from .fig11 import QoEComparison, summarize_qoe
 from .population import PopulationSummary, run_population
-from .report import format_row, print_lines
+from .report import print_lines
 from .runner import (
     JobFailure,
     JobTiming,
@@ -116,7 +116,6 @@ __all__ = [
     "summarize_qoe",
     "PopulationSummary",
     "run_population",
-    "format_row",
     "print_lines",
     "JobFailure",
     "JobTiming",

@@ -47,7 +47,7 @@ from ..streaming.schemes import CtileScheme, FtileScheme, PtileScheme
 from ..streaming.session import SessionConfig
 from ..video.framerate import FrameRateLadder
 from .artifacts import ArtifactStore, ptiles_key
-from .runner import SessionJob, SweepContext, parallel_map, run_session_jobs
+from .runner import SessionJob, parallel_map, run_session_jobs
 from .setup import ExperimentSetup
 
 __all__ = [
@@ -96,16 +96,9 @@ def _run_sessions(
     workers: int | None = 1,
 ) -> list[SessionResult]:
     """All per-user sessions of one ablation point, via the sweep runner."""
-    context = SweepContext(
-        schemes={scheme.name: scheme},
-        device=device,
-        networks={"trace2": setup.trace2},
-        manifests={video_id: setup.manifest(video_id)},
-        head_traces={
-            video_id: tuple(setup.dataset.test_traces(video_id)[:users])
-        },
-        ptiles={video_id: setup.ptiles(video_id)},
-        config=session_config or setup.session_config,
+    context = setup.sweep_context(
+        {scheme.name: scheme}, device, {"trace2": setup.trace2},
+        (video_id,), users, config=session_config,
     )
     jobs = [
         SessionJob(
@@ -431,13 +424,6 @@ def sweep_shared_cache(
     )
 
     scheme = OursScheme(device=device)
-    manifests = {vid: setup.manifest(vid) for vid in video_ids}
-    ptiles = {vid: setup.ptiles(vid) for vid in video_ids}
-    heads = {
-        vid: tuple(setup.dataset.test_traces(vid)[:users])
-        for vid in video_ids
-    }
-
     points = []
     for capacity in capacities_mbit:
         if capacity > 0:
@@ -471,15 +457,9 @@ def sweep_shared_cache(
             label = "no edge cache"
             extra = {"hit": 0.0, "ptile_byte_hit": 0.0, "ctile_byte_hit": 0.0}
 
-        context = SweepContext(
-            schemes={scheme.name: scheme},
-            device=device,
-            networks={"trace2": setup.trace2},
-            manifests=manifests,
-            head_traces=heads,
-            ptiles=ptiles,
-            config=setup.session_config,
-            video_configs=video_configs,
+        context = setup.sweep_context(
+            {scheme.name: scheme}, device, {"trace2": setup.trace2},
+            video_ids, users, video_configs=video_configs,
         )
         jobs = [
             SessionJob(
@@ -490,7 +470,7 @@ def sweep_shared_cache(
                 user_index=user,
             )
             for vid in video_ids
-            for user in range(len(heads[vid]))
+            for user in range(len(context.head_traces[vid]))
         ]
         sessions = run_session_jobs(
             context, jobs, workers=workers, results=results
@@ -587,15 +567,9 @@ def sweep_resilience(
                 fault_plan=plan,
                 download_policy=policy,
             )
-        context = SweepContext(
-            schemes=schemes,
-            device=device,
-            networks={"trace2": setup.trace2},
-            manifests={video_id: manifest},
-            head_traces={video_id: heads},
-            ptiles={video_id: setup.ptiles(video_id)},
-            ftiles={video_id: setup.ftiles(video_id)},
-            config=config,
+        context = setup.sweep_context(
+            schemes, device, {"trace2": setup.trace2}, (video_id,), users,
+            ftiles=True, config=config,
         )
         jobs = [
             SessionJob(
@@ -727,13 +701,8 @@ def sweep_robust(
                 fault_plan=plan,
                 download_policy=policy,
             )
-        context = SweepContext(
-            schemes=schemes,
-            device=device,
-            networks={"trace2": setup.trace2},
-            manifests={video_id: manifest},
-            head_traces={video_id: heads},
-            ptiles={video_id: setup.ptiles(video_id)},
+        context = setup.sweep_context(
+            schemes, device, {"trace2": setup.trace2}, (video_id,), users,
             config=config,
         )
         jobs = [
@@ -854,21 +823,12 @@ def sweep_ladder(
     )
 
     scheme = OursScheme(device=device)
-    heads = {
-        vid: tuple(setup.dataset.test_traces(vid)[:users])
-        for vid in video_ids
-    }
     variants = {"fixed": setup, "opt": opt_setup}
     sessions: dict[tuple[str, int], list[SessionResult]] = {}
     for variant, var_setup in variants.items():
-        context = SweepContext(
-            schemes={scheme.name: scheme},
-            device=device,
-            networks={"trace2": var_setup.trace2},
-            manifests={vid: var_setup.manifest(vid) for vid in video_ids},
-            head_traces=heads,
-            ptiles={vid: var_setup.ptiles(vid) for vid in video_ids},
-            config=var_setup.session_config,
+        context = var_setup.sweep_context(
+            {scheme.name: scheme}, device, {"trace2": var_setup.trace2},
+            video_ids, users,
         )
         jobs = [
             SessionJob(
@@ -879,7 +839,7 @@ def sweep_ladder(
                 user_index=user,
             )
             for vid in video_ids
-            for user in range(len(heads[vid]))
+            for user in range(len(context.head_traces[vid]))
         ]
         run = run_session_jobs(
             context, jobs, workers=workers, results=results

@@ -38,15 +38,16 @@ columnar shards, one file per ``(sweep context, video)`` group.  A
 :class:`~repro.streaming.metrics.SessionResult` is a deterministic
 function of the sweep context (schemes, device, manifests, Ptiles,
 traces, session config) and the job (scheme, video, network, user,
-per-job overrides).  :func:`results_shard_key` digests the context —
-via :func:`structural_fingerprint`, which reduces the live experiment
-objects to primitives — plus :data:`RESULTS_SCHEMA_VERSION` and the
-package version; :func:`session_job_digest` keys the job's row inside
-the shard.  Any change to the simulation inputs or the code version
-lands in a different slot; ``repro-360 --no-results-cache`` opts out
-(see ``run_session_jobs``).  A ``results/`` directory of per-session
-pickles left by older releases is neither read nor cleared; it can be
-deleted by hand.
+per-job overrides).  :func:`sweep_context_digest` composes the context
+from keys its components were built under (:func:`manifest_key`,
+:func:`ptiles_key`, :func:`ftiles_key`), never walking a built Ptile or
+Ftile; :func:`results_shard_key` adds :data:`RESULTS_SCHEMA_VERSION`
+and the package version; :func:`session_job_digest` keys the job's row
+inside the shard.  Any change to the simulation inputs or the code
+version lands in a different slot; ``repro-360 --no-results-cache``
+opts out (see ``run_session_jobs``).  A ``results/`` directory of
+per-session pickles left by older releases is neither read nor
+cleared; it can be deleted by hand.
 """
 
 from __future__ import annotations
@@ -72,12 +73,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from ..geometry.tiling import TileGrid
-from ..ptile.construction import Ptile, PtileConfig
+from ..ptile.construction import PtileConfig
 from ..streaming.cache import EdgeHitModel
 from ..traces.head_movement import HeadTrace
 from ..video.content import Video
 from ..video.encoder import EncoderModel
-from ..video.segments import VideoManifest
 
 __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
@@ -110,7 +110,7 @@ fingerprint (manifests encoded under different ladders can never share
 a slot) and the new ``ladder`` artifact kind caches optimizer search
 results."""
 
-RESULTS_SCHEMA_VERSION = 4
+RESULTS_SCHEMA_VERSION = 5
 """Bumped whenever the session-result schema or the fingerprint
 composition changes; baked into every results key.
 
@@ -133,10 +133,15 @@ v4: uncertainty-aware robust planning — SegmentRecord gained
 through the generic dataclass walk, so robust and point-prediction
 sweeps can never share a cached session.
 
-v5: per-content encoding ladders — the encoder fingerprint (and with
-it every VideoManifest and sweep-context digest) now covers the
-encoding ladder, so sessions run under the fixed and an optimized
-ladder can never share a cached result."""
+Per-content encoding ladders changed key bytes without a bump: the
+encoder fingerprint, and with it every manifest and context digest,
+gained the ladder, so fixed- and optimized-ladder sessions never share
+a result (older entries were stranded, not served).
+
+v5: shard keys composed from component content keys — each manifest's
+:func:`manifest_key` and the :func:`ptiles_key`/:func:`ftiles_key` of
+the Ptiles and Ftiles instead of the built objects, and a video's key
+covers only that video's slice of the context."""
 
 ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder")
 """Kinds stored one pickle per object; session results are sharded."""
@@ -357,22 +362,19 @@ def ftiles_key(
 
 # ----------------------------------------------------------------------
 # Session-results keys.  A SessionResult is a pure function of the sweep
-# context and the job, so both are reduced to digestible primitives by a
-# structural walk over the live objects.  Compact special cases keep the
-# walk fast where the generic one would be wasteful or wrong:
+# context and the job.  The context's heavy parts are keyed by what they
+# were made from (sweep_context_digest); its small parts — schemes,
+# device, session configs — and the job are reduced to digestible
+# primitives by a structural walk.  Dataclasses are walked
+# field-by-field via dataclasses.fields(), which deliberately skips memo
+# caches attached with object.__setattr__.  Special cases cover what
+# the generic walk cannot reduce, or would reduce to other bytes:
 #
-# * VideoManifest -> its (video, encoder) inputs (it is a pure function
-#   of them, and its segment tuple would re-digest the same arrays);
-# * Ptile -> (index, tiles, rect, grid) — everything downstream
-#   planning reads; the clustering internals that produced it are
-#   already pinned by those fields;
-# * HeadTrace -> the same (ids + raw samples) material as
-#   traces_fingerprint;
+# * TileGrid (not a dataclass) -> grid_fingerprint;
+# * EdgeHitModel -> its hit ratios and edge rate, the bytes every
+#   cached job with an edge model was keyed under;
 # * callables (e.g. SessionConfig.predictor_factory) -> their import
 #   path, so swapping the prediction strategy invalidates the slot.
-#
-# Dataclasses are walked field-by-field via dataclasses.fields(), which
-# deliberately skips memo caches attached with object.__setattr__.
 # ----------------------------------------------------------------------
 
 
@@ -383,20 +385,6 @@ def structural_fingerprint(obj: Any) -> Any:
               np.ndarray)
     ):
         return obj
-    if isinstance(obj, VideoManifest):
-        return (
-            "video-manifest",
-            video_fingerprint(obj.video),
-            encoder_fingerprint(obj.encoder),
-        )
-    if isinstance(obj, Ptile):
-        return (
-            "ptile",
-            obj.index,
-            tuple(sorted((t.row, t.col) for t in obj.tiles)),
-            (obj.rect.x0, obj.rect.y0, obj.rect.x1, obj.rect.y1),
-            grid_fingerprint(obj.grid),
-        )
     if isinstance(obj, TileGrid):
         return grid_fingerprint(obj)
     if isinstance(obj, EdgeHitModel):
@@ -407,15 +395,6 @@ def structural_fingerprint(obj: Any) -> Any:
             "edge-hit-model",
             tuple(obj.hit_ratios),
             obj.edge_bandwidth_mbps,
-        )
-    if isinstance(obj, HeadTrace):
-        return (
-            "head-trace",
-            obj.user_id,
-            obj.video_id,
-            obj.timestamps,
-            obj.yaw_unwrapped,
-            obj.pitch,
         )
     if isinstance(obj, (tuple, list)):
         return tuple(structural_fingerprint(part) for part in obj)
@@ -459,9 +438,32 @@ def structural_fingerprint(obj: Any) -> Any:
 
 
 def sweep_context_digest(context: Any) -> str:
-    """Digest of everything a sweep's sessions share (a SweepContext)."""
+    """Digest of everything a sweep's sessions share (a SweepContext).
+
+    Composed from each manifest's :func:`manifest_key`, the
+    ``ptiles_keys``/``ftiles_keys`` its Ptiles and Ftiles were built
+    under, the head-trace samples, the per-video configs and
+    ``context.shared_digest()``.  Ptiles or Ftiles without their content
+    key raise ``ValueError``: the built objects are never walked.
+    """
+    for kind in ("ptiles", "ftiles"):
+        missing = sorted(
+            set(getattr(context, kind)) - set(getattr(context, f"{kind}_keys"))
+        )
+        if missing:
+            raise ValueError(f"sweep context holds {kind} of video(s)"
+                             f" {missing} without their {kind}_keys entry")
     return content_digest(
-        "sweep-context", RESULTS_SCHEMA_VERSION, structural_fingerprint(context)
+        "sweep-context",
+        RESULTS_SCHEMA_VERSION,
+        context.shared_digest(),
+        structural_fingerprint(context.video_configs),
+        {vid: manifest_key(manifest.video, manifest.encoder)
+         for vid, manifest in context.manifests.items()},
+        {vid: traces_fingerprint(heads)
+         for vid, heads in context.head_traces.items()},
+        {vid: context.ptiles_keys[vid] for vid in context.ptiles},
+        {vid: context.ftiles_keys[vid] for vid in context.ftiles},
     )
 
 

@@ -8,13 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["format_row", "print_lines"]
-
-
-def format_row(label: str, values: Iterable[float], fmt: str = "{:>8.3f}") -> str:
-    """One labelled row of numbers."""
-    cells = "".join(fmt.format(v) for v in values)
-    return f"{label:<22}{cells}"
+__all__ = ["print_lines"]
 
 
 def print_lines(lines: Iterable[str]) -> None:

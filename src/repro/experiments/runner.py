@@ -33,6 +33,7 @@ Design:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -45,8 +46,10 @@ from ..power.models import DevicePowerModel
 from ..ptile.construction import SegmentPtiles
 from .artifacts import (
     ArtifactStore,
+    content_digest,
     results_shard_key,
     session_job_digest,
+    structural_fingerprint,
     sweep_context_digest,
 )
 from ..streaming.ftile import FtilePartition
@@ -91,7 +94,11 @@ class SessionJob:
 
 @dataclass(frozen=True)
 class SweepContext:
-    """Shared sweep inputs, shipped once to each worker process."""
+    """Shared sweep inputs, shipped once to each worker process.
+
+    A value: derive a changed one with ``dataclasses.replace``, never by
+    mutating its dicts, since its keys describe it as it was built.
+    """
 
     schemes: dict[str, StreamingScheme]
     device: DevicePowerModel
@@ -105,6 +112,25 @@ class SweepContext:
     # EdgeHitModel per tenant of a shared edge cache).  Resolution order
     # per job: job.config, then video_configs[video_id], then config.
     video_configs: dict[int, SessionConfig] = field(default_factory=dict)
+    # The ptiles_key/ftiles_key each video's Ptiles/Ftiles were built or
+    # loaded under (ExperimentSetup.sweep_context pairs them); results
+    # are keyed by these, never by walking the built objects.
+    ptiles_keys: dict[int, str] = field(default_factory=dict)
+    ftiles_keys: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # One-slot memo of shared_digest(), handed on by slice().
+        object.__setattr__(self, "_shared_digest", [])
+
+    def shared_digest(self) -> str:
+        """Digest of the fields every video shares (schemes, device,
+        networks, session config), walked once per context and its
+        slices, which share those objects."""
+        if not self._shared_digest:
+            self._shared_digest.append(content_digest(structural_fingerprint(
+                (self.schemes, self.device, self.networks, self.config)
+            )))
+        return self._shared_digest[0]
 
     def slice(self, video_ids) -> "SweepContext":
         """A context restricted to the given videos.
@@ -116,27 +142,15 @@ class SweepContext:
         ``self`` unchanged when nothing would be dropped.
         """
         wanted = set(video_ids)
-        keys = (
-            set(self.manifests) | set(self.head_traces)
-            | set(self.ptiles) | set(self.ftiles) | set(self.video_configs)
-        )
-        if keys <= wanted:
+        per_video = {name: getattr(self, name) for name in _PER_VIDEO_FIELDS}
+        if all(values.keys() <= wanted for values in per_video.values()):
             return self
-        return SweepContext(
-            schemes=self.schemes,
-            device=self.device,
-            networks=self.networks,
-            manifests={k: v for k, v in self.manifests.items() if k in wanted},
-            head_traces={
-                k: v for k, v in self.head_traces.items() if k in wanted
-            },
-            ptiles={k: v for k, v in self.ptiles.items() if k in wanted},
-            ftiles={k: v for k, v in self.ftiles.items() if k in wanted},
-            config=self.config,
-            video_configs={
-                k: v for k, v in self.video_configs.items() if k in wanted
-            },
-        )
+        sliced = dataclasses.replace(self, **{
+            name: {k: v for k, v in values.items() if k in wanted}
+            for name, values in per_video.items()
+        })
+        object.__setattr__(sliced, "_shared_digest", self._shared_digest)
+        return sliced
 
     def run_job(self, job: SessionJob) -> SessionResult:
         """Execute one job against this context (pure; any process)."""
@@ -173,6 +187,12 @@ class SweepContext:
             ftiles=self.ftiles.get(job.video_id) if job.use_ftiles else None,
             config=config,
         )
+
+
+_PER_VIDEO_FIELDS = (  # the SweepContext fields keyed by video id
+    "manifests", "head_traces", "ptiles", "ftiles", "video_configs",
+    "ptiles_keys", "ftiles_keys",
+)
 
 
 @dataclass(frozen=True)
@@ -419,8 +439,10 @@ def run_session_jobs(
     ``None`` and described in ``SweepRun.failures``.
 
     With a ``results`` store, jobs are grouped by video and each
-    (sweep-context digest, video) group is looked up in its columnar
-    shard with a single read, one row per job digest.  Hits skip
+    (sweep context, video) group is looked up in its columnar shard
+    with a single read, one row per job digest.  A group's shard key
+    digests only that video's slice of the context, so it is the same
+    whichever other videos the context or the job batch holds.  Hits skip
     execution entirely and fresh results append-merge back into their
     group's shard, so a warm re-run of an identical sweep is pure
     deserialization while staying byte-identical to an uncached one.
@@ -445,13 +467,14 @@ def run_session_jobs(
         return run
 
     start = time.perf_counter()
-    context_digest = sweep_context_digest(context)
     job_digests = [session_job_digest(job) for job in jobs]
     groups: dict[int, list[int]] = {}
     for i, job in enumerate(jobs):
         groups.setdefault(job.video_id, []).append(i)
     shard_keys = {
-        video_id: results_shard_key(context_digest, video_id)
+        video_id: results_shard_key(
+            sweep_context_digest(context.slice({video_id})), video_id
+        )
         for video_id in groups
     }
     merged: list[Any] = [None] * len(jobs)

@@ -56,6 +56,8 @@ class ExperimentSetup:
     rebuilt; :meth:`prepare` additionally fans cold Ptile/Ftile
     construction out across a process pool.  Results are byte-identical
     with the store on or off — the store only skips recomputation.
+    Ptiles and Ftiles are kept with the key they were built or loaded
+    under, which :meth:`sweep_context` hands out with them.
     """
 
     dataset: EvaluationDataset
@@ -68,8 +70,9 @@ class ExperimentSetup:
     artifacts: ArtifactStore | None = None
     ladders: dict[int, EncodingLadder] = field(default_factory=dict)
     _manifests: dict[int, VideoManifest] = field(default_factory=dict, repr=False)
-    _ptiles: dict[int, list[SegmentPtiles]] = field(default_factory=dict, repr=False)
-    _ftiles: dict[int, list[FtilePartition]] = field(default_factory=dict, repr=False)
+    # video id -> (content key, artifact)
+    _ptiles: dict[int, tuple[str, list[SegmentPtiles]]] = field(default_factory=dict, repr=False)
+    _ftiles: dict[int, tuple[str, list[FtilePartition]]] = field(default_factory=dict, repr=False)
 
     @property
     def videos(self) -> tuple[Video, ...]:
@@ -116,12 +119,12 @@ class ExperimentSetup:
     def ptiles(self, video_id: int) -> list[SegmentPtiles]:
         if video_id not in self._ptiles:
             self.prepare((video_id,), manifests=False, ftiles=False)
-        return self._ptiles[video_id]
+        return self._ptiles[video_id][1]
 
     def ftiles(self, video_id: int) -> list[FtilePartition]:
         if video_id not in self._ftiles:
             self.prepare((video_id,), manifests=False, ptiles=False)
-        return self._ftiles[video_id]
+        return self._ftiles[video_id][1]
 
     def prepare(
         self,
@@ -148,30 +151,21 @@ class ExperimentSetup:
             for vid in video_ids:
                 self.manifest(vid)
 
-        todo: list[tuple[int, bool, bool]] = []
+        # Per video, the key of each artifact still to build (None when
+        # not wanted, already held, or served by the store).
+        todo: list[tuple[int, str | None, str | None]] = []
         for vid in video_ids:
-            need_pt = ptiles and vid not in self._ptiles
-            need_ft = ftiles and vid not in self._ftiles
-            if self.artifacts is not None:
-                video = self.dataset.video(vid)
-                train = self.dataset.train_traces(vid)
-                if need_pt:
-                    got = self.artifacts.get(
-                        "ptiles",
-                        ptiles_key(video, train, self.grid, self.ptile_config),
-                    )
-                    if got is not None:
-                        self._ptiles[vid] = got
-                        need_pt = False
-                if need_ft:
-                    got = self.artifacts.get(
-                        "ftiles", ftiles_key(video, train)
-                    )
-                    if got is not None:
-                        self._ftiles[vid] = got
-                        need_ft = False
-            if need_pt or need_ft:
-                todo.append((vid, need_pt, need_ft))
+            video = self.dataset.video(vid)
+            train = self.dataset.train_traces(vid)
+            pt_key = ft_key = None
+            if ptiles and vid not in self._ptiles:
+                pt_key = self._load("ptiles", self._ptiles, vid, ptiles_key(
+                    video, train, self.grid, self.ptile_config))
+            if ftiles and vid not in self._ftiles:
+                ft_key = self._load("ftiles", self._ftiles, vid,
+                                    ftiles_key(video, train))
+            if pt_key or ft_key:
+                todo.append((vid, pt_key, ft_key))
         if not todo:
             return
 
@@ -181,10 +175,10 @@ class ExperimentSetup:
                 self.dataset.train_traces(vid),
                 self.grid,
                 self.ptile_config,
-                need_pt,
-                need_ft,
+                pt_key is not None,
+                ft_key is not None,
             )
-            for vid, need_pt, need_ft in todo
+            for vid, pt_key, ft_key in todo
         ]
         if len(items) > 1 and workers != 1:
             results = parallel_map(
@@ -192,28 +186,61 @@ class ExperimentSetup:
             ).results
         else:
             results = [_prepare_video_task(item) for item in items]
-        for (vid, need_pt, need_ft), (built_pt, built_ft) in zip(todo, results):
-            if need_pt:
-                self._ptiles[vid] = built_pt
-                if self.artifacts is not None:
-                    video = self.dataset.video(vid)
-                    train = self.dataset.train_traces(vid)
-                    self.artifacts.put(
-                        "ptiles",
-                        ptiles_key(video, train, self.grid, self.ptile_config),
-                        built_pt,
-                    )
-            if need_ft:
-                self._ftiles[vid] = built_ft
-                if self.artifacts is not None:
-                    video = self.dataset.video(vid)
-                    train = self.dataset.train_traces(vid)
-                    self.artifacts.put(
-                        "ftiles", ftiles_key(video, train), built_ft
-                    )
+        for (vid, pt_key, ft_key), (built_pt, built_ft) in zip(todo, results):
+            for kind, memo, key, built in (
+                ("ptiles", self._ptiles, pt_key, built_pt),
+                ("ftiles", self._ftiles, ft_key, built_ft),
+            ):
+                if key is not None:
+                    memo[vid] = (key, built)
+                    if self.artifacts is not None:
+                        self.artifacts.put(kind, key, built)
+
+    def _load(self, kind: str, memo: dict, vid: int, key: str) -> str | None:
+        """Serve one artifact from the store into ``memo``; ``key`` if it
+        must be built instead."""
+        got = None if self.artifacts is None else self.artifacts.get(kind, key)
+        if got is None:
+            return key
+        memo[vid] = (key, got)
+        return None
 
     def traces(self) -> dict[str, NetworkTrace]:
         return {"trace1": self.trace1, "trace2": self.trace2}
+
+    def sweep_context(
+        self,
+        schemes: dict[str, StreamingScheme],
+        device: DevicePowerModel,
+        networks: dict[str, NetworkTrace],
+        video_ids: tuple[int, ...],
+        users: int | None = None,
+        *,
+        ftiles: bool = False,
+        config: SessionConfig | None = None,
+        video_configs: dict[int, SessionConfig] | None = None,
+    ) -> SweepContext:
+        """The sweep context of ``video_ids``: each video's manifest, its
+        first ``users`` test head traces (all with ``None``), its Ptiles
+        (and Ftiles with ``ftiles``) with the content keys they were
+        built or loaded under.  ``config`` defaults to the setup's."""
+        with_ftiles = video_ids if ftiles else ()
+        return SweepContext(
+            schemes=schemes,
+            device=device,
+            networks=networks,
+            manifests={vid: self.manifest(vid) for vid in video_ids},
+            head_traces={
+                vid: tuple(self.dataset.test_traces(vid)[:users])
+                for vid in video_ids
+            },
+            ptiles={vid: self.ptiles(vid) for vid in video_ids},
+            ftiles={vid: self.ftiles(vid) for vid in with_ftiles},
+            config=config or self.session_config,
+            video_configs=video_configs or {},
+            ptiles_keys={vid: self._ptiles[vid][0] for vid in video_ids},
+            ftiles_keys={vid: self._ftiles[vid][0] for vid in with_ftiles},
+        )
 
 
 def _prepare_video_task(
@@ -304,30 +331,10 @@ def build_sweep(
         if unknown_videos:
             raise KeyError(f"unknown video ids {sorted(set(unknown_videos))}")
     setup.prepare(wanted, workers=workers)
-
-    manifests: dict[int, VideoManifest] = {}
-    ptiles: dict[int, list[SegmentPtiles]] = {}
-    ftiles: dict[int, list[FtilePartition]] = {}
-    heads: dict[int, tuple] = {}
-    for vid in wanted:
-        manifests[vid] = setup.manifest(vid)
-        ptiles[vid] = setup.ptiles(vid)
-        ftiles[vid] = setup.ftiles(vid)
-        test_traces = setup.dataset.test_traces(vid)
-        if users_per_video is not None:
-            test_traces = test_traces[:users_per_video]
-        heads[vid] = tuple(test_traces)
-
-    context = SweepContext(
-        schemes=schemes,
-        device=device,
-        networks=setup.traces(),
-        manifests=manifests,
-        head_traces=heads,
-        ptiles=ptiles,
-        ftiles=ftiles,
-        config=setup.session_config,
+    context = setup.sweep_context(
+        schemes, device, setup.traces(), wanted, users_per_video, ftiles=True
     )
+    heads = context.head_traces
     jobs = [
         SessionJob(
             key=(trace_name, name, vid),

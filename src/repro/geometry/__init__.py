@@ -6,7 +6,6 @@ from .quaternion import (
     quaternion_multiply,
     quaternion_normalize,
     quaternion_rotate,
-    quaternion_slerp,
     quaternion_to_angles,
     quaternion_to_direction,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "quaternion_multiply",
     "quaternion_normalize",
     "quaternion_rotate",
-    "quaternion_slerp",
     "quaternion_to_angles",
     "quaternion_to_direction",
     "angular_distance",

@@ -27,7 +27,6 @@ __all__ = [
     "quaternion_to_direction",
     "quaternion_to_angles",
     "angles_to_quaternion",
-    "quaternion_slerp",
 ]
 
 _FORWARD = np.array([1.0, 0.0, 0.0])
@@ -95,23 +94,3 @@ def angles_to_quaternion(yaw: float, pitch: float) -> np.ndarray:
     q_pitch = np.array([math.cos(half_pitch), 0.0, math.sin(half_pitch), 0.0])
     return quaternion_multiply(q_yaw, q_pitch)
 
-
-def quaternion_slerp(
-    a: Sequence[float], b: Sequence[float], t: float
-) -> np.ndarray:
-    """Spherical linear interpolation between two unit quaternions."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must be in [0, 1]")
-    qa = quaternion_normalize(a)
-    qb = quaternion_normalize(b)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:  # take the short arc
-        qb = -qb
-        dot = -dot
-    if dot > 0.9995:  # nearly parallel: lerp and renormalize
-        return quaternion_normalize(qa + t * (qb - qa))
-    theta = math.acos(min(dot, 1.0))
-    sin_theta = math.sin(theta)
-    wa = math.sin((1.0 - t) * theta) / sin_theta
-    wb = math.sin(t * theta) / sin_theta
-    return quaternion_normalize(wa * qa + wb * qb)

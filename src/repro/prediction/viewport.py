@@ -155,12 +155,13 @@ class ViewportPredictor:
 
         # Clamp the implied trend speed.  min/max on plain floats gives
         # np.clip's result (NaN and -0.0 included) without a numpy scalar
-        # round trip per clamp.
+        # round trip per clamp.  A zero move keeps the last sample itself:
+        # adding it would turn a last pitch of -0.0 into +0.0.
         max_move = self.max_trend_deg_s * horizon
-        yaw_hat = yaw_last + float(min(max(yaw_hat - yaw_last, -max_move), max_move))
-        pitch_hat = pitch_last + float(
-            min(max(pitch_hat - pitch_last, -max_move), max_move)
-        )
+        yaw_move = float(min(max(yaw_hat - yaw_last, -max_move), max_move))
+        pitch_move = float(min(max(pitch_hat - pitch_last, -max_move), max_move))
+        yaw_hat = yaw_last + yaw_move if yaw_move else yaw_last
+        pitch_hat = pitch_last + pitch_move if pitch_move else pitch_last
         return yaw_hat % 360.0, float(min(max(pitch_hat, -90.0), 90.0))
 
     def predict_viewport(self, t_target: float) -> Viewport:

@@ -139,21 +139,27 @@ class SegmentManifest:
         return rate
 
 
+@dataclass(eq=False, repr=False)
 class VideoManifest:
-    """Per-video sequence of segment manifests."""
+    """Per-video sequence of segment manifests.
 
-    def __init__(self, video: Video, encoder: EncoderModel):
-        self.video = video
-        self.encoder = encoder
+    A pure function of its two fields: the segment manifests are derived
+    state, so ``video`` and ``encoder`` are all a content key covers.
+    """
+
+    video: Video
+    encoder: EncoderModel
+
+    def __post_init__(self) -> None:
         self._segments = tuple(
             SegmentManifest(
-                video_id=video.meta.video_id,
+                video_id=self.video.meta.video_id,
                 segment_index=seg.index,
                 si=seg.si,
                 ti=seg.ti,
-                encoder=encoder,
+                encoder=self.encoder,
             )
-            for seg in video.segments
+            for seg in self.video.segments
         )
 
     def __len__(self) -> int:

@@ -5,7 +5,6 @@ from .ascii import (
     cdf_plot,
     heatmap,
     line_plot,
-    sparkline,
     tile_grid_map,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "cdf_plot",
     "heatmap",
     "line_plot",
-    "sparkline",
     "tile_grid_map",
 ]

@@ -2,8 +2,8 @@
 
 The library keeps its dependency footprint to numpy/scipy, so figures
 render as text: horizontal bar charts for the Fig. 9/11 comparisons,
-line canvases for the Fig. 5/8 CDFs, sparklines for traces, shaded
-heatmaps for tile popularity, and tile-grid maps for Ptiles.
+line canvases for the Fig. 5/8 CDFs, shaded heatmaps for tile
+popularity, and tile-grid maps for Ptiles.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ __all__ = [
     "bar_chart",
     "line_plot",
     "cdf_plot",
-    "sparkline",
     "heatmap",
     "tile_grid_map",
 ]
 
-_BLOCKS = " ▁▂▃▄▅▆▇█"
 _SHADES = " ░▒▓█"
 _MARKERS = "*o+x#@"
 
@@ -120,17 +118,6 @@ def cdf_plot(
         series[name] = (grid, cdf)
     return line_plot(series, width=width, height=height, title=title,
                      x_label="value", y_label="CDF")
-
-
-def sparkline(values: Iterable[float]) -> str:
-    """One-line block-character sketch of a series (e.g. a trace)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("no values")
-    lo, hi = float(arr.min()), float(arr.max())
-    span = (hi - lo) or 1.0
-    levels = ((arr - lo) / span * (len(_BLOCKS) - 1)).round().astype(int)
-    return "".join(_BLOCKS[v] for v in levels)
 
 
 def heatmap(

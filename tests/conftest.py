@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.artifacts import ftiles_key, ptiles_key
 from repro.geometry import DEFAULT_GRID
 from repro.power import PIXEL_3
-from repro.ptile import build_video_ptiles
+from repro.ptile import PtileConfig, build_video_ptiles
 from repro.streaming import build_video_ftiles
 from repro.traces import build_dataset, paper_traces
 from repro.video import EncoderModel, VideoManifest
@@ -76,6 +77,29 @@ def ptiles8(small_dataset, video8):
 @pytest.fixture(scope="session")
 def ftiles2(small_dataset, video2):
     return build_video_ftiles(video2, small_dataset.train_traces(2))
+
+
+# The content keys of the fixtures above: a SweepContext holding them
+# needs each one next to it (``ptiles_keys`` / ``ftiles_keys``).
+
+
+@pytest.fixture(scope="session")
+def ptiles2_key(small_dataset, video2):
+    return ptiles_key(
+        video2, small_dataset.train_traces(2), DEFAULT_GRID, PtileConfig()
+    )
+
+
+@pytest.fixture(scope="session")
+def ptiles8_key(small_dataset, video8):
+    return ptiles_key(
+        video8, small_dataset.train_traces(8), DEFAULT_GRID, PtileConfig()
+    )
+
+
+@pytest.fixture(scope="session")
+def ftiles2_key(small_dataset, video2):
+    return ftiles_key(video2, small_dataset.train_traces(2))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,9 @@ encoding is a contract with every cache already on disk:
   small test dataset equal hex digests recorded before the one-pass
   encoder replaced the per-node one.  A change here invalidates every
   existing cache and needs a schema-version bump, not a new golden.
+  The two sweep-context goldens were re-recorded once, with results
+  schema v5, when the context digest became a composition of the
+  components' content keys.
 * **Oracle parity** — on arbitrary nested inputs the production digest
   equals :func:`tests.digest_reference.reference_digest`, the original
   per-node encoder.
@@ -47,9 +50,9 @@ from .digest_reference import reference_digest
 
 GOLDEN = {
     "context":
-        "0d133771669dddc3d77d8a6269d5abee0c251422341b9fd5effd50e7a780fc34",
+        "b04469df09537ec7b17ab80a95c00fdd348399f21def9aa53ed3790c8ccf495c",
     "slice2":
-        "f54d10cb8a9586b0d3070bd2caf5b0505962772fa8abe5c57b31003cf479dd94",
+        "c324af692606aa5a2b9c67b2fbe5e09c558aa7cfe24fb463863f7574c2e8fe1a",
     "job":
         "955e83e66b72229adc9ee335bd445001d243340d68a097c6d380a03fc953a535",
     "manifest_key":
@@ -61,7 +64,8 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def sweep_context(small_dataset, manifest2, manifest8, ptiles2, ptiles8,
-                  ftiles2, network_traces, device):
+                  ftiles2, ptiles2_key, ptiles8_key, ftiles2_key,
+                  network_traces, device):
     trace1, trace2 = network_traces
     return SweepContext(
         schemes=make_schemes(device),
@@ -75,6 +79,8 @@ def sweep_context(small_dataset, manifest2, manifest8, ptiles2, ptiles8,
         ptiles={2: ptiles2, 8: ptiles8},
         ftiles={2: ftiles2},
         config=SessionConfig(),
+        ptiles_keys={2: ptiles2_key, 8: ptiles8_key},
+        ftiles_keys={2: ftiles2_key},
     )
 
 

@@ -9,7 +9,6 @@ from repro.geometry import (
     quaternion_multiply,
     quaternion_normalize,
     quaternion_rotate,
-    quaternion_slerp,
     quaternion_to_angles,
     quaternion_to_direction,
 )
@@ -82,39 +81,3 @@ class TestAngleRoundTrip:
         yaw, pitch = quaternion_to_angles(q)
         assert yaw == pytest.approx(10.0, abs=1e-6)
         assert pitch == pytest.approx(20.0, abs=1e-6)
-
-
-class TestSlerp:
-    def test_endpoints(self):
-        a = angles_to_quaternion(0.0, 0.0)
-        b = angles_to_quaternion(90.0, 0.0)
-        assert np.allclose(quaternion_slerp(a, b, 0.0), a)
-        assert np.allclose(np.abs(quaternion_slerp(a, b, 1.0)), np.abs(b))
-
-    def test_midpoint_halves_angle(self):
-        a = angles_to_quaternion(0.0, 0.0)
-        b = angles_to_quaternion(90.0, 0.0)
-        mid = quaternion_slerp(a, b, 0.5)
-        yaw, pitch = quaternion_to_angles(mid)
-        assert yaw == pytest.approx(45.0, abs=1e-6)
-        assert pitch == pytest.approx(0.0, abs=1e-6)
-
-    def test_short_arc_taken(self):
-        a = angles_to_quaternion(350.0, 0.0)
-        b = angles_to_quaternion(10.0, 0.0)
-        mid = quaternion_slerp(a, b, 0.5)
-        yaw, _ = quaternion_to_angles(mid)
-        assert yaw == pytest.approx(0.0, abs=1e-5) or yaw == pytest.approx(
-            360.0, abs=1e-5
-        )
-
-    def test_nearly_parallel_stable(self):
-        a = angles_to_quaternion(10.0, 0.0)
-        b = angles_to_quaternion(10.001, 0.0)
-        mid = quaternion_slerp(a, b, 0.5)
-        assert np.linalg.norm(mid) == pytest.approx(1.0)
-
-    def test_t_bounds(self):
-        a = angles_to_quaternion(0.0, 0.0)
-        with pytest.raises(ValueError):
-            quaternion_slerp(a, a, 1.5)

@@ -29,6 +29,7 @@ from repro.experiments.artifacts import (
     encoder_fingerprint,
     ladder_key,
     manifest_key,
+    ptiles_key,
 )
 from repro.power import PIXEL_3
 from repro.video import VideoManifest
@@ -124,6 +125,10 @@ class TestResultsKeys:
                 manifests={8: s.manifest(8)},
                 head_traces={8: tuple(s.dataset.test_traces(8)[:1])},
                 ptiles={8: s.ptiles(8)},
+                ptiles_keys={8: ptiles_key(
+                    s.dataset.video(8), s.dataset.train_traces(8), s.grid,
+                    s.ptile_config,
+                )},
             )
 
         return ctx(setup), ctx(override)

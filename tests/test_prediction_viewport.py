@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.prediction import RidgeRegressor, ViewportPredictor
@@ -165,6 +165,7 @@ class TestClampParity:
         assert _bits(got) == _bits(float(np.clip(pitch, -90.0, 90.0)))
 
     @given(st.lists(st.floats(-200.0, 200.0), min_size=4, max_size=12))
+    @example([0.0, 0.0, 0.0, -0.0])
     @settings(max_examples=100, deadline=None)
     def test_zero_trend_clamp_holds_last_sample(self, pitches):
         # max_trend_deg_s = 0 clamps the trend to [-0.0, 0.0]: the

@@ -227,15 +227,6 @@ class TestQuaternionProperties:
         yaw2, pitch2 = quaternion_to_angles(angles_to_quaternion(yaw, pitch))
         assert angular_distance(yaw, pitch, yaw2, pitch2) < 1e-4
 
-    @given(yaw_st, pitch_st, yaw_st, pitch_st, st.floats(0.0, 1.0))
-    def test_slerp_stays_unit(self, y1, p1, y2, p2, t):
-        from repro.geometry import angles_to_quaternion, quaternion_slerp
-
-        q = quaternion_slerp(
-            angles_to_quaternion(y1, p1), angles_to_quaternion(y2, p2), t
-        )
-        assert abs(float(np.linalg.norm(q)) - 1.0) < 1e-9
-
 
 class TestCacheProperties:
     @given(

@@ -59,8 +59,8 @@ from .session_invariants import check_invariants
 
 
 @pytest.fixture(scope="module")
-def sweep_context(small_dataset, manifest2, ptiles2, ftiles2,
-                  network_traces, device):
+def sweep_context(small_dataset, manifest2, ptiles2, ftiles2, ptiles2_key,
+                  ftiles2_key, network_traces, device):
     trace1, trace2 = network_traces
     return SweepContext(
         schemes=make_schemes(device),
@@ -71,6 +71,8 @@ def sweep_context(small_dataset, manifest2, ptiles2, ftiles2,
         ptiles={2: ptiles2},
         ftiles={2: ftiles2},
         config=SessionConfig(),
+        ptiles_keys={2: ptiles2_key},
+        ftiles_keys={2: ftiles2_key},
     )
 
 
@@ -459,7 +461,8 @@ class TestKeyGoldens:
     A change here strands every shard already on disk (each would
     become a cold miss), so it must come with a schema-version bump.
     The package version is part of every shard key, so a release bump
-    re-records the shard-key goldens.
+    re-records the shard-key goldens; so did results schema v5, which
+    composes the context digest from component content keys.
     """
 
     JOBS = (
@@ -482,10 +485,10 @@ class TestKeyGoldens:
     def test_shard_keys(self, sweep_context):
         assert __version__ == "1.0.0"
         assert results_shard_key(content_digest("ctx"), 2) == (
-            "e8c07e385609d00a3d9c5954bcecf51e04cc2c47a9e65f612d6a7abb6c7bd3c5"
+            "d3f00ee53886af9924106f26cdaafab30f897b88e8645458284c73e2647004c1"
         )
         assert results_shard_key(sweep_context_digest(sweep_context), 2) == (
-            "e319ac75fadc9c9b18048d9301136a9f602d70683c85d6dc4f48b992c40e1a15"
+            "e1c8b0f35bdee4579bc75a24cc21b2194b5f2087f1d4bf6eb4b9a18b1cea172e"
         )
 
 

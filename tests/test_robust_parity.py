@@ -169,8 +169,8 @@ class TestActiveRobust:
             )
 
     def test_serial_equals_pooled_cold_equals_warm(
-        self, manifest8, ptiles8, small_dataset, network_traces, device,
-        tmp_path,
+        self, manifest8, ptiles8, ptiles8_key, small_dataset, network_traces,
+        device, tmp_path,
     ):
         context = SweepContext(
             schemes={
@@ -185,6 +185,7 @@ class TestActiveRobust:
             head_traces={8: tuple(small_dataset.test_traces(8))},
             ptiles={8: ptiles8},
             config=CFG,
+            ptiles_keys={8: ptiles8_key},
         )
         jobs = [
             SessionJob(key=(name, u), scheme=name, video_id=8,
@@ -230,7 +231,7 @@ class TestSweepRobust:
     """S4: robust x resilience — deterministic, schema-versioned."""
 
     def test_schema_version_covers_uncertainty_fields(self):
-        assert RESULTS_SCHEMA_VERSION == 4
+        assert RESULTS_SCHEMA_VERSION == 5
 
     def test_deterministic_across_worker_counts(self, robust_setup):
         kwargs = dict(profiles=("none", "outages"), users=2, fault_seed=7)

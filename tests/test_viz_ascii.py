@@ -8,7 +8,6 @@ from repro.viz import (
     cdf_plot,
     heatmap,
     line_plot,
-    sparkline,
     tile_grid_map,
 )
 
@@ -77,23 +76,6 @@ class TestCdfPlot:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cdf_plot({"x": []})
-
-
-class TestSparkline:
-    def test_length(self):
-        assert len(sparkline([1, 2, 3])) == 3
-
-    def test_extremes(self):
-        s = sparkline([0.0, 1.0])
-        assert s[0] == " " and s[-1] == "█"
-
-    def test_flat(self):
-        s = sparkline([3.0, 3.0, 3.0])
-        assert len(set(s)) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sparkline([])
 
 
 class TestHeatmap:
