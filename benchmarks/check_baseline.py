@@ -82,6 +82,9 @@ def extract_metrics(report: dict) -> dict[str, float]:
         "context_digest_pickle_ratio": _extra(
             report, "test_context_digest_cost", "digest_pickle_ratio"
         ),
+        "results_decode_ratio": _extra(
+            report, "test_results_decode_cost", "decode_records_ratio"
+        ),
         "planner_plans_per_second": _extra(
             report, "test_planner_throughput", "plans_per_second"
         ),

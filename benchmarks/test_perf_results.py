@@ -26,6 +26,12 @@ Three gates on the results-store layer:
   sliced context; the ratio is scale-invariant, and a return of the
   walk over the built Ptiles and Ftiles multiplies it past the ceiling.
 
+* ``test_results_decode_cost`` — the rest of a warm pass is decoding
+  its shard rows.  A ``SessionResult`` row is its header plus raw
+  per-segment column bytes, so a warm ``get_results_batch`` of a group
+  costs a fraction of ``pickle.loads`` of the same sessions' record
+  lists; a return to per-record pickles reads about 1 or more.
+
 The measured speedups land in ``extra_info`` for the CI regression
 gate.
 """
@@ -40,8 +46,11 @@ from repro.experiments import make_setup, run_comparison
 from repro.experiments.artifacts import (
     ArtifactStore,
     content_digest,
+    results_shard_key,
+    session_job_digest,
     sweep_context_digest,
 )
+from repro.experiments.runner import run_session_jobs
 from repro.experiments.setup import build_sweep
 from repro.power import PIXEL_3
 
@@ -183,3 +192,51 @@ def test_context_digest_cost(benchmark):
     benchmark.extra_info["digest_ms"] = 1e3 * digest_s
     benchmark.extra_info["pickle_ms"] = 1e3 * pickle_s
     benchmark.extra_info["digest_pickle_ratio"] = ratio
+
+
+_DECODE_ROUNDS = 30
+
+
+def test_results_decode_cost(benchmark, tmp_path):
+    """Warm shard read of one Fig. 9 video group vs unpickling the same
+    sessions' ``records`` lists.
+
+    The group is what a warm pass of the Fig. 9 sweep reads per video:
+    all five schemes on both networks for two users of one 20-s video
+    (20 sessions of 20 segments, dataset seed 2017).  Each shard round
+    uses a fresh store, so it pays the file read and index parse.
+    Min-of-rounds on both sides.  The columnar rows read about 0.1;
+    per-record pickles (the layout before results schema v6) about 1.
+    """
+    setup = make_setup(max_duration_s=20, video_ids=(8,))
+    context, jobs = build_sweep(setup, workers=1)
+    jobs = [job for job in jobs if job.user_index < 2]
+    store = ArtifactStore(tmp_path)
+    cold = run_session_jobs(context, jobs, workers=1, results=store)
+    shard = results_shard_key(sweep_context_digest(context), 8)
+    entries = [session_job_digest(job) for job in jobs]
+
+    blobs = [
+        pickle.dumps(result.records, protocol=pickle.HIGHEST_PROTOCOL)
+        for result in cold.results
+    ]
+    loads_s = float("inf")
+    for _ in range(_DECODE_ROUNDS):
+        t0 = time.perf_counter()
+        for blob in blobs:
+            pickle.loads(blob)
+        loads_s = min(loads_s, time.perf_counter() - t0)
+
+    def read_group():
+        return ArtifactStore(tmp_path).get_results_batch(shard, entries)
+
+    warm = benchmark.pedantic(read_group, rounds=_DECODE_ROUNDS,
+                              iterations=1)
+    decode_s = benchmark.stats["min"]
+    assert warm == cold.results
+
+    ratio = decode_s / loads_s
+    benchmark.extra_info["rows"] = len(entries)
+    benchmark.extra_info["decode_ms"] = 1e3 * decode_s
+    benchmark.extra_info["records_loads_ms"] = 1e3 * loads_s
+    benchmark.extra_info["decode_records_ratio"] = ratio

@@ -732,9 +732,7 @@ def sweep_robust(
                     float(np.mean([s.mean_qoe for s in batch])),
                     float(np.mean([s.rebuffer_count for s in batch])),
                     extra={
-                        "qo": float(
-                            np.mean([s.session_qoe.mean_qo for s in batch])
-                        ),
+                        "qo": float(np.mean([s.mean_qo for s in batch])),
                         "coverage": float(
                             np.mean([s.mean_coverage for s in batch])
                         ),
@@ -849,7 +847,7 @@ def sweep_ladder(
 
     def _mbit_per_segment(batch: list[SessionResult]) -> float:
         return float(np.mean([
-            sum(r.size_mbit for r in s.records) / max(len(s.records), 1)
+            s.total_size_mbit / max(s.num_segments, 1)
             for s in batch
         ]))
 

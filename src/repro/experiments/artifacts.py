@@ -34,7 +34,7 @@ The store is wired into :class:`~repro.experiments.setup.ExperimentSetup`
 to relocate or disable, ``REPRO_ARTIFACT_CACHE`` as the env override).
 
 Session **results** live in the same store but in one layout only:
-columnar shards, one file per ``(sweep context, video)`` group.  A
+shards, one file per ``(sweep context, video)`` group.  A
 :class:`~repro.streaming.metrics.SessionResult` is a deterministic
 function of the sweep context (schemes, device, manifests, Ptiles,
 traces, session config) and the job (scheme, video, network, user,
@@ -110,7 +110,7 @@ fingerprint (manifests encoded under different ladders can never share
 a slot) and the new ``ladder`` artifact kind caches optimizer search
 results."""
 
-RESULTS_SCHEMA_VERSION = 5
+RESULTS_SCHEMA_VERSION = 6
 """Bumped whenever the session-result schema or the fingerprint
 composition changes; baked into every results key.
 
@@ -141,7 +141,15 @@ a result (older entries were stranded, not served).
 v5: shard keys composed from component content keys — each manifest's
 :func:`manifest_key` and the :func:`ptiles_key`/:func:`ftiles_key` of
 the Ptiles and Ftiles instead of the built objects, and a video's key
-covers only that video's slice of the context."""
+covers only that video's slice of the context.
+
+v6: columnar rows — a shard row is still ``pickle.dumps`` of one
+:class:`~repro.streaming.metrics.SessionResult`, but the result now
+pickles as its header plus the raw bytes of two per-segment column
+blocks (float64 and int64, one row per SegmentRecord field), so a row
+decodes with one ``np.frombuffer`` per block instead of one
+SegmentRecord, SegmentQoE and SegmentEnergy per segment.  v5 rows are
+not read."""
 
 ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder")
 """Kinds stored one pickle per object; session results are sharded."""
@@ -482,7 +490,7 @@ def session_job_digest(job: Any) -> str:
 
 
 def results_shard_key(context_digest: str, video_id: int) -> str:
-    """Key of the columnar shard holding every session result of one
+    """Key of the shard holding every session result of one
     ``(sweep context, video)`` group.
 
     Within a shard, rows are keyed by :func:`session_job_digest` alone:
@@ -538,7 +546,7 @@ class ArtifactStats:
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 SHARD_DIR = "results-shards"
-"""Subdirectory of the columnar session-result shards."""
+"""Subdirectory of the session-result shards."""
 
 
 def _validate_digest(digest: str) -> str:
@@ -556,6 +564,27 @@ def _validate_digest(digest: str) -> str:
     return digest
 
 
+def _binary_digests(entries: Sequence[str]) -> bytes:
+    """The 32-byte forms of many digests, concatenated, after checking
+    each entry as :func:`_validate_digest` does.
+
+    The batch is checked in one pass over the joined hex (a hex round
+    trip plus the entry lengths, so a digest split across two entries
+    or spelled in uppercase cannot pass); only a failing batch is
+    walked entry by entry to name the bad one.
+    """
+    try:
+        joined = "".join(entries)
+        raw = bytes.fromhex(joined)
+        if raw.hex() == joined and set(map(len, entries)) <= {64}:
+            return raw
+    except (TypeError, ValueError):
+        pass
+    for entry in entries:
+        _validate_digest(entry)  # raises on the first malformed entry
+    return bytes.fromhex("".join(entries))
+
+
 def _discard(path: Path) -> None:
     """Unlink a file, ignoring one that is already gone or locked."""
     try:
@@ -565,23 +594,26 @@ def _discard(path: Path) -> None:
 
 
 # ----------------------------------------------------------------------
-# Columnar session-result shards.  One shard file holds every cached
-# session of one (sweep-context digest, video) group, so a warm
-# million-session sweep opens one file per group instead of one per
-# session.  Layout (all little-endian, written atomically):
+# Session-result shards.  One shard file holds every cached session of
+# one (sweep-context digest, video) group, so a warm million-session
+# sweep opens one file per group instead of one per session.  Layout
+# (all little-endian, written atomically):
 #
 #   magic        b"RSHARD1\n"
 #   digests      .npy, S32, binary SHA-256 job digests, ascending
-#   offsets      .npy, int64, payload offset of each column
-#   ends         .npy, int64, payload end of each column
-#   payload      concatenated per-column pickle blobs
+#   offsets      .npy, int64, payload offset of each row
+#   ends         .npy, int64, payload end of each row
+#   payload      concatenated per-row pickle blobs
 #
-# Columns are individually pickled (highest protocol), so a row is
-# deserialized without touching its neighbours.  Keeping the index as
-# raw numpy arrays (not a zip/npz container) lets a batch lookup run as
-# a handful of vector ops: one read(), three read_array() calls, one
-# searchsorted over the sorted digest column, then one pickle.loads per
-# requested row.
+# Each row is one job's result pickled on its own (highest protocol), so
+# a row is deserialized without touching its neighbours.  A
+# SessionResult row (schema v6) pickles as its header plus the raw bytes
+# of its per-segment float64 and int64 column blocks, so it decodes with
+# one np.frombuffer per block and builds no per-segment objects.
+# Keeping the index as raw numpy arrays (not a zip/npz container) lets a
+# batch lookup run as a handful of vector ops: one read(), three
+# read_array() calls, one searchsorted over the sorted digest column,
+# then one pickle.loads per requested row.
 # ----------------------------------------------------------------------
 
 _SHARD_MAGIC = b"RSHARD1\n"
@@ -643,13 +675,13 @@ class ArtifactStore:
 
     Content-prep artifacts (:data:`ARTIFACT_KINDS`) are stored one
     pickle per object through :meth:`get`/:meth:`put` — there are a
-    handful per video.  Session results are stored only in columnar
+    handful per video.  Session results are stored only in
     shards, one per ``(sweep-context digest, video)`` group:
 
     * :meth:`get_results_batch` — one shard read serves every requested
       job of the group.
     * :meth:`merge_shard` — append-merge: read the existing shard raw
-      (columns are never deserialized), overlay the new columns, and
+      (rows are never deserialized), overlay the new rows, and
       atomically replace the file.  Merges are serialized by an
       exclusive file lock, so concurrent writers with disjoint job sets
       cannot lose each other's rows.
@@ -783,19 +815,19 @@ class ArtifactStore:
     ) -> list[Any]:
         """Look up many session results of one shard group at once.
 
-        ``entries`` are job digests (:func:`session_job_digest`).
+        ``entries`` are job digests (:func:`session_job_digest`); a
+        malformed one raises ``ValueError``, as in :meth:`merge_shard`.
         Returns one result per entry, in request order, with ``None``
         where the shard holds no such row.  Every requested row is
         counted exactly once, as a ``results`` hit or miss.
         """
+        wanted = _binary_digests(entries)
         results: list[Any] = [None] * len(entries)
         served = 0
         raw = self._read_shard_raw(shard_digest)
         if raw is not None and len(raw[0]):
             digests, offsets, ends, buf, base = raw
-            want = np.frombuffer(
-                bytes.fromhex("".join(entries)), dtype="S32"
-            )
+            want = np.frombuffer(wanted, dtype="S32")
             # Search on a big-endian u64 view of each digest's first 8
             # bytes: same sort order as the S32 column but ~2x faster
             # to compare.  Exact whenever no two shard digests share a
@@ -835,7 +867,7 @@ class ArtifactStore:
     def merge_shard(self, shard_digest: str, entries: dict[str, Any]) -> Path:
         """Append-merge ``{job digest: result}`` into a shard.
 
-        Existing columns are carried over as raw bytes (never
+        Existing rows are carried over as raw bytes (never
         deserialized); a digest present on both sides takes the new
         value.  The read-merge-replace cycle holds an exclusive lock so
         concurrent writers cannot overwrite each other's merges, and

@@ -82,12 +82,11 @@ def summarize_qoe(
     traces = tuple(sorted({key[0] for key in results}))
     schemes = tuple(s for s in SCHEME_ORDER if any(k[1] == s for k in results))
     for key, sessions in results.items():
-        qoes = [s.session_qoe for s in sessions]
-        per_video[key] = float(np.mean([q.mean_q for q in qoes]))
+        per_video[key] = float(np.mean([s.mean_qoe for s in sessions]))
         components[key] = (
-            float(np.mean([q.mean_qo for q in qoes])),
-            float(np.mean([q.mean_variation for q in qoes])),
-            float(np.mean([q.mean_rebuffer for q in qoes])),
+            float(np.mean([s.mean_qo for s in sessions])),
+            float(np.mean([s.mean_variation for s in sessions])),
+            float(np.mean([s.mean_rebuffer for s in sessions])),
         )
     return QoEComparison(
         per_video=per_video,

@@ -439,7 +439,7 @@ def run_session_jobs(
     ``None`` and described in ``SweepRun.failures``.
 
     With a ``results`` store, jobs are grouped by video and each
-    (sweep context, video) group is looked up in its columnar shard
+    (sweep context, video) group is looked up in its shard
     with a single read, one row per job digest.  A group's shard key
     digests only that video's slice of the context, so it is the same
     whichever other videos the context or the job batch holds.  Hits skip

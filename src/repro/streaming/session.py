@@ -160,13 +160,7 @@ def run_session(
         )
 
     energy_model = EnergyModel(device, config.segment_seconds)
-    result = SessionResult(
-        scheme_name=scheme.name,
-        video_id=manifest.video.meta.video_id,
-        user_id=head_trace.user_id,
-        device_name=device.name,
-        network_name=network.name,
-    )
+    records: list[SegmentRecord] = []
 
     wall_t = 0.0
     prev_qo: float | None = None
@@ -335,7 +329,7 @@ def run_session(
         )
         prev_qo = qo_effective
 
-        result.add(
+        records.append(
             SegmentRecord(
                 index=k,
                 quality=delivered.quality,
@@ -359,4 +353,11 @@ def run_session(
                 uncertainty_deg=delivered.sigma_deg,
             )
         )
-    return result
+    return SessionResult(
+        scheme_name=scheme.name,
+        video_id=manifest.video.meta.video_id,
+        user_id=head_trace.user_id,
+        device_name=device.name,
+        network_name=network.name,
+        records=records,
+    )

@@ -8,9 +8,10 @@ encoding is a contract with every cache already on disk:
   small test dataset equal hex digests recorded before the one-pass
   encoder replaced the per-node one.  A change here invalidates every
   existing cache and needs a schema-version bump, not a new golden.
-  The two sweep-context goldens were re-recorded once, with results
-  schema v5, when the context digest became a composition of the
-  components' content keys.
+  The two sweep-context goldens were re-recorded with results schema
+  v5, when the context digest became a composition of the components'
+  content keys, and again for the v6 bump alone (the schema version is
+  part of the digest).
 * **Oracle parity** — on arbitrary nested inputs the production digest
   equals :func:`tests.digest_reference.reference_digest`, the original
   per-node encoder.
@@ -50,9 +51,9 @@ from .digest_reference import reference_digest
 
 GOLDEN = {
     "context":
-        "b04469df09537ec7b17ab80a95c00fdd348399f21def9aa53ed3790c8ccf495c",
+        "a0c78b244a61609f9fa9a4ff0cc530f9195b52414802fffd1313ede79a9a42a9",
     "slice2":
-        "c324af692606aa5a2b9c67b2fbe5e09c558aa7cfe24fb463863f7574c2e8fe1a",
+        "52b2733ac88469c7d9cb163287477f45b0cbe02a8362fcebc6523c3d5f5ca09a",
     "job":
         "955e83e66b72229adc9ee335bd445001d243340d68a097c6d380a03fc953a535",
     "manifest_key":

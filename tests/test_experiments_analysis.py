@@ -14,19 +14,17 @@ from repro.streaming import SegmentRecord, SessionResult
 
 
 def make_session(scheme, video, user, network, energy_j, qoe):
-    session = SessionResult(scheme, video, user, "Pixel 3", network)
-    for i in range(4):
-        session.add(
-            SegmentRecord(
-                index=i, quality=3, frame_rate=30.0, size_mbit=2.0,
-                download_time_s=0.5, wait_s=0.0, stall_s=0.0,
-                buffer_before_s=2.0, coverage=0.9, qo_effective=qoe,
-                qoe=SegmentQoE(qoe, 0.0, 0.0),
-                energy=SegmentEnergy(energy_j, 0.0, 0.0),
-                decode_scheme=TilingScheme.CTILE, used_ptile=False,
-            )
+    return SessionResult(scheme, video, user, "Pixel 3", network, [
+        SegmentRecord(
+            index=i, quality=3, frame_rate=30.0, size_mbit=2.0,
+            download_time_s=0.5, wait_s=0.0, stall_s=0.0,
+            buffer_before_s=2.0, coverage=0.9, qo_effective=qoe,
+            qoe=SegmentQoE(qoe, 0.0, 0.0),
+            energy=SegmentEnergy(energy_j, 0.0, 0.0),
+            decode_scheme=TilingScheme.CTILE, used_ptile=False,
         )
-    return session
+        for i in range(4)
+    ])
 
 
 class TestBootstrapCI:

@@ -4,8 +4,10 @@ Session results have one on-disk layout: one columnar shard per
 ``(sweep-context digest, video)`` group.  The load-bearing properties:
 
 * **Identity** — shard-served sessions are byte-identical to cache-off,
-  cold or warm, at any worker count, and satisfy the per-segment
-  invariants of ``tests/session_invariants.py``.
+  cold or warm, at any worker count (equal records and equal pickle
+  bytes), and satisfy the per-segment invariants of
+  ``tests/session_invariants.py``.  A warm pass decodes each row from
+  its columns and builds no ``SegmentRecord``.
 * **Accounting** — every requested row counts exactly once: a cold pass
   records one miss and one write per job, a warm pass one hit per job
   and no miss.
@@ -51,7 +53,10 @@ from repro.experiments.runner import (
     SweepContext,
     run_session_jobs,
 )
+from repro.experiments.fig9 import summarize_energy
+from repro.experiments.fig11 import summarize_qoe
 from repro.experiments.setup import ExperimentSetup
+from repro.streaming.metrics import SessionResult, mean_sessions
 from repro.streaming.session import SessionConfig
 from repro.video import EncoderModel
 
@@ -258,6 +263,24 @@ class TestShardStoreUnit:
         with pytest.raises(ValueError):
             store.merge_shard(content_digest("ok"), {"not-a-digest": 1})
 
+    @pytest.mark.parametrize("malformed", [
+        "split",  # a[:-2] and a[-2:] + b: hex-joined, they read as a, b
+        "upper",  # a.upper(): merge_shard rejects it, so must the read
+        "short",  # 10 characters: no whole S32 digest
+    ])
+    def test_malformed_job_digests_rejected(self, tmp_path, malformed):
+        store, shard, entries = self.shard(tmp_path, ["row-a", "row-b"])
+        a, b = entries
+        asked = {
+            "split": [a[:-2], a[-2:] + b],
+            "upper": [a.upper()],
+            "short": [a[:10]],
+        }[malformed]
+        with pytest.raises(ValueError, match="malformed artifact digest"):
+            store.get_results_batch(shard, asked)
+        assert not store.stats.hits and not store.stats.misses
+        assert store.get_results_batch(shard, [a, b]) == ["row-a", "row-b"]
+
     def test_shard_files_counted_and_cleared(self, tmp_path):
         store, shard, entries = self.shard(tmp_path, ["a", "b"])
         assert store.size_bytes() > 0
@@ -356,8 +379,67 @@ class TestSweepIdentity:
             assert [session_signature(r) for r in run.results] == [
                 session_signature(r) for r in off.results
             ]
+            assert [r.records for r in run.results] == [
+                r.records for r in off.results
+            ]
+            assert [pickle.dumps(r) for r in run.results] == [
+                pickle.dumps(r) for r in cold.results
+            ]
             for result in run.results:
                 check_invariants(result, sweep_context.config)
+
+    def test_warm_pass_builds_no_segment_record(self, sweep_context,
+                                                tmp_path, monkeypatch):
+        """A warm pass decodes each row from its columns: serving it,
+        comparing it and summarizing it (Fig. 9 and the headline means)
+        never builds a SegmentRecord."""
+        jobs = make_jobs(schemes=tuple(sweep_context.schemes))
+        cold = run_session_jobs(sweep_context, jobs, workers=1,
+                                results=ArtifactStore(tmp_path))
+
+        def boom(self):  # pragma: no cover - must not run
+            raise AssertionError("a warm pass built SegmentRecords")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SessionResult, "_materialize", boom)
+            warm = run_session_jobs(sweep_context, jobs, workers=1,
+                                    results=ArtifactStore(tmp_path))
+            assert warm.cache_hits == len(jobs)
+            assert warm.results == cold.results
+            assert [session_signature(r) for r in warm.results] == [
+                session_signature(r) for r in cold.results
+            ]
+            grouped = {}
+            for job, result in zip(jobs, warm.results):
+                grouped.setdefault(("trace2", job.scheme, 2), []).append(
+                    result)
+            summarize_energy(grouped, "pixel3")
+            summarize_qoe(grouped)
+            mean_sessions(warm.results)
+        for got, want in zip(warm.results, cold.results):
+            assert pickle.dumps(got) == pickle.dumps(want)
+
+    def test_quality_type_survives_the_shard_for_every_scheme(
+        self, sweep_context, tmp_path
+    ):
+        """Tiled schemes deliver int quality levels, Nontile its dense
+        float ladder; a shard round trip keeps each value's type."""
+        jobs = make_jobs(schemes=tuple(sweep_context.schemes), users=1)
+        cold = run_session_jobs(sweep_context, jobs, workers=1,
+                                results=ArtifactStore(tmp_path))
+        warm = run_session_jobs(sweep_context, jobs, workers=1,
+                                results=ArtifactStore(tmp_path))
+        assert warm.cache_hits == len(jobs)
+        expected = {"ctile": int, "ftile": int, "ptile": int, "ours": int,
+                    "nontile": float}
+        assert set(sweep_context.schemes) == set(expected)
+        for job, got, want in zip(jobs, warm.results, cold.results):
+            assert {type(r.quality) for r in got.records} == {
+                expected[job.scheme]
+            }, job.scheme
+            assert [type(r.quality) for r in got.records] == [
+                type(r.quality) for r in want.records
+            ]
 
     def test_one_shard_per_group_and_no_session_pickles(
         self, sweep_context, tmp_path
@@ -462,7 +544,8 @@ class TestKeyGoldens:
     become a cold miss), so it must come with a schema-version bump.
     The package version is part of every shard key, so a release bump
     re-records the shard-key goldens; so did results schema v5, which
-    composes the context digest from component content keys.
+    composes the context digest from component content keys, and v6
+    (columnar result rows), whose bump alone changed them.
     """
 
     JOBS = (
@@ -485,10 +568,10 @@ class TestKeyGoldens:
     def test_shard_keys(self, sweep_context):
         assert __version__ == "1.0.0"
         assert results_shard_key(content_digest("ctx"), 2) == (
-            "d3f00ee53886af9924106f26cdaafab30f897b88e8645458284c73e2647004c1"
+            "be79fbebddc5e9b08f5410207b30480a60b608f574da9c7b5418edb66e60a3f4"
         )
         assert results_shard_key(sweep_context_digest(sweep_context), 2) == (
-            "e1c8b0f35bdee4579bc75a24cc21b2194b5f2087f1d4bf6eb4b9a18b1cea172e"
+            "f0522bdd974ef68e05b263a84449aca276f73c05b091ec3b342c82f3592e6b39"
         )
 
 

@@ -231,7 +231,7 @@ class TestSweepRobust:
     """S4: robust x resilience — deterministic, schema-versioned."""
 
     def test_schema_version_covers_uncertainty_fields(self):
-        assert RESULTS_SCHEMA_VERSION == 5
+        assert RESULTS_SCHEMA_VERSION == 6
 
     def test_deterministic_across_worker_counts(self, robust_setup):
         kwargs = dict(profiles=("none", "outages"), users=2, fault_seed=7)
