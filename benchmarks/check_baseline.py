@@ -94,6 +94,10 @@ def extract_metrics(report: dict) -> dict[str, float]:
         "sweep_pool_sessions_per_second": _extra(
             report, "test_sweep_pool_throughput", "sessions_per_second"
         ),
+        "shared_prediction_speedup": _extra(
+            report, "test_shared_prediction_speedup",
+            "shared_prediction_speedup"
+        ),
         "shared_cache_requests_per_second": _extra(
             report, "test_shared_cache_training_throughput",
             "requests_per_second"

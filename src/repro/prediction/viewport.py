@@ -9,6 +9,11 @@ because it resists overfitting the short, noisy history window.
 :class:`ViewportPredictor` feeds it time-indexed yaw/pitch histories and
 extrapolates to the playback time of the next segment.
 
+:class:`TraceFeeder` replays a head trace into a predictor as the
+playhead advances.  It memoizes the ridge predictor's output on the
+trace, so the sessions that replay one trace (every scheme, every
+network) fit the model once per (history, target) between them.
+
 :class:`AngularErrorModel` quantifies how wrong those extrapolations
 are: a per-horizon angular-error scale (sigma, in degrees) either fit
 from head traces by replaying the predictor (:func:`fit_error_model`)
@@ -26,11 +31,13 @@ from typing import Iterable
 import numpy as np
 
 from ..geometry.viewport import DEFAULT_FOV_DEG, Viewport
+from ..traces.head_movement import HeadTrace
 from .uncertainty import angular_distance_deg
 
 __all__ = [
     "AngularErrorModel",
     "RidgeRegressor",
+    "TraceFeeder",
     "ViewportPredictor",
     "fit_error_model",
 ]
@@ -198,6 +205,90 @@ class ViewportPredictor:
         steps = np.hypot(np.diff(yaws), np.diff(pitches))
         dt = np.diff(times)
         return float(np.quantile(steps / dt, quantile))
+
+
+_SPEED_QUANTILE = 0.75  # ViewportPredictor.recent_speed_deg_s's default
+
+
+@dataclass
+class TraceFeeder:
+    """Feeds a head trace to a viewport predictor as the playhead advances.
+
+    ``fed`` is the running maximum count of samples at or before a
+    requested video time; the predictor observes them only when a
+    prediction must be computed.
+
+    A feeder built by :meth:`ridge` reads its predictions through a memo
+    in the trace's kinematics cache.  After the first ``fed`` samples a
+    :class:`ViewportPredictor`'s state is a pure function of the trace,
+    its parameters and ``fed`` (the window holds the samples within
+    ``window_s`` of sample ``fed - 1``, each yaw unwrapped against the
+    one before), so keyed on those and the target time, an entry is the
+    one every session replaying the trace would compute, whatever its
+    network, buffer or faults did to ``fed``.  Other predictors (static,
+    oracle, custom) are fed and asked every time and never touch the
+    memo.
+    """
+
+    trace: HeadTrace
+    predictor: object  # anything satisfying PredictorProtocol
+    fov_deg: float  # of the fallback viewport before the first sample
+    shared: bool = field(default=False, init=False)  # set by ridge() only
+    fed: int = field(default=0, init=False)
+    _observed: int = field(default=0, init=False)
+
+    @classmethod
+    def ridge(
+        cls, trace: HeadTrace, window_s: float, fov_deg: float
+    ) -> "TraceFeeder":
+        """The paper's ridge predictor, with predictions shared per trace."""
+        feeder = cls(trace, ViewportPredictor(window_s=window_s,
+                                              fov_deg=fov_deg), fov_deg)
+        feeder.shared = True
+        return feeder
+
+    def predict(
+        self, video_time: float, t_target: float
+    ) -> tuple[Viewport, float]:
+        """Predicted viewport at ``t_target`` and recent head speed from
+        the samples up to ``video_time`` (the trace's start, at rest,
+        before the first sample)."""
+        seen = np.searchsorted(self.trace.timestamps, video_time, side="right")
+        self.fed = max(self.fed, int(seen))
+        if not self.shared:
+            self._catch_up()
+            if self.predictor.num_observations > 0:
+                return (self.predictor.predict_viewport(t_target),
+                        self.predictor.recent_speed_deg_s())
+        elif self.fed > 0:
+            return self._shared_prediction(t_target)
+        return self.trace.viewport_at(0.0, self.fov_deg), 0.0
+
+    def _shared_prediction(self, t_target: float) -> tuple[Viewport, float]:
+        p = self.predictor
+        key = (
+            "ridge", p.window_s, p.lam, p.max_trend_deg_s,
+            p.max_extrapolation_s, p.fov_deg, _SPEED_QUANTILE, self.fed,
+            t_target,
+        )
+        cache = self.trace._kinematics_cache
+        entry = cache.get(key)
+        if entry is None:
+            self._catch_up()
+            entry = (p.predict_viewport(t_target),
+                     p.recent_speed_deg_s(_SPEED_QUANTILE))
+            cache[key] = entry
+        return entry
+
+    def _catch_up(self) -> None:
+        trace = self.trace
+        for i in range(self._observed, self.fed):
+            self.predictor.observe(
+                float(trace.timestamps[i]),
+                float(trace.yaw_unwrapped[i]),
+                float(trace.pitch[i]),
+            )
+        self._observed = self.fed
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ import numpy as np
 
 from ..power.energy import EnergyModel
 from ..power.models import DevicePowerModel, TilingScheme
-from ..prediction.viewport import ViewportPredictor
+from ..prediction.viewport import TraceFeeder
 from ..ptile.construction import SegmentPtiles
 from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
 from ..qoe.metrics import _BUFFER_FLOOR_S, _REBUFFER_RATIO_CAP, QoEModel
@@ -71,7 +71,7 @@ from .schemes import (
     _tile_rects,
     split_wrapped_rect,
 )
-from .session import SessionConfig, _TraceFeeder
+from .session import SessionConfig
 
 __all__ = ["PopulationEngine", "PopulationResult"]
 
@@ -389,10 +389,9 @@ class PopulationEngine:
         fps = self._fps
         n_rates = len(self._rates) if self.kind in ("ours", "robust") else 1
 
-        predictor = ViewportPredictor(
-            window_s=config.predictor_window_s, fov_deg=config.fov_deg
+        feeder = TraceFeeder.ridge(
+            trace, config.predictor_window_s, config.fov_deg
         )
-        feeder = _TraceFeeder(trace, predictor)
 
         sizes = np.zeros((length, len(self._levels)))
         coverage = np.empty(length)
@@ -426,13 +425,9 @@ class PopulationEngine:
             prediction_time = max(
                 playback_mid - config.late_fetch_horizon_s, 0.0
             )
-            feeder.feed_until(prediction_time)
-            if predictor.num_observations > 0:
-                predicted_vp = predictor.predict_viewport(playback_mid)
-                predicted_speed = predictor.recent_speed_deg_s()
-            else:
-                predicted_vp = trace.viewport_at(0.0, config.fov_deg)
-                predicted_speed = 0.0
+            predicted_vp, predicted_speed = feeder.predict(
+                prediction_time, playback_mid
+            )
             viewports[k] = predicted_vp
             speeds[k] = predicted_speed
 

@@ -25,13 +25,14 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..power.energy import EnergyModel, SegmentEnergy
 from ..power.models import DevicePowerModel
 from ..prediction.bandwidth import HarmonicMeanEstimator
-from ..prediction.viewport import ViewportPredictor
+from ..prediction.viewport import TraceFeeder
 from ..ptile.construction import SegmentPtiles
 from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
 from ..qoe.metrics import QoEModel
@@ -81,24 +82,19 @@ class SessionConfig:
     fault_plan: FaultPlan | None = None
     download_policy: DownloadPolicy | None = None
 
-
-@dataclass
-class _TraceFeeder:
-    """Feeds head samples to the predictor as the playhead advances."""
-
-    trace: HeadTrace
-    predictor: object  # anything satisfying PredictorProtocol
-    _cursor: int = field(default=0)
-
-    def feed_until(self, video_time: float) -> None:
-        t = self.trace.timestamps
-        while self._cursor < t.size and t[self._cursor] <= video_time:
-            self.predictor.observe(
-                float(t[self._cursor]),
-                float(self.trace.yaw_unwrapped[self._cursor]),
-                float(self.trace.pitch[self._cursor]),
+    def __post_init__(self) -> None:
+        late = self.late_fetch_horizon_s
+        if not (math.isfinite(late) and late >= 0):
+            raise ValueError(
+                f"late_fetch_horizon_s must be finite and >= 0, got {late!r}"
             )
-            self._cursor += 1
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+        window = self.predictor_window_s
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError(
+                f"predictor_window_s must be finite and > 0, got {window!r}"
+            )
 
 
 def run_session(
@@ -132,15 +128,14 @@ def run_session(
     if probe <= 0:
         probe = network.next_positive_bandwidth(0.0)
     bandwidth.add(probe)
-    if config.predictor_factory is not None:
-        predictor = config.predictor_factory(
-            head_trace, config.fov_deg, config.predictor_window_s
+    if config.predictor_factory is None:
+        feeder = TraceFeeder.ridge(
+            head_trace, config.predictor_window_s, config.fov_deg
         )
     else:
-        predictor = ViewportPredictor(
-            window_s=config.predictor_window_s, fov_deg=config.fov_deg
-        )
-    feeder = _TraceFeeder(head_trace, predictor)
+        feeder = TraceFeeder(head_trace, config.predictor_factory(
+            head_trace, config.fov_deg, config.predictor_window_s
+        ), config.fov_deg)
 
     # Resilient download engine (lazy import: repro.resilience imports
     # streaming.schemes, so a top-level import here would be circular).
@@ -177,13 +172,9 @@ def run_session(
         prediction_time = max(
             playhead, playback_mid - config.late_fetch_horizon_s, 0.0
         )
-        feeder.feed_until(prediction_time)
-        if predictor.num_observations > 0:
-            predicted_vp = predictor.predict_viewport(playback_mid)
-            predicted_speed = predictor.recent_speed_deg_s()
-        else:
-            predicted_vp = head_trace.viewport_at(0.0, config.fov_deg)
-            predicted_speed = 0.0
+        predicted_vp, predicted_speed = feeder.predict(
+            prediction_time, playback_mid
+        )
 
         horizon_end = min(k + config.horizon, length)
         ctx = PlanContext(

@@ -53,6 +53,8 @@ class HeadTrace:
         # Memo for derived kinematics; every query is a pure function of
         # the (immutable) sample arrays, and a session sweep asks for the
         # same per-segment statistics once per scheme and network trace.
+        # It also holds the ridge predictions that
+        # repro.prediction.viewport.TraceFeeder shares across sessions.
         object.__setattr__(self, "_kinematics_cache", {})
 
     def __getstate__(self) -> dict:

@@ -142,11 +142,6 @@ class NetworkTrace:
             return 0.0, 0.0, True
         if budget_s == 0:
             return 0.0, 0.0, False
-        if not np.any(self.bandwidth_mbps > 0):
-            # A dead link delivers nothing: the whole budget elapses with
-            # zero bytes (a timeout, not an error — callers treat partial
-            # delivery as a deadline miss and degrade or retry).
-            return 0.0, budget_s, False
         remaining = size_mbit
         t = start_t
         deadline = start_t + budget_s
@@ -157,6 +152,13 @@ class NetworkTrace:
         max_iterations = int(budget_s / self.bin_seconds) + 16
         while remaining > 1e-12 and t < deadline:
             bw = self.bandwidth_at(t)
+            if bw <= 0 and not np.any(self.bandwidth_mbps > 0):
+                # A dead link delivers nothing: the whole budget elapses
+                # with zero bytes (a timeout, not an error — callers
+                # treat partial delivery as a deadline miss and degrade
+                # or retry).  Checked only at an empty bin, so a
+                # transfer over live bins never pays the scan.
+                return 0.0, budget_s, False
             bin_end = (int(t / self.bin_seconds) + 1) * self.bin_seconds
             piece_end = min(bin_end, deadline)
             window = piece_end - t

@@ -188,6 +188,16 @@ class TestDownloadWithin:
         with pytest.raises(ValueError):
             flat_trace.download_within(1.0, 0.0, -1.0)
 
+    def test_dead_link_times_out_with_nothing(self):
+        dead = NetworkTrace("dead", np.zeros(4))
+        assert dead.download_within(2.0, 1.5, 1e9) == (0.0, 1e9, False)
+        assert dead.download_within(2.0, 1.5, 0.25) == (0.0, 0.25, False)
+
+    def test_empty_bins_before_live_ones(self):
+        gap = NetworkTrace("gap", np.array([0.0, 0.0, 4.0, 4.0]))
+        assert gap.download_within(4.0, 0.5, 10.0) == (4.0, 2.5, True)
+        assert gap.download_within(4.0, 0.5, 1.0) == (0.0, 1.0, False)
+
 
 class TestFaultyNetwork:
     def test_idle_plan_matches_base(self, flat_trace):

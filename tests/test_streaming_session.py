@@ -1,5 +1,7 @@
 """Integration tests for the streaming session simulator."""
 
+import dataclasses
+
 import pytest
 
 from repro.power import TilingScheme
@@ -168,6 +170,53 @@ class TestQoEPlumbing:
         with pytest.raises(ValueError):
             _run(CtileScheme(), manifest2, small_dataset, network_traces,
                  device, config=cfg)
+
+
+class TestSessionConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("late_fetch_horizon_s", -5.0),
+        ("late_fetch_horizon_s", -1e-9),
+        ("late_fetch_horizon_s", float("nan")),
+        ("late_fetch_horizon_s", float("inf")),
+        ("late_fetch_horizon_s", float("-inf")),
+        ("horizon", 0),
+        ("horizon", -3),
+        ("predictor_window_s", 0.0),
+        ("predictor_window_s", -1.0),
+        ("predictor_window_s", float("nan")),
+        ("predictor_window_s", float("inf")),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SessionConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SessionConfig(), **{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"late_fetch_horizon_s": 0.0},
+        {"late_fetch_horizon_s": 1.0},
+        # Valid for run_session; only the population engine rejects it.
+        {"late_fetch_horizon_s": 2.0, "max_segments": 10},
+        {"horizon": 1},
+        {"horizon": 3},
+        {"horizon": 8},
+        {"predictor_window_s": 1.0},
+        {"max_segments": 0},
+    ])
+    def test_accepts_the_configs_in_use(self, kwargs):
+        config = SessionConfig(**kwargs)
+        assert all(getattr(config, k) == v for k, v in kwargs.items())
+
+    def test_negative_late_fetch_no_longer_reads_the_future(
+        self, small_dataset, manifest8, network_traces, device
+    ):
+        # It used to feed the predictor samples past the segment's
+        # playback midpoint and lift the session's QoE.
+        with pytest.raises(ValueError, match="late_fetch_horizon_s"):
+            _run(CtileScheme(), manifest8, small_dataset, network_traces,
+                 device, vid=8, config=SessionConfig(
+                     max_segments=6, late_fetch_horizon_s=-5.0))
 
 
 class TestEdgeModel:
