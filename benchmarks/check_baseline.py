@@ -98,6 +98,12 @@ def extract_metrics(report: dict) -> dict[str, float]:
             report, "test_shared_prediction_speedup",
             "shared_prediction_speedup"
         ),
+        "size_formula_evaluation_ratio": _extra(
+            report, "test_size_table_counts", "formula_evaluation_ratio"
+        ),
+        "size_noise_draw_ratio": _extra(
+            report, "test_size_table_counts", "noise_draw_ratio"
+        ),
         "shared_cache_requests_per_second": _extra(
             report, "test_shared_cache_training_throughput",
             "requests_per_second"

@@ -12,7 +12,11 @@ Quantifies:
 * shared viewport predictions — a cold Fig. 9 video group where every
   session replays its own copy of the head trace versus the same group
   on the shared traces, whose sessions read the ridge predictions the
-  first replay of each trace computed.
+  first replay of each trace computed;
+* the size table's work — on a cold Fig. 9 video group, encoder-formula
+  evaluations against the table's (segment, area, level) cells and
+  noise draws against distinct noise keys.  Counts, not times, so the
+  gate gives one answer per commit whatever the host load.
 
 Throughput lands in ``extra_info`` (``--benchmark-json`` exposes it), so
 before/after comparisons are one jq invocation away.
@@ -22,6 +26,8 @@ from __future__ import annotations
 
 import pickle
 import time
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 
@@ -31,7 +37,8 @@ from repro.experiments.runner import SessionJob, run_session_jobs
 from repro.experiments.setup import build_sweep
 from repro.power import PIXEL_3
 from repro.power.energy import EnergyModel
-from repro.streaming import run_session
+from repro.streaming import NontileScheme, run_session
+from repro.video import EncoderModel
 from repro.video.framerate import DEFAULT_LADDER
 
 from conftest import bench_users, run_once, shared_setup
@@ -198,3 +205,57 @@ def test_shared_prediction_speedup(benchmark):
     benchmark.extra_info["own_traces_ms"] = 1e3 * own_s
     benchmark.extra_info["shared_traces_ms"] = 1e3 * shared_s
     benchmark.extra_info["shared_prediction_speedup"] = speedup
+
+
+def test_size_table_counts(benchmark):
+    """Cold video group: formula evaluations and noise draws, counted.
+
+    The group of ``test_shared_prediction_speedup`` (video 8, all five
+    schemes on both networks, two users), on a freshly unpickled
+    context.  The size table evaluates the encoder formula once per
+    (segment, area, level) — every level of the ladder for an area,
+    every Nontile rung for the whole frame — and never per region or
+    frame rate, and draws each region's noise once.
+    """
+    setup = make_setup(max_duration_s=20, video_ids=(8,))
+    context, jobs = build_sweep(setup, workers=1)
+    jobs = [job for job in jobs if job.user_index < 2]
+    ctx = pickle.loads(pickle.dumps(context))
+    manifest = ctx.manifests[8]
+    segments = {(seg.si, seg.ti) for seg in manifest}
+    assert len(segments) == manifest.num_segments  # (si, ti) names a segment
+
+    formula = EncoderModel.region_size_mbit
+    noise = EncoderModel.noise_factor
+    evaluations: Counter = Counter()
+    draws: Counter = Counter()
+
+    def counted_formula(encoder, quality, si, ti, area_fraction, **kwargs):
+        assert kwargs.get("frame_rate") is None  # rates scale table rows
+        evaluations[(si, ti, area_fraction, quality)] += 1
+        return formula(encoder, quality, si, ti, area_fraction, **kwargs)
+
+    def counted_noise(encoder, key):
+        draws[key] += 1
+        return noise(encoder, key)
+
+    with mock.patch.object(EncoderModel, "region_size_mbit", counted_formula), \
+            mock.patch.object(EncoderModel, "noise_factor", counted_noise):
+        run_once(benchmark, _run_group, ctx, jobs,
+                 [ctx.head_traces[8][job.user_index] for job in jobs])
+
+    levels = manifest.encoder.ladder.num_levels
+    rungs = len(NontileScheme().qualities(levels))
+    cells = {(si, ti, area) for si, ti, area, _ in evaluations}
+    bound = sum(rungs if area == 1.0 else levels for _, _, area in cells)
+    total = sum(evaluations.values())
+    assert max(evaluations.values()) == 1  # no (segment, area, level) twice
+    assert total <= bound
+    assert max(draws.values()) == 1  # no noise key drawn twice
+
+    benchmark.extra_info["formula_evaluations"] = total
+    benchmark.extra_info["formula_bound"] = bound
+    benchmark.extra_info["formula_evaluation_ratio"] = total / bound
+    benchmark.extra_info["noise_draws"] = sum(draws.values())
+    benchmark.extra_info["noise_keys"] = len(draws)
+    benchmark.extra_info["noise_draw_ratio"] = sum(draws.values()) / len(draws)

@@ -37,12 +37,11 @@ import numpy as np
 from ..ptile.construction import Ptile, partition_remainder
 from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
 from ..qoe.quality import QualityModel
+from ..streaming.schemes import LOWEST_QUALITY
 from ..video.segments import SegmentManifest
 from .optimizer import MpcWindow
 
 __all__ = ["PlanTables"]
-
-_LOWEST_QUALITY = 1
 
 
 class PlanTables:
@@ -140,29 +139,24 @@ class PlanTables:
             self.sizes_for(ptile)
 
     def _build_sizes(self, ptile: Ptile) -> np.ndarray:
-        # The remainder partition depends only on the geometry; the
-        # per-block sizes are summed in partition order, matching the
-        # per-call computation bit for bit.
+        # The remainder partition depends only on the geometry.  Each
+        # segment's row is the Ptile's (levels, rates) table row plus its
+        # remainder blocks at the lowest level, summed in partition order:
+        # the per-call computation, bit for bit.
         remainder = partition_remainder(ptile.grid, ptile)
-        rates = self.rates
-        sizes = np.empty((len(self.manifests), len(self.levels), len(rates)))
+        encoder = self.manifests[0].encoder
+        factors = np.array([
+            encoder.frame_rate_factor(rate, self.fps) for rate in self.rates
+        ])
+        sizes = np.empty((len(self.manifests), len(self.levels), len(factors)))
         for row, manifest in enumerate(self.manifests):
             background = sum(
-                manifest.region_size_mbit(b.key, b.area_fraction, _LOWEST_QUALITY)
+                manifest.region_size_mbit(b.key, b.area_fraction, LOWEST_QUALITY)
                 for b in remainder
             )
-            for vi, v in enumerate(self.levels):
-                for fi, rate in enumerate(rates):
-                    sizes[row, vi, fi] = (
-                        manifest.region_size_mbit(
-                            ptile.region_key,
-                            ptile.area_fraction,
-                            v,
-                            frame_rate=rate,
-                            fps=self.fps,
-                        )
-                        + background
-                    )
+            sizes[row] = manifest.region_sizes(
+                ptile.region_key, ptile.area_fraction, factors
+            ) + background
         return sizes
 
     def window(self, ctx, current_ptile: Ptile) -> MpcWindow:

@@ -27,7 +27,7 @@ viewports on the shared :data:`DEFAULT_GRID`; clearing at a fixed cap
 keeps the memo's memory flat (about 64 MB at the cap) while a sweep's
 working set stays far below it."""
 
-_DERIVED_FIELDS = ("_col_bounds", "_row_bounds", "_tile_objs")
+_DERIVED_FIELDS = ("_col_bounds", "_row_bounds", "_tile_objs", "_tile_set")
 
 
 @dataclass(frozen=True, order=True)
@@ -70,6 +70,7 @@ class TileGrid:
             tuple(Tile(row, col) for col in range(self.cols))
             for row in range(self.rows)
         )
+        self._tile_set = frozenset(t for row in self._tile_objs for t in row)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TileGrid(rows={self.rows}, cols={self.cols})"
@@ -109,6 +110,15 @@ class TileGrid:
         for row in range(self.rows):
             for col in range(self.cols):
                 yield Tile(row, col)
+
+    @property
+    def tile_set(self) -> frozenset[Tile]:
+        """Every tile, inserted in row-major order.
+
+        Built the way ``set(grid.tiles())`` is, so it and every set
+        difference taken from it iterate in that set's order.
+        """
+        return self._tile_set
 
     def tile_rect(self, tile: Tile) -> Rect:
         """The rectangle (degrees) a tile covers on the frame."""

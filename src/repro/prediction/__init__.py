@@ -4,7 +4,6 @@ the FoV-uncertainty probability layer."""
 from .bandwidth import EwmaEstimator, HarmonicMeanEstimator, LastSampleEstimator
 from .strategies import (
     OraclePredictor,
-    PredictorProtocol,
     StaticPredictor,
     oracle_predictor_factory,
     static_predictor_factory,
@@ -32,7 +31,6 @@ __all__ = [
     "HarmonicMeanEstimator",
     "LastSampleEstimator",
     "OraclePredictor",
-    "PredictorProtocol",
     "StaticPredictor",
     "oracle_predictor_factory",
     "static_predictor_factory",

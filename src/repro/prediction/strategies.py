@@ -17,37 +17,17 @@ All three expose the same interface the session loop uses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
-
 import numpy as np
 
 from ..geometry.viewport import DEFAULT_FOV_DEG, Viewport
 from ..traces.head_movement import HeadTrace
 
 __all__ = [
-    "PredictorProtocol",
     "StaticPredictor",
     "OraclePredictor",
     "static_predictor_factory",
     "oracle_predictor_factory",
 ]
-
-
-class PredictorProtocol(Protocol):
-    """What the session loop requires of a viewport predictor."""
-
-    @property
-    def num_observations(self) -> int:  # pragma: no cover - protocol
-        ...
-
-    def observe(self, t: float, yaw: float, pitch: float) -> None:
-        ...  # pragma: no cover - protocol
-
-    def predict_viewport(self, t_target: float) -> Viewport:
-        ...  # pragma: no cover - protocol
-
-    def recent_speed_deg_s(self, quantile: float = 0.75) -> float:
-        ...  # pragma: no cover - protocol
 
 
 @dataclass

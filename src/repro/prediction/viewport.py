@@ -231,7 +231,7 @@ class TraceFeeder:
     """
 
     trace: HeadTrace
-    predictor: object  # anything satisfying PredictorProtocol
+    predictor: object  # observe / predict_viewport / recent_speed_deg_s
     fov_deg: float  # of the fallback viewport before the first sample
     shared: bool = field(default=False, init=False)  # set by ridge() only
     fed: int = field(default=0, init=False)

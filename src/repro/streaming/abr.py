@@ -14,7 +14,7 @@ busy; set ``surplus_scale > 0`` to study that behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = ["ThroughputBufferABR"]
 
@@ -52,7 +52,7 @@ class ThroughputBufferABR:
 
     def choose_quality(
         self,
-        size_for_quality: Callable[[float], float],
+        sizes: Sequence[float],
         bandwidth_mbps: float,
         buffer_s: float,
         segment_s: float = 1.0,
@@ -60,12 +60,13 @@ class ThroughputBufferABR:
     ) -> float:
         """Highest quality whose total segment size fits the budget.
 
+        ``sizes[i]`` is the segment's total size at ``qualities[i]``.
         Falls back to the lowest quality when nothing fits.
         """
         if not qualities:
             raise ValueError("need at least one quality level")
+        if len(sizes) != len(qualities):
+            raise ValueError(f"need one size per quality level, got {len(sizes)}")
         budget = self.budget_mbit(bandwidth_mbps, buffer_s, segment_s)
-        for quality in sorted(qualities, reverse=True):
-            if size_for_quality(quality) <= budget:
-                return quality
-        return min(qualities)
+        fitting = [q for q, size in zip(qualities, sizes) if size <= budget]
+        return max(fitting) if fitting else min(qualities)

@@ -69,6 +69,8 @@ from .schemes import (
     DownloadPlan,
     PtileScheme,
     _tile_rects,
+    ctile_sizes,
+    ptile_sizes,
     split_wrapped_rect,
 )
 from .session import SessionConfig
@@ -366,16 +368,6 @@ class PopulationEngine:
     # Per-trace precomputation (scalar, shared across sessions)
     # ------------------------------------------------------------------
 
-    def _ctile_row(self, ctx) -> tuple[list[float], tuple]:
-        fov_tiles = ctx.grid.viewport_tiles(ctx.predicted_viewport)
-        other = set(ctx.grid.tiles()) - fov_tiles
-        background = ctx.manifest.tiles_size_mbit(other, LOWEST_QUALITY)
-        sizes = [
-            ctx.manifest.tiles_size_mbit(fov_tiles, q) + background
-            for q in self._levels
-        ]
-        return sizes, _tile_rects(ctx.grid, fov_tiles)
-
     def _trace_plans(self, trace_index: int) -> _TracePlans:
         plans = self._plans.get(trace_index)
         if plans is not None:
@@ -465,6 +457,7 @@ class PopulationEngine:
                 robust_sigma = self.scheme.error_model.sigma_deg(
                     ctx.prediction_horizon_s
                 )
+            selection = None
             if robust_sigma > 0.0:
                 # Robust tile selection replaces the deterministic
                 # match; the window carries the expected-quality
@@ -481,38 +474,26 @@ class PopulationEngine:
                     hyp,
                 )
                 selection = self.scheme.select_robust(ctx, robust_sigma)
-                if selection is None:
-                    sizes[k], hq_rects = self._ctile_row(ctx)
-                    decode_j[k] = self._decode_ctile_fps_j
-                else:
-                    chosen, horizon_cov = selection
-                    tables = self.scheme._plan_tables(ctx)
-                    windows[k] = expected_quality_window(
-                        tables.window(ctx, chosen), horizon_cov
-                    )
-                    expected_cov[k] = float(horizon_cov[0])
-                    hq_rects = split_wrapped_rect(chosen.rect)
-                    decode_j[k] = 0.0  # per-decision, filled at run time
-                    used[k] = True
-                    is_mpc[k] = True
-            elif self.kind == "ctile" or matched is None:
-                sizes[k], hq_rects = self._ctile_row(ctx)
+            if selection is not None:
+                chosen, horizon_cov = selection
+                tables = self.scheme._plan_tables(ctx)
+                windows[k] = expected_quality_window(
+                    tables.window(ctx, chosen), horizon_cov
+                )
+                expected_cov[k] = float(horizon_cov[0])
+                hq_rects = split_wrapped_rect(chosen.rect)
+                decode_j[k] = 0.0  # per-decision, filled at run time
+                used[k] = True
+                is_mpc[k] = True
+            elif robust_sigma > 0.0 or self.kind == "ctile" or matched is None:
+                fov_tiles = grid.viewport_tiles(predicted_vp)
+                sizes[k] = ctile_sizes(ctx.manifest, fov_tiles)
+                hq_rects = _tile_rects(grid, fov_tiles)
                 decode_j[k] = self._decode_ctile_fps_j
             elif self.kind == "ptile":
-                remainder = seg_ptiles.remainder_for(matched)
-                background = sum(
-                    ctx.manifest.region_size_mbit(
-                        b.key, b.area_fraction, LOWEST_QUALITY
-                    )
-                    for b in remainder
+                sizes[k] = ptile_sizes(
+                    ctx.manifest, matched, seg_ptiles.remainder_for(matched)
                 )
-                sizes[k] = [
-                    ctx.manifest.region_size_mbit(
-                        matched.region_key, matched.area_fraction, q
-                    )
-                    + background
-                    for q in self._levels
-                ]
                 hq_rects = split_wrapped_rect(matched.rect)
                 decode_j[k] = self._decode_ptile_fps_j
                 used[k] = True

@@ -24,8 +24,11 @@ how it will be decoded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Protocol
+
+import numpy as np
 
 from ..geometry.tiling import Tile, TileGrid
 from ..geometry.viewport import Rect, Viewport
@@ -134,6 +137,61 @@ def _tile_rects(grid: TileGrid, tiles: set[Tile]) -> tuple[Rect, ...]:
     return tuple(grid.tile_rect(t) for t in sorted(tiles))
 
 
+def _level_totals(hq_rows, lowest, num_levels: int) -> np.ndarray:
+    """Per-level sizes: ``hq_rows`` (size-table rows) at each level plus
+    the ``lowest``-level sizes around them.  Both sums add one region at
+    a time from zero in the given (set-iteration) order: the order, and
+    so the bits, of a per-level scalar ``sum()``."""
+    total = np.zeros(num_levels)
+    for row in hq_rows:
+        total += row
+    return total + sum(lowest)
+
+
+def ctile_sizes(manifest: SegmentManifest, fov_tiles) -> np.ndarray:
+    """Per-level Ctile sizes: FoV tiles at each level, the rest lowest."""
+    grid = manifest.grid
+    rows = manifest.tile_sizes()
+    lowest = rows[:, 0].tolist()
+    return _level_totals(
+        [rows[t.row * grid.cols + t.col] for t in fov_tiles],
+        [lowest[t.row * grid.cols + t.col] for t in grid.tile_set - fov_tiles],
+        rows.shape[1],
+    )
+
+
+def _lowest(manifest: SegmentManifest, regions) -> list[float]:
+    return [
+        manifest.region_size_mbit(r.key, r.area_fraction, LOWEST_QUALITY)
+        for r in regions
+    ]
+
+
+def ptile_sizes(manifest: SegmentManifest, ptile, remainder) -> np.ndarray:
+    """Per-level Ptile sizes: the Ptile at each level, remainder lowest."""
+    row = manifest.region_sizes(ptile.region_key, ptile.area_fraction)
+    return _level_totals([row], _lowest(manifest, remainder), len(row))
+
+
+def _abr_plan(scheme, ctx: PlanContext, sizes: np.ndarray, qualities,
+              decode_scheme: TilingScheme, **extra) -> DownloadPlan:
+    """The plan at the ABR's pick among ``qualities``, whose per-level
+    total sizes are ``sizes``."""
+    sizes = sizes.tolist()
+    quality = scheme.abr.choose_quality(
+        sizes, ctx.bandwidth_mbps, ctx.buffer_s, ctx.segment_seconds,
+        qualities=qualities,
+    )
+    return DownloadPlan(
+        scheme_name=scheme.name,
+        quality=quality,
+        frame_rate=ctx.fps,
+        total_size_mbit=sizes[qualities.index(quality)],
+        decode_scheme=decode_scheme,
+        **extra,
+    )
+
+
 @dataclass(frozen=True)
 class CtileScheme:
     """Conventional fixed-grid tile streaming (4 decoders)."""
@@ -143,25 +201,9 @@ class CtileScheme:
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
         fov_tiles = ctx.grid.viewport_tiles(ctx.predicted_viewport)
-        other_tiles = set(ctx.grid.tiles()) - fov_tiles
-        background = ctx.manifest.tiles_size_mbit(other_tiles, LOWEST_QUALITY)
-
-        def size_at(quality: int) -> float:
-            return ctx.manifest.tiles_size_mbit(fov_tiles, quality) + background
-
-        quality = self.abr.choose_quality(
-            size_at,
-            ctx.bandwidth_mbps,
-            ctx.buffer_s,
-            ctx.segment_seconds,
-            qualities=ctx.manifest.encoder.ladder.levels,
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=quality,
-            frame_rate=ctx.fps,
-            total_size_mbit=size_at(quality),
-            decode_scheme=TilingScheme.CTILE,
+        return _abr_plan(
+            self, ctx, ctile_sizes(ctx.manifest, fov_tiles),
+            ctx.manifest.encoder.ladder.levels, TilingScheme.CTILE,
             hq_rects=_tile_rects(ctx.grid, fov_tiles),
         )
 
@@ -180,33 +222,14 @@ class FtileScheme:
         hq_cells = ctx.ftile_partition.viewport_cells(ctx.predicted_viewport)
         hq_keys = {c.key for c in hq_cells}
         lq_cells = [c for c in cells if c.key not in hq_keys]
-        background = sum(
-            ctx.manifest.region_size_mbit(c.key, c.area_fraction, LOWEST_QUALITY)
-            for c in lq_cells
+        manifest = ctx.manifest
+        levels = manifest.encoder.ladder.levels
+        sizes = _level_totals(
+            [manifest.region_sizes(c.key, c.area_fraction) for c in hq_cells],
+            _lowest(manifest, lq_cells), len(levels),
         )
-
-        def size_at(quality: int) -> float:
-            hq = sum(
-                ctx.manifest.region_size_mbit(c.key, c.area_fraction, quality)
-                for c in hq_cells
-            )
-            return hq + background
-
-        quality = self.abr.choose_quality(
-            size_at,
-            ctx.bandwidth_mbps,
-            ctx.buffer_s,
-            ctx.segment_seconds,
-            qualities=ctx.manifest.encoder.ladder.levels,
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=quality,
-            frame_rate=ctx.fps,
-            total_size_mbit=size_at(quality),
-            decode_scheme=TilingScheme.FTILE,
-            hq_rects=tuple(c.rect for c in hq_cells),
-        )
+        return _abr_plan(self, ctx, sizes, levels, TilingScheme.FTILE,
+                         hq_rects=tuple(c.rect for c in hq_cells))
 
 
 @dataclass(frozen=True)
@@ -222,27 +245,24 @@ class NontileScheme:
     name: str = "nontile"
     ladder_step: float = 0.25
 
-    def plan(self, ctx: PlanContext) -> DownloadPlan:
-        def size_at(quality: float) -> float:
-            return ctx.manifest.full_frame_size_mbit(quality)
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.ladder_step) and self.ladder_step > 0):
+            raise ValueError(
+                f"ladder_step must be positive and finite, got {self.ladder_step!r}"
+            )
 
-        span = float(ctx.manifest.encoder.ladder.num_levels - 1)
-        steps = int(round(span / self.ladder_step))
-        qualities = [1.0 + i * self.ladder_step for i in range(steps + 1)]
-        quality = self.abr.choose_quality(
-            size_at,
-            ctx.bandwidth_mbps,
-            ctx.buffer_s,
-            ctx.segment_seconds,
-            qualities=qualities,
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=quality,
-            frame_rate=ctx.fps,
-            total_size_mbit=size_at(quality),
-            decode_scheme=TilingScheme.NONTILE,
-            full_coverage=True,
+    def qualities(self, num_levels: int) -> tuple[float, ...]:
+        """``ladder_step`` rungs up from 1, never past ``num_levels``."""
+        steps = int(round((num_levels - 1) / self.ladder_step))
+        while 1.0 + steps * self.ladder_step > num_levels:
+            steps -= 1
+        return tuple(1.0 + i * self.ladder_step for i in range(steps + 1))
+
+    def plan(self, ctx: PlanContext) -> DownloadPlan:
+        qualities = self.qualities(ctx.manifest.encoder.ladder.num_levels)
+        return _abr_plan(
+            self, ctx, ctx.manifest.frame_sizes(qualities), qualities,
+            TilingScheme.NONTILE, full_coverage=True,
         )
 
 
@@ -265,45 +285,15 @@ class PtileScheme:
         ptile = ctx.segment_ptiles.match(ctx.predicted_viewport)
         if ptile is None:
             return self._fallback_plan(ctx)
-        remainder = ctx.segment_ptiles.remainder_for(ptile)
-        background = sum(
-            ctx.manifest.region_size_mbit(b.key, b.area_fraction, LOWEST_QUALITY)
-            for b in remainder
+        sizes = ptile_sizes(
+            ctx.manifest, ptile, ctx.segment_ptiles.remainder_for(ptile)
         )
-
-        def size_at(quality: int) -> float:
-            return (
-                ctx.manifest.region_size_mbit(
-                    ptile.region_key, ptile.area_fraction, quality
-                )
-                + background
-            )
-
-        quality = self.abr.choose_quality(
-            size_at,
-            ctx.bandwidth_mbps,
-            ctx.buffer_s,
-            ctx.segment_seconds,
-            qualities=ctx.manifest.encoder.ladder.levels,
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=quality,
-            frame_rate=ctx.fps,
-            total_size_mbit=size_at(quality),
-            decode_scheme=TilingScheme.PTILE,
-            hq_rects=split_wrapped_rect(ptile.rect),
+        return _abr_plan(
+            self, ctx, sizes, ctx.manifest.encoder.ladder.levels,
+            TilingScheme.PTILE, hq_rects=split_wrapped_rect(ptile.rect),
             used_ptile=True,
         )
 
     def _fallback_plan(self, ctx: PlanContext) -> DownloadPlan:
-        plan = self.fallback.plan(ctx)
         # Report under this scheme's name but keep Ctile decode costs.
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=plan.quality,
-            frame_rate=plan.frame_rate,
-            total_size_mbit=plan.total_size_mbit,
-            decode_scheme=plan.decode_scheme,
-            hq_rects=plan.hq_rects,
-        )
+        return replace(self.fallback.plan(ctx), scheme_name=self.name)

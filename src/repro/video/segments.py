@@ -13,8 +13,10 @@ planner, benchmarks) sees identical sizes for identical regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
+
+import numpy as np
 
 from ..geometry.tiling import Tile, TileGrid
 from .content import Video
@@ -25,14 +27,13 @@ __all__ = ["SegmentManifest", "VideoManifest"]
 
 @dataclass(frozen=True)
 class SegmentManifest:
-    """Size oracle for one video segment.
+    """Size oracle for one video segment, backed by a lazy size table.
 
-    Every query is a pure function of its arguments and the frozen
-    fields (the encoder noise is deterministic per key), so results are
-    memoized per instance: a trace-driven sweep asks for the same tile
-    and region sizes thousands of times across users and MPC lookahead
-    windows.  The cache is attached via ``object.__setattr__`` and never
-    invalidated — there is nothing to invalidate.
+    A size is ``g(area, quality) * noise(region)`` (times the frame-rate
+    factor of a reduced-rate variant), so the table holds ``g`` over the
+    ladder levels per distinct area and one noise draw per region key.
+    Entries are built whole, then published: concurrent readers never
+    see a partial one.  Pickling drops the table.
     """
 
     video_id: int
@@ -42,49 +43,89 @@ class SegmentManifest:
     encoder: EncoderModel = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_size_cache", {})
+        object.__setattr__(self, "_levels", {})  # area -> g per level
+        object.__setattr__(self, "_noise", {})  # region key -> factor
+        object.__setattr__(self, "_qoe_rates", {})
+        object.__setattr__(self, "_tiles", None)
 
     def __getstate__(self) -> dict:
-        # Drop the (pure, rebuildable) size memo: a sweep-warmed cache
-        # holds thousands of entries per segment and would dominate the
-        # pickled payload shipped to workers or stored on disk.
-        state = self.__dict__.copy()
-        state["_size_cache"] = {}
-        return state
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state: dict) -> None:
         for key, value in state.items():
             object.__setattr__(self, key, value)
+        self.__post_init__()
 
     @property
     def grid(self) -> TileGrid:
         return self.encoder.grid
 
-    def _noise(self, *region: object) -> float:
-        """The encoder noise factor of one region, drawn once and memoized.
+    def _level_sizes(self, area_fraction: float, qualities=None) -> np.ndarray:
+        """``g`` of one area at every ladder level, or at ``qualities``."""
+        key = area_fraction if qualities is None else (area_fraction, qualities)
+        sizes = self._levels.get(key)
+        if sizes is None:
+            sizes = np.array([
+                self.encoder.region_size_mbit(q, self.si, self.ti, area_fraction)
+                for q in qualities or self.encoder.ladder.levels
+            ])
+            sizes.flags.writeable = False
+            self._levels[key] = sizes
+        return sizes
 
-        The noise depends only on ``(video, segment, region)``, never on
-        quality or frame rate, so every version of a region shares one
-        draw.  Memoized under the bare region parts, a key no size or
-        bitrate entry uses.
-        """
-        factor = self._size_cache.get(region)
+    def _region_noise(self, region_key: str) -> float:
+        factor = self._noise.get(region_key)
         if factor is None:
-            factor = self.encoder.noise_factor(
-                (self.video_id, self.segment_index) + region
-            )
-            self._size_cache[region] = factor
+            key = (self.video_id, self.segment_index, region_key)
+            factor = self._noise[region_key] = self.encoder.noise_factor(key)
         return factor
+
+    def tile_sizes(self) -> np.ndarray:
+        """Every grid tile at every level: row ``row * cols + col``."""
+        tiles = self._tiles
+        if tiles is None:
+            noise = np.array([
+                self.encoder.noise_factor(
+                    (self.video_id, self.segment_index, "tile", t.row, t.col)
+                )
+                for t in self.grid.tiles()
+            ])
+            tiles = noise[:, None] * self._level_sizes(1.0 / self.grid.num_tiles)
+            tiles.flags.writeable = False
+            object.__setattr__(self, "_tiles", tiles)
+        return tiles
+
+    def region_sizes(
+        self,
+        region_key: str,
+        area_fraction: float,
+        rate_factors: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """One region encoded as a single tile, at every ladder level;
+        ``(levels, rates)`` with the encoder's ``rate_factors``."""
+        sizes = self._level_sizes(area_fraction)
+        if rate_factors is not None:
+            sizes = sizes[:, None] * rate_factors[None, :]
+        return sizes * self._region_noise(region_key)
+
+    def frame_sizes(self, qualities: tuple[float, ...]) -> np.ndarray:
+        """The whole frame at each of ``qualities`` (Nontile's ladder)."""
+        return self._level_sizes(1.0, qualities) * self._region_noise("frame")
+
+    # Scalar readers.  Off-ladder qualities evaluate the formula directly.
+
+    def _column(self, quality: float) -> int | None:
+        if type(quality) is int and 1 <= quality <= self.encoder.ladder.num_levels:
+            return quality - 1
+        return None
 
     def tile_size_mbit(self, tile: Tile, quality: float) -> float:
         """Size of one conventional grid tile at a quality level."""
-        cache_key = ("tile", tile.row, tile.col, quality)
-        size = self._size_cache.get(cache_key)
-        if size is None:
-            size = self.encoder.tile_size_mbit(quality, self.si, self.ti)
-            size *= self._noise("tile", tile.row, tile.col)
-            self._size_cache[cache_key] = size
-        return size
+        column = self._column(quality)
+        if column is None:
+            return self.encoder.tile_size_mbit(quality, self.si, self.ti, noise_key=(
+                self.video_id, self.segment_index, "tile", tile.row, tile.col))
+        return float(self.tile_sizes()[tile.row * self.grid.cols + tile.col, column])
 
     def tiles_size_mbit(self, tiles: Iterable[Tile], quality: float) -> float:
         """Total size of a set of separately encoded conventional tiles."""
@@ -99,43 +140,28 @@ class SegmentManifest:
         frame_rate: float | None = None,
         fps: float = 30.0,
     ) -> float:
-        """Size of an arbitrary region encoded as a single tile.
-
-        ``region_key`` identifies the region (e.g. ``"ptile-0"``) so its
-        encoder noise is stable across queries and quality levels.
-        """
-        cache_key = (region_key, area_fraction, quality, frame_rate, fps)
-        size = self._size_cache.get(cache_key)
-        if size is None:
+        """Size of an arbitrary region encoded as a single tile."""
+        column = self._column(quality)
+        if column is None:
             size = self.encoder.region_size_mbit(
-                quality,
-                self.si,
-                self.ti,
-                area_fraction,
-                frame_rate=frame_rate,
-                fps=fps,
-            )
-            size *= self._noise(region_key)
-            self._size_cache[cache_key] = size
-        return size
+                quality, self.si, self.ti, area_fraction)
+        else:
+            size = float(self._level_sizes(area_fraction)[column])
+        if frame_rate is not None:
+            size *= self.encoder.frame_rate_factor(frame_rate, fps)
+        return size * self._region_noise(region_key)
 
     def full_frame_size_mbit(self, quality: float) -> float:
         """Size of the whole frame encoded as a single tile (Nontile)."""
         return self.region_size_mbit("frame", 1.0, quality)
 
-    def fov_bitrate_mbps(self, quality: float, n_fov_tiles: int = 9) -> float:
-        """Raw FoV bitrate share at a quality level."""
-        return self.encoder.fov_bitrate_mbps(quality, self.si, self.ti, n_fov_tiles)
-
     def qoe_bitrate_mbps(self, quality: float, n_fov_tiles: int = 9) -> float:
         """Perceptually linearized bitrate fed to the Eq. 3 QoE model."""
-        cache_key = ("qoe_bitrate", quality, n_fov_tiles)
-        rate = self._size_cache.get(cache_key)
+        cache_key = (quality, n_fov_tiles)
+        rate = self._qoe_rates.get(cache_key)
         if rate is None:
-            rate = self.encoder.qoe_bitrate_mbps(
-                quality, self.si, self.ti, n_fov_tiles
-            )
-            self._size_cache[cache_key] = rate
+            rate = self.encoder.qoe_bitrate_mbps(quality, self.si, self.ti, n_fov_tiles)
+            self._qoe_rates[cache_key] = rate
         return rate
 
 

@@ -3,7 +3,6 @@
 from .ascii import (
     bar_chart,
     cdf_plot,
-    heatmap,
     line_plot,
     tile_grid_map,
 )
@@ -11,7 +10,6 @@ from .ascii import (
 __all__ = [
     "bar_chart",
     "cdf_plot",
-    "heatmap",
     "line_plot",
     "tile_grid_map",
 ]

@@ -2,8 +2,7 @@
 
 The library keeps its dependency footprint to numpy/scipy, so figures
 render as text: horizontal bar charts for the Fig. 9/11 comparisons,
-line canvases for the Fig. 5/8 CDFs, shaded heatmaps for tile
-popularity, and tile-grid maps for Ptiles.
+line canvases for the Fig. 5/8 CDFs, and tile-grid maps for Ptiles.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ __all__ = [
     "bar_chart",
     "line_plot",
     "cdf_plot",
-    "heatmap",
     "tile_grid_map",
 ]
 
-_SHADES = " ░▒▓█"
 _MARKERS = "*o+x#@"
 
 
@@ -118,24 +115,6 @@ def cdf_plot(
         series[name] = (grid, cdf)
     return line_plot(series, width=width, height=height, title=title,
                      x_label="value", y_label="CDF")
-
-
-def heatmap(
-    grid: np.ndarray, title: str | None = None, legend: bool = True
-) -> list[str]:
-    """Shaded heatmap of a 2D array (e.g. tile viewing popularity)."""
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError("need a non-empty 2D array")
-    lo, hi = float(arr.min()), float(arr.max())
-    span = (hi - lo) or 1.0
-    levels = ((arr - lo) / span * (len(_SHADES) - 1)).round().astype(int)
-    lines = [title] if title else []
-    for row in levels:
-        lines.append("".join(_SHADES[v] * 2 for v in row))
-    if legend:
-        lines.append(f"[{_SHADES[0]}]={lo:.3g} .. [{_SHADES[-1]}]={hi:.3g}")
-    return lines
 
 
 def tile_grid_map(segment_ptiles, grid=None) -> list[str]:

@@ -172,17 +172,17 @@ class TestAbrProperties:
     @given(st.floats(0.5, 50.0), st.floats(0.0, 3.0))
     def test_choice_always_valid(self, bandwidth, buffer_s):
         abr = ThroughputBufferABR()
-        sizes = {q: 0.5 * 2.0**q for q in (1, 2, 3, 4, 5)}
-        pick = abr.choose_quality(lambda q: sizes[int(q)], bandwidth, buffer_s)
+        sizes = [0.5 * 2.0**q for q in (1, 2, 3, 4, 5)]
+        pick = abr.choose_quality(sizes, bandwidth, buffer_s)
         assert pick in (1, 2, 3, 4, 5)
 
     @given(st.floats(0.5, 50.0), st.floats(0.0, 3.0))
     def test_chosen_fits_budget_or_is_lowest(self, bandwidth, buffer_s):
         abr = ThroughputBufferABR()
-        sizes = {q: 0.5 * 2.0**q for q in (1, 2, 3, 4, 5)}
-        pick = abr.choose_quality(lambda q: sizes[int(q)], bandwidth, buffer_s)
+        sizes = [0.5 * 2.0**q for q in (1, 2, 3, 4, 5)]
+        pick = abr.choose_quality(sizes, bandwidth, buffer_s)
         budget = abr.budget_mbit(bandwidth, buffer_s)
-        assert pick == 1 or sizes[pick] <= budget
+        assert pick == 1 or sizes[pick - 1] <= budget
 
 
 class TestNetworkProperties:

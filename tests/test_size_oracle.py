@@ -1,10 +1,12 @@
 """Size-oracle parity: manifest sizes are a fixed function of their inputs.
 
-The manifest memoizes the per-region encoder noise and multiplies it
-into the encoder's noise-free size.  These tests pin that the result is
-bit-identical to asking the encoder directly with the region's noise
-key, that a golden digest of every size of one video never moves, that
-a cold run draws each region's noise exactly once, and that pickling a
+The manifest's size table factors every size into a per-area encoder
+formula vector and a per-region noise draw.  These tests pin that every
+table entry and every scalar reader is bit-identical to asking the
+encoder directly with the region's noise key; that the per-level totals
+the schemes read equal the scalar ``sum()`` in set-iteration order;
+that a golden digest of every size of one video never moves; that a
+cold run draws each region's noise exactly once; and that pickling a
 warmed manifest changes nothing.
 """
 
@@ -14,6 +16,7 @@ import hashlib
 import math
 import pickle
 import struct
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,11 +26,14 @@ from hypothesis import strategies as st
 
 from repro.core import OursScheme, PlanTables
 from repro.encoding.ladder import EncodingLadder
-from repro.geometry import DEFAULT_GRID
+from repro.geometry import DEFAULT_GRID, TileGrid
 from repro.power import PIXEL_3
+from repro.ptile.construction import RemainderBlock
 from repro.qoe import QualityModel
-from repro.streaming import run_session
+from repro.streaming import NontileScheme, run_session
+from repro.streaming.schemes import _level_totals, ctile_sizes, ptile_sizes
 from repro.video import DEFAULT_LADDER, EncoderModel, VideoManifest
+from repro.video.encoder import _stable_key_ints
 from repro.video.segments import SegmentManifest
 
 # SHA-256 over every size of video 2 of the small dataset (see
@@ -93,14 +99,20 @@ def test_golden_size_digest(video2, ptiles2):
     assert _digest(records) == GOLDEN_SIZES_SHA256
 
 
+def _table_is_cold(seg: SegmentManifest) -> bool:
+    return seg._tiles is None and not seg._levels and not seg._noise
+
+
 def test_pickle_round_trip_keeps_sizes(video2, ptiles2):
     manifest = VideoManifest(video2, EncoderModel())
     warm = _size_records(manifest, ptiles2)
-    assert all(len(seg._size_cache) > 0 for seg in manifest)
+    assert not any(_table_is_cold(seg) for seg in manifest)
     restored = pickle.loads(pickle.dumps(manifest))
-    # The memo (sizes and noise factors alike) is dropped, not shipped.
-    assert all(len(seg._size_cache) == 0 for seg in restored)
+    # The table (sizes and noise factors alike) is dropped, not shipped.
+    assert all(_table_is_cold(seg) for seg in restored)
     assert _size_records(restored, ptiles2) == warm
+    assert pickle.dumps(restored) == pickle.dumps(VideoManifest(
+        video2, EncoderModel()))
 
 
 def test_cold_run_draws_each_noise_key_once(
@@ -216,11 +228,169 @@ def test_tile_sizes_equal_encoder(encoder, fields, data):
 
 
 # ----------------------------------------------------------------------
+# Size-table entries == the scalar encoder path
+# ----------------------------------------------------------------------
+
+
+def _scalar(seg: SegmentManifest, key: tuple, area: float, quality: float,
+            frame_rate: float | None = None, fps: float = 30.0) -> float:
+    """The encoder asked directly: one formula call, one noise draw."""
+    return seg.encoder.region_size_mbit(
+        quality, seg.si, seg.ti, area, frame_rate=frame_rate, fps=fps,
+        noise_key=(seg.video_id, seg.segment_index) + key,
+    )
+
+
+def _check_table(seg: SegmentManifest, regions, rates, fps, steps) -> None:
+    """Every entry of ``seg``'s table against the scalar encoder path."""
+    encoder = seg.encoder
+    levels = encoder.ladder.levels
+    grid = encoder.grid
+    tiles = seg.tile_sizes()
+    assert tiles.shape == (grid.num_tiles, len(levels))
+    for t in grid.tiles():
+        for vi, q in enumerate(levels):
+            assert tiles[t.row * grid.cols + t.col, vi] == _scalar(
+                seg, ("tile", t.row, t.col), 1.0 / grid.num_tiles, q)
+    factors = np.array([encoder.frame_rate_factor(r, fps) for r in rates])
+    for key, area in regions:
+        row = seg.region_sizes(key, area)
+        by_rate = seg.region_sizes(key, area, factors)
+        assert row.shape == (len(levels),)
+        assert by_rate.shape == (len(levels), len(rates))
+        for vi, q in enumerate(levels):
+            assert row[vi] == _scalar(seg, (key,), area, q)
+            for fi, rate in enumerate(rates):
+                assert by_rate[vi, fi] == _scalar(seg, (key,), area, q,
+                                                  frame_rate=rate, fps=fps)
+    for step in steps:
+        rungs = NontileScheme(ladder_step=step).qualities(len(levels))
+        frame = seg.frame_sizes(rungs)
+        assert frame.shape == (len(rungs),)
+        for i, q in enumerate(rungs):
+            assert frame[i] == _scalar(seg, ("frame",), 1.0, q)
+
+
+def test_video_table_equals_scalar_encoder(video2, ptiles2, ftiles2):
+    """Tiles, Ftile cells, Ptile regions, remainder blocks, Nontile
+    levels and MPC frame rates of one real video."""
+    manifest = VideoManifest(video2, EncoderModel())
+    for seg, sp, partition in zip(manifest, ptiles2, ftiles2):
+        regions = [(c.key, c.area_fraction) for c in partition.cells]
+        for ptile in sp.ptiles:
+            regions.append((ptile.region_key, ptile.area_fraction))
+            regions.extend(
+                (b.key, b.area_fraction) for b in sp.remainder_for(ptile))
+        _check_table(seg, regions, _RATES, _FPS, steps=(0.25,))
+
+
+_REGION_KEYS = ("ptile-0", "ptile-3", "ftile-7", "rem-0-top", "rem-2-side")
+
+
+@given(encoders(), segment_fields, st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_entries_equal_scalar_encoder(encoder, fields, data):
+    seg = SegmentManifest(*fields, encoder)
+    regions = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(_REGION_KEYS),
+            st.integers(1, 32).map(lambda n: n / 32) | st.floats(1e-4, 1.0),
+        ),
+        max_size=4,
+    ))
+    fps = data.draw(st.sampled_from([30.0, 60.0]) | st.floats(1.0, 120.0))
+    rates = data.draw(st.lists(
+        st.floats(1e-3, 1.0).map(lambda f: f * fps), min_size=1, max_size=4))
+    steps = data.draw(st.lists(
+        st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.05, 5.0),
+        min_size=1, max_size=2))
+    _check_table(seg, regions, rates, fps, steps)
+
+
+# ----------------------------------------------------------------------
+# Per-level totals == per-level scalar sum() in set-iteration order
+# ----------------------------------------------------------------------
+
+
+@given(encoders(), segment_fields,
+       st.frozensets(st.sampled_from(tuple(DEFAULT_GRID.tiles()))))
+@settings(max_examples=60, deadline=None)
+def test_ctile_totals_equal_sum_in_iteration_order(encoder, fields, fov):
+    seg = SegmentManifest(*fields, encoder)
+    grid = encoder.grid
+    tile = 1.0 / grid.num_tiles
+    background = sum(_scalar(seg, ("tile", t.row, t.col), tile, 1)
+                     for t in set(grid.tiles()) - fov)
+    want = [
+        sum(_scalar(seg, ("tile", t.row, t.col), tile, q) for t in fov)
+        + background
+        for q in encoder.ladder.levels
+    ]
+    assert ctile_sizes(seg, fov).tolist() == want
+
+
+def test_empty_tile_set_is_zero_plus_background(manifest2):
+    seg = manifest2[0]
+    grid = seg.grid
+    background = sum(seg.tile_size_mbit(t, 1) for t in set(grid.tiles()))
+    assert ctile_sizes(seg, frozenset()).tolist() == [
+        0 + background for _ in seg.encoder.ladder.levels]
+
+
+@given(encoders(), segment_fields, st.data())
+@settings(max_examples=60, deadline=None)
+def test_ptile_totals_equal_sum_in_iteration_order(encoder, fields, data):
+    seg = SegmentManifest(*fields, encoder)
+    area = st.integers(1, 32).map(lambda n: n / 32)
+    ptile = SimpleNamespace(
+        region_key=data.draw(st.sampled_from(_REGION_KEYS)),
+        area_fraction=data.draw(area),
+    )
+    remainder = [
+        RemainderBlock(key=f"rem-0-{i}", tiles=frozenset(), area_fraction=a)
+        for i, a in enumerate(data.draw(st.lists(area, max_size=3)))
+    ]
+    background = sum(_scalar(seg, (b.key,), b.area_fraction, 1)
+                     for b in remainder)
+    want = [
+        _scalar(seg, (ptile.region_key,), ptile.area_fraction, q) + background
+        for q in encoder.ladder.levels
+    ]
+    assert ptile_sizes(seg, ptile, remainder).tolist() == want
+
+
+@given(st.lists(st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+                max_size=12),
+       st.lists(st.floats(0.0, 1e3), max_size=12))
+def test_level_totals_equal_per_level_sum(rows, lowest):
+    totals = _level_totals([np.array(r) for r in rows], lowest, 3)
+    assert totals.tolist() == [
+        sum(r[v] for r in rows) + sum(lowest) for v in range(3)]
+
+
+@given(st.integers(1, 6), st.integers(1, 9), st.data())
+def test_tile_set_iterates_like_a_fresh_set(rows, cols, data):
+    grid = TileGrid(rows, cols)
+    removed = data.draw(st.frozensets(st.sampled_from(tuple(grid.tiles()))))
+    assert list(grid.tile_set) == list(set(grid.tiles()))
+    assert list(grid.tile_set - removed) == list(set(grid.tiles()) - removed)
+
+
+# ----------------------------------------------------------------------
 # EncoderModel.noise_factor and parameter validation
 # ----------------------------------------------------------------------
 
 
 class TestNoiseFactor:
+    @given(st.integers(0, 2**64), st.floats(1e-6, 2.0),
+           st.lists(st.integers(0, 2**40) | st.text(max_size=8), max_size=6))
+    def test_equals_default_rng_draw(self, seed, sigma, key):
+        enc = EncoderModel(seed=seed, noise_sigma=sigma)
+        rng = np.random.default_rng(
+            [seed & 0xFFFFFFFF] + _stable_key_ints(tuple(key)))
+        want = float(math.exp(rng.normal(-0.5 * sigma * sigma, sigma)))
+        assert enc.noise_factor(tuple(key)) == want
+
     def test_zero_sigma_is_exactly_one(self):
         assert EncoderModel(noise_sigma=0.0).noise_factor((1, 2, "x")) == 1.0
 

@@ -1,9 +1,11 @@
 """Unit tests for the streaming schemes' download planning."""
 
+import math
+
 import pytest
 
 from repro.geometry import Rect, Viewport
-from repro.power import TilingScheme
+from repro.power import PIXEL_3, TilingScheme
 from repro.streaming import (
     CtileScheme,
     DownloadPlan,
@@ -11,6 +13,7 @@ from repro.streaming import (
     NontileScheme,
     PlanContext,
     PtileScheme,
+    run_session,
     split_wrapped_rect,
 )
 
@@ -121,6 +124,39 @@ class TestNontileScheme:
     def test_fractional_ladder(self, ctx_no_ptile):
         plan = NontileScheme().plan(ctx_no_ptile)
         assert 1.0 <= plan.quality <= 5.0
+
+    def test_default_ladder_is_the_quarter_step_sweep(self):
+        assert NontileScheme().qualities(5) == tuple(
+            1.0 + 0.25 * i for i in range(17)
+        )
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, math.inf, -math.inf])
+    def test_bad_ladder_step_rejected_at_construction(self, step):
+        # 0 used to raise ZeroDivisionError and -0.25 "need at least one
+        # quality level", both in the middle of a session.
+        with pytest.raises(ValueError, match="ladder_step"):
+            NontileScheme(ladder_step=step)
+
+    @pytest.mark.parametrize("step", [0.3, 0.45, 0.7, 1.5, 4.0, 10.0])
+    def test_ladder_never_passes_the_top_rung(self, step):
+        for levels in (2, 5, 7):
+            rungs = NontileScheme(ladder_step=step).qualities(levels)
+            assert rungs[0] == 1.0
+            assert max(rungs) <= levels
+            assert all(b - a == pytest.approx(step)
+                       for a, b in zip(rungs, rungs[1:]))
+
+    def test_uneven_step_session_completes(self, small_dataset, manifest2,
+                                           network_traces):
+        # 0.45 rounded to 9 steps, whose top rung 5.05 raised
+        # "quality must be within [1, 5]" in the middle of a session.
+        result = run_session(
+            NontileScheme(ladder_step=0.45), manifest2,
+            small_dataset.test_traces(2)[0], network_traces[1], PIXEL_3,
+        )
+        qualities = [r.quality for r in result.records]
+        assert len(qualities) == manifest2.num_segments
+        assert max(qualities) <= 4.6 + 1e-12
 
 
 class TestPtileScheme:

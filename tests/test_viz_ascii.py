@@ -6,7 +6,6 @@ import pytest
 from repro.viz import (
     bar_chart,
     cdf_plot,
-    heatmap,
     line_plot,
     tile_grid_map,
 )
@@ -76,26 +75,6 @@ class TestCdfPlot:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cdf_plot({"x": []})
-
-
-class TestHeatmap:
-    def test_shape(self):
-        lines = heatmap(np.array([[0.0, 1.0], [0.5, 0.25]]), legend=False)
-        assert len(lines) == 2
-        assert len(lines[0]) == 4  # two chars per cell
-
-    def test_extreme_shades(self):
-        lines = heatmap(np.array([[0.0, 1.0]]), legend=False)
-        assert "█" in lines[0]
-        assert " " in lines[0]
-
-    def test_legend(self):
-        lines = heatmap(np.array([[0.0, 2.0]]))
-        assert any("=0" in ln for ln in lines)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            heatmap(np.array([1.0, 2.0]))
 
 
 class TestTileGridMap:
