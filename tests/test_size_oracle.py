@@ -16,6 +16,8 @@ import hashlib
 import math
 import pickle
 import struct
+import sys
+import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -113,6 +115,31 @@ def test_pickle_round_trip_keeps_sizes(video2, ptiles2):
     assert _size_records(restored, ptiles2) == warm
     assert pickle.dumps(restored) == pickle.dumps(VideoManifest(
         video2, EncoderModel()))
+
+
+def test_threads_racing_on_a_cold_table_read_identical_sizes(video2, ptiles2):
+    # The decision service plans on threads that share one manifest: a
+    # first touch may be built by several of them at once, and each must
+    # still read whole entries equal to a single-threaded build.
+    want = _size_records(VideoManifest(video2, EncoderModel()), ptiles2)
+    shared = VideoManifest(video2, EncoderModel())
+    got: list = [None] * 4
+
+    def read(i: int) -> None:
+        got[i] = _size_records(shared, ptiles2)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
 
 
 def test_cold_run_draws_each_noise_key_once(
