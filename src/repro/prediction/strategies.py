@@ -17,6 +17,7 @@ All three expose the same interface the session loop uses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..geometry.viewport import DEFAULT_FOV_DEG, Viewport

@@ -49,6 +49,8 @@ class SegmentManifest:
         object.__setattr__(self, "_tiles", None)
 
     def __getstate__(self) -> dict:
+        # A sweep-warmed table would dominate worker payloads and stored
+        # artifacts; it is pure, so it is rebuilt on first touch instead.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state: dict) -> None:

@@ -359,7 +359,8 @@ def test_ctile_totals_equal_sum_in_iteration_order(encoder, fields, fov):
 def test_empty_tile_set_is_zero_plus_background(manifest2):
     seg = manifest2[0]
     grid = seg.grid
-    background = sum(seg.tile_size_mbit(t, 1) for t in set(grid.tiles()))
+    background = sum(_scalar(seg, ("tile", t.row, t.col), 1 / grid.num_tiles, 1)
+                     for t in set(grid.tiles()))
     assert ctile_sizes(seg, frozenset()).tolist() == [
         0 + background for _ in seg.encoder.ladder.levels]
 
