@@ -67,9 +67,10 @@ class SegmentManifest:
         key = area_fraction if qualities is None else (area_fraction, qualities)
         sizes = self._levels.get(key)
         if sizes is None:
+            levels = self.encoder.ladder.levels if qualities is None else qualities
             sizes = np.array([
                 self.encoder.region_size_mbit(q, self.si, self.ti, area_fraction)
-                for q in qualities or self.encoder.ladder.levels
+                for q in levels
             ])
             sizes.flags.writeable = False
             self._levels[key] = sizes
@@ -86,10 +87,9 @@ class SegmentManifest:
         """Every grid tile at every level: row ``row * cols + col``."""
         tiles = self._tiles
         if tiles is None:
+            prefix = (self.video_id, self.segment_index, "tile")
             noise = np.array([
-                self.encoder.noise_factor(
-                    (self.video_id, self.segment_index, "tile", t.row, t.col)
-                )
+                self.encoder.noise_factor(prefix + (t.row, t.col))
                 for t in self.grid.tiles()
             ])
             tiles = noise[:, None] * self._level_sizes(1.0 / self.grid.num_tiles)
@@ -114,7 +114,8 @@ class SegmentManifest:
         """The whole frame at each of ``qualities`` (Nontile's ladder)."""
         return self._level_sizes(1.0, qualities) * self._region_noise("frame")
 
-    # Scalar readers.  Off-ladder qualities evaluate the formula directly.
+    # Scalar readers.  A quality that is not an int ladder level (a
+    # fractional rung, a float) evaluates the formula directly: same bits.
 
     def _column(self, quality: float) -> int | None:
         if type(quality) is int and 1 <= quality <= self.encoder.ladder.num_levels:
