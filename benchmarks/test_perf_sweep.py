@@ -213,9 +213,11 @@ def test_size_table_counts(benchmark):
     The group of ``test_shared_prediction_speedup`` (video 8, all five
     schemes on both networks, two users), on a freshly unpickled
     context.  The size table evaluates the encoder formula once per
-    (segment, area, level) — every level of the ladder for an area,
+    (segment, area, quality) — every level of the ladder for an area,
     every Nontile rung for the whole frame — and never per region or
-    frame rate, and draws each region's noise once.
+    frame rate, and draws each region's noise once.  Every formula
+    call goes through one per-(area, quality) memo, so the first bound
+    holds for any workload, a fault plan's frame sizes included.
     """
     setup = make_setup(max_duration_s=20, video_ids=(8,))
     context, jobs = build_sweep(setup, workers=1)
@@ -244,10 +246,10 @@ def test_size_table_counts(benchmark):
         run_once(benchmark, _run_group, ctx, jobs,
                  [ctx.head_traces[8][job.user_index] for job in jobs])
 
-    levels = manifest.encoder.ladder.num_levels
-    rungs = len(NontileScheme().qualities(levels))
+    levels = manifest.encoder.ladder.levels
+    frame = len(set(levels) | set(NontileScheme().qualities(len(levels))))
     cells = {(si, ti, area) for si, ti, area, _ in evaluations}
-    bound = sum(rungs if area == 1.0 else levels for _, _, area in cells)
+    bound = sum(frame if area == 1.0 else len(levels) for _, _, area in cells)
     total = sum(evaluations.values())
     assert max(evaluations.values()) == 1  # no (segment, area, level) twice
     assert total <= bound

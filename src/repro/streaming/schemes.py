@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Protocol
 
-import numpy as np
-
 from ..geometry.tiling import Tile, TileGrid
 from ..geometry.viewport import Rect, Viewport
 from ..power.models import TilingScheme
@@ -137,26 +135,29 @@ def _tile_rects(grid: TileGrid, tiles: set[Tile]) -> tuple[Rect, ...]:
     return tuple(grid.tile_rect(t) for t in sorted(tiles))
 
 
-def _level_totals(hq_rows, lowest, num_levels: int) -> np.ndarray:
-    """Per-level sizes: ``hq_rows`` (size-table rows) at each level plus
-    the ``lowest``-level sizes around them.  Both sums add one region at
-    a time from zero in the given (set-iteration) order: the order, and
-    so the bits, of a per-level scalar ``sum()``."""
-    total = np.zeros(num_levels)
-    for row in hq_rows:
-        total += row
-    return total + sum(lowest)
+def _level_totals(hq_rows, lowest, num_levels: int) -> list[float]:
+    """Per-level sizes: ``hq_rows`` (size-table rows as lists of floats)
+    at each level plus the ``lowest``-level sizes around them.
+
+    Each level is the builtin ``sum()`` of its column in the given
+    (set-iteration) order, plus ``sum(lowest)``: the calls, and so the
+    bits, of summing the regions' scalar sizes.  A numpy add would only
+    match on interpreters whose ``sum()`` adds floats left to right;
+    CPython 3.12's ``sum()`` compensates.
+    """
+    background = sum(lowest)
+    columns = zip(*hq_rows) if hq_rows else [()] * num_levels
+    return [sum(column) + background for column in columns]
 
 
-def ctile_sizes(manifest: SegmentManifest, fov_tiles) -> np.ndarray:
+def ctile_sizes(manifest: SegmentManifest, fov_tiles) -> list[float]:
     """Per-level Ctile sizes: FoV tiles at each level, the rest lowest."""
-    grid = manifest.grid
-    rows = manifest.tile_sizes()
-    lowest = rows[:, 0].tolist()
+    cols = manifest.grid.cols
+    rows = manifest.tile_sizes().tolist()
     return _level_totals(
-        [rows[t.row * grid.cols + t.col] for t in fov_tiles],
-        [lowest[t.row * grid.cols + t.col] for t in grid.tile_set - fov_tiles],
-        rows.shape[1],
+        [rows[t.row * cols + t.col] for t in fov_tiles],
+        [rows[t.row * cols + t.col][0] for t in manifest.grid.tile_set - fov_tiles],
+        manifest.encoder.ladder.num_levels,
     )
 
 
@@ -167,17 +168,16 @@ def _lowest(manifest: SegmentManifest, regions) -> list[float]:
     ]
 
 
-def ptile_sizes(manifest: SegmentManifest, ptile, remainder) -> np.ndarray:
+def ptile_sizes(manifest: SegmentManifest, ptile, remainder) -> list[float]:
     """Per-level Ptile sizes: the Ptile at each level, remainder lowest."""
-    row = manifest.region_sizes(ptile.region_key, ptile.area_fraction)
+    row = manifest.region_sizes(ptile.region_key, ptile.area_fraction).tolist()
     return _level_totals([row], _lowest(manifest, remainder), len(row))
 
 
-def _abr_plan(scheme, ctx: PlanContext, sizes: np.ndarray, qualities,
+def _abr_plan(scheme, ctx: PlanContext, sizes: list[float], qualities,
               decode_scheme: TilingScheme, **extra) -> DownloadPlan:
     """The plan at the ABR's pick among ``qualities``, whose per-level
     total sizes are ``sizes``."""
-    sizes = sizes.tolist()
     quality = scheme.abr.choose_quality(
         sizes, ctx.bandwidth_mbps, ctx.buffer_s, ctx.segment_seconds,
         qualities=qualities,
@@ -225,7 +225,8 @@ class FtileScheme:
         manifest = ctx.manifest
         levels = manifest.encoder.ladder.levels
         sizes = _level_totals(
-            [manifest.region_sizes(c.key, c.area_fraction) for c in hq_cells],
+            [manifest.region_sizes(c.key, c.area_fraction).tolist()
+             for c in hq_cells],
             _lowest(manifest, lq_cells), len(levels),
         )
         return _abr_plan(self, ctx, sizes, levels, TilingScheme.FTILE,
@@ -261,7 +262,7 @@ class NontileScheme:
     def plan(self, ctx: PlanContext) -> DownloadPlan:
         qualities = self.qualities(ctx.manifest.encoder.ladder.num_levels)
         return _abr_plan(
-            self, ctx, ctx.manifest.frame_sizes(qualities), qualities,
+            self, ctx, ctx.manifest.frame_sizes(qualities).tolist(), qualities,
             TilingScheme.NONTILE, full_coverage=True,
         )
 

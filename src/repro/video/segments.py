@@ -43,6 +43,7 @@ class SegmentManifest:
     encoder: EncoderModel = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_g", {})  # (area, quality) -> g
         object.__setattr__(self, "_levels", {})  # area -> g per level
         object.__setattr__(self, "_noise", {})  # region key -> factor
         object.__setattr__(self, "_qoe_rates", {})
@@ -62,16 +63,24 @@ class SegmentManifest:
     def grid(self) -> TileGrid:
         return self.encoder.grid
 
+    def _formula(self, area_fraction: float, quality: float) -> float:
+        """``g`` of one area at one quality, evaluated once.  Keyed by
+        value, so ladder level 2 and Nontile's rung 2.0 share an entry
+        (the encoder gives them the same bits)."""
+        key = (area_fraction, quality)
+        g = self._g.get(key)
+        if g is None:
+            g = self._g[key] = self.encoder.region_size_mbit(
+                quality, self.si, self.ti, area_fraction)
+        return g
+
     def _level_sizes(self, area_fraction: float, qualities=None) -> np.ndarray:
         """``g`` of one area at every ladder level, or at ``qualities``."""
         key = area_fraction if qualities is None else (area_fraction, qualities)
         sizes = self._levels.get(key)
         if sizes is None:
             levels = self.encoder.ladder.levels if qualities is None else qualities
-            sizes = np.array([
-                self.encoder.region_size_mbit(q, self.si, self.ti, area_fraction)
-                for q in levels
-            ])
+            sizes = np.array([self._formula(area_fraction, q) for q in levels])
             sizes.flags.writeable = False
             self._levels[key] = sizes
         return sizes
@@ -114,8 +123,8 @@ class SegmentManifest:
         """The whole frame at each of ``qualities`` (Nontile's ladder)."""
         return self._level_sizes(1.0, qualities) * self._region_noise("frame")
 
-    # Scalar readers.  A quality that is not an int ladder level (a
-    # fractional rung, a float) evaluates the formula directly: same bits.
+    # Scalar readers.  A region at a quality that is not an int ladder
+    # level (a fractional rung, a float) reads the per-quality ``g``.
 
     def _column(self, quality: float) -> int | None:
         if type(quality) is int and 1 <= quality <= self.encoder.ladder.num_levels:
@@ -146,8 +155,7 @@ class SegmentManifest:
         """Size of an arbitrary region encoded as a single tile."""
         column = self._column(quality)
         if column is None:
-            size = self.encoder.region_size_mbit(
-                quality, self.si, self.ti, area_fraction)
+            size = self._formula(area_fraction, quality)
         else:
             size = float(self._level_sizes(area_fraction)[column])
         if frame_rate is not None:
@@ -157,6 +165,10 @@ class SegmentManifest:
     def full_frame_size_mbit(self, quality: float) -> float:
         """Size of the whole frame encoded as a single tile (Nontile)."""
         return self.region_size_mbit("frame", 1.0, quality)
+
+    def fov_bitrate_mbps(self, quality: float, n_fov_tiles: int = 9) -> float:
+        """Raw FoV bitrate share at a quality level."""
+        return self.encoder.fov_bitrate_mbps(quality, self.si, self.ti, n_fov_tiles)
 
     def qoe_bitrate_mbps(self, quality: float, n_fov_tiles: int = 9) -> float:
         """Perceptually linearized bitrate fed to the Eq. 3 QoE model."""
