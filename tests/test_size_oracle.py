@@ -33,6 +33,7 @@ from repro.power import PIXEL_3
 from repro.ptile.construction import RemainderBlock
 from repro.qoe import QualityModel
 from repro.streaming import NontileScheme, run_session
+from repro.streaming import schemes
 from repro.streaming.schemes import _level_totals, ctile_sizes, ptile_sizes
 from repro.video import DEFAULT_LADDER, EncoderModel, VideoManifest
 from repro.video.encoder import _stable_key_ints
@@ -416,6 +417,43 @@ def test_ptile_totals_equal_sum_in_iteration_order(encoder, fields, data):
 def test_level_totals_equal_per_level_sum(rows, lowest):
     assert _level_totals(rows, lowest, 3) == [
         sum(r[v] for r in rows) + sum(lowest) for v in range(3)]
+
+
+def _compensated_sum(values, start=0):
+    """CPython 3.12's float ``sum()``: Neumaier-compensated addition."""
+    total, compensation = start, 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+@given(encoders(), segment_fields,
+       st.frozensets(st.sampled_from(tuple(DEFAULT_GRID.tiles()))))
+@settings(max_examples=30, deadline=None)
+def test_totals_follow_the_interpreters_sum(encoder, fields, fov):
+    # The totals must be whatever ``sum()`` gives on the running
+    # interpreter, so they match on 3.12+, where sum() compensates.
+    seg = SegmentManifest(*fields, encoder)
+    grid = encoder.grid
+    tile = 1.0 / grid.num_tiles
+    with mock.patch.object(schemes, "sum", _compensated_sum, create=True):
+        got = ctile_sizes(seg, fov)
+        spread = _level_totals(
+            [[1.0] * 3, [1e16] * 3, [1.0] * 3], [1.0, 1e16, 1.0], 3)
+    background = _compensated_sum(
+        _scalar(seg, ("tile", t.row, t.col), tile, 1)
+        for t in set(grid.tiles()) - fov)
+    assert got == [
+        _compensated_sum(_scalar(seg, ("tile", t.row, t.col), tile, q)
+                         for t in fov) + background
+        for q in encoder.ladder.levels
+    ]
+    assert spread == [2 * (1e16 + 2.0)] * 3
 
 
 @given(st.integers(1, 6), st.integers(1, 9), st.data())
