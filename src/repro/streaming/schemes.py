@@ -137,13 +137,10 @@ def _tile_rects(grid: TileGrid, tiles: set[Tile]) -> tuple[Rect, ...]:
 
 def _level_totals(hq_rows, lowest, num_levels: int) -> list[float]:
     """Per-level sizes: ``hq_rows`` (size-table rows as lists of floats)
-    at each level plus the ``lowest``-level sizes around them.
-
-    Each level is the builtin ``sum()`` of its column in the given
-    (set-iteration) order, plus ``sum(lowest)``: the calls, and so the
-    bits, of summing the regions' scalar sizes.  A numpy add would only
-    match on interpreters whose ``sum()`` adds floats left to right;
-    CPython 3.12's ``sum()`` compensates.
+    at each level plus the ``lowest``-level sizes around them.  Each is
+    the builtin ``sum()`` of a column in set-iteration order: the calls,
+    so the bits, of summing scalar sizes, even where ``sum()``
+    compensates (CPython 3.12+) and a numpy add would not match.
     """
     background = sum(lowest)
     columns = zip(*hq_rows) if hq_rows else [()] * num_levels

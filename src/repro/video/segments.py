@@ -123,21 +123,14 @@ class SegmentManifest:
         """The whole frame at each of ``qualities`` (Nontile's ladder)."""
         return self._level_sizes(1.0, qualities) * self._region_noise("frame")
 
-    # Scalar readers.  A region at a quality that is not an int ladder
-    # level (a fractional rung, a float) reads the per-quality ``g``.
-
-    def _column(self, quality: float) -> int | None:
-        if type(quality) is int and 1 <= quality <= self.encoder.ladder.num_levels:
-            return quality - 1
-        return None
-
     def tile_size_mbit(self, tile: Tile, quality: float) -> float:
-        """Size of one conventional grid tile at a quality level."""
-        column = self._column(quality)
-        if column is None:
-            return self.encoder.tile_size_mbit(quality, self.si, self.ti, noise_key=(
-                self.video_id, self.segment_index, "tile", tile.row, tile.col))
-        return float(self.tile_sizes()[tile.row * self.grid.cols + tile.col, column])
+        """Size of one conventional grid tile at a quality level (off the
+        int ladder, a fractional rung say, from the encoder directly)."""
+        if type(quality) is int and 1 <= quality <= self.encoder.ladder.num_levels:
+            row = tile.row * self.grid.cols + tile.col
+            return float(self.tile_sizes()[row, quality - 1])
+        return self.encoder.tile_size_mbit(quality, self.si, self.ti, noise_key=(
+            self.video_id, self.segment_index, "tile", tile.row, tile.col))
 
     def tiles_size_mbit(self, tiles: Iterable[Tile], quality: float) -> float:
         """Total size of a set of separately encoded conventional tiles."""
@@ -153,11 +146,7 @@ class SegmentManifest:
         fps: float = 30.0,
     ) -> float:
         """Size of an arbitrary region encoded as a single tile."""
-        column = self._column(quality)
-        if column is None:
-            size = self._formula(area_fraction, quality)
-        else:
-            size = float(self._level_sizes(area_fraction)[column])
+        size = self._formula(area_fraction, quality)
         if frame_rate is not None:
             size *= self.encoder.frame_rate_factor(frame_rate, fps)
         return size * self._region_noise(region_key)
