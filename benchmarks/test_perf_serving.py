@@ -10,9 +10,12 @@ stacked-window choose pass).  Both paths produce identical
 :class:`DownloadPlan` lists — the speedup is purely the batching.
 
 Requests use train-trace viewports so most of them hit the Ptile/MPC
-path (the expensive one the service exists to batch).  ``extra_info``
-carries the speedup, the absolute batched throughput, and the service's
-p50/p99 enqueue-to-decision latency for ``check_baseline.py``.
+path (the expensive one the service exists to batch).  The two sides
+alternate over ``_ROUNDS`` rounds and each keeps its fastest round
+(min-of-rounds), so one slow spell of the host cannot decide the ratio.
+``extra_info`` carries the speedup, the absolute batched throughput,
+and the last batched round's p50/p99 enqueue-to-decision latency for
+``check_baseline.py``.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from repro.serving import (
     VideoPlanner,
 )
 
-from conftest import run_once, shared_setup
+from conftest import shared_setup
 
 _VIDEO_ID = 8
 _MAX_BATCH = 64
 _BATCH_WAIT_US = 200.0
+_ROUNDS = 5
 
 
 def _serving_inputs():
@@ -80,40 +84,53 @@ def test_serving_batched_vs_sequential(benchmark):
     # Warm the shared plan tables so both paths measure steady state.
     planner.plan_one(requests[0])
 
-    t0 = time.perf_counter()
-    sequential, seq_snap = _serve_all(planner, requests, max_batch=1)
-    sequential_elapsed = time.perf_counter() - t0
-    assert seq_snap["max_batch_seen"] == 1
+    sequential: list = []
+    sequential_s = float("inf")
 
-    service = DecisionService(
-        [planner],
-        ServiceConfig(max_batch=_MAX_BATCH, batch_wait_us=_BATCH_WAIT_US),
-    )
+    def sequential_round():
+        # The rounds alternate, so a slow spell of the host hits both
+        # sides; each side keeps its fastest round.
+        nonlocal sequential_s
+        t0 = time.perf_counter()
+        plans, snap = _serve_all(planner, requests, max_batch=1)
+        sequential_s = min(sequential_s, time.perf_counter() - t0)
+        assert snap["max_batch_seen"] == 1
+        sequential[:] = plans
+        return (), {}
+
+    services: list = []
 
     def solve():
+        service = DecisionService(
+            [planner],
+            ServiceConfig(max_batch=_MAX_BATCH, batch_wait_us=_BATCH_WAIT_US),
+        )
+        services.append(service)
         with ServiceRunner(service) as runner:
             return runner.plan_many(requests)
 
-    batched = run_once(benchmark, solve)
-    elapsed = benchmark.stats["mean"]
+    batched = benchmark.pedantic(solve, setup=sequential_round,
+                                 rounds=_ROUNDS)
+    batched_s = benchmark.stats["min"]
 
     # Bit-identical decisions on the benchmarked inputs.
     assert batched == sequential
 
-    snap = service.stats.snapshot()
+    snap = services[-1].stats.snapshot()
     assert snap["requests"] == len(requests)
     assert snap["max_batch_seen"] > 1
 
     benchmark.extra_info["num_requests"] = len(requests)
+    benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["mean_batch_size"] = snap["mean_batch_size"]
     benchmark.extra_info["sequential_decisions_per_second"] = (
-        len(requests) / sequential_elapsed
+        len(requests) / sequential_s
     )
     benchmark.extra_info["serving_decisions_per_second"] = (
-        len(requests) / elapsed
+        len(requests) / batched_s
     )
     benchmark.extra_info["serving_batched_speedup"] = (
-        sequential_elapsed / elapsed
+        sequential_s / batched_s
     )
     benchmark.extra_info["serving_p50_ms"] = snap["p50_ms"]
     benchmark.extra_info["serving_p99_ms"] = snap["p99_ms"]

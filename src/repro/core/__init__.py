@@ -4,12 +4,11 @@ from .controller import OursScheme
 from .offline import OfflinePlan, solve_offline
 from .optimizer import EnergyQoEMpc, MpcConfig, MpcDecision, MpcWindow
 from .plan_tables import PlanTables
-from .robust import RobustScheme, expected_quality_window
+from .robust import RobustScheme
 
 __all__ = [
     "OursScheme",
     "RobustScheme",
-    "expected_quality_window",
     "OfflinePlan",
     "solve_offline",
     "EnergyQoEMpc",

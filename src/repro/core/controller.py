@@ -11,15 +11,25 @@ For each segment the client:
    energy-minimal version within the 5 % QoE tolerance;
 3. otherwise falls back to conventional tiles at the best possible
    quality (Ctile behaviour, including its multi-decoder energy cost).
+
+:meth:`OursScheme.plan_batch` is the one MPC planning path: the session
+loop's ``plan(ctx)`` is its one-row form, and the decision service and
+the population engine feed it (or its window assembly) whole batches.
+Subclasses change the region choice and the QoE rows only, through the
+:meth:`OursScheme._select` hook (see :mod:`repro.core.robust`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..power.energy import EnergyModel
 from ..power.models import DevicePowerModel, TilingScheme
+from ..ptile.construction import Ptile
 from ..qoe.quality import QualityModel
 from ..streaming.schemes import (
     CtileScheme,
@@ -29,9 +39,14 @@ from ..streaming.schemes import (
 )
 from ..video.framerate import DEFAULT_LADDER, FrameRateLadder
 from .optimizer import EnergyQoEMpc, MpcConfig
-from .plan_tables import PlanTables
+from .plan_tables import PlanTables, expected_qoe
 
 __all__ = ["OursScheme"]
+
+# What _select returns: the Ptile to plan over, the expected viewport
+# coverage of each lookahead offset (None: trust the point prediction),
+# and the angular error scale planned against.
+Selection = Tuple[Ptile, Optional[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -49,7 +64,7 @@ class OursScheme:
       consistent with the actual segment duration;
     * ``_tables_cache`` — one :class:`PlanTables` per (video, ladder,
       fps): stacked (S, V, F) size and (S, V) Q_o tensors covering every
-      segment, built once and sliced by each ``plan()``.  The H-segment
+      segment, built once and gathered from by every plan.  The H-segment
       lookahead window slides one segment per plan, so without the
       batched tables each (segment, Ptile) matrix would be rebuilt up to
       H times per session — and once per user on top of that, although
@@ -92,29 +107,86 @@ class OursScheme:
         self.__post_init__()
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
-        if ctx.segment_ptiles is None:
-            return self._fallback_plan(ctx)
-        ptile = ctx.segment_ptiles.match(ctx.predicted_viewport)
-        if ptile is None:
-            return self._fallback_plan(ctx)
+        return self.plan_batch([ctx])[0]
 
-        window = self._plan_tables(ctx).window(ctx, ptile)
-        mpc = self._mpc(ctx.segment_seconds)
-        decision = mpc.choose(window, ctx.bandwidth_mbps, ctx.buffer_s)
-        size = float(
-            window.sizes_mbit[
-                0, decision.quality - 1, decision.frame_rate_index - 1
-            ]
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=decision.quality,
-            frame_rate=decision.frame_rate,
-            total_size_mbit=size,
-            decode_scheme=TilingScheme.PTILE,
-            hq_rects=split_wrapped_rect(ptile.rect),
-            used_ptile=True,
-        )
+    def plan_batch(self, ctxs: Sequence[PlanContext]) -> list[DownloadPlan]:
+        """Plan every context, one MPC pass per same-shape group.
+
+        Each context's region comes from :meth:`_select`; contexts with
+        no region take the conventional-tile fallback.  The rest are
+        grouped by (tables, window length, segment duration), their
+        windows gathered by one :meth:`PlanTables.windows` call and
+        solved by one :meth:`EnergyQoEMpc.choose_batch` call per group.
+        The batched DP replicates the scalar DP's tie-breaking, so the
+        batch a context is planned in never changes its plan.
+        """
+        plans: list = [None] * len(ctxs)
+        groups: dict[tuple, list] = {}
+        for i, ctx in enumerate(ctxs):
+            selection = self._select(ctx)
+            if selection is None:
+                plans[i] = self._fallback_plan(ctx)
+                continue
+            key = (
+                self._plan_tables(ctx),
+                len(ctx.future_manifests) or 1,
+                ctx.segment_seconds,
+            )
+            groups.setdefault(key, []).append((i, ctx, selection))
+        for (tables, _, seg_s), items in groups.items():
+            sizes, qoe = self._windows(tables, [(c, s) for _, c, s in items])
+            decisions = self._mpc(seg_s).choose_batch(
+                sizes, qoe, tables.rates,
+                np.array([ctx.bandwidth_mbps for _, ctx, _ in items]),
+                np.array([ctx.buffer_s for _, ctx, _ in items]),
+            )
+            for b, ((i, _, selection), decision) in enumerate(
+                zip(items, decisions)
+            ):
+                ptile, coverage, sigma = selection
+                v, f = decision.quality - 1, decision.frame_rate_index - 1
+                plans[i] = DownloadPlan(
+                    scheme_name=self.name,
+                    quality=decision.quality,
+                    frame_rate=decision.frame_rate,
+                    total_size_mbit=float(sizes[b, 0, v, f]),
+                    decode_scheme=TilingScheme.PTILE,
+                    hq_rects=split_wrapped_rect(ptile.rect),
+                    used_ptile=True,
+                    expected_coverage=(
+                        1.0 if coverage is None else float(coverage[0])
+                    ),
+                    sigma_deg=sigma,
+                )
+        return plans
+
+    def _select(self, ctx: PlanContext) -> Selection | None:
+        """The region to plan ``ctx`` over, or ``None`` for Ctile.
+
+        Ours trusts the point prediction: the deterministic Ptile
+        match, with no expected coverage (the QoE rows assume the
+        viewport is fully covered) and zero error.
+        """
+        if ctx.segment_ptiles is None:
+            return None
+        ptile = ctx.segment_ptiles.match(ctx.predicted_viewport)
+        return None if ptile is None else (ptile, None, 0.0)
+
+    def _windows(
+        self, tables: PlanTables, items: Sequence[tuple[PlanContext, Selection]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(B, W, V, F)`` sizes and QoE for selected contexts.
+
+        Rows whose selection carries an expected coverage get their QoE
+        mixed toward the lowest-quality row (:func:`expected_qoe`).
+        """
+        sizes, qoe = tables.windows([(ctx, sel[0]) for ctx, sel in items])
+        mixed = [b for b, (_, sel) in enumerate(items) if sel[1] is not None]
+        if mixed:
+            qoe[mixed] = expected_qoe(
+                qoe[mixed], np.stack([items[b][1][1] for b in mixed])
+            )
+        return sizes, qoe
 
     # ------------------------------------------------------------------
 
@@ -189,12 +261,5 @@ class OursScheme:
         return tables
 
     def _fallback_plan(self, ctx: PlanContext) -> DownloadPlan:
-        plan = self.fallback.plan(ctx)
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=plan.quality,
-            frame_rate=plan.frame_rate,
-            total_size_mbit=plan.total_size_mbit,
-            decode_scheme=plan.decode_scheme,
-            hq_rects=plan.hq_rects,
-        )
+        # Report under this scheme's name but keep Ctile decode costs.
+        return replace(self.fallback.plan(ctx), scheme_name=self.name)

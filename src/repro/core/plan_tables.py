@@ -12,25 +12,25 @@ ladder, frame-rate ladder, fps, quality model), batched across the
 whole video — the quality axis enumerates the levels of the video's
 own :class:`~repro.encoding.ladder.EncodingLadder`:
 
-* ``qo`` — a stacked ``(S, V)`` tensor of Eq. 3 qualities, one row per
-  segment, one column per bitrate level;
+* ``qo`` — a stacked ``(S, V)`` tensor of Eq. 3 qualities
+  (:func:`qo_table`), one row per segment, one column per bitrate level;
 * :meth:`sizes_for` — per Ptile geometry, a stacked ``(S, V, F)``
   tensor of download sizes (Ptile region + low-quality remainder
   blocks) covering every segment, built in one pass on first use and
   reused for every later plan and session.
 
-Each ``plan()`` then assembles its :class:`~repro.core.optimizer.MpcWindow`
-by slicing H rows out of the stacked tensors instead of rebuilding H
-tables, and only the per-plan quantities — the Ptile match against the
-predicted viewport and the switching-speed-dependent frame-rate factor
-(Eq. 4) — are computed per call.  Cached tensors are never mutated, so
-batched and per-call planning are bit-identical.
+:meth:`PlanTables.windows` then assembles the MPC windows of a whole
+batch of plans by gathering rows out of the stacked tensors instead of
+rebuilding H tables per plan; only the per-offset Ptile
+(:func:`window_ptiles`) and the switching-speed-dependent frame-rate
+factor (Eq. 4, memoized per alpha) are per-plan work.  Cached tensors
+are never mutated, so batched and per-call planning are bit-identical.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,13 @@ from ..streaming.schemes import LOWEST_QUALITY
 from ..video.segments import SegmentManifest
 from .optimizer import MpcWindow
 
-__all__ = ["PlanTables"]
+__all__ = ["PlanTables", "expected_qoe", "qo_table", "window_ptiles"]
+
+# The per-alpha Eq. 4 factor memo is cleared when it reaches this size:
+# alpha varies continuously with the predicted head speed, so a
+# long-lived owner (the decision service) would otherwise grow it
+# without bound.
+_ALPHA_MEMO_LIMIT = 65536
 
 
 class PlanTables:
@@ -66,17 +72,10 @@ class PlanTables:
         self.rates = tuple(rates)
         self.fps = float(fps)
         self._row = {m.segment_index: i for i, m in enumerate(self.manifests)}
-        self.ti = np.array([m.ti for m in self.manifests])
         # Quality levels come from the video's own encoding ladder (the
         # per-content optimizer may have swapped the default rungs out).
         self.levels = self.manifests[0].encoder.ladder.levels
-        self.qo = np.array([
-            [
-                quality_model.qo(m.si, m.ti, m.qoe_bitrate_mbps(v))
-                for v in self.levels
-            ]
-            for m in self.manifests
-        ])  # (S, V)
+        self.qo = qo_table(self.manifests, self.levels, quality_model)
         # (region_key, tiles) -> (S, V, F) size tensor.  Keyed by the
         # Ptile's geometry, not its segment: the same geometry applied
         # to every segment is exactly what the MPC needs when a future
@@ -86,17 +85,21 @@ class PlanTables:
         # shared across concurrent planners cannot observe a torn build.
         self._sizes: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
+        # alpha -> (F,) Eq. 4 factors at self.fps; see frame_rate_factors.
+        self._alpha_factors: dict[float, np.ndarray] = {}
 
     def __getstate__(self) -> dict:
-        # Locks don't pickle; the size memo is pure and rebuilds lazily.
+        # Locks don't pickle; the memos are pure and rebuild lazily.
         state = self.__dict__.copy()
         state["_sizes"] = {}
+        state["_alpha_factors"] = {}
         del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._sizes = {}
+        self._alpha_factors = {}
         self._lock = threading.Lock()
 
     @property
@@ -159,37 +162,123 @@ class PlanTables:
             ) + background
         return sizes
 
-    def window(self, ctx, current_ptile: Ptile) -> MpcWindow:
-        """Assemble the stacked MPC window for one plan.
+    def frame_rate_factors(self, alpha: float) -> np.ndarray:
+        """Eq. 4 factors of every ladder rate at one ``alpha``, memoized.
 
-        Future segments reuse the predicted viewport; when a future
-        segment has no matching Ptile its sizes come from the current
-        Ptile's geometry tensor (the client cannot know better).  Only
-        the Ptile match and the Eq. 4 frame-rate factors are per-plan
-        work — the size and Q_o rows are views into the stacked tables.
+        Alpha depends only on the predicted head speed and the segment's
+        TI, so sessions replaying one head trace repeat it.  The scalar
+        :func:`frame_rate_factor` (``math.exp``) is kept rather than a
+        numpy vectorization, which could differ in the last ulp.
         """
-        manifests = ctx.future_manifests or (ctx.manifest,)
-        speed = max(ctx.predicted_speed_deg_s, 0.0)
-        n = len(manifests)
-        v_count = self.qo.shape[1]
-        f_count = len(self.rates)
-        sizes = np.empty((n, v_count, f_count))
-        qoe = np.empty((n, v_count, f_count))
-        future_ptiles = ctx.future_ptiles
-        for offset, manifest in enumerate(manifests):
-            ptile = current_ptile
-            future = (
-                future_ptiles[offset] if offset < len(future_ptiles) else None
-            )
-            if future is not None:
-                matched = future.match(ctx.predicted_viewport)
-                if matched is not None:
-                    ptile = matched
-            row = self.row(manifest.segment_index)
-            sizes[offset] = self.sizes_for(ptile)[row]
-            alpha = alpha_from_behavior(speed, manifest.ti)
+        # Unlocked: concurrent planners may both compute an entry or
+        # clear the memo under each other, but entries are pure and
+        # never mutated, so every caller still gets exact factors.
+        factors = self._alpha_factors.get(alpha)
+        if factors is None:
+            if len(self._alpha_factors) >= _ALPHA_MEMO_LIMIT:
+                self._alpha_factors.clear()
             factors = np.array([
-                frame_rate_factor(rate, ctx.fps, alpha) for rate in self.rates
+                frame_rate_factor(rate, self.fps, alpha) for rate in self.rates
             ])
-            qoe[offset] = self.qo[row, :, None] * factors[None, :]
-        return MpcWindow(sizes_mbit=sizes, qoe=qoe, frame_rates=self.rates)
+            self._alpha_factors[alpha] = factors
+        return factors
+
+    def windows(self, items) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked MPC windows for B plans of one window length.
+
+        ``items`` is a sequence of ``(ctx, ptile)`` pairs; each lookahead
+        offset is served by :func:`window_ptiles`.  Returns the
+        ``(B, W, V, F)`` download sizes and Eq. 3–4 QoE.  Only the
+        per-slot table coordinates and Eq. 4 factors are per-plan work;
+        the size blocks are gathered in bulk out of the distinct
+        :meth:`sizes_for` tensors, copying the same table entries a
+        row-by-row assembly would.
+        """
+        width = len(_window_manifests(items[0][0]))
+        batch = len(items)
+        rows = np.empty((batch, width), dtype=np.intp)
+        geom = np.empty((batch, width), dtype=np.intp)
+        fact = np.empty((batch, width, len(self.rates)))
+        tensors: list[np.ndarray] = []
+        tensor_slot: dict[int, int] = {}
+        for b, (ctx, ptile) in enumerate(items):
+            manifests = _window_manifests(ctx)
+            if len(manifests) != width:
+                raise ValueError("windows() needs one window length")
+            speed = max(ctx.predicted_speed_deg_s, 0.0)
+            chosen = window_ptiles(ctx, ptile)
+            for offset, manifest in enumerate(manifests):
+                # sizes_for memoizes per geometry, so tensor identity is
+                # a stable geometry id within this call.
+                tensor = self.sizes_for(chosen[offset])
+                slot = tensor_slot.get(id(tensor))
+                if slot is None:
+                    slot = tensor_slot[id(tensor)] = len(tensors)
+                    tensors.append(tensor)
+                geom[b, offset] = slot
+                rows[b, offset] = self.row(manifest.segment_index)
+                fact[b, offset] = self.frame_rate_factors(
+                    alpha_from_behavior(speed, manifest.ti)
+                )
+        if len(tensors) == 1:
+            sizes = tensors[0][rows]
+        else:
+            sizes = np.empty((batch, width) + tensors[0].shape[1:])
+            for slot, tensor in enumerate(tensors):
+                mask = geom == slot
+                sizes[mask] = tensor[rows[mask]]
+        # Broadcasting does not reassociate: each entry is the float
+        # product ``qo[row, v] * factor[f]``, whatever the batch size.
+        qoe = self.qo[rows][:, :, :, None] * fact[:, :, None, :]
+        return sizes, qoe
+
+    def window(self, ctx, ptile: Ptile) -> MpcWindow:
+        """The one-plan form of :meth:`windows`."""
+        sizes, qoe = self.windows([(ctx, ptile)])
+        return MpcWindow(sizes_mbit=sizes[0], qoe=qoe[0], frame_rates=self.rates)
+
+
+def _window_manifests(ctx) -> tuple[SegmentManifest, ...]:
+    return ctx.future_manifests or (ctx.manifest,)
+
+
+def window_ptiles(ctx, ptile: Ptile) -> list[Ptile]:
+    """The Ptile serving each lookahead offset of ``ctx``'s MPC window.
+
+    Offset 0 is the given (selected) Ptile.  A later offset re-matches
+    the predicted viewport against that segment's Ptiles; when nothing
+    matches, the given Ptile's geometry stands in (the client cannot
+    know better).
+    """
+    viewport = ctx.predicted_viewport
+    future = ctx.future_ptiles
+    chosen = [ptile]
+    for offset in range(1, len(_window_manifests(ctx))):
+        segment = future[offset] if offset < len(future) else None
+        matched = segment.match(viewport) if segment is not None else None
+        chosen.append(ptile if matched is None else matched)
+    return chosen
+
+
+def qo_table(
+    manifests: Sequence[SegmentManifest],
+    levels: Sequence[int],
+    quality_model: QualityModel,
+) -> np.ndarray:
+    """Eq. 3 quality per (segment, bitrate level): a ``(S, V)`` table."""
+    return np.array([
+        [quality_model.qo(m.si, m.ti, m.qoe_bitrate_mbps(v)) for v in levels]
+        for m in manifests
+    ])
+
+
+def expected_qoe(qoe: np.ndarray, coverage) -> np.ndarray:
+    """Mix each QoE entry toward its segment's lowest-quality entry.
+
+    ``qoe`` is ``(..., W, V, F)`` and ``coverage`` the ``(..., W)``
+    expected viewport coverage per lookahead segment: the uncovered
+    fraction plays back at the lowest quality, so the result is the
+    expectation of the session's delivered-quality accounting.
+    """
+    cov = np.clip(np.asarray(coverage, dtype=float), 0.0, 1.0)[..., None, None]
+    return cov * qoe + (1.0 - cov) * qoe[..., :1, :]

@@ -15,16 +15,21 @@ QoE table rows that assume the viewport is fully covered), Robust:
    center-containment match — the robust tile selection of Ghosh et
    al.;
 3. feeds the MPC an **expected-quality** window
-   (:func:`expected_quality_window`): each lookahead segment's QoE row
-   is mixed toward the lowest-quality row by its expected coverage,
-   mirroring how the session scores a delivered segment as
-   ``coverage * qo_high + (1 - coverage) * qo_low``.  The unchanged
-   energy-minimizing DP then optimizes expected viewport quality.
+   (:func:`~repro.core.plan_tables.expected_qoe`): each lookahead
+   segment's QoE row is mixed toward the lowest-quality row by its
+   expected coverage, mirroring how the session scores a delivered
+   segment as ``coverage * qo_high + (1 - coverage) * qo_low``.  The
+   unchanged energy-minimizing DP then optimizes expected viewport
+   quality.
 
-Parity guarantee: when the error model is degenerate (sigma = 0 at the
-query horizon) ``plan()`` delegates to the superclass — the *same
-code path, tables, and floats* as Ours — so zero uncertainty is
-bit-identical to the point-prediction scheme, not merely close.
+Robust changes only the region choice and the QoE rows, so it
+overrides only the :meth:`~repro.core.controller.OursScheme._select`
+hook; window assembly, the DP and plan construction are Ours's one
+``plan_batch`` path.  Parity guarantee: when the error model is
+degenerate (sigma = 0 at the query horizon) ``_select`` returns the
+superclass selection — the *same code path, tables, and floats* as
+Ours — so zero uncertainty is bit-identical to the point-prediction
+scheme, not merely close.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..power.models import TilingScheme
 from ..prediction.uncertainty import (
     HypothesisGrid,
     PanoWeight,
@@ -43,39 +47,11 @@ from ..prediction.uncertainty import (
     hypothesis_weights,
 )
 from ..prediction.viewport import AngularErrorModel
-from ..streaming.schemes import DownloadPlan, PlanContext, split_wrapped_rect
-from .controller import OursScheme
-from .optimizer import MpcWindow
+from ..streaming.schemes import PlanContext, split_wrapped_rect
+from .controller import OursScheme, Selection
+from .plan_tables import window_ptiles
 
-__all__ = ["RobustScheme", "expected_quality_window"]
-
-
-def expected_quality_window(
-    window: MpcWindow, coverage: np.ndarray
-) -> MpcWindow:
-    """The expected-viewport-quality variant of an MPC window.
-
-    ``coverage[h]`` is the expected viewport coverage of the region
-    chosen for lookahead segment ``h``.  Each QoE entry is mixed toward
-    that segment's lowest-quality entry at the same frame rate —
-    exactly the quality the uncovered viewport fraction plays back at —
-    so the DP's QoE axis becomes the expectation of the session's
-    delivered-quality accounting.  Sizes are untouched: uncertainty
-    changes what a download is *worth*, not what it costs.
-    """
-    cov = np.clip(np.asarray(coverage, dtype=float), 0.0, 1.0)
-    if cov.ndim == 0:
-        cov = np.full(window.num_segments, float(cov))
-    if cov.shape != (window.num_segments,):
-        raise ValueError("need one expected coverage per lookahead segment")
-    qoe = window.qoe
-    low = qoe[:, :1, :]
-    mixed = cov[:, None, None] * qoe + (1.0 - cov[:, None, None]) * low
-    return MpcWindow(
-        sizes_mbit=window.sizes_mbit,
-        qoe=mixed,
-        frame_rates=window.frame_rates,
-    )
+__all__ = ["RobustScheme"]
 
 
 @dataclass(frozen=True)
@@ -101,38 +77,14 @@ class RobustScheme(OursScheme):
         if not (0.0 <= self.min_expected_coverage <= 1.0):
             raise ValueError("min_expected_coverage must be in [0, 1]")
 
-    def plan(self, ctx: PlanContext) -> DownloadPlan:
+    def _select(self, ctx: PlanContext) -> Selection | None:
         sigma = self.error_model.sigma_deg(ctx.prediction_horizon_s)
         if sigma <= 0.0:
-            # Degenerate uncertainty: take the superclass path verbatim
+            # Degenerate uncertainty: the superclass selection verbatim,
             # so sigma -> 0 degrades bit-for-bit to the ours objective.
-            return super().plan(ctx)
-        if ctx.segment_ptiles is None:
-            return self._fallback_plan(ctx)
+            return super()._select(ctx)
         selection = self.select_robust(ctx, sigma)
-        if selection is None:
-            return self._fallback_plan(ctx)
-        ptile, horizon_cov = selection
-        window = self._plan_tables(ctx).window(ctx, ptile)
-        robust_window = expected_quality_window(window, horizon_cov)
-        mpc = self._mpc(ctx.segment_seconds)
-        decision = mpc.choose(robust_window, ctx.bandwidth_mbps, ctx.buffer_s)
-        size = float(
-            robust_window.sizes_mbit[
-                0, decision.quality - 1, decision.frame_rate_index - 1
-            ]
-        )
-        return DownloadPlan(
-            scheme_name=self.name,
-            quality=decision.quality,
-            frame_rate=decision.frame_rate,
-            total_size_mbit=size,
-            decode_scheme=TilingScheme.PTILE,
-            hq_rects=split_wrapped_rect(ptile.rect),
-            used_ptile=True,
-            expected_coverage=float(horizon_cov[0]),
-            sigma_deg=sigma,
-        )
+        return None if selection is None else (*selection, sigma)
 
     # ------------------------------------------------------------------
 
@@ -177,23 +129,16 @@ class RobustScheme(OursScheme):
     ) -> np.ndarray:
         """Expected coverage per lookahead segment of the MPC window.
 
-        Mirrors :meth:`PlanTables.window`'s future-Ptile rematch (later
-        segments may be served by a different Ptile of the same
+        Covers the region :func:`window_ptiles` serves each offset with
+        (later segments may be served by a different Ptile of the same
         geometry sweep) and widens the error model with each extra
         segment of lookahead.
         """
-        manifests = ctx.future_manifests or (ctx.manifest,)
         viewport = ctx.predicted_viewport
-        cov = np.empty(len(manifests))
-        for offset in range(len(manifests)):
-            chosen = ptile
-            if 0 < offset < len(ctx.future_ptiles):
-                future = ctx.future_ptiles[offset]
-                if future is not None:
-                    matched = future.match(viewport)
-                    if matched is not None:
-                        chosen = matched
-            rects = split_wrapped_rect(chosen.rect)
+        chosen = window_ptiles(ctx, ptile)
+        cov = np.empty(len(chosen))
+        for offset, region in enumerate(chosen):
+            rects = split_wrapped_rect(region.rect)
             if offset == 0:
                 cov[offset] = expected_coverage(base_weights, hyp, rects)
                 continue

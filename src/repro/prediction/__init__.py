@@ -17,7 +17,6 @@ from .uncertainty import (
     expected_coverage,
     hypothesis_grid,
     hypothesis_weights,
-    tile_view_probabilities,
 )
 from .viewport import (
     AngularErrorModel,
@@ -46,5 +45,4 @@ __all__ = [
     "expected_coverage",
     "hypothesis_grid",
     "hypothesis_weights",
-    "tile_view_probabilities",
 ]

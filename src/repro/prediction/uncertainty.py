@@ -4,16 +4,12 @@ The point predictor in :mod:`repro.prediction.viewport` outputs a single
 viewing center; every deterministic scheme then bets the whole segment
 on it.  This module turns that point into a *distribution* over viewing
 centers — a Gaussian kernel in great-circle angular distance, discretized
-on the tile-center grid — and derives the two quantities robust planning
-needs from it:
+on the tile-center grid — and derives from it what robust planning
+needs: the **expected viewport coverage** of a candidate high-quality
+region (the probability-weighted average of the deterministic coverage
+the region would achieve at each hypothesized center).
 
-* **per-tile viewing probabilities** (the chance each tile intersects
-  the actual viewport), and
-* **expected viewport coverage** of a candidate high-quality region
-  (the probability-weighted average of the deterministic coverage the
-  region would achieve at each hypothesized center).
-
-Both follow Ghosh et al. ("A Robust Algorithm for Tile-based 360-degree
+This follows Ghosh et al. ("A Robust Algorithm for Tile-based 360-degree
 Video Streaming with Uncertain FoV Estimation"): enumerate FoV
 hypotheses, weight them by the prediction-error distribution, and score
 tile selections in expectation.  :class:`PanoWeight` adds the optional
@@ -44,7 +40,6 @@ __all__ = [
     "expected_coverage",
     "hypothesis_grid",
     "hypothesis_weights",
-    "tile_view_probabilities",
 ]
 
 
@@ -88,7 +83,6 @@ class HypothesisGrid:
     viewports: tuple[Viewport, ...] = field(repr=False)
     rect_coords: np.ndarray = field(repr=False)  # (T, 2, 4): x0, y0, x1, y1
     areas: np.ndarray = field(repr=False)  # (T,) viewing areas (sq. deg)
-    visibility: np.ndarray = field(repr=False)  # (T, num_tiles) 0/1
 
     @property
     def num_hypotheses(self) -> int:
@@ -115,10 +109,7 @@ def hypothesis_grid(
     viewports: list[Viewport] = []
     rect_coords = np.zeros((count, 2, 4))
     areas = np.empty(count)
-    visibility = np.zeros((count, count))
-    tiles = list(grid.tiles())
-    tile_index = {tile: i for i, tile in enumerate(tiles)}
-    for i, tile in enumerate(tiles):
+    for i, tile in enumerate(grid.tiles()):
         rect = grid.tile_rect(tile)
         yaw = rect.x0 + grid.tile_width / 2.0
         pitch = rect.y1 - grid.tile_height / 2.0
@@ -129,8 +120,6 @@ def hypothesis_grid(
         for r, vrect in enumerate(viewport.rects()):
             rect_coords[i, r] = (vrect.x0, vrect.y0, vrect.x1, vrect.y1)
         areas[i] = viewport.area
-        for visible in grid.viewport_tiles(viewport):
-            visibility[i, tile_index[visible]] = 1.0
 
     built = HypothesisGrid(
         rows=grid.rows,
@@ -142,7 +131,6 @@ def hypothesis_grid(
         viewports=tuple(viewports),
         rect_coords=rect_coords,
         areas=areas,
-        visibility=visibility,
     )
     _HYPOTHESIS_CACHE[key] = built
     return built
@@ -212,19 +200,6 @@ def expected_coverage(
     the best and worst deterministic coverage over the hypothesis set.
     """
     return float(np.dot(weights, coverage_profile(hyp, hq_rects)))
-
-
-def tile_view_probabilities(
-    weights: np.ndarray, hyp: HypothesisGrid
-) -> np.ndarray:
-    """Per-tile viewing probabilities (row-major tile order).
-
-    ``p_t = sum_c w_c * [tile t is an FoV tile of hypothesis c]`` — a
-    sub-distribution of the hypothesis weights, so every entry lies in
-    [0, 1] (clipped: the weight sum carries ~1 ulp of rounding).
-    """
-    probs = np.asarray(weights, dtype=float) @ hyp.visibility
-    return np.clip(probs, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -8,40 +8,28 @@ immutably by every request.  Construction primes the size tensors for
 every Ptile geometry in the video, so steady-state serving never takes
 the first-touch build path.
 
-Two serving paths, bit-identical by construction:
+Both serving paths rebuild the exact :class:`PlanContext` the session
+loop would have produced and hand it to the scheme's one MPC path,
+:meth:`~repro.core.controller.OursScheme.plan_batch`:
 
-* :meth:`plan_one` rebuilds the exact :class:`PlanContext` the session
-  loop would have produced and calls ``scheme.plan`` — the sequential
-  single-request reference.
-* :meth:`plan_batch` coalesces co-arriving requests: per-request work
-  is reduced to the Ptile matches and table-row gathers, then one
-  stacked ``(B, H, V, F)`` tensor feeds a single
-  :meth:`~repro.core.optimizer.EnergyQoEMpc.choose_batch` DP pass for
-  the whole group.  The assembled rows are copies of the same table
-  slices ``PlanTables.window`` copies, the Eq. 4 factors come from the
-  same scalar :func:`frame_rate_factor` calls (``math.exp`` — a numpy
-  vectorization could differ in the last ulp), and the batched DP
-  replicates the scalar DP's tie-breaking exactly, so batch size never
-  changes a decision.
+* :meth:`plan_one` calls ``scheme.plan`` (``plan_batch`` of one) — the
+  sequential single-request reference;
+* :meth:`plan_batch` validates co-arriving requests and makes one
+  ``scheme.plan_batch`` call for all valid ones, which gathers their
+  windows in bulk and solves each same-shape group in one
+  :meth:`~repro.core.optimizer.EnergyQoEMpc.choose_batch` DP pass.  The
+  batched DP replicates the scalar DP's tie-breaking exactly, so batch
+  size never changes a decision.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.controller import OursScheme
-from ..power.models import TilingScheme
-from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
-from ..streaming.schemes import DownloadPlan, PlanContext, split_wrapped_rect
+from ..streaming.schemes import DownloadPlan, PlanContext
 from ..video.segments import VideoManifest
 from .requests import PlanRequest, PlanRequestError
 
 __all__ = ["VideoPlanner"]
-
-# The per-alpha factor memo is cleared when it reaches this size: alpha
-# varies continuously with the predicted head speed, so a long-lived
-# service would otherwise grow it without bound.
-_FACTOR_MEMO_LIMIT = 65536
 
 
 class VideoPlanner:
@@ -58,16 +46,18 @@ class VideoPlanner:
                 "VideoPlanner serves the MPC controller; got "
                 f"{getattr(scheme, 'name', scheme)!r}"
             )
-        # The batched path gathers deterministic Ptile-match rows, so an
-        # uncertainty-aware scheme would silently serve point-prediction
-        # plans under the robust name; refuse it up front.
+        # A PlanRequest carries no prediction horizon, which the robust
+        # scheme's error model needs: every request would plan at
+        # horizon 0 and so silently serve point-prediction plans under
+        # the robust name.  Refuse it up front.
         from ..core.robust import RobustScheme
 
         if isinstance(scheme, RobustScheme):
             raise ValueError(
                 "VideoPlanner serves point-prediction planning only; "
-                "the robust scheme's probabilistic tile selection has "
-                "no batched path — run it through the session loop"
+                "a plan request carries no prediction horizon for the "
+                "robust scheme's error model — run it through the "
+                "session loop"
             )
         self.scheme = scheme
         self.manifest = manifest
@@ -98,7 +88,6 @@ class VideoPlanner:
                 for segment in self.ptiles[: self.num_segments]
                 for p in segment.ptiles
             )
-        self._factor_memo: dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Request -> context
@@ -175,112 +164,21 @@ class VideoPlanner:
     def plan_batch(
         self, requests: list[PlanRequest]
     ) -> "list[DownloadPlan | PlanRequestError]":
-        """Serve co-arriving requests with one DP pass per group.
+        """Serve co-arriving requests through one ``scheme.plan_batch``.
 
         Returns one entry per request, in order; invalid requests yield
         their :class:`PlanRequestError` instead of failing the batch.
         """
         results: list = [None] * len(requests)
-        # (window length, segment duration) -> [(index, ctx, ptile)]
-        groups: dict[tuple[int, float], list] = {}
+        valid: list[int] = []
+        ctxs: list[PlanContext] = []
         for i, request in enumerate(requests):
             try:
-                ctx = self.context(request)
+                ctxs.append(self.context(request))
             except PlanRequestError as err:
                 results[i] = err
                 continue
-            ptile = (
-                ctx.segment_ptiles.match(ctx.predicted_viewport)
-                if ctx.segment_ptiles is not None
-                else None
-            )
-            if ptile is None:
-                results[i] = self.scheme._fallback_plan(ctx)
-                continue
-            key = (len(ctx.future_manifests), ctx.segment_seconds)
-            groups.setdefault(key, []).append((i, ctx, ptile))
-        for (window, seg_s), items in groups.items():
-            self._plan_mpc_group(items, window, seg_s, results)
+            valid.append(i)
+        for i, plan in zip(valid, self.scheme.plan_batch(ctxs)):
+            results[i] = plan
         return results
-
-    def _plan_mpc_group(
-        self, items: list, window: int, seg_s: float, results: list
-    ) -> None:
-        """One vectorized choose pass for same-shape MPC requests."""
-        tables = self.tables
-        rates = tables.rates
-        v_count = tables.qo.shape[1]
-        f_count = len(rates)
-        batch = len(items)
-        # Per-slot table coordinates; the actual (V, F) blocks are
-        # gathered in bulk below instead of copied one slot at a time.
-        rows = np.empty((batch, window), dtype=np.intp)
-        geom = np.empty((batch, window), dtype=np.intp)
-        fact = np.empty((batch, window, f_count))
-        tensors: list[np.ndarray] = []  # distinct sizes_for() tensors
-        tensor_slot: dict[int, int] = {}
-        bandwidths = np.empty(batch)
-        buffers = np.empty(batch)
-        memo = self._factor_memo
-        for b, (_, ctx, ptile) in enumerate(items):
-            speed = max(ctx.predicted_speed_deg_s, 0.0)
-            viewport = ctx.predicted_viewport
-            for offset, manifest in enumerate(ctx.future_manifests):
-                chosen = ptile
-                if offset > 0:
-                    # Offset 0 re-matching the current segment always
-                    # reproduces ``ptile``; skip the duplicate match.
-                    matched = ctx.future_ptiles[offset].match(viewport)
-                    if matched is not None:
-                        chosen = matched
-                # sizes_for memoizes per geometry, so tensor identity
-                # is a stable geometry id within this call.
-                tensor = tables.sizes_for(chosen)
-                slot = tensor_slot.get(id(tensor))
-                if slot is None:
-                    slot = len(tensors)
-                    tensor_slot[id(tensor)] = slot
-                    tensors.append(tensor)
-                geom[b, offset] = slot
-                rows[b, offset] = tables.row(manifest.segment_index)
-                alpha = alpha_from_behavior(speed, manifest.ti)
-                factors = memo.get(alpha)
-                if factors is None:
-                    if len(memo) >= _FACTOR_MEMO_LIMIT:
-                        memo.clear()
-                    factors = np.array([
-                        frame_rate_factor(rate, self.fps, alpha)
-                        for rate in rates
-                    ])
-                    memo[alpha] = factors
-                fact[b, offset] = factors
-            bandwidths[b] = ctx.bandwidth_mbps
-            buffers[b] = ctx.buffer_s
-        if len(tensors) == 1:
-            sizes = tensors[0][rows]  # (B, W, V, F)
-        else:
-            sizes = np.empty((batch, window, v_count, f_count))
-            for slot, tensor in enumerate(tensors):
-                mask = geom == slot
-                sizes[mask] = tensor[rows[mask]]
-        # Same float pairs as the scalar path's per-row
-        # ``qo[row, :, None] * factors[None, :]`` — broadcasting does
-        # not reassociate, so the products are bit-identical.
-        qoe = tables.qo[rows][:, :, :, None] * fact[:, :, None, :]
-        mpc = self.scheme._mpc(seg_s)
-        decisions = mpc.choose_batch(sizes, qoe, rates, bandwidths, buffers)
-        for b, (i, ctx, ptile) in enumerate(items):
-            decision = decisions[b]
-            size = float(
-                sizes[b, 0, decision.quality - 1,
-                      decision.frame_rate_index - 1]
-            )
-            results[i] = DownloadPlan(
-                scheme_name=self.scheme.name,
-                quality=decision.quality,
-                frame_rate=decision.frame_rate,
-                total_size_mbit=size,
-                decode_scheme=TilingScheme.PTILE,
-                hq_rects=split_wrapped_rect(ptile.rect),
-                used_ptile=True,
-            )

@@ -34,12 +34,13 @@ passes:
   the scalar loop and amortizes the DP's per-call overhead.
 
 Supported: :class:`~repro.streaming.schemes.CtileScheme`,
-:class:`~repro.streaming.schemes.PtileScheme`,
-:class:`~repro.core.controller.OursScheme`, and
-:class:`~repro.core.robust.RobustScheme` (whose per-trace precompute
-additionally stacks the probability tensors — expected coverage, error
-scale, per-tile viewing probabilities — next to the Ptile-match data)
-against a plain
+:class:`~repro.streaming.schemes.PtileScheme`, and the MPC schemes —
+:class:`~repro.core.controller.OursScheme` and its subclasses such as
+:class:`~repro.core.robust.RobustScheme`.  An MPC scheme's per-trace
+precompute asks the scheme's own ``_select`` hook for each segment's
+region (and expected coverage) and assembles the windows with the
+scheme's window gather, the same calls ``OursScheme.plan_batch`` makes;
+no probability tensors are stored.  All run against a plain
 :class:`~repro.traces.network.NetworkTrace` (optionally scaled by
 ``1 / N`` for a fair share of a link N clients split) with an optional
 :class:`~repro.streaming.cache.EdgeHitModel`.  Resilience overlays and
@@ -197,19 +198,12 @@ class _TracePlans:
     coverage: np.ndarray  # (S,) high-quality coverage of the watched viewport
     decode_j: np.ndarray  # (S,) decode energy of the ABR-delivered plan
     used_ptile: np.ndarray  # (S,) bool
-    is_mpc: np.ndarray  # (S,) bool: Ours segments planned by the MPC
+    is_mpc: np.ndarray  # (S,) bool: segments planned by the MPC
     factor_fps: np.ndarray  # (S,) Eq. 4 factor at the full frame rate
-    factors: np.ndarray  # (S, F) Eq. 4 factors per ladder rate (Ours)
-    windows: list  # (S,) MpcWindow | None
+    factors: np.ndarray  # (S, F) Eq. 4 factors per ladder rate (MPC)
+    windows: list  # (S,) (sizes, qoe) (W, V, F) MPC window | None
     viewports: list  # (S,) predicted Viewport (the MPC/planning input)
     speeds: np.ndarray  # (S,) predicted head speed at the request
-    # Probability tensors (robust scheme only; trusting defaults
-    # otherwise): the planner's expected coverage of the chosen region,
-    # the angular error scale it planned against, and the per-tile
-    # viewing probabilities under the FoV-error distribution.
-    expected_cov: np.ndarray  # (S,)
-    sigma_deg: np.ndarray  # (S,)
-    tile_probs: np.ndarray  # (S, T) — T = 0 unless the scheme is robust
 
 
 class PopulationEngine:
@@ -278,15 +272,11 @@ class PopulationEngine:
         # Lazy import: repro.core.controller itself imports the schemes
         # module, so a top-level import here would be circular.
         from ..core.controller import OursScheme
+        from ..core.plan_tables import qo_table
         from ..core.robust import RobustScheme
 
-        # RobustScheme subclasses OursScheme, so it must be checked
-        # first; its windows carry the expected-quality transform.
-        if isinstance(scheme, RobustScheme):
-            kind = "robust"
-            abr = scheme.fallback.abr
-        elif isinstance(scheme, OursScheme):
-            kind = "ours"
+        if isinstance(scheme, OursScheme):
+            kind = "mpc"
             abr = scheme.fallback.abr
         elif isinstance(scheme, PtileScheme):
             kind = "ptile"
@@ -301,7 +291,11 @@ class PopulationEngine:
                 "and robust"
             )
 
-        if decision_client is not None and kind != "ours":
+        # The service plans with Ours; a robust scheme's selection
+        # needs a prediction horizon a plan request does not carry.
+        if decision_client is not None and (
+            kind != "mpc" or isinstance(scheme, RobustScheme)
+        ):
             raise ValueError(
                 "decision_client only applies to the Ours scheme: other "
                 "schemes never consult the MPC decision service"
@@ -331,7 +325,7 @@ class PopulationEngine:
         self._decode_ptile_fps_j = self._energy_model.decoding_energy_j(
             TilingScheme.PTILE, fps
         )
-        if kind in ("ours", "robust"):
+        if kind == "mpc":
             self._rates = scheme.ladder.rates()
             self._decode_rate_j = np.array([
                 self._energy_model.decoding_energy_j(TilingScheme.PTILE, r)
@@ -350,17 +344,10 @@ class PopulationEngine:
         self._levels = manifest.encoder.ladder.levels
 
         # Eq. 3 quality per (segment, ABR quality) — trace-independent.
-        quality_model = self.qoe.quality
-        self._qo = np.array([
-            [
-                quality_model.qo(
-                    manifest[k].si, manifest[k].ti,
-                    manifest[k].qoe_bitrate_mbps(q),
-                )
-                for q in self._levels
-            ]
-            for k in range(length)
-        ])
+        self._qo = qo_table(
+            [manifest[k] for k in range(length)], self._levels,
+            self.qoe.quality,
+        )
 
         self._plans: dict[int, _TracePlans] = {}
 
@@ -379,7 +366,7 @@ class PopulationEngine:
         length = self.length
         seg_s = config.segment_seconds
         fps = self._fps
-        n_rates = len(self._rates) if self.kind in ("ours", "robust") else 1
+        n_rates = len(self._rates) if self.kind == "mpc" else 1
 
         feeder = TraceFeeder.ridge(
             trace, config.predictor_window_s, config.fov_deg
@@ -395,22 +382,11 @@ class PopulationEngine:
         windows: list = [None] * length
         viewports: list = [None] * length
         speeds = np.zeros(length)
-        expected_cov = np.ones(length)
-        sigma_deg = np.zeros(length)
         grid = manifest.encoder.grid
-        tile_probs = np.zeros(
-            (length, grid.num_tiles if self.kind == "robust" else 0)
-        )
+        # window length -> [(segment, ctx, selection)] of MPC segments
+        mpc_groups: dict[int, list] = {}
 
         from .schemes import PlanContext  # local: avoids a cycle warning
-
-        if self.kind == "robust":
-            from ..core.robust import expected_quality_window
-            from ..prediction.uncertainty import (
-                hypothesis_grid,
-                hypothesis_weights,
-                tile_view_probabilities,
-            )
 
         for k in range(length):
             playback_mid = (k + 0.5) * seg_s
@@ -431,7 +407,7 @@ class PopulationEngine:
                 predicted_viewport=predicted_vp,
                 buffer_s=0.0,  # per-session; only geometry is read here
                 bandwidth_mbps=1.0,
-                grid=manifest.encoder.grid,
+                grid=grid,
                 fps=fps,
                 segment_ptiles=seg_ptiles,
                 future_manifests=tuple(
@@ -447,63 +423,31 @@ class PopulationEngine:
                 prediction_horizon_s=playback_mid - prediction_time,
             )
 
-            matched = (
-                seg_ptiles.match(predicted_vp)
-                if seg_ptiles is not None
-                else None
-            )
-            robust_sigma = 0.0
-            if self.kind == "robust":
-                robust_sigma = self.scheme.error_model.sigma_deg(
-                    ctx.prediction_horizon_s
-                )
-            selection = None
-            if robust_sigma > 0.0:
-                # Robust tile selection replaces the deterministic
-                # match; the window carries the expected-quality
-                # transform so _run_chunk's MPC loop needs no changes.
-                sigma_deg[k] = robust_sigma
-                hyp = hypothesis_grid(
-                    grid, predicted_vp.fov_h, predicted_vp.fov_v
-                )
-                tile_probs[k] = tile_view_probabilities(
-                    hypothesis_weights(
-                        hyp, predicted_vp.yaw, predicted_vp.pitch,
-                        robust_sigma,
-                    ),
-                    hyp,
-                )
-                selection = self.scheme.select_robust(ctx, robust_sigma)
-            if selection is not None:
-                chosen, horizon_cov = selection
-                tables = self.scheme._plan_tables(ctx)
-                windows[k] = expected_quality_window(
-                    tables.window(ctx, chosen), horizon_cov
-                )
-                expected_cov[k] = float(horizon_cov[0])
-                hq_rects = split_wrapped_rect(chosen.rect)
-                decode_j[k] = 0.0  # per-decision, filled at run time
-                used[k] = True
-                is_mpc[k] = True
-            elif robust_sigma > 0.0 or self.kind == "ctile" or matched is None:
+            region = None  # the Ptile serving the segment, if any
+            if self.kind == "mpc":
+                selection = self.scheme._select(ctx)
+                if selection is not None:
+                    region = selection[0]
+                    mpc_groups.setdefault(horizon_end - k, []).append(
+                        (k, ctx, selection)
+                    )
+                    decode_j[k] = 0.0  # per-decision, filled at run time
+                    is_mpc[k] = True
+            elif self.kind == "ptile" and seg_ptiles is not None:
+                region = seg_ptiles.match(predicted_vp)
+                if region is not None:
+                    sizes[k] = ptile_sizes(
+                        ctx.manifest, region, seg_ptiles.remainder_for(region)
+                    )
+                    decode_j[k] = self._decode_ptile_fps_j
+            if region is None:
                 fov_tiles = grid.viewport_tiles(predicted_vp)
                 sizes[k] = ctile_sizes(ctx.manifest, fov_tiles)
                 hq_rects = _tile_rects(grid, fov_tiles)
                 decode_j[k] = self._decode_ctile_fps_j
-            elif self.kind == "ptile":
-                sizes[k] = ptile_sizes(
-                    ctx.manifest, matched, seg_ptiles.remainder_for(matched)
-                )
-                hq_rects = split_wrapped_rect(matched.rect)
-                decode_j[k] = self._decode_ptile_fps_j
+            else:
+                hq_rects = split_wrapped_rect(region.rect)
                 used[k] = True
-            else:  # ours, Ptile matched: MPC over the shared window
-                tables = self.scheme._plan_tables(ctx)
-                windows[k] = tables.window(ctx, matched)
-                hq_rects = split_wrapped_rect(matched.rect)
-                decode_j[k] = 0.0  # per-decision, filled at run time
-                used[k] = True
-                is_mpc[k] = True
 
             seg = manifest[k]
             actual_vp = trace.viewport_at(playback_mid, config.fov_deg)
@@ -526,6 +470,16 @@ class PopulationEngine:
                 hq_rects=hq_rects,
             ).coverage_of(actual_vp)
 
+        # The scheme's window gather, one call per window length: the
+        # windows OursScheme.plan_batch would assemble for these rows.
+        for items in mpc_groups.values():
+            tables = self.scheme._plan_tables(items[0][1])
+            w_sizes, w_qoe = self.scheme._windows(
+                tables, [(ctx, selection) for _, ctx, selection in items]
+            )
+            for b, (k, _, _) in enumerate(items):
+                windows[k] = (w_sizes[b], w_qoe[b])
+
         plans = _TracePlans(
             sizes=sizes,
             coverage=coverage,
@@ -537,9 +491,6 @@ class PopulationEngine:
             windows=windows,
             viewports=viewports,
             speeds=speeds,
-            expected_cov=expected_cov,
-            sigma_deg=sigma_deg,
-            tile_probs=tile_probs,
         )
         self._plans[trace_index] = plans
         return plans
@@ -816,9 +767,9 @@ class PopulationEngine:
                 # Every MPC window of step k has the same (H, V, F), so
                 # all rows go through one choose_batch call.
                 windows = [plans[inv[i]].windows[k] for i in mpc_rows]
-                sizes_b = np.stack([w.sizes_mbit for w in windows])
+                sizes_b = np.stack([w[0] for w in windows])
                 decisions = self._mpc.choose_batch(
-                    sizes_b, np.stack([w.qoe for w in windows]),
+                    sizes_b, np.stack([w[1] for w in windows]),
                     self._rates, est[mpc_rows], level_req[mpc_rows],
                 )
                 v_idx = np.array([d.quality - 1 for d in decisions])

@@ -1,10 +1,19 @@
 """Unit tests for the Ours controller."""
 
-import pytest
+from dataclasses import replace
 
-from repro.core import OursScheme, PlanTables
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import OursScheme, PlanTables, RobustScheme
+from repro.core.optimizer import MpcWindow
+from repro.core.plan_tables import qo_table
 from repro.geometry import Viewport
 from repro.power import PIXEL_3, TilingScheme
+from repro.prediction import AngularErrorModel
+from repro.qoe import QualityModel
 from repro.streaming import PlanContext, run_session
 
 from .mpc_reference import choose_reference
@@ -171,6 +180,149 @@ class TestPlanTablesPath:
         tables = ours._plan_tables(ctx)
         with pytest.raises(ValueError):
             tables.row(10_000)
+
+    def test_window_serves_offset_zero_with_the_given_ptile(
+        self, ours, manifest8, ptiles8, encoder
+    ):
+        # Regression: window() used to re-match the predicted viewport at
+        # offset 0 too, so a Ptile other than the match was ignored there.
+        sp = next(sp for sp in ptiles8 if sp.num_ptiles > 1)
+        matched, other = sp.ptiles[0], sp.ptiles[1]
+        viewport = Viewport(*matched.cluster.centroid())
+        assert sp.match(viewport) is matched
+        idx = sp.segment_index
+        end = min(idx + 5, manifest8.num_segments)
+        ctx = PlanContext(
+            segment_index=idx,
+            manifest=manifest8[idx],
+            predicted_viewport=viewport,
+            buffer_s=1.0,
+            bandwidth_mbps=6.0,
+            grid=encoder.grid,
+            segment_ptiles=sp,
+            future_manifests=tuple(manifest8[i] for i in range(idx, end)),
+            future_ptiles=tuple(ptiles8[i] for i in range(idx, end)),
+            video_manifest=manifest8,
+        )
+        tables = ours._plan_tables(ctx)
+        row = tables.row(idx)
+        want = tables.sizes_for(other)[row]
+        assert not np.array_equal(want, tables.sizes_for(matched)[row])
+        window = tables.window(ctx, other)
+        assert np.array_equal(window.sizes_mbit[0], want)
+
+    def test_qo_table_equals_the_per_entry_loop(self, manifest2):
+        model = QualityModel()
+        levels = manifest2.encoder.ladder.levels
+        want = np.array([
+            [model.qo(m.si, m.ti, m.qoe_bitrate_mbps(v)) for v in levels]
+            for m in manifest2
+        ])
+        got = qo_table(tuple(manifest2), levels, model)
+        assert got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# plan_batch is the one MPC path: any batch == one plan() per context
+# ----------------------------------------------------------------------
+
+_ACTIVE = AngularErrorModel(base_sigma_deg=8.0, growth_deg_per_s=6.0)
+
+
+@pytest.fixture(scope="module")
+def batch_schemes():
+    return {
+        "ours": OursScheme(device=PIXEL_3),
+        "robust-sigma0": RobustScheme(device=PIXEL_3),
+        "robust": RobustScheme(device=PIXEL_3, error_model=_ACTIVE),
+    }
+
+
+@st.composite
+def plan_contexts(draw, manifest, ptiles, grid):
+    """One context: any segment (so windows of 1-5 near the video end),
+    a viewport on a Ptile centroid or anywhere (unmatched: fallback),
+    1 s or 2 s segments, and sometimes no future data at all."""
+    n = manifest.num_segments
+    k = draw(st.integers(0, n - 1))
+    sp = ptiles[k]
+    if sp.num_ptiles and draw(st.booleans()):
+        ptile = sp.ptiles[draw(st.integers(0, sp.num_ptiles - 1))]
+        viewport = Viewport(*ptile.cluster.centroid())
+    else:
+        viewport = Viewport(
+            draw(st.floats(0.0, 359.0)), draw(st.floats(-80.0, 80.0))
+        )
+    if draw(st.booleans()):
+        future_manifests, future_ptiles = (), ()
+    else:
+        end = min(k + draw(st.integers(1, 5)), n)
+        future_manifests = tuple(manifest[i] for i in range(k, end))
+        future_ptiles = tuple(ptiles[i] for i in range(k, end))
+    return PlanContext(
+        segment_index=k,
+        manifest=manifest[k],
+        predicted_viewport=viewport,
+        buffer_s=draw(st.floats(0.0, 4.0)),
+        bandwidth_mbps=draw(st.floats(0.5, 40.0)),
+        grid=grid,
+        segment_ptiles=sp,
+        future_manifests=future_manifests,
+        future_ptiles=future_ptiles,
+        predicted_speed_deg_s=draw(st.floats(0.0, 60.0)),
+        segment_seconds=draw(st.sampled_from((1.0, 2.0))),
+        video_manifest=manifest,
+        prediction_horizon_s=draw(st.floats(0.0, 2.0)),
+    )
+
+
+class TestPlanBatchParity:
+    @pytest.mark.parametrize("name", ["ours", "robust-sigma0", "robust"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_plan_batch_equals_plan_per_context(
+        self, batch_schemes, manifest2, ptiles2, encoder, name, data
+    ):
+        scheme = batch_schemes[name]
+        ctxs = data.draw(st.lists(
+            plan_contexts(manifest2, ptiles2, encoder.grid),
+            min_size=1, max_size=8,
+        ))
+        assert scheme.plan_batch(ctxs) == [scheme.plan(c) for c in ctxs]
+
+    def test_robust_plan_solves_the_expected_quality_window(
+        self, batch_schemes, ctx, manifest2
+    ):
+        # Each QoE entry mixed toward its segment's lowest-quality entry
+        # by the expected coverage, written out entry by entry.
+        scheme = batch_schemes["robust"]
+        ctx = replace(ctx, video_manifest=manifest2, prediction_horizon_s=1.0)
+        ptile, coverage, sigma = scheme._select(ctx)
+        assert sigma > 0.0
+        base = scheme._plan_tables(ctx).window(ctx, ptile)
+        qoe = np.empty_like(base.qoe)
+        for (h, v, f), value in np.ndenumerate(base.qoe):
+            c = min(max(float(coverage[h]), 0.0), 1.0)
+            qoe[h, v, f] = c * value + (1.0 - c) * base.qoe[h, 0, f]
+        window = MpcWindow(base.sizes_mbit, qoe, base.frame_rates)
+        want = scheme._mpc(ctx.segment_seconds).choose(
+            window, ctx.bandwidth_mbps, ctx.buffer_s
+        )
+        plan = scheme.plan(ctx)
+        assert (plan.quality, plan.frame_rate) == (
+            want.quality, want.frame_rate
+        )
+        assert plan.expected_coverage == float(coverage[0])
+        assert plan.sigma_deg == sigma
+
+    def test_fallback_rows_keep_their_place(self, batch_schemes, ctx):
+        scheme = batch_schemes["ours"]
+        far = replace(ctx, predicted_viewport=Viewport(
+            (ctx.predicted_viewport.yaw + 180.0) % 360.0, 0.0
+        ))
+        plans = scheme.plan_batch([far, ctx, far])
+        assert [p.used_ptile for p in plans] == [False, True, False]
+        assert plans == [scheme.plan(c) for c in (far, ctx, far)]
 
 
 class TestEndToEnd:

@@ -27,7 +27,6 @@ from repro.prediction import (
     fit_error_model,
     hypothesis_grid,
     hypothesis_weights,
-    tile_view_probabilities,
 )
 from repro.traces.head_movement import HeadTrace
 
@@ -83,19 +82,6 @@ class TestHypothesisWeights:
         yaw, pitch = center
         with pytest.raises(ValueError):
             hypothesis_weights(HYP, yaw, pitch, 0.0)
-
-    @given(center=centers, sigma=sigmas)
-    @settings(max_examples=50, deadline=None)
-    def test_tile_probabilities_bounded(self, center, sigma):
-        yaw, pitch = center
-        w = hypothesis_weights(HYP, yaw, pitch, sigma)
-        p = tile_view_probabilities(w, HYP)
-        assert p.shape == (DEFAULT_GRID.num_tiles,)
-        assert np.all(p >= 0.0)
-        assert np.all(p <= 1.0)
-        # Every hypothesis sees at least one tile, so some probability
-        # mass must land somewhere.
-        assert p.sum() > 0.0
 
 
 class TestExpectedCoverage:

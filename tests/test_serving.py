@@ -123,6 +123,31 @@ class TestPlannerParity:
         expected = [planner2.plan_one(r) for r in requests]
         assert planner2.plan_batch(requests) == expected
 
+    def test_plan_batch_mixed_shapes_and_errors(self, planner8, manifest8):
+        # Windows of 1-5, two segment durations, Ctile-only requests and
+        # an invalid one in one batch: one scheme.plan_batch call, each
+        # entry equal to its own plan_one.
+        n = manifest8.num_segments
+        requests = []
+        for i, r in enumerate(_requests(8, n, count=30)):
+            k = n - 1 - (i % 5)
+            requests.append(PlanRequest(
+                video_id=8, segment_index=k, buffer_s=r.buffer_s,
+                bandwidth_mbps=r.bandwidth_mbps, yaw=r.yaw, pitch=r.pitch,
+                speed_deg_s=r.speed_deg_s, window=1 + (i % (n - k)),
+                segment_seconds=(1.0, 2.0)[i % 2], use_ptile=i % 7 != 3,
+            ))
+        requests[4] = PlanRequest(video_id=8, segment_index=n, buffer_s=1.0,
+                                  bandwidth_mbps=5.0, yaw=0.0, pitch=0.0)
+        got = planner8.plan_batch(requests)
+        assert isinstance(got[4], PlanRequestError)
+        for i, request in enumerate(requests):
+            if i != 4:
+                assert got[i] == planner8.plan_one(request)
+        assert {r.window for r in requests} >= {1, 2, 3, 4, 5}
+        assert any(p.used_ptile for p in got if not isinstance(
+            p, PlanRequestError))
+
     @pytest.mark.parametrize("max_batch", [1, 8, None])
     def test_service_parity_at_batch_size(self, planner2, manifest2,
                                           max_batch):
@@ -294,6 +319,44 @@ class TestMemoSafety:
             t.join()
         assert len({id(m) for m in seen}) == 1
 
+    def test_alpha_memo_under_races(self, planner2, monkeypatch):
+        # Eight threads share one memo small enough to be cleared while
+        # others read it: every factor vector must still be exact.
+        import sys
+
+        from repro.core import plan_tables
+        from repro.qoe.framerate import frame_rate_factor
+
+        monkeypatch.setattr(plan_tables, "_ALPHA_MEMO_LIMIT", 4)
+        tables = pickle.loads(pickle.dumps(planner2.tables))
+        alphas = [0.05 * (i + 1) for i in range(40)]
+        want = {a: [frame_rate_factor(r, tables.fps, a) for r in tables.rates]
+                for a in alphas}
+        bad = []
+        barrier = threading.Barrier(8)
+
+        def work(seed):
+            barrier.wait()
+            for i in range(400):
+                alpha = alphas[(seed * 7 + i) % len(alphas)]
+                if tables.frame_rate_factors(alpha).tolist() != want[alpha]:
+                    bad.append(alpha)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert len(tables._alpha_factors) <= 4 + 8
+
     def test_sizes_for_single_instance_under_races(self, planner2,
                                                    ptiles2):
         tables = planner2.tables
@@ -331,6 +394,12 @@ class TestMemoSafety:
         np.testing.assert_array_equal(
             got, tables.sizes_for(ptiles2[0].ptiles[0])
         )
+
+    def test_plan_tables_pickle_drops_alpha_memo(self, planner2, manifest2):
+        planner2.plan_batch(_requests(2, manifest2.num_segments, count=8))
+        assert planner2.tables._alpha_factors
+        clone = pickle.loads(pickle.dumps(planner2.tables))
+        assert clone._alpha_factors == {}
 
 
 class TestProtocol:
