@@ -11,6 +11,7 @@ import pytest
 from conftest import run_once
 from repro.experiments import (
     make_setup,
+    run_ablation,
     sweep_bandwidth_estimator,
     sweep_clustering_sigma,
     sweep_frame_rate_ladder,
@@ -24,6 +25,11 @@ def ablation_setup():
     return make_setup(max_duration_s=60, video_ids=(5, 8))
 
 
+def _run(benchmark, sweep, *args, **kwargs):
+    """Declare a sweep's points and run them once under the benchmark."""
+    return run_once(benchmark, lambda: run_ablation(sweep(*args, **kwargs)))
+
+
 def _print(title, points):
     print(title)
     for point in points:
@@ -31,8 +37,8 @@ def _print(title, points):
 
 
 def test_ablation_mpc_horizon(benchmark, ablation_setup):
-    points = run_once(benchmark, sweep_mpc_horizon, ablation_setup,
-                      horizons=(1, 3, 5))
+    points = _run(benchmark, sweep_mpc_horizon, ablation_setup,
+                  horizons=(1, 3, 5))
     _print("MPC horizon sweep:", points)
     # Every horizon streams successfully with sane metrics.
     for point in points:
@@ -41,8 +47,8 @@ def test_ablation_mpc_horizon(benchmark, ablation_setup):
 
 
 def test_ablation_qoe_tolerance(benchmark, ablation_setup):
-    points = run_once(benchmark, sweep_qoe_tolerance, ablation_setup,
-                      tolerances=(0.0, 0.05, 0.20))
+    points = _run(benchmark, sweep_qoe_tolerance, ablation_setup,
+                  tolerances=(0.0, 0.05, 0.20))
     _print("QoE tolerance sweep:", points)
     by_label = {p.label: p for p in points}
     # A looser tolerance can only help the energy objective.
@@ -55,7 +61,7 @@ def test_ablation_qoe_tolerance(benchmark, ablation_setup):
 
 
 def test_ablation_frame_rate_ladder(benchmark, ablation_setup):
-    points = run_once(benchmark, sweep_frame_rate_ladder, ablation_setup)
+    points = _run(benchmark, sweep_frame_rate_ladder, ablation_setup)
     _print("Frame-rate ladder sweep (video 5, low-TI):", points)
     by_label = {p.label: p for p in points}
     none = by_label["no reduction"]
@@ -69,7 +75,7 @@ def test_ablation_frame_rate_ladder(benchmark, ablation_setup):
 
 
 def test_ablation_bandwidth_estimator(benchmark, ablation_setup):
-    points = run_once(benchmark, sweep_bandwidth_estimator, ablation_setup)
+    points = _run(benchmark, sweep_bandwidth_estimator, ablation_setup)
     _print("Bandwidth estimator sweep:", points)
     by_label = {p.label: p for p in points}
     harmonic = by_label["harmonic (paper)"]
@@ -83,7 +89,7 @@ def test_ablation_bandwidth_estimator(benchmark, ablation_setup):
 
 
 def test_ablation_clustering_sigma(benchmark, ablation_setup):
-    points = run_once(benchmark, sweep_clustering_sigma, ablation_setup)
+    points = _run(benchmark, sweep_clustering_sigma, ablation_setup)
     _print("Clustering sigma sweep (video 8):", points)
     # Larger sigma -> larger Ptiles (the Fig. 6 trade-off).
     areas = [p.extra["mean_area"] for p in points]
@@ -96,7 +102,7 @@ def test_ablation_clustering_sigma(benchmark, ablation_setup):
 def test_ablation_viewport_predictor(benchmark, ablation_setup):
     from repro.experiments import sweep_viewport_predictor
 
-    points = run_once(benchmark, sweep_viewport_predictor, ablation_setup)
+    points = _run(benchmark, sweep_viewport_predictor, ablation_setup)
     _print("Viewport predictor sweep:", points)
     by_label = {p.label: p for p in points}
     oracle = by_label["oracle (bound)"]

@@ -5,7 +5,8 @@ content-preparation phase (manifest construction, Algorithm 1 Ptile
 clustering, Ftile partitioning) into pure deserialization.  The
 acceptance bar is a >= 3x speedup of the content-prep phase on a warm
 cache, with byte-identical downstream results (asserted in
-``tests/test_artifacts.py``); the measured cold/warm wall times and the
+``tests/test_artifacts.py``); the sides alternate over ``_ROUNDS``
+rounds, each keeping its fastest, and the cold/warm wall times and the
 speedup land in ``extra_info`` for the CI regression gate.
 
 ``test_viewport_tiles_vs_reference`` times FoV-tile coverage (the inner
@@ -29,6 +30,8 @@ from conftest import bench_duration, run_once
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.content_reference import viewport_tiles_reference  # noqa: E402
 
+_ROUNDS = 5
+
 
 def _fresh_setup(store: ArtifactStore | None):
     # A new ExperimentSetup each time: in-memory memos start empty, so
@@ -38,19 +41,36 @@ def _fresh_setup(store: ArtifactStore | None):
 
 def test_content_prep_cold_vs_warm(benchmark, tmp_path):
     cache_dir = tmp_path / "artifact-cache"
+    first = _fresh_setup(ArtifactStore(cache_dir))
+    first.prepare()  # warms the store
+    assert first.artifacts.stats.total_hits == 0
 
-    cold_setup = _fresh_setup(ArtifactStore(cache_dir))
-    t0 = time.perf_counter()
-    cold_setup.prepare()
-    cold_s = time.perf_counter() - t0
-    assert cold_setup.artifacts.stats.total_hits == 0
+    cold_s = float("inf")
+    rounds = iter(range(_ROUNDS))
 
-    warm_setup = _fresh_setup(ArtifactStore(cache_dir))
-    run_once(benchmark, warm_setup.prepare)
-    warm_s = benchmark.stats["mean"]
-    assert warm_setup.artifacts.stats.total_misses == 0
+    def cold_round():
+        # The rounds alternate, so a slow spell of the host hits both
+        # sides; each side keeps its fastest round.  Every cold round
+        # builds into a fresh store.
+        nonlocal cold_s
+        store = ArtifactStore(tmp_path / f"cold-{next(rounds)}")
+        cold_setup = _fresh_setup(store)
+        t0 = time.perf_counter()
+        cold_setup.prepare()
+        cold_s = min(cold_s, time.perf_counter() - t0)
+        assert cold_setup.artifacts.stats.total_hits == 0
+        return (_fresh_setup(ArtifactStore(cache_dir)),), {}
+
+    def warm(setup):
+        setup.prepare()
+        assert setup.artifacts.stats.total_misses == 0
+        return setup
+
+    warm_setup = benchmark.pedantic(warm, setup=cold_round, rounds=_ROUNDS)
+    warm_s = benchmark.stats["min"]
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+    benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["cold_s"] = cold_s
     benchmark.extra_info["warm_s"] = warm_s
     benchmark.extra_info["warm_speedup"] = speedup

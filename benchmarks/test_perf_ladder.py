@@ -5,8 +5,9 @@ coordinate search is pure and content-addressed, so a warm ladder store
 turns `optimize_catalog` into pure deserialization.  The acceptance bar
 is a >= 10x warm-lookup speedup over the cold search, with identical
 results either way (asserted here and in
-``tests/test_encoding_optimizer.py``); the cold-search wall time lands
-in ``extra_info`` for the CI regression gate's wall-time ceiling.
+``tests/test_encoding_optimizer.py``).  The sides alternate over
+``_ROUNDS`` rounds and each keeps its fastest; the cold-search wall time
+lands in ``extra_info`` for the CI regression gate's wall-time ceiling.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from repro.experiments import ArtifactStore
 
 from conftest import shared_setup, run_once
 
+_ROUNDS = 5
+
 
 def _catalog():
     setup = shared_setup()
@@ -28,14 +31,29 @@ def _catalog():
 def test_ladder_search_cold_vs_warm(benchmark, tmp_path):
     videos, encoder = _catalog()
     store = ArtifactStore(tmp_path / "ladder-cache")
-
-    t0 = time.perf_counter()
-    cold = optimize_catalog(videos, encoder, store=store)
-    cold_s = time.perf_counter() - t0
+    cold = optimize_catalog(videos, encoder, store=store)  # warms the store
     assert store.stats.total_hits == 0
 
-    run_once(benchmark, optimize_catalog, videos, encoder, store=store)
-    warm_s = benchmark.stats["mean"]
+    cold_s = float("inf")
+    rounds = iter(range(_ROUNDS))
+
+    def cold_round():
+        # The rounds alternate, so a slow spell of the host hits both
+        # sides; each side keeps its fastest round.  Every cold round
+        # searches into a fresh store.
+        nonlocal cold_s
+        fresh = ArtifactStore(tmp_path / f"cold-{next(rounds)}")
+        t0 = time.perf_counter()
+        optimize_catalog(videos, encoder, store=fresh)
+        cold_s = min(cold_s, time.perf_counter() - t0)
+        assert fresh.stats.total_hits == 0
+        return (), {}
+
+    benchmark.pedantic(
+        lambda: optimize_catalog(videos, encoder, store=store),
+        setup=cold_round, rounds=_ROUNDS,
+    )
+    warm_s = benchmark.stats["min"]
     warm = optimize_catalog(videos, encoder, store=store)
     assert store.stats.misses.get("ladder") == len(videos)  # cold only
 
@@ -45,6 +63,7 @@ def test_ladder_search_cold_vs_warm(benchmark, tmp_path):
         assert warm[vid].qo_opt == cold[vid].qo_opt
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+    benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["cold_s"] = cold_s
     benchmark.extra_info["warm_s"] = warm_s
     benchmark.extra_info["warm_ladder_speedup"] = speedup

@@ -4,7 +4,8 @@ Quantifies the structure-of-arrays engine against the per-session
 Python loop it batches: both paths simulate the identical session list
 (same scheme, traces, network, and config), so the speedup is purely
 the vectorization of the session dynamics plus the shared per-trace
-plan precomputation.
+plan precomputation.  The two sides alternate over ``_ROUNDS`` rounds
+and each keeps its fastest round.
 
 The speedup uses the Ctile scheme, whose planning path never touches
 the MPC, so the measured ratio gates the engine's core batching.  A
@@ -15,6 +16,8 @@ carries the speedup and both throughputs for ``check_baseline.py``.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from conftest import run_once, shared_setup
 
 _VIDEO_ID = 8
 _SESSIONS_PER_TRACE = 8
+_ROUNDS = 5
 
 
 def _population_inputs():
@@ -48,15 +52,21 @@ def test_population_engine_speedup(benchmark):
     network = setup.trace2
     device = PIXEL_3
 
-    import time
+    scalar: list = []
+    scalar_elapsed = float("inf")
 
-    t0 = time.perf_counter()
-    scalar = [
-        run_session(scheme, manifest, traces[u], network, device,
-                    config=config)
-        for u in users
-    ]
-    scalar_elapsed = time.perf_counter() - t0
+    def scalar_round():
+        # The rounds alternate, so a slow spell of the host hits both
+        # sides; each side keeps its fastest round.
+        nonlocal scalar_elapsed
+        t0 = time.perf_counter()
+        scalar[:] = [
+            run_session(scheme, manifest, traces[u], network, device,
+                        config=config)
+            for u in users
+        ]
+        scalar_elapsed = min(scalar_elapsed, time.perf_counter() - t0)
+        return (), {}
 
     def solve():
         # Fresh engine per round: include the per-trace precomputation
@@ -66,14 +76,15 @@ def test_population_engine_speedup(benchmark):
         )
         return eng.run(users)
 
-    result = run_once(benchmark, solve)
-    elapsed = benchmark.stats["mean"]
+    result = benchmark.pedantic(solve, setup=scalar_round, rounds=_ROUNDS)
+    elapsed = benchmark.stats["min"]
 
     # Numeric agreement on the benchmarked inputs (spot-check energy).
     want = np.array([r.total_energy_j for r in scalar])
     assert np.allclose(result.total_energy_j, want, rtol=1e-9)
 
     benchmark.extra_info["num_sessions"] = len(users)
+    benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["scalar_sessions_per_second"] = (
         len(users) / scalar_elapsed
     )

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .experiments import (
     ArtifactStore,
     default_cache_dir,
     make_setup,
     print_lines,
+    run_ablation,
     run_comparison,
     run_fig2,
     run_fig4,
@@ -437,15 +439,15 @@ def _fig10(args):
     ]
 
 
-def _sweep_options(args) -> dict:
-    return dict(users=args.users, workers=args.workers,
-                results=_results_store(args))
-
-
 def _fault_options(args) -> dict:
     return dict(profiles=args.fault_profile, fault_seed=args.fault_seed,
                 retry_budget=args.retry_budget,
                 timeout_slack_s=args.timeout_slack)
+
+
+def _run(args, points, results) -> list:
+    """The rows of a command's points, from one grouped runner call."""
+    return run_ablation(points, workers=args.workers, results=results)
 
 
 def _section(title: str, points) -> list[str]:
@@ -459,20 +461,22 @@ def _shared_cache(args):
     points = sweep_shared_cache(
         _setup(args, videos), capacities_mbit=args.cache_capacities,
         video_ids=videos, tenant_viewers=args.tenant_viewers,
-        policy=args.cache_policy, **_sweep_options(args),
+        policy=args.cache_policy, users=args.users,
     )
     return _section(f"shared edge cache ({args.cache_policy}, "
-                    f"{len(videos)} tenant video(s))", points)
+                    f"{len(videos)} tenant video(s))",
+                    _run(args, points, _results_store(args)))
 
 
 def _resilience(args):
     from .experiments import sweep_resilience
 
     points = sweep_resilience(_setup(args, (8,)), **_fault_options(args),
-                              **_sweep_options(args))
+                              users=args.users)
     return _section(f"resilience (seed {args.fault_seed}, "
                     f"retry budget {args.retry_budget}, "
-                    f"timeout slack {args.timeout_slack:g}s)", points)
+                    f"timeout slack {args.timeout_slack:g}s)",
+                    _run(args, points, _results_store(args)))
 
 
 def _robust(args):
@@ -483,12 +487,13 @@ def _robust(args):
         uncertainty_deg=args.uncertainty,
         uncertainty_growth_deg_s=args.uncertainty_growth,
         perceptual=args.robust_scheme == "pano",
-        **_fault_options(args), **_sweep_options(args),
+        **_fault_options(args), users=args.users,
     )
     return _section(f"robust planning ({args.robust_scheme}, "
                     f"sigma {args.uncertainty:g}deg "
                     f"+{args.uncertainty_growth:g}deg/s, "
-                    f"fault seed {args.fault_seed})", points)
+                    f"fault seed {args.fault_seed})",
+                    _run(args, points, _results_store(args)))
 
 
 def _population(args):
@@ -550,10 +555,10 @@ def _ladder(args):
         ladder_store = _artifact_store(args)
     targets, movable = args.quality_targets, args.movable_levels
     points = sweep_ladder(
-        _setup(args), device=get_device(args.device),
+        _setup(args), device=get_device(args.device), users=args.users,
         quality_targets=targets,
         search_config=LadderSearchConfig(movable_levels=movable or None),
-        ladder_store=ladder_store, **_sweep_options(args),
+        ladder_store=ladder_store, workers=args.workers,
     )
     targets_desc = (
         "q25 catalog targets" if targets is None
@@ -561,7 +566,7 @@ def _ladder(args):
     )
     movable_desc = "all rungs" if movable == 0 else f"lowest {movable} rung(s)"
     return _section(f"encoding ladder ({targets_desc}, {movable_desc})",
-                    points)
+                    _run(args, points, _results_store(args)))
 
 
 def _ablation(args):
@@ -577,23 +582,27 @@ def _ablation(args):
     )
 
     setup = _setup(args, (5, 8))
-    common = dict(users=args.users, workers=args.workers)
+    users = args.users
     sweeps = {
-        "MPC horizon": sweep_mpc_horizon(setup, **common),
-        "QoE tolerance": sweep_qoe_tolerance(setup, **common),
-        "frame-rate ladder": sweep_frame_rate_ladder(setup, **common),
-        "bandwidth estimator": sweep_bandwidth_estimator(setup, **common),
+        "MPC horizon": sweep_mpc_horizon(setup, users=users),
+        "QoE tolerance": sweep_qoe_tolerance(setup, users=users),
+        "frame-rate ladder": sweep_frame_rate_ladder(setup, users=users),
+        "bandwidth estimator": sweep_bandwidth_estimator(setup, users=users),
         "clustering sigma": sweep_clustering_sigma(setup,
                                                    workers=args.workers),
-        "edge cache": sweep_edge_cache(setup, **common),
+        "edge cache": sweep_edge_cache(setup, users=users),
         "shared edge cache": sweep_shared_cache(
-            setup, **common, tenant_viewers=args.tenant_viewers,
+            setup, users=users, tenant_viewers=args.tenant_viewers,
             policy=args.cache_policy,
         ),
-        "viewport predictor": sweep_viewport_predictor(setup, **common),
+        "viewport predictor": sweep_viewport_predictor(setup, users=users),
     }
+    # The results cache shares the artifact-cache directory, as in every
+    # other sessions command, so --no-artifact-cache disables both.
+    rows = iter(_run(args, [p for points in sweeps.values() for p in points],
+                     _artifact_store(args)))
     return [line for title, points in sweeps.items()
-            for line in _section(title, points)]
+            for line in _section(title, islice(rows, len(points)))]
 
 
 def _report(args):

@@ -119,9 +119,11 @@ class PlanTables:
         """The ``(S, V, F)`` download-size tensor for one Ptile geometry.
 
         Built in one batched pass over every covered segment on first
-        use; the returned tensor is shared and must not be mutated.
+        use; the returned tensor is shared and must not be mutated.  Keyed
+        by the region key and the tile set's bitmask, so equal geometries
+        of other segments or unpickled copies hit in O(1).
         """
-        key = (ptile.region_key, ptile.tiles)
+        key = (ptile.region_key, ptile.tile_mask)
         tensor = self._sizes.get(key)
         if tensor is None:
             with self._lock:

@@ -1,24 +1,36 @@
-"""Ablation studies over the design choices of Section IV.
+"""Ablation studies over the design choices of Section IV and the
+extensions built on them.
 
 The paper fixes several design parameters (MPC horizon H = 5, QoE
 tolerance eps = 5 %, harmonic-mean bandwidth estimation, the
 {10, 20, 30} % frame-rate ladder, sigma = tile width with delta =
-sigma / 4).  These sweeps quantify what each choice buys:
+sigma / 4).  One ``sweep_*`` function per choice quantifies what it
+buys; further sweeps cover the edge caches, fault resilience, robust
+planning and per-content encoding ladders.
 
-* :func:`sweep_mpc_horizon` — H = 1 disables lookahead; larger H
-  smooths bandwidth-prediction error (Section IV-C's motivation).
-* :func:`sweep_qoe_tolerance` — eps trades QoE for energy directly.
-* :func:`sweep_frame_rate_ladder` — no ladder reduces Ours to Ptile;
-  deeper ladders save more energy while Eq. 4 bounds the QoE cost.
-* :func:`sweep_bandwidth_estimator` — harmonic mean versus EWMA versus
-  last-sample, under the bursty LTE trace.
-* :func:`sweep_clustering_sigma` — the Fig. 6 trade-off: larger sigma
-  merges interests into oversized Ptiles, smaller sigma fragments them.
+A sweep declares its points as data and runs no session itself.  Each
+:class:`SweepPoint` is a label, the :class:`Sessions` it reads (schemes,
+device, session config or per-video configs, videos and users, streamed
+over trace 2) and the result columns to average over them; points that
+name the same :class:`Sessions` share its sessions.  Content prep stays
+in the sweep: hit-model training, the ladder search and the sigma
+sweep's Ptile builds.  A sweep may also return ready
+:class:`AblationPoint` rows (the sigma sweep reports Ptile geometry,
+not sessions) or a derived row, a function of the other rows (the
+ladder frontier).
+
+:func:`run_ablation` turns any list of points, from one sweep or many,
+into :class:`AblationPoint` rows with one
+:func:`~repro.experiments.runner.run_session_groups` call: every session
+of the list shares one process pool and, with a results store, each
+distinct session runs once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -43,15 +55,23 @@ from ..streaming.cache import (
     build_shared_edge_hit_models,
 )
 from ..streaming.metrics import SessionResult
-from ..streaming.schemes import CtileScheme, FtileScheme, PtileScheme
+from ..streaming.schemes import (
+    CtileScheme,
+    FtileScheme,
+    PtileScheme,
+    StreamingScheme,
+)
 from ..streaming.session import SessionConfig
 from ..video.framerate import FrameRateLadder
 from .artifacts import ArtifactStore, ptiles_key
-from .runner import SessionJob, parallel_map, run_session_jobs
+from .runner import SessionJob, SweepContext, parallel_map, run_session_groups
 from .setup import ExperimentSetup
 
 __all__ = [
     "AblationPoint",
+    "Sessions",
+    "SweepPoint",
+    "run_ablation",
     "sweep_mpc_horizon",
     "sweep_qoe_tolerance",
     "sweep_frame_rate_ladder",
@@ -86,51 +106,148 @@ class AblationPoint:
         return line
 
 
-def _run_sessions(
-    setup: ExperimentSetup,
-    device: DevicePowerModel,
-    scheme: OursScheme,
-    video_id: int,
-    users: int,
-    session_config: SessionConfig | None = None,
-    workers: int | None = 1,
-) -> list[SessionResult]:
-    """All per-user sessions of one ablation point, via the sweep runner."""
-    context = setup.sweep_context(
-        {scheme.name: scheme}, device, {"trace2": setup.trace2},
-        (video_id,), users, config=session_config,
-    )
-    jobs = [
-        SessionJob(
-            key=(scheme.name, video_id, user),
-            scheme=scheme.name,
-            video_id=video_id,
-            network="trace2",
-            user_index=user,
+Column = Union[str, Callable[[SessionResult], float]]
+"""A per-session value: a :class:`SessionResult` attribute name, or a
+function of the session."""
+
+
+@dataclass(frozen=True, eq=False)
+class Sessions:
+    """One set of sessions: each scheme streamed over trace 2 by the
+    first ``users`` test users of each video, under ``config`` (default:
+    the setup's) with ``video_configs`` overrides.
+
+    Compared by identity: the points naming one set share its sessions.
+    """
+
+    setup: ExperimentSetup
+    schemes: tuple[StreamingScheme, ...]
+    device: DevicePowerModel
+    videos: tuple[int, ...]
+    users: int
+    config: SessionConfig | None = None
+    video_configs: dict[int, SessionConfig] | None = None
+    ftiles: bool = False
+
+    def group(self) -> tuple[SweepContext, list[SessionJob]]:
+        """The runner group: the sweep context and its jobs, ordered
+        scheme, then video, then user."""
+        context = self.setup.sweep_context(
+            {scheme.name: scheme for scheme in self.schemes}, self.device,
+            {"trace2": self.setup.trace2}, self.videos, self.users,
+            ftiles=self.ftiles, config=self.config,
+            video_configs=self.video_configs,
         )
-        for user in range(len(context.head_traces[video_id]))
-    ]
-    return run_session_jobs(context, jobs, workers=workers).results
+        jobs = [
+            SessionJob(
+                key=(scheme.name, vid, user),
+                scheme=scheme.name,
+                video_id=vid,
+                network="trace2",
+                user_index=user,
+            )
+            for scheme in self.schemes
+            for vid in self.videos
+            for user in range(len(context.head_traces[vid]))
+        ]
+        return context, jobs
 
 
-def _run_ours(
-    setup: ExperimentSetup,
-    device: DevicePowerModel,
-    scheme: OursScheme,
-    video_id: int,
-    users: int,
-    session_config: SessionConfig | None = None,
+@dataclass(frozen=True, eq=False)
+class SweepPoint:
+    """One row of a sweep: means over the sessions of ``sessions`` (of
+    one ``scheme`` and one ``video`` where given).
+
+    ``extra`` maps each reported name to a constant, or to a
+    :data:`Column` to average over the row's sessions.
+    """
+
+    label: str
+    sessions: Sessions
+    extra: dict[str, Any] = field(default_factory=dict)
+    scheme: str | None = None
+    video: int | None = None
+
+
+Derived = Callable[
+    [dict[SweepPoint, AblationPoint], dict[Sessions, list[SessionResult]]],
+    AblationPoint,
+]
+"""A row computed from the run's other rows and its session sets."""
+
+Point = Union[SweepPoint, AblationPoint, Derived]
+
+
+def _mean(sessions: Sequence[SessionResult], column: Column) -> float:
+    value = attrgetter(column) if isinstance(column, str) else column
+    return float(np.mean([value(s) for s in sessions]))
+
+
+def _row(label: str, sessions: Sequence[SessionResult],
+         extra: dict[str, Any]) -> AblationPoint:
+    return AblationPoint(
+        label,
+        _mean(sessions, "energy_per_segment_j"),
+        _mean(sessions, "mean_qoe"),
+        _mean(sessions, "rebuffer_count"),
+        extra={
+            name: _mean(sessions, value)
+            if isinstance(value, str) or callable(value) else value
+            for name, value in extra.items()
+        },
+    )
+
+
+def run_ablation(
+    points: Sequence[Point],
+    *,
     workers: int | None = 1,
-) -> tuple[float, float, float, float]:
-    sessions = _run_sessions(
-        setup, device, scheme, video_id, users, session_config, workers
-    )
-    return (
-        float(np.mean([s.energy_per_segment_j for s in sessions])),
-        float(np.mean([s.mean_qoe for s in sessions])),
-        float(np.mean([s.rebuffer_count for s in sessions])),
-        float(np.mean([s.mean_frame_rate for s in sessions])),
-    )
+    results: ArtifactStore | None = None,
+) -> list[AblationPoint]:
+    """The rows of ``points``, in order, from one grouped runner call.
+
+    Each distinct :class:`Sessions` is one runner group, so all of the
+    points' sessions share one pool (``workers``: 1 = serial, 0 =
+    auto-detect) and the ``results`` store, which runs each distinct
+    session once.  Ready :class:`AblationPoint` rows pass through;
+    derived rows are called with the rows and session sets of the run.
+    Byte-identical at any ``workers`` count, cold or warm store.
+    """
+    sets = list(dict.fromkeys(
+        p.sessions for p in points if isinstance(p, SweepPoint)
+    ))
+    groups = [s.group() for s in sets]
+    flat = iter(run_session_groups(
+        groups, workers=workers, results=results
+    ).results)
+    ran = {  # each set's (job, result) pairs, in job order
+        s: [(job, next(flat)) for job in jobs]
+        for s, (_, jobs) in zip(sets, groups)
+    }
+    sessions = {s: [r for _, r in pairs] for s, pairs in ran.items()}
+    rows: dict[SweepPoint, AblationPoint] = {}
+    out = []
+    for point in points:
+        if isinstance(point, SweepPoint):
+            rows[point] = _row(point.label, [
+                r for job, r in ran[point.sessions]
+                if point.scheme in (None, job.scheme)
+                and point.video in (None, job.video_id)
+            ], point.extra)
+            out.append(rows[point])
+        elif isinstance(point, AblationPoint):
+            out.append(point)
+        else:
+            out.append(point(rows, sessions))
+    return out
+
+
+def _ours(setup: ExperimentSetup, device: DevicePowerModel, video_id: int,
+          users: int, scheme: OursScheme | None = None,
+          config: SessionConfig | None = None) -> Sessions:
+    """The sessions of one ``ours`` configuration on one video."""
+    return Sessions(setup, (scheme or OursScheme(device=device),), device,
+                    (video_id,), users, config=config)
 
 
 def sweep_mpc_horizon(
@@ -139,21 +256,17 @@ def sweep_mpc_horizon(
     device: DevicePowerModel = PIXEL_3,
     video_id: int = 8,
     users: int = 2,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
-    """Energy/QoE versus the MPC lookahead H."""
-    points = []
-    for horizon in horizons:
-        scheme = OursScheme(device=device, mpc_config=MpcConfig(horizon=horizon))
-        config = replace(setup.session_config, horizon=horizon)
-        energy, qoe, rebuffers, fps = _run_ours(
-            setup, device, scheme, video_id, users, config, workers
-        )
-        points.append(
-            AblationPoint(f"H={horizon}", energy, qoe, rebuffers,
-                          extra={"fps": fps})
-        )
-    return points
+) -> list[SweepPoint]:
+    """Energy/QoE versus the MPC lookahead H: H = 1 disables lookahead;
+    larger H smooths bandwidth-prediction error (Section IV-C)."""
+    return [
+        SweepPoint(f"H={horizon}", _ours(
+            setup, device, video_id, users,
+            OursScheme(device=device, mpc_config=MpcConfig(horizon=horizon)),
+            replace(setup.session_config, horizon=horizon),
+        ), {"fps": "mean_frame_rate"})
+        for horizon in horizons
+    ]
 
 
 def sweep_qoe_tolerance(
@@ -162,22 +275,16 @@ def sweep_qoe_tolerance(
     device: DevicePowerModel = PIXEL_3,
     video_id: int = 8,
     users: int = 2,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
-    """Energy/QoE versus the constraint (8c) tolerance epsilon."""
-    points = []
-    for eps in tolerances:
-        scheme = OursScheme(
-            device=device, mpc_config=MpcConfig(qoe_tolerance=eps)
-        )
-        energy, qoe, rebuffers, fps = _run_ours(
-            setup, device, scheme, video_id, users, workers=workers
-        )
-        points.append(
-            AblationPoint(f"eps={eps:.0%}", energy, qoe, rebuffers,
-                          extra={"fps": fps})
-        )
-    return points
+) -> list[SweepPoint]:
+    """Energy/QoE versus the constraint (8c) tolerance epsilon, which
+    trades QoE for energy directly."""
+    return [
+        SweepPoint(f"eps={eps:.0%}", _ours(
+            setup, device, video_id, users,
+            OursScheme(device=device, mpc_config=MpcConfig(qoe_tolerance=eps)),
+        ), {"fps": "mean_frame_rate"})
+        for eps in tolerances
+    ]
 
 
 def sweep_frame_rate_ladder(
@@ -185,24 +292,22 @@ def sweep_frame_rate_ladder(
     device: DevicePowerModel = PIXEL_3,
     video_id: int = 5,
     users: int = 2,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
-    """Ours with no / the paper's / a deeper frame-rate ladder."""
+) -> list[SweepPoint]:
+    """Ours with no / the paper's / a deeper frame-rate ladder: no
+    ladder reduces Ours to Ptile; deeper ladders save more energy while
+    Eq. 4 bounds the QoE cost."""
     ladders = {
         "no reduction": FrameRateLadder(reductions=()),
         "paper {10,20,30}%": FrameRateLadder(),
         "deep {20,40,60}%": FrameRateLadder(reductions=(0.6, 0.4, 0.2)),
     }
-    points = []
-    for label, ladder in ladders.items():
-        scheme = OursScheme(device=device, ladder=ladder)
-        energy, qoe, rebuffers, fps = _run_ours(
-            setup, device, scheme, video_id, users, workers=workers
-        )
-        points.append(
-            AblationPoint(label, energy, qoe, rebuffers, extra={"fps": fps})
-        )
-    return points
+    return [
+        SweepPoint(label, _ours(
+            setup, device, video_id, users,
+            OursScheme(device=device, ladder=ladder),
+        ), {"fps": "mean_frame_rate"})
+        for label, ladder in ladders.items()
+    ]
 
 
 def sweep_bandwidth_estimator(
@@ -210,14 +315,13 @@ def sweep_bandwidth_estimator(
     device: DevicePowerModel = PIXEL_3,
     video_id: int = 8,
     users: int = 2,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Harmonic mean (paper) versus EWMA versus last sample.
 
     Estimators are compared on one-step-ahead prediction error over the
     bursty trace 2, plus the resulting session metrics under Ours (which
     always uses the harmonic mean internally; the error statistics are
-    the ablation's point).
+    the ablation's point), so the three rows share one session set.
     """
     bandwidths = setup.trace2.bandwidth_mbps
     estimators = {
@@ -225,10 +329,7 @@ def sweep_bandwidth_estimator(
         "ewma": EwmaEstimator(alpha=0.3),
         "last sample": LastSampleEstimator(),
     }
-    energy, qoe, rebuffers, _ = _run_ours(
-        setup, device, OursScheme(device=device), video_id, users,
-        workers=workers,
-    )
+    sessions = _ours(setup, device, video_id, users)
     points = []
     for label, estimator in estimators.items():
         errors = []
@@ -239,18 +340,10 @@ def sweep_bandwidth_estimator(
             actual = float(bandwidths[i + 1])
             errors.append(abs(predicted - actual) / actual)
             over.append(predicted > actual)
-        points.append(
-            AblationPoint(
-                label,
-                energy,
-                qoe,
-                rebuffers,
-                extra={
-                    "mape": float(np.mean(errors)),
-                    "overestimates": float(np.mean(over)),
-                },
-            )
-        )
+        points.append(SweepPoint(label, sessions, {
+            "mape": float(np.mean(errors)),
+            "overestimates": float(np.mean(over)),
+        }))
     return points
 
 
@@ -295,10 +388,7 @@ def sweep_clustering_sigma(
     items = [
         (video, train, setup.grid, sigma, store_root) for sigma in sigmas
     ]
-    if len(items) > 1 and workers != 1:
-        built = parallel_map(_sigma_point_task, items, workers=workers).results
-    else:
-        built = [_sigma_point_task(item) for item in items]
+    built = parallel_map(_sigma_point_task, items, workers=workers).results
 
     points = []
     for sigma, ptiles in zip(sigmas, built):
@@ -329,8 +419,7 @@ def sweep_edge_cache(
     video_id: int = 8,
     users: int = 2,
     edge_bandwidth_mbps: float = 200.0,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Session metrics versus edge-cache capacity.
 
     For each capacity, an :class:`~repro.streaming.cache.EdgeHitModel`
@@ -355,24 +444,12 @@ def sweep_edge_cache(
             model = None
             label = "no edge cache"
         config = replace(setup.session_config, edge_model=model)
-        scheme = OursScheme(device=device)
-        sessions = _run_sessions(
-            setup, device, scheme, video_id, users, config, workers
-        )
-        points.append(
-            AblationPoint(
-                label,
-                float(np.mean([s.energy_per_segment_j for s in sessions])),
-                float(np.mean([s.mean_qoe for s in sessions])),
-                float(np.mean([s.rebuffer_count for s in sessions])),
-                extra={
-                    "hit_ratio": model.mean_hit_ratio if model else 0.0,
-                    "stall": float(
-                        np.mean([s.total_stall_s for s in sessions])
-                    ),
-                },
-            )
-        )
+        points.append(SweepPoint(
+            label, _ours(setup, device, video_id, users, config=config), {
+                "hit_ratio": model.mean_hit_ratio if model else 0.0,
+                "stall": "total_stall_s",
+            },
+        ))
     return points
 
 
@@ -385,9 +462,7 @@ def sweep_shared_cache(
     users: int = 2,
     policy: str = "lru",
     edge_bandwidth_mbps: float = 200.0,
-    workers: int | None = 1,
-    results: ArtifactStore | None = None,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Session metrics versus the capacity of a *shared* edge cache.
 
     A multi-tenant population — ``tenant_viewers`` training viewers per
@@ -403,11 +478,9 @@ def sweep_shared_cache(
     an identical cache for the byte-hit-ratio comparison the extension
     argues from: Ptile's fewer, larger objects should win at the edge.
 
-    Capacity 0 is the no-edge-cache baseline.  Deterministic and
-    cache-stable: aggregates are identical at any ``workers`` count and
-    with the ``results`` store warm or cold (the per-video models are
-    part of the sweep-context digest); the store serves each capacity
-    point's sessions from one columnar shard per video.
+    Capacity 0 is the no-edge-cache baseline.  The per-video models are
+    part of the sweep-context digest, so a results store keeps each
+    capacity point's sessions apart, in one columnar shard per video.
     """
     if video_ids is None:
         video_ids = tuple(v.meta.video_id for v in setup.videos)
@@ -456,38 +529,48 @@ def sweep_shared_cache(
             video_configs = {}
             label = "no edge cache"
             extra = {"hit": 0.0, "ptile_byte_hit": 0.0, "ctile_byte_hit": 0.0}
-
-        context = setup.sweep_context(
-            {scheme.name: scheme}, device, {"trace2": setup.trace2},
-            video_ids, users, video_configs=video_configs,
-        )
-        jobs = [
-            SessionJob(
-                key=(scheme.name, vid, user),
-                scheme=scheme.name,
-                video_id=vid,
-                network="trace2",
-                user_index=user,
-            )
-            for vid in video_ids
-            for user in range(len(context.head_traces[vid]))
-        ]
-        sessions = run_session_jobs(
-            context, jobs, workers=workers, results=results
-        ).results
-        extra["edge_frac"] = float(
-            np.mean([s.edge_hit_fraction for s in sessions])
-        )
-        points.append(
-            AblationPoint(
-                label,
-                float(np.mean([s.energy_per_segment_j for s in sessions])),
-                float(np.mean([s.mean_qoe for s in sessions])),
-                float(np.mean([s.rebuffer_count for s in sessions])),
-                extra=extra,
-            )
-        )
+        sessions = Sessions(setup, (scheme,), device, video_ids, users,
+                            video_configs=video_configs)
+        points.append(SweepPoint(
+            label, sessions, {**extra, "edge_frac": "edge_hit_fraction"}
+        ))
     return points
+
+
+def _fault_configs(
+    setup: ExperimentSetup,
+    profiles: tuple[str, ...],
+    video_id: int,
+    fault_seed: int,
+    retry_budget: int,
+    timeout_slack_s: float,
+) -> dict[str, SessionConfig]:
+    """The session config of each fault profile: a deterministic
+    :class:`~repro.resilience.faults.FaultPlan` seeded by ``(profile,
+    fault_seed)`` over the session's video duration, so every window can
+    perturb playback, with the resilient download policy.  ``"none"``
+    keeps the setup's config, the unmodified ideal path: its sessions
+    are byte-identical to a fault-free sweep (and share its results-cache
+    slots)."""
+    if not profiles:
+        raise ValueError("need at least one fault profile")
+    n_segments = setup.manifest(video_id).num_segments
+    if setup.session_config.max_segments is not None:
+        n_segments = min(n_segments, setup.session_config.max_segments)
+    plan_duration_s = n_segments * setup.session_config.segment_seconds
+    policy = DownloadPolicy(
+        retry_budget=retry_budget, timeout_slack_s=timeout_slack_s
+    )
+    return {
+        profile: setup.session_config if profile == "none" else replace(
+            setup.session_config,
+            fault_plan=generate_fault_plan(
+                profile, plan_duration_s, seed=fault_seed
+            ),
+            download_policy=policy,
+        )
+        for profile in profiles
+    }
 
 
 def sweep_resilience(
@@ -502,31 +585,22 @@ def sweep_resilience(
     fault_seed: int = 7,
     retry_budget: int = 2,
     timeout_slack_s: float = 0.75,
-    workers: int | None = 1,
-    results: ArtifactStore | None = None,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Energy/QoE/rebuffering of the tiling schemes under link faults.
 
-    For each fault profile, a deterministic
-    :class:`~repro.resilience.faults.FaultPlan` seeded by
-    ``(profile, fault_seed)`` is overlaid on trace 2 and every scheme's
-    test sessions run through the resilient download engine
-    (deadline-aware timeouts, ``retry_budget`` retries with exponential
-    backoff, the degradation ladder).  Fault windows are drawn over the
-    session's video duration, so every window can actually perturb
-    playback.  The ``"none"`` profile runs the unmodified ideal code
+    Each fault profile's plan (see :func:`_fault_configs`) is overlaid
+    on trace 2 and every scheme's test sessions run through the
+    resilient download engine (deadline-aware timeouts,
+    ``retry_budget`` retries with exponential backoff, the degradation
+    ladder).  The ``"none"`` profile runs the unmodified ideal code
     path — its points must match a fault-free sweep exactly.
 
-    One :class:`AblationPoint` per ``(profile, scheme)`` pair, labelled
+    One point per ``(profile, scheme)`` pair, labelled
     ``"profile:scheme"``, with retry/timeout/degradation/stall counters
-    in ``extra``.  Deterministic and cache-stable: aggregates are
-    identical at any ``workers`` count and with the ``results`` store
-    warm or cold (the fault plan and policy are part of the context
-    digest); the store serves each profile's sessions from one
+    in ``extra``.  The fault plan and policy are part of the context
+    digest, so a results store serves each profile's sessions from one
     columnar shard per video.
     """
-    if not profiles:
-        raise ValueError("need at least one fault profile")
     if not scheme_names:
         raise ValueError("need at least one scheme")
     factories = {
@@ -540,86 +614,23 @@ def sweep_resilience(
             f"unknown schemes {unknown}; available: "
             f"{', '.join(sorted(factories))}"
         )
-    schemes = {name: factories[name]() for name in scheme_names}
-    manifest = setup.manifest(video_id)
-    n_segments = manifest.num_segments
-    if setup.session_config.max_segments is not None:
-        n_segments = min(n_segments, setup.session_config.max_segments)
-    plan_duration_s = n_segments * setup.session_config.segment_seconds
-    policy = DownloadPolicy(
-        retry_budget=retry_budget, timeout_slack_s=timeout_slack_s
-    )
-    heads = tuple(setup.dataset.test_traces(video_id)[:users])
-
+    schemes = tuple(factories[name]() for name in scheme_names)
+    configs = _fault_configs(setup, profiles, video_id, fault_seed,
+                             retry_budget, timeout_slack_s)
     points = []
-    for profile in profiles:
-        if profile == "none":
-            # The unmodified ideal path: both resilience knobs off, so
-            # these sessions are byte-identical to a fault-free sweep
-            # (and share its results-cache slots).
-            config = setup.session_config
-        else:
-            plan = generate_fault_plan(
-                profile, plan_duration_s, seed=fault_seed
-            )
-            config = replace(
-                setup.session_config,
-                fault_plan=plan,
-                download_policy=policy,
-            )
-        context = setup.sweep_context(
-            schemes, device, {"trace2": setup.trace2}, (video_id,), users,
-            ftiles=True, config=config,
-        )
-        jobs = [
-            SessionJob(
-                key=(name, profile, user),
-                scheme=name,
-                video_id=video_id,
-                network="trace2",
-                user_index=user,
-            )
+    for profile, config in configs.items():
+        sessions = Sessions(setup, schemes, device, (video_id,), users,
+                            config=config, ftiles=True)
+        points.extend(
+            SweepPoint(f"{profile}:{name}", sessions, {
+                "stall": "total_stall_s",
+                "retries": "total_retries",
+                "timeouts": "total_timeouts",
+                "degraded": "degraded_segment_count",
+                "skipped": "skipped_segment_count",
+            }, scheme=name)
             for name in scheme_names
-            for user in range(len(heads))
-        ]
-        sessions = run_session_jobs(
-            context, jobs, workers=workers, results=results
-        ).results
-        per_scheme = {
-            name: sessions[i * len(heads) : (i + 1) * len(heads)]
-            for i, name in enumerate(scheme_names)
-        }
-        for name in scheme_names:
-            batch = per_scheme[name]
-            points.append(
-                AblationPoint(
-                    f"{profile}:{name}",
-                    float(np.mean([s.energy_per_segment_j for s in batch])),
-                    float(np.mean([s.mean_qoe for s in batch])),
-                    float(np.mean([s.rebuffer_count for s in batch])),
-                    extra={
-                        "stall": float(
-                            np.mean([s.total_stall_s for s in batch])
-                        ),
-                        "retries": float(
-                            np.mean([s.total_retries for s in batch])
-                        ),
-                        "timeouts": float(
-                            np.mean([s.total_timeouts for s in batch])
-                        ),
-                        "degraded": float(
-                            np.mean(
-                                [s.degraded_segment_count for s in batch]
-                            )
-                        ),
-                        "skipped": float(
-                            np.mean(
-                                [s.skipped_segment_count for s in batch]
-                            )
-                        ),
-                    },
-                )
-            )
+        )
     return points
 
 
@@ -636,9 +647,7 @@ def sweep_robust(
     fault_seed: int = 7,
     retry_budget: int = 2,
     timeout_slack_s: float = 0.75,
-    workers: int | None = 1,
-    results: ArtifactStore | None = None,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Robust (uncertainty-aware) vs point-prediction MPC under faults.
 
     Crosses the :class:`~repro.core.robust.RobustScheme` with the
@@ -650,22 +659,19 @@ def sweep_robust(
     :class:`~repro.prediction.viewport.AngularErrorModel`); set
     ``perceptual`` to weight hypotheses with the Pano polar discount.
 
-    One :class:`AblationPoint` per ``(profile, scheme)`` pair labelled
+    One point per ``(profile, scheme)`` pair labelled
     ``"profile:scheme"``; ``extra`` carries the viewport-quality term
     ``qo`` (the headline the robust objective optimizes), delivered
     coverage, the planner's mean expected coverage and error scale
     (schema v4 per-segment uncertainty accounting), Ptile hit rate,
-    stall, and skip counters.  Deterministic and cache-stable exactly
-    like :func:`sweep_resilience`: byte-identical aggregates at any
-    ``workers`` count, cold or warm ``results`` store.
+    stall, and skip counters.  Cached exactly like
+    :func:`sweep_resilience`.
     """
-    if not profiles:
-        raise ValueError("need at least one fault profile")
     if uncertainty_deg < 0.0 or uncertainty_growth_deg_s < 0.0:
         raise ValueError("uncertainty parameters must be non-negative")
-    schemes = {
-        "ours": OursScheme(device=device),
-        "robust": RobustScheme(
+    schemes = (
+        OursScheme(device=device),
+        RobustScheme(
             device=device,
             error_model=AngularErrorModel(
                 base_sigma_deg=uncertainty_deg,
@@ -674,91 +680,30 @@ def sweep_robust(
             perceptual=PanoWeight() if perceptual else None,
             min_expected_coverage=min_expected_coverage,
         ),
-    }
-    scheme_names = tuple(schemes)
-    manifest = setup.manifest(video_id)
-    n_segments = manifest.num_segments
-    if setup.session_config.max_segments is not None:
-        n_segments = min(n_segments, setup.session_config.max_segments)
-    plan_duration_s = n_segments * setup.session_config.segment_seconds
-    policy = DownloadPolicy(
-        retry_budget=retry_budget, timeout_slack_s=timeout_slack_s
     )
-    heads = tuple(setup.dataset.test_traces(video_id)[:users])
-
+    configs = _fault_configs(setup, profiles, video_id, fault_seed,
+                             retry_budget, timeout_slack_s)
     points = []
-    for profile in profiles:
-        if profile == "none":
-            # Benign path: both resilience knobs off, byte-identical to
-            # a fault-free sweep (and sharing its results-cache slots).
-            config = setup.session_config
-        else:
-            plan = generate_fault_plan(
-                profile, plan_duration_s, seed=fault_seed
-            )
-            config = replace(
-                setup.session_config,
-                fault_plan=plan,
-                download_policy=policy,
-            )
-        context = setup.sweep_context(
-            schemes, device, {"trace2": setup.trace2}, (video_id,), users,
-            config=config,
+    for profile, config in configs.items():
+        sessions = Sessions(setup, schemes, device, (video_id,), users,
+                            config=config)
+        points.extend(
+            SweepPoint(f"{profile}:{scheme.name}", sessions, {
+                "qo": "mean_qo",
+                "coverage": "mean_coverage",
+                "expcov": "mean_expected_coverage",
+                "sigma": "mean_uncertainty_deg",
+                "hit": "ptile_hit_rate",
+                "stall": "total_stall_s",
+                "skipped": "skipped_segment_count",
+            }, scheme=scheme.name)
+            for scheme in schemes
         )
-        jobs = [
-            SessionJob(
-                key=(name, profile, user),
-                scheme=name,
-                video_id=video_id,
-                network="trace2",
-                user_index=user,
-            )
-            for name in scheme_names
-            for user in range(len(heads))
-        ]
-        sessions = run_session_jobs(
-            context, jobs, workers=workers, results=results
-        ).results
-        per_scheme = {
-            name: sessions[i * len(heads) : (i + 1) * len(heads)]
-            for i, name in enumerate(scheme_names)
-        }
-        for name in scheme_names:
-            batch = per_scheme[name]
-            points.append(
-                AblationPoint(
-                    f"{profile}:{name}",
-                    float(np.mean([s.energy_per_segment_j for s in batch])),
-                    float(np.mean([s.mean_qoe for s in batch])),
-                    float(np.mean([s.rebuffer_count for s in batch])),
-                    extra={
-                        "qo": float(np.mean([s.mean_qo for s in batch])),
-                        "coverage": float(
-                            np.mean([s.mean_coverage for s in batch])
-                        ),
-                        "expcov": float(
-                            np.mean(
-                                [s.mean_expected_coverage for s in batch]
-                            )
-                        ),
-                        "sigma": float(
-                            np.mean([s.mean_uncertainty_deg for s in batch])
-                        ),
-                        "hit": float(
-                            np.mean([s.ptile_hit_rate for s in batch])
-                        ),
-                        "stall": float(
-                            np.mean([s.total_stall_s for s in batch])
-                        ),
-                        "skipped": float(
-                            np.mean(
-                                [s.skipped_segment_count for s in batch]
-                            )
-                        ),
-                    },
-                )
-            )
     return points
+
+
+def _mbit_per_segment(session: SessionResult) -> float:
+    return session.total_size_mbit / max(session.num_segments, 1)
 
 
 def sweep_ladder(
@@ -770,29 +715,26 @@ def sweep_ladder(
     search_config=None,
     ladder_store: ArtifactStore | None = None,
     workers: int | None = 1,
-    results: ArtifactStore | None = None,
-) -> list[AblationPoint]:
+) -> list[Point]:
     """Fixed vs per-content optimized encoding ladders, across videos.
 
     Runs the per-video ladder search
     (:func:`~repro.encoding.optimizer.optimize_catalog`; cached in
     ``ladder_store`` under content-hash keys, fanned over ``workers``),
-    then streams the ``ours`` MPC scheme over trace 2 under both the
-    fixed paper ladder and the optimized ladders, one
-    :class:`AblationPoint` per ``(video, ladder)`` pair labelled
-    ``"v<id>:fixed"`` / ``"v<id>:opt"``.  ``extra`` carries the mean
-    downloaded Mbit per segment and (for ``opt`` points) the search's
-    per-level FoV-bit saving.  A final ``"frontier"`` point summarizes
-    the shift: how many videos improved energy or QoE at equal-or-lower
-    downloaded bits.
+    then declares the ``ours`` MPC scheme over trace 2 under both the
+    fixed paper ladder and the optimized ladders, one point per
+    ``(video, ladder)`` pair labelled ``"v<id>:fixed"`` /
+    ``"v<id>:opt"``.  ``extra`` carries the mean downloaded Mbit per
+    segment and (for ``opt`` points) the search's per-level FoV-bit
+    saving.  A final derived ``"frontier"`` row summarizes the shift:
+    how many videos improved energy or QoE at equal-or-lower downloaded
+    bits, and the change of the all-video means.
 
     ``quality_targets`` defaults to the catalog's 25th-percentile
     per-level Qo (:func:`~repro.encoding.optimizer.default_quality_targets`),
     under which most of the catalog sheds background bits while the
-    hardest quarter keeps the paper ladder untouched.  Deterministic
-    and cache-stable
-    like every sweep here: byte-identical at any ``workers`` count,
-    cold or warm ``ladder_store``/``results``.
+    hardest quarter keeps the paper ladder untouched.  Byte-identical
+    at any ``workers`` count, cold or warm ``ladder_store``.
     """
     from ..encoding.optimizer import LadderSearchConfig, optimize_catalog
     from ..qoe.quality import QualityModel
@@ -804,98 +746,62 @@ def sweep_ladder(
     videos = [setup.dataset.video(vid) for vid in video_ids]
     if users < 1:
         raise ValueError("need at least one user per video")
-    search_config = search_config or LadderSearchConfig()
-    quality_model = QualityModel()
-
     search = optimize_catalog(
         videos,
         setup.encoder,
         targets=quality_targets,
-        config=search_config,
-        quality_model=quality_model,
+        config=search_config or LadderSearchConfig(),
+        quality_model=QualityModel(),
         store=ladder_store,
         workers=workers,
     )
     opt_setup = setup.with_ladders(
         {vid: search[vid].ladder for vid in video_ids}
     )
-
     scheme = OursScheme(device=device)
-    variants = {"fixed": setup, "opt": opt_setup}
-    sessions: dict[tuple[str, int], list[SessionResult]] = {}
-    for variant, var_setup in variants.items():
-        context = var_setup.sweep_context(
-            {scheme.name: scheme}, device, {"trace2": var_setup.trace2},
-            video_ids, users,
+    fixed, opt = (
+        Sessions(var_setup, (scheme,), device, video_ids, users)
+        for var_setup in (setup, opt_setup)
+    )
+    pairs = {
+        vid: (
+            SweepPoint(f"v{vid}:fixed", fixed, {"mbit": _mbit_per_segment},
+                       video=vid),
+            SweepPoint(f"v{vid}:opt", opt, {
+                "mbit": _mbit_per_segment,
+                "saved": search[vid].bits_saved_frac,
+            }, video=vid),
         )
-        jobs = [
-            SessionJob(
-                key=(variant, vid, user),
-                scheme=scheme.name,
-                video_id=vid,
-                network="trace2",
-                user_index=user,
-            )
-            for vid in video_ids
-            for user in range(len(context.head_traces[vid]))
-        ]
-        run = run_session_jobs(
-            context, jobs, workers=workers, results=results
-        )
-        for job, session in zip(jobs, run.results):
-            sessions.setdefault((variant, job.video_id), []).append(session)
+        for vid in video_ids
+    }
 
-    def _mbit_per_segment(batch: list[SessionResult]) -> float:
-        return float(np.mean([
-            s.total_size_mbit / max(s.num_segments, 1)
-            for s in batch
-        ]))
-
-    points = []
-    improved = 0
-    for vid in video_ids:
-        stats = {}
-        for variant in variants:
-            batch = sessions[(variant, vid)]
-            energy = float(np.mean([s.energy_per_segment_j for s in batch]))
-            qoe = float(np.mean([s.mean_qoe for s in batch]))
-            rebuf = float(np.mean([s.rebuffer_count for s in batch]))
-            mbit = _mbit_per_segment(batch)
-            stats[variant] = (energy, qoe, mbit)
-            extra = {"mbit": mbit}
-            if variant == "opt":
-                extra["saved"] = search[vid].bits_saved_frac
-            points.append(
-                AblationPoint(f"v{vid}:{variant}", energy, qoe, rebuf,
-                              extra=extra)
-            )
-        (e_fix, q_fix, b_fix), (e_opt, q_opt, b_opt) = (
-            stats["fixed"], stats["opt"],
-        )
-        if b_opt <= b_fix * (1.0 + 1e-9) and (
-            e_opt < e_fix - 1e-9 or q_opt > q_fix + 1e-9
-        ):
-            improved += 1
-    fixed_all = [s for vid in video_ids for s in sessions[("fixed", vid)]]
-    opt_all = [s for vid in video_ids for s in sessions[("opt", vid)]]
-    points.append(
-        AblationPoint(
+    def frontier(rows, sessions) -> AblationPoint:
+        improved = 0
+        for fixed_point, opt_point in pairs.values():
+            f, o = rows[fixed_point], rows[opt_point]
+            if o.extra["mbit"] <= f.extra["mbit"] * (1.0 + 1e-9) and (
+                o.energy_per_segment_j < f.energy_per_segment_j - 1e-9
+                or o.qoe > f.qoe + 1e-9
+            ):
+                improved += 1
+        fixed_all, opt_all = sessions[fixed], sessions[opt]
+        return AblationPoint(
             "frontier",
-            float(np.mean([s.energy_per_segment_j for s in opt_all]))
-            - float(np.mean([s.energy_per_segment_j for s in fixed_all])),
-            float(np.mean([s.mean_qoe for s in opt_all]))
-            - float(np.mean([s.mean_qoe for s in fixed_all])),
-            float(np.mean([s.rebuffer_count for s in opt_all]))
-            - float(np.mean([s.rebuffer_count for s in fixed_all])),
+            *(
+                _mean(opt_all, column) - _mean(fixed_all, column)
+                for column in (
+                    "energy_per_segment_j", "mean_qoe", "rebuffer_count",
+                )
+            ),
             extra={
                 "improved": float(improved),
                 "videos": float(len(video_ids)),
-                "mbit": _mbit_per_segment(opt_all)
-                - _mbit_per_segment(fixed_all),
+                "mbit": _mean(opt_all, _mbit_per_segment)
+                - _mean(fixed_all, _mbit_per_segment),
             },
         )
-    )
-    return points
+
+    return [*(p for pair in pairs.values() for p in pair), frontier]
 
 
 def sweep_viewport_predictor(
@@ -903,8 +809,7 @@ def sweep_viewport_predictor(
     device: DevicePowerModel = PIXEL_3,
     video_id: int = 8,
     users: int = 2,
-    workers: int | None = 1,
-) -> list[AblationPoint]:
+) -> list[SweepPoint]:
     """Static persistence vs ridge regression (paper) vs a clairvoyant
     oracle, measured by coverage of the actually-watched viewport.
 
@@ -921,27 +826,10 @@ def sweep_viewport_predictor(
         "ridge (paper)": None,
         "oracle (bound)": oracle_predictor_factory,
     }
-    points = []
-    for label, factory in factories.items():
-        config = replace(setup.session_config, predictor_factory=factory)
-        scheme = OursScheme(device=device)
-        sessions = _run_sessions(
-            setup, device, scheme, video_id, users, config, workers
-        )
-        points.append(
-            AblationPoint(
-                label,
-                float(np.mean([s.energy_per_segment_j for s in sessions])),
-                float(np.mean([s.mean_qoe for s in sessions])),
-                float(np.mean([s.rebuffer_count for s in sessions])),
-                extra={
-                    "coverage": float(
-                        np.mean([s.mean_coverage for s in sessions])
-                    ),
-                    "hit": float(
-                        np.mean([s.ptile_hit_rate for s in sessions])
-                    ),
-                },
-            )
-        )
-    return points
+    return [
+        SweepPoint(label, _ours(
+            setup, device, video_id, users,
+            config=replace(setup.session_config, predictor_factory=factory),
+        ), {"coverage": "mean_coverage", "hit": "ptile_hit_rate"})
+        for label, factory in factories.items()
+    ]

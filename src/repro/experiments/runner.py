@@ -16,6 +16,9 @@ Design:
 * A :class:`SessionJob` is a tiny picklable reference into the context
   (scheme name, video id, trace name, user index) plus an optional
   per-job :class:`SessionConfig` override.
+* :func:`run_session_groups` runs several ``(context, jobs)`` groups as
+  one sweep over one pool, whose workers keep their memos warm across
+  groups; :func:`run_session_jobs` is its one-group form.
 * Jobs are grouped into contiguous **chunks** to amortize inter-process
   dispatch; ``chunk_size=None`` picks ``ceil(len(jobs) / (workers * 4))``
   so each worker gets ~4 waves of work for load balancing.
@@ -68,6 +71,7 @@ __all__ = [
     "SweepRun",
     "resolve_workers",
     "resolve_chunk_size",
+    "run_session_groups",
     "run_session_jobs",
     "parallel_map",
 ]
@@ -306,26 +310,20 @@ def _chunked(indices: range, chunk_size: int) -> list[list[int]]:
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing.  The payload — (executable, items) where the
-# executable is a SweepContext or a mapped function — is shipped once
-# per worker via the pool initializer and stashed in a module global;
-# chunk tasks then reference jobs by index only, so per-task pickling
-# stays tiny no matter how heavy the shared inputs are.
+# Worker-process plumbing.  The payload — (function, items), where the
+# function is a mapped function or a _GroupRunner holding every group's
+# sweep context — is shipped once per worker via the pool initializer
+# and stashed in a module global; chunk tasks then reference items by
+# index only, so per-task pickling stays tiny no matter how heavy the
+# shared inputs are.
 # ----------------------------------------------------------------------
 
-_WORKER_PAYLOAD: tuple[Any, tuple[Any, ...]] | None = None
+_WORKER_PAYLOAD: tuple[Callable, tuple[Any, ...]] | None = None
 
 
-def _init_worker(payload: tuple[Any, tuple[Any, ...]]) -> None:
+def _init_worker(payload: tuple[Callable, tuple[Any, ...]]) -> None:
     global _WORKER_PAYLOAD
     _WORKER_PAYLOAD = payload
-
-
-def _payload_execute(payload: tuple[Any, tuple[Any, ...]]) -> Callable:
-    executable, _ = payload
-    if isinstance(executable, SweepContext):
-        return executable.run_job
-    return executable
 
 
 def _run_indexed(
@@ -350,12 +348,11 @@ def _run_indexed(
 def _worker_chunk(indices: list[int]):
     payload = _WORKER_PAYLOAD
     assert payload is not None, "worker used before initialization"
-    _, items = payload
-    return _run_indexed(_payload_execute(payload), items, indices)
+    execute, items = payload
+    return _run_indexed(execute, items, indices)
 
 
 def _execute_sweep(
-    executable: Any,
     execute: Callable[[Any], Any],
     items: Sequence[Any],
     keys: Sequence[Hashable],
@@ -378,7 +375,7 @@ def _execute_sweep(
             with ProcessPoolExecutor(
                 max_workers=resolved,
                 initializer=_init_worker,
-                initargs=((executable, items),),
+                initargs=((execute, items),),
             ) as pool:
                 futures = [
                     pool.submit(_worker_chunk, indices)
@@ -421,6 +418,126 @@ def _execute_sweep(
     )
 
 
+@dataclass(frozen=True)
+class _GroupRunner:
+    """Runs a ``(group index, job)`` item against that group's context;
+    picklable, so one pool ships every group's context at once."""
+
+    contexts: tuple[SweepContext, ...]
+
+    def __call__(self, item: tuple[int, SessionJob]) -> SessionResult:
+        group, job = item
+        return self.contexts[group].run_job(job)
+
+
+def run_session_groups(
+    groups: Sequence[tuple[SweepContext, Sequence[SessionJob]]],
+    *,
+    workers: int | None = 1,
+    chunk_size: int | None = None,
+    strict: bool = True,
+    results: ArtifactStore | None = None,
+) -> SweepRun:
+    """Run several ``(context, jobs)`` groups of session jobs as one
+    sweep, serially or across one process pool.
+
+    ``SweepRun.results`` holds one :class:`SessionResult` per job, in
+    group order and then job order, independent of scheduling — a
+    parallel sweep returns byte-identical results to a serial one.
+    Failures carry the job's flat index in that order.  With ``strict``
+    (default) any failure raises after the sweep; otherwise failed
+    slots are ``None`` and described in ``SweepRun.failures``.
+
+    Each group's context is sliced to the videos its jobs reference, and
+    one pool (``workers`` > 1) receives every group's slice once.
+
+    With a ``results`` store, each job is keyed by its group's shard key
+    (the digest of that group's context sliced to the job's video) and
+    its own job digest, so a key names the same session in any group.
+    Each shard is read once, with every distinct key it serves; hits
+    skip execution, each distinct missing key runs once and fills every
+    slot that shares it, and each shard takes one merge of its fresh
+    results.  A warm re-run is thus pure deserialization while staying
+    byte-identical to an uncached one.  Without a store every job runs.
+    """
+    start = time.perf_counter()
+    # Ship only the videos each group's jobs reference; each worker's
+    # payload is then the groups' slices of their contexts.
+    groups = [
+        (context.slice({job.video_id for job in jobs}), tuple(jobs))
+        for context, jobs in groups
+    ]
+    flat = [(g, job) for g, (_, jobs) in enumerate(groups) for job in jobs]
+    merged: list[Any] = [None] * len(flat)
+    # Distinct executions, each with the flat slots it fills and, with a
+    # store, the (shard key, job digest) it is merged under.
+    pending: list[tuple[list[int], tuple[str, str] | None]]
+    if results is None:
+        pending = [([i], None) for i in range(len(flat))]
+    else:
+        pending = []
+        shard_keys = [
+            {
+                video_id: results_shard_key(
+                    sweep_context_digest(context.slice({video_id})), video_id
+                )
+                for video_id in dict.fromkeys(job.video_id for job in jobs)
+            }
+            for context, jobs in groups
+        ]
+        rows: dict[str, dict[str, list[int]]] = {}  # shard -> digest -> slots
+        for i, (g, job) in enumerate(flat):
+            rows.setdefault(shard_keys[g][job.video_id], {}).setdefault(
+                session_job_digest(job), []
+            ).append(i)
+        for shard_key, slots_of in rows.items():
+            digests = list(slots_of)
+            hits = results.get_results_batch(shard_key, digests)
+            for digest, hit in zip(digests, hits):
+                if hit is None:
+                    pending.append((slots_of[digest], (shard_key, digest)))
+                else:
+                    for i in slots_of[digest]:
+                        merged[i] = hit
+        pending.sort(key=lambda entry: entry[0][0])  # run in job order
+    run = _execute_sweep(
+        _GroupRunner(tuple(context for context, _ in groups)),
+        [flat[slots[0]] for slots, _ in pending],
+        [flat[slots[0]][1].key for slots, _ in pending],
+        workers,
+        chunk_size,
+    )
+    failed = {failure.job_index: failure for failure in run.failures}
+    failures: list[JobFailure] = []
+    fresh: dict[str, dict[str, Any]] = {}  # shard key -> {job digest: result}
+    for position, (slots, row) in enumerate(pending):
+        failure = failed.get(position)
+        for i in slots:
+            merged[i] = run.results[position]
+            if failure is not None:
+                failures.append(JobFailure(
+                    flat[i][1].key, i, failure.error, failure.traceback
+                ))
+        if failure is None and row is not None:
+            fresh.setdefault(row[0], {})[row[1]] = run.results[position]
+    for shard_key, entries in fresh.items():
+        results.merge_shard(shard_key, entries)
+    failures.sort(key=lambda failure: failure.job_index)
+
+    sweep = SweepRun(
+        results=merged,
+        timings=run.timings,
+        failures=failures,
+        workers=run.workers,
+        chunk_size=run.chunk_size,
+        wall_s=time.perf_counter() - start,
+        cache_hits=len(flat) - sum(len(slots) for slots, _ in pending),
+    )
+    if strict:
+        sweep.raise_on_failure()
+    return sweep
+
+
 def run_session_jobs(
     context: SweepContext,
     jobs: Sequence[SessionJob],
@@ -430,112 +547,12 @@ def run_session_jobs(
     strict: bool = True,
     results: ArtifactStore | None = None,
 ) -> SweepRun:
-    """Run session jobs, serially or across processes.
-
-    ``SweepRun.results`` holds one :class:`SessionResult` per job, in
-    job order, independent of scheduling — a parallel sweep returns
-    byte-identical results to a serial one.  With ``strict`` (default)
-    any failure raises after the sweep; otherwise failed slots are
-    ``None`` and described in ``SweepRun.failures``.
-
-    With a ``results`` store, jobs are grouped by video and each
-    (sweep context, video) group is looked up in its shard
-    with a single read, one row per job digest.  A group's shard key
-    digests only that video's slice of the context, so it is the same
-    whichever other videos the context or the job batch holds.  Hits skip
-    execution entirely and fresh results append-merge back into their
-    group's shard, so a warm re-run of an identical sweep is pure
-    deserialization while staying byte-identical to an uncached one.
-    Only the cache misses hit the pool, and cached/computed results
-    merge back in job order.
-    """
-    jobs = tuple(jobs)
-    # Ship only the videos these jobs reference; each worker's payload
-    # is then the jobs' slice of the context, not the whole catalog.
-    context = context.slice({job.video_id for job in jobs})
-    if results is None or not jobs:
-        run = _execute_sweep(
-            context,
-            context.run_job,
-            jobs,
-            [job.key for job in jobs],
-            workers,
-            chunk_size,
-        )
-        if strict:
-            run.raise_on_failure()
-        return run
-
-    start = time.perf_counter()
-    job_digests = [session_job_digest(job) for job in jobs]
-    groups: dict[int, list[int]] = {}
-    for i, job in enumerate(jobs):
-        groups.setdefault(job.video_id, []).append(i)
-    shard_keys = {
-        video_id: results_shard_key(
-            sweep_context_digest(context.slice({video_id})), video_id
-        )
-        for video_id in groups
-    }
-    merged: list[Any] = [None] * len(jobs)
-    for video_id, indices in groups.items():
-        batch = results.get_results_batch(
-            shard_keys[video_id], [job_digests[i] for i in indices]
-        )
-        for i, result in zip(indices, batch):
-            merged[i] = result
-    pending = [i for i, hit in enumerate(merged) if hit is None]
-
-    timings: list[JobTiming] = []
-    failures: list[JobFailure] = []
-    fresh: dict[int, dict[str, Any]] = {}  # video -> {job digest: result}
-    if pending:
-        sub = _execute_sweep(
-            context,
-            context.run_job,
-            [jobs[i] for i in pending],
-            [jobs[i].key for i in pending],
-            workers,
-            chunk_size,
-        )
-        failed_positions = {failure.job_index for failure in sub.failures}
-        for position, i in enumerate(pending):
-            merged[i] = sub.results[position]
-            if position not in failed_positions and sub.results[position] is not None:
-                fresh.setdefault(jobs[i].video_id, {})[job_digests[i]] = (
-                    sub.results[position]
-                )
-        timings = sub.timings
-        # Failure indices refer to the original job list, not the
-        # pending subset the pool actually ran.
-        failures = [
-            JobFailure(
-                failure.key,
-                pending[failure.job_index],
-                failure.error,
-                failure.traceback,
-            )
-            for failure in sub.failures
-        ]
-        used_workers, chunk = sub.workers, sub.chunk_size
-    else:
-        used_workers = 1
-        chunk = resolve_chunk_size(chunk_size, 0, 1)
-    for video_id, entries in fresh.items():
-        results.merge_shard(shard_keys[video_id], entries)
-
-    run = SweepRun(
-        results=merged,
-        timings=timings,
-        failures=failures,
-        workers=used_workers,
-        chunk_size=chunk,
-        wall_s=time.perf_counter() - start,
-        cache_hits=len(jobs) - len(pending),
+    """Run one context's session jobs: the one-group form of
+    :func:`run_session_groups`, with results in job order."""
+    return run_session_groups(
+        [(context, jobs)], workers=workers, chunk_size=chunk_size,
+        strict=strict, results=results,
     )
-    if strict:
-        run.raise_on_failure()
-    return run
 
 
 def parallel_map(
@@ -553,7 +570,6 @@ def parallel_map(
     """
     items = tuple(items)
     run = _execute_sweep(
-        fn,
         fn,
         items,
         list(range(len(items))),

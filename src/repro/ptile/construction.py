@@ -16,6 +16,7 @@ of stalling playback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..geometry.tiling import Tile, TileGrid
 from ..geometry.viewport import DEFAULT_FOV_DEG, Rect, Viewport
@@ -94,6 +95,23 @@ class Ptile:
     @property
     def region_key(self) -> str:
         return f"ptile-{self.index}"
+
+    @cached_property
+    def tile_mask(self) -> int:
+        """``tiles`` as an integer bitmask (bit ``row * grid.cols + col``),
+        computed once: it compares in O(1), where two equal but distinct
+        frozensets compare tile by tile."""
+        cols = self.grid.cols
+        mask = 0
+        for tile in self.tiles:
+            mask |= 1 << (tile.row * cols + tile.col)
+        return mask
+
+    def __getstate__(self) -> dict:
+        # The mask is derived; pickled Ptiles keep their bytes.
+        state = self.__dict__.copy()
+        state.pop("tile_mask", None)
+        return state
 
     def contains(self, yaw: float, pitch: float) -> bool:
         """Whether a viewing direction falls inside the Ptile."""

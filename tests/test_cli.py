@@ -177,6 +177,50 @@ class TestMain:
             main(["shared-cache", "--tenant-viewers", "0"])
 
 
+class TestAblationCli:
+    """All of ``ablation``'s sessions go through one runner call: one
+    session pool, and a results store that runs each session once."""
+
+    def _out(self, capsys, *flags):
+        assert main(["ablation", "--duration", "10", "--users", "1",
+                     *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_one_session_pool_and_identical_bytes(self, capsys,
+                                                  monkeypatch):
+        from repro.experiments import ablations, runner
+
+        session_pools = []
+
+        class CountingPool(runner.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                execute, _ = kwargs["initargs"][0]
+                if execute is not ablations._sigma_point_task:
+                    session_pools.append(execute)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+        serial = self._out(capsys, "--workers", "1", "--no-artifact-cache")
+        assert not session_pools
+        pooled = self._out(capsys, "--workers", "2", "--no-artifact-cache")
+        assert len(session_pools) == 1
+        assert pooled == serial
+        assert "-- viewport predictor --" in serial
+
+    def test_warm_rerun_runs_no_session(self, capsys, monkeypatch,
+                                        tmp_path):
+        from repro.experiments import SweepContext
+
+        cache = ("--artifact-cache", str(tmp_path / "cache"))
+        cold = self._out(capsys, *cache)
+
+        def boom(self, job):  # pragma: no cover - must not run
+            raise AssertionError("a session ran on a warm results cache")
+
+        monkeypatch.setattr(SweepContext, "run_job", boom)
+        assert self._out(capsys, *cache) == cold
+
+
 class TestLadderCli:
     def test_flag_defaults(self):
         args = build_parser().parse_args(["ladder"])

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments import (
     AblationPoint,
     make_setup,
+    run_ablation,
     sweep_clustering_sigma,
     sweep_edge_cache,
     sweep_shared_cache,
@@ -97,9 +98,9 @@ class TestSigmaSweep:
 
 class TestEdgeCacheSweep:
     def test_points_and_monotone_hits(self, tiny_setup):
-        points = sweep_edge_cache(
+        points = run_ablation(sweep_edge_cache(
             tiny_setup, capacities_mbit=(0.0, 2000.0), video_id=8, users=1
-        )
+        ))
         assert len(points) == 2
         assert points[0].label == "no edge cache"
         assert points[0].extra["hit_ratio"] == 0.0
@@ -108,15 +109,15 @@ class TestEdgeCacheSweep:
             assert point.energy_per_segment_j > 0.0
 
     def test_hit_ratio_monotone_in_capacity(self, tiny_setup):
-        points = sweep_edge_cache(
+        points = run_ablation(sweep_edge_cache(
             tiny_setup, capacities_mbit=(500.0, 8000.0), video_id=8, users=1
-        )
+        ))
         assert points[0].extra["hit_ratio"] <= points[1].extra["hit_ratio"]
 
     def test_deterministic(self, tiny_setup):
         kwargs = dict(capacities_mbit=(0.0, 2000.0), video_id=8, users=1)
-        first = sweep_edge_cache(tiny_setup, **kwargs)
-        again = sweep_edge_cache(tiny_setup, **kwargs)
+        first = run_ablation(sweep_edge_cache(tiny_setup, **kwargs))
+        again = run_ablation(sweep_edge_cache(tiny_setup, **kwargs))
         assert [
             (p.label, p.energy_per_segment_j, p.qoe, p.extra["stall"])
             for p in first
@@ -135,10 +136,10 @@ def _point_signature(points):
 
 class TestSharedCacheSweep:
     def test_points_and_labels(self, two_video_setup):
-        points = sweep_shared_cache(
+        points = run_ablation(sweep_shared_cache(
             two_video_setup, capacities_mbit=(0.0, 500.0), users=1,
             tenant_viewers=6,
-        )
+        ))
         assert len(points) == 2
         assert points[0].label == "no edge cache"
         assert points[0].extra["hit"] == 0.0
@@ -154,10 +155,10 @@ class TestSharedCacheSweep:
         # with every tenant of the setup's catalog competing for the
         # same cache, Ptile's fewer, larger objects still serve a
         # larger byte fraction from the edge than Ctile's.
-        points = sweep_shared_cache(
+        points = run_ablation(sweep_shared_cache(
             two_video_setup, capacities_mbit=(500.0,), users=1,
             tenant_viewers=6,
-        )
+        ))
         assert (
             points[0].extra["ptile_byte_hit"]
             > points[0].extra["ctile_byte_hit"]
@@ -170,15 +171,16 @@ class TestSharedCacheSweep:
 
         kwargs = dict(capacities_mbit=(0.0, 500.0), users=1,
                       tenant_viewers=6)
-        off = sweep_shared_cache(two_video_setup, **kwargs)
-        pooled = sweep_shared_cache(two_video_setup, workers=2, **kwargs)
-        cold = sweep_shared_cache(
-            two_video_setup, results=ArtifactStore(tmp_path), **kwargs
-        )
+        def run(**options):
+            return run_ablation(
+                sweep_shared_cache(two_video_setup, **kwargs), **options
+            )
+
+        off = run()
+        pooled = run(workers=2)
+        cold = run(results=ArtifactStore(tmp_path))
         warm_store = ArtifactStore(tmp_path)
-        warm = sweep_shared_cache(
-            two_video_setup, results=warm_store, **kwargs
-        )
+        warm = run(results=warm_store)
         assert warm_store.stats.misses.get("results") is None
         assert (
             _point_signature(off)
@@ -196,7 +198,7 @@ class TestLadderSweep:
     def test_points_and_labels(self, tiny_setup):
         from repro.experiments import sweep_ladder
 
-        points = sweep_ladder(tiny_setup, users=1)
+        points = run_ablation(sweep_ladder(tiny_setup, users=1))
         assert [p.label for p in points] == ["v8:fixed", "v8:opt", "frontier"]
         fixed, opt, frontier = points
         assert "mbit" in fixed.extra
@@ -212,13 +214,19 @@ class TestLadderSweep:
     ):
         from repro.experiments import ArtifactStore, sweep_ladder
 
-        serial = sweep_ladder(two_video_setup, users=1)
-        pooled = sweep_ladder(two_video_setup, users=1, workers=2)
+        serial = run_ablation(sweep_ladder(two_video_setup, users=1))
+        pooled = run_ablation(
+            sweep_ladder(two_video_setup, users=1, workers=2), workers=2
+        )
         store = ArtifactStore(tmp_path)
-        cold = sweep_ladder(two_video_setup, users=1, ladder_store=store,
-                            results=store)
-        warm = sweep_ladder(two_video_setup, users=1, ladder_store=store,
-                            results=store)
+        cold = run_ablation(
+            sweep_ladder(two_video_setup, users=1, ladder_store=store),
+            results=store,
+        )
+        warm = run_ablation(
+            sweep_ladder(two_video_setup, users=1, ladder_store=store),
+            results=store,
+        )
         assert store.stats.misses.get("ladder", 0) == 2  # cold only
         assert (
             _point_signature(serial)
@@ -232,9 +240,9 @@ class TestLadderSweep:
 
         # Unreachable targets: the search keeps the paper ladder, and
         # the two variants stream identical sessions.
-        points = sweep_ladder(
+        points = run_ablation(sweep_ladder(
             tiny_setup, users=1, quality_targets=(100.0,) * 5
-        )
+        ))
         fixed, opt, _ = points
         assert fixed.energy_per_segment_j == opt.energy_per_segment_j
         assert fixed.qoe == opt.qoe

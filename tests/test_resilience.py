@@ -11,6 +11,7 @@ from repro.experiments import (
     SessionJob,
     SweepContext,
     make_setup,
+    run_ablation,
     run_session_jobs,
     sweep_resilience,
 )
@@ -509,8 +510,10 @@ class TestSweepResilience:
         kwargs = dict(
             profiles=("none", "outages", "lossy"), users=2, fault_seed=11,
         )
-        serial = sweep_resilience(tiny_setup, workers=1, **kwargs)
-        pooled = sweep_resilience(tiny_setup, workers=2, **kwargs)
+        serial = run_ablation(sweep_resilience(tiny_setup, **kwargs),
+                              workers=1)
+        pooled = run_ablation(sweep_resilience(tiny_setup, **kwargs),
+                              workers=2)
         assert serial == pooled
 
     def test_cold_and_warm_results_cache_identical(self, tiny_setup, tmp_path):
@@ -518,10 +521,12 @@ class TestSweepResilience:
             profiles=("lossy",), users=2, scheme_names=("ptile",),
         )
         cold_store = ArtifactStore(tmp_path)
-        cold = sweep_resilience(tiny_setup, results=cold_store, **kwargs)
+        cold = run_ablation(sweep_resilience(tiny_setup, **kwargs),
+                            results=cold_store)
         sessions = cold_store.stats.misses["results"]
         warm_store = ArtifactStore(tmp_path)
-        warm = sweep_resilience(tiny_setup, results=warm_store, **kwargs)
+        warm = run_ablation(sweep_resilience(tiny_setup, **kwargs),
+                            results=warm_store)
         assert cold == warm
         assert warm_store.stats.hits == {"results": sessions}
         assert warm_store.stats.misses.get("results") is None, (
@@ -532,10 +537,10 @@ class TestSweepResilience:
         """Faults show up only where injected: the ``none`` profile
         records none, and every faulted profile records some retries,
         timeouts, or degraded segments (over the default schemes)."""
-        points = sweep_resilience(
+        points = run_ablation(sweep_resilience(
             tiny_setup, profiles=("none", "outages", "lossy"), users=2,
             fault_seed=11,
-        )
+        ))
         counters = ("retries", "timeouts", "degraded", "skipped")
         by_profile: dict[str, list] = {}
         for point in points:
@@ -551,9 +556,9 @@ class TestSweepResilience:
             ), f"{profile} produced no observable faults"
 
     def test_none_profile_matches_fault_free_sessions(self, tiny_setup):
-        points = sweep_resilience(
+        points = run_ablation(sweep_resilience(
             tiny_setup, profiles=("none",), users=2, scheme_names=("ptile",),
-        )
+        ))
         (point,) = points
         from repro.power.models import PIXEL_3
 

@@ -27,6 +27,7 @@ from repro.experiments.artifacts import (
 from repro.experiments.runner import (
     SessionJob,
     SweepContext,
+    run_session_groups,
     run_session_jobs,
 )
 from repro.experiments.setup import ExperimentSetup
@@ -160,6 +161,81 @@ class TestWarmIdentity:
                                  results=ArtifactStore(tmp_path))
         assert again.cache_hits == 1
         assert [f.job_index for f in again.failures] == [1]
+
+
+class TestGroupedRuns:
+    """run_session_groups keys every job by (shard key, job digest)
+    across groups: a session shared by groups runs once and every shard
+    takes one merge."""
+
+    DISTINCT = 6  # distinct (shard key, job digest) pairs of ``groups``
+
+    @pytest.fixture
+    def groups(self, sweep_context):
+        # An equal context built apart shares its shard key; another
+        # config is another shard.
+        twin = dataclasses.replace(sweep_context)
+        short = dataclasses.replace(
+            sweep_context, config=SessionConfig(max_segments=3)
+        )
+        return [
+            (sweep_context, make_jobs(schemes=("ctile", "ours"))),
+            (twin, make_jobs(schemes=("ours", "ctile"), users=1)),
+            (short, make_jobs(schemes=("ctile",))),
+        ]
+
+    def test_shared_jobs_run_once_and_shards_merge_once(
+        self, groups, tmp_path, monkeypatch
+    ):
+        off = run_session_groups(groups).results
+        calls, merges = [], []
+        run_job, merge_shard = SweepContext.run_job, ArtifactStore.merge_shard
+        monkeypatch.setattr(
+            SweepContext, "run_job",
+            lambda self, job: calls.append(job) or run_job(self, job),
+        )
+        monkeypatch.setattr(
+            ArtifactStore, "merge_shard",
+            lambda self, shard, entries: (
+                merges.append(shard) or merge_shard(self, shard, entries)
+            ),
+        )
+        store = ArtifactStore(tmp_path)
+        cold = run_session_groups(groups, results=store)
+        assert len(calls) == self.DISTINCT
+        assert len(merges) == len(set(merges)) == 2
+        assert store.stats.misses == {"results": self.DISTINCT}
+        assert store.stats.writes == {"results": self.DISTINCT}
+        assert cold.cache_hits == 0 and len(cold.timings) == self.DISTINCT
+        assert cold.results == off
+        # The twin group's slots hold the first group's sessions.
+        assert cold.results[4] is cold.results[2]
+        assert cold.results[5] is cold.results[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_off_cold_warm_identical(self, groups, tmp_path, monkeypatch,
+                                     workers):
+        per_group = [
+            r for context, jobs in groups
+            for r in run_session_jobs(context, jobs).results
+        ]
+        off = run_session_groups(groups, workers=workers)
+        store = ArtifactStore(tmp_path)
+        cold = run_session_groups(groups, workers=workers, results=store)
+        assert store.stats.writes == {"results": self.DISTINCT}
+
+        def boom(self, job):  # pragma: no cover - must not run
+            raise AssertionError("a session ran on a warm results cache")
+
+        monkeypatch.setattr(SweepContext, "run_job", boom)
+        warm_store = ArtifactStore(tmp_path)
+        warm = run_session_groups(groups, workers=workers,
+                                  results=warm_store)
+        assert warm.cache_hits == len(per_group)
+        assert warm_store.stats.hits == {"results": self.DISTINCT}
+        assert not warm_store.stats.misses and not warm_store.stats.writes
+        assert not warm.timings
+        assert off.results == cold.results == warm.results == per_group
 
 
 class TestInvalidation:

@@ -26,6 +26,7 @@ from repro.experiments import (
     ArtifactStore,
     SweepContext,
     make_setup,
+    run_ablation,
     run_session_jobs,
     sweep_robust,
 )
@@ -235,17 +236,19 @@ class TestSweepRobust:
 
     def test_deterministic_across_worker_counts(self, robust_setup):
         kwargs = dict(profiles=("none", "outages"), users=2, fault_seed=7)
-        serial = sweep_robust(robust_setup, workers=1, **kwargs)
-        pooled = sweep_robust(robust_setup, workers=2, **kwargs)
+        serial = run_ablation(sweep_robust(robust_setup, **kwargs),
+                              workers=1)
+        pooled = run_ablation(sweep_robust(robust_setup, **kwargs),
+                              workers=2)
         assert serial == pooled
         assert [p.label for p in serial] == [
             "none:ours", "none:robust", "outages:ours", "outages:robust",
         ]
 
     def test_fault_profiles_populate_uncertainty_extras(self, robust_setup):
-        points = sweep_robust(
+        points = run_ablation(sweep_robust(
             robust_setup, profiles=("outages", "lossy"), users=1
-        )
+        ))
         by_label = {p.label: p for p in points}
         for profile in ("outages", "lossy"):
             ours = by_label[f"{profile}:ours"]
@@ -258,9 +261,9 @@ class TestSweepRobust:
     def test_perceptual_variant_runs_and_differs_in_label_only_shape(
         self, robust_setup
     ):
-        points = sweep_robust(
+        points = run_ablation(sweep_robust(
             robust_setup, profiles=("none",), users=1, perceptual=True
-        )
+        ))
         assert {p.label for p in points} == {"none:ours", "none:robust"}
 
     def test_faulted_sessions_reproduce(

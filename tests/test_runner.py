@@ -7,6 +7,8 @@ aggregates are built from them.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import make_schemes, run_comparison
@@ -16,6 +18,7 @@ from repro.experiments.runner import (
     parallel_map,
     resolve_chunk_size,
     resolve_workers,
+    run_session_groups,
     run_session_jobs,
 )
 from repro.experiments.setup import SCHEME_ORDER, ExperimentSetup
@@ -112,6 +115,76 @@ class TestRunSessionJobs:
         assert "999" in run.failures[0].error
         assert "77" in run.failures[1].error
         assert any("FAILED" in line for line in run.report())
+
+
+def _flat_per_group(groups, **options):
+    """Each group through its own run_session_jobs call, flattened."""
+    results, failures, offset = [], [], 0
+    for context, jobs in groups:
+        run = run_session_jobs(context, jobs, strict=False, **options)
+        results.extend(run.results)
+        failures.extend(
+            (offset + f.job_index, f.key, f.error) for f in run.failures
+        )
+        offset += len(jobs)
+    return results, failures
+
+
+class TestRunSessionGroups:
+    @pytest.fixture(scope="class")
+    def groups(self, sweep_context):
+        short = dataclasses.replace(
+            sweep_context, config=SessionConfig(max_segments=4)
+        )
+        return [
+            (sweep_context, make_jobs(schemes=("ctile",))),
+            (short, make_jobs(schemes=("ours", "ctile"), users=1)),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_per_group_runs(self, groups, workers):
+        grouped = run_session_groups(groups, workers=workers, chunk_size=1)
+        results, _ = _flat_per_group(groups)
+        assert grouped.num_jobs == len(results) == 4
+        assert grouped.results == results
+        assert grouped.results[2].num_segments == 4  # the group's config
+        assert not grouped.failures and grouped.cache_hits == 0
+
+    def test_one_group_is_run_session_jobs(self, sweep_context):
+        jobs = make_jobs()
+        assert run_session_groups([(sweep_context, jobs)]).results == (
+            run_session_jobs(sweep_context, jobs).results
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_strict_failures_carry_flat_indices(self, sweep_context,
+                                                    workers):
+        ok = make_jobs(schemes=("ctile",), users=1)[0]
+        groups = [
+            (sweep_context, [ok, dataclasses.replace(
+                ok, key="bad-user", user_index=999)]),
+            (sweep_context, [dataclasses.replace(
+                ok, key="bad-video", video_id=77), ok]),
+        ]
+        grouped = run_session_groups(groups, workers=workers, strict=False)
+        results, failures = _flat_per_group(groups)
+        assert grouped.results == results
+        assert [None if r is None else 1 for r in grouped.results] == [
+            1, None, None, 1,
+        ]
+        assert [(f.job_index, f.key, f.error) for f in grouped.failures] == (
+            failures
+        )
+        assert [f.job_index for f in grouped.failures] == [1, 2]
+
+    def test_strict_raises_like_per_group(self, sweep_context):
+        bad = SessionJob(key="bad", scheme="nope", video_id=2,
+                         network="trace2", user_index=0)
+        groups = [(sweep_context, make_jobs(users=1)), (sweep_context, [bad])]
+        with pytest.raises(RuntimeError, match="nope"):
+            run_session_jobs(*groups[1])
+        with pytest.raises(RuntimeError, match="job 2 'bad'.*nope"):
+            run_session_groups(groups)
 
 
 class TestContextSlicing:

@@ -12,6 +12,7 @@ warmed manifest changes nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -169,6 +170,29 @@ def test_cold_run_draws_each_noise_key_once(
     # One draw per region, not one per (quality, frame rate) version.
     assert 0 < in_session <= len(drawn)
     assert len(drawn) == len(set(drawn))
+
+
+def test_size_tensor_memo_keys_on_the_tile_set(video2, ptiles2):
+    """Equal geometries share one tensor whichever object carries them; a
+    same-index Ptile with other tiles gets its own."""
+    manifest = VideoManifest(video2, EncoderModel())
+    tables = PlanTables(tuple(manifest), DEFAULT_LADDER.rates(),
+                        manifest.fps, QualityModel())
+    ptile = next(p for sp in ptiles2 for p in sp.ptiles if p.n_tiles > 1)
+    twin = pickle.loads(pickle.dumps(ptile))
+    assert twin == ptile and twin.tiles is not ptile.tiles
+    assert tables.sizes_for(twin) is tables.sizes_for(ptile)
+    other = dataclasses.replace(ptile, tiles=ptile.tiles - {min(ptile.tiles)})
+    assert other.region_key == ptile.region_key
+    assert twin.tile_mask == ptile.tile_mask != other.tile_mask
+    tensor = tables.sizes_for(other)
+    assert tensor is not tables.sizes_for(ptile)
+    fresh = PlanTables(tuple(manifest), DEFAULT_LADDER.rates(),
+                       manifest.fps, QualityModel())
+    assert np.array_equal(tensor, fresh.sizes_for(other))
+    assert not np.array_equal(tensor, tables.sizes_for(ptile))
+    # The mask is derived state: a pickled Ptile keeps its bytes.
+    assert "tile_mask" not in ptile.__getstate__()
 
 
 def test_frame_levels_and_rungs_share_formula_entries(manifest2):
