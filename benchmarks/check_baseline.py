@@ -46,13 +46,6 @@ from pathlib import Path
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
 
 
-def _mean(report: dict, name: str) -> float:
-    for bench in report["benchmarks"]:
-        if bench["name"] == name:
-            return float(bench["stats"]["mean"])
-    raise KeyError(f"benchmark {name!r} missing from report")
-
-
 def _extra(report: dict, name: str, key: str) -> float:
     for bench in report["benchmarks"]:
         if bench["name"] == name:
@@ -63,9 +56,8 @@ def _extra(report: dict, name: str, key: str) -> float:
 def extract_metrics(report: dict) -> dict[str, float]:
     """Derive the baseline-tracked metrics from a benchmark report."""
     return {
-        "mpc_batch_speedup": (
-            _mean(report, "test_mpc_choose_single")
-            / _mean(report, "test_mpc_choose_batch")
+        "mpc_batch_speedup": _extra(
+            report, "test_mpc_choose_batch", "mpc_batch_speedup"
         ),
         "warm_prep_speedup": _extra(
             report, "test_content_prep_cold_vs_warm", "warm_speedup"

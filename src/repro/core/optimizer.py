@@ -13,7 +13,10 @@ apply the first decision, slide the window.  The DP's Bellman equation::
 
     U*(B_i, v_i, f_i) = min_{v,f} { U*(B_{i-1}, v_{i-1}, f_{i-1}) + E(T_i^{v,f}) }
 
-runs in O(H * V * F) per chosen buffer state.
+runs in O(H * V * F) per chosen buffer state.  Each step reduces only
+its live candidates — feasible versions out of reached buffer states —
+into per-(request, target state) slots by scatter-min, in the scalar
+scan's order, so ties break exactly as in the scalar DP.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from ..power.models import TilingScheme
 
 __all__ = ["MpcConfig", "MpcWindow", "MpcDecision", "EnergyQoEMpc"]
 
-# Rows per dense DP pass.  The pass works on (rows, S, S * J) arrays, so
-# a population step stacking thousands of sessions is solved in blocks
-# of this many rows to bound the working set.
-_BLOCK_ROWS = 64
+# Rows per DP pass.  A pass lays its window out as (H, rows * S * J)
+# candidate arrays and scatters each step's live candidates into
+# rows * S slots, so a population step stacking thousands of sessions
+# is solved in blocks of this many rows to bound that working set.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -125,13 +129,15 @@ class EnergyQoEMpc:
     """Solves the horizon problem of Eq. 8 by buffer-state DP.
 
     :meth:`choose_batch` is the one solver: it runs B same-shape
-    windows through a dense vectorized DP, in blocks of at most 64
-    rows, with every per-(v, f) download time and Eq. 1 energy computed
-    as one numpy pass and the per-frame-rate decode/render energies
-    cached across calls.  :meth:`choose` is its one-row form.  Each
-    decision is bit-identical — including tie-breaking — to the
-    original scalar per-(state, version) dynamic program, which the
-    test suite keeps as the parity oracle.
+    windows through a vectorized DP, in blocks of at most
+    ``_BLOCK_ROWS`` rows.  Every per-(v, f) download time, Eq. 1
+    energy, feasibility test and target state is computed once per
+    window, the per-frame-rate decode/render energies are cached across
+    calls, and each step reduces only its live candidates (feasible
+    versions out of reached states) by scatter-min.  :meth:`choose` is
+    its one-row form.  Each decision is bit-identical — including
+    tie-breaking — to the original scalar per-(state, version) dynamic
+    program, which the test suite keeps as the parity oracle.
     """
 
     def __init__(self, energy_model: EnergyModel, config: MpcConfig = MpcConfig()):
@@ -162,7 +168,7 @@ class EnergyQoEMpc:
         bandwidths_mbps: np.ndarray,
         buffers_s: np.ndarray,
     ) -> list[MpcDecision]:
-        """Solve B same-shape windows by the dense DP.
+        """Solve B same-shape windows by the live-candidate DP.
 
         ``sizes_mbit`` and ``qoe`` are stacked ``(B, H, V, F)`` tensors
         (one :class:`MpcWindow` per batch row, all sharing one
@@ -175,14 +181,16 @@ class EnergyQoEMpc:
         *order-exact*: the scalar scan resolves equal-cost ties by dict
         insertion order (first state reaching a buffer level owns its
         slot until strictly beaten, and the final ``min`` keeps the
-        earliest inserted state among equals).  The dense pass carries
-        that order explicitly as an integer rank per (request, state):
-        candidate keys ``rank * J + j`` reproduce the (state insertion,
-        version index) scan order, winners take the minimal key among
-        equal-minimal costs, and next-step ranks are assigned by each
-        state's first-reach key.  Ties between float-identical paths —
-        common when consecutive segments share size tables — therefore
-        break exactly as in the scalar scan.
+        earliest inserted state among equals).  The solver keeps that
+        order implicitly: each step generates its candidates from the
+        reached states sorted by first-reach position, then by version,
+        so a candidate's position in its step is its scalar scan key.
+        Each slot's winner is the first position among its
+        equal-minimal costs, the next step's state order is each slot's
+        first-reach position, and the final state is the earliest
+        reached among equal-minimal costs.  Ties between float-identical
+        paths — common when consecutive segments share size tables —
+        therefore break exactly as in the scalar scan.
         """
         sizes = np.asarray(sizes_mbit, dtype=float)
         qo_all = np.asarray(qoe, dtype=float)
@@ -226,7 +234,7 @@ class EnergyQoEMpc:
         bandwidths: np.ndarray,
         buffers: np.ndarray,
     ) -> list[MpcDecision]:
-        """The dense DP over one validated block of rows."""
+        """The live-candidate DP over one validated block of rows."""
         batch = sizes.shape[0]
         cfg = self.config
         horizon = min(sizes.shape[1], cfg.horizon)
@@ -234,153 +242,147 @@ class EnergyQoEMpc:
         f_count = sizes.shape[3]
         n_versions = v_count * f_count
         num_states = cfg.num_states
+        n_slots = batch * num_states
         levels = cfg.state_levels()
         seg_s = cfg.segment_seconds
         gran = cfg.buffer_granularity_s
         trans_w = self.energy_model.device.transmission_mw * 1e-3
 
+        # Everything that depends only on the window — each candidate's
+        # energy, feasibility and target — is laid out once, step-major
+        # as (H, B, S, J), so step h reads flat rows of (H, B*S*J)
+        # arrays at candidate c = (b * S + state) * J + version.
         bw = bandwidths * cfg.bandwidth_safety
         # Same elementwise ops as the scalar reference, broadcast over B.
-        dl = sizes[:, :horizon] / bw[:, None, None, None]  # (B, H, V, F)
+        dl = np.divide(
+            sizes[:, :horizon].transpose(1, 0, 2, 3), bw[:, None, None],
+            order="C",
+        )  # (H, B, V, F)
         decode_j, render_j = self._rate_energies(frame_rates)
         energy = trans_w * dl + decode_j + render_j
-        qo = qo_all[:, :horizon]
+        qo = qo_all[:, :horizon].transpose(1, 0, 2, 3)
 
-        en_flat = energy.reshape(batch, horizon, 1, n_versions)
-        dl_flat = dl.reshape(batch, horizon, 1, n_versions)
-        qo_flat = qo.reshape(batch, horizon, 1, n_versions)
+        dl_flat = dl.reshape(horizon, batch, 1, n_versions)
         level_col = levels[:, None]  # (S, 1)
-        b_idx = np.arange(batch)
-        j_idx = np.arange(n_versions, dtype=np.int32)
-        big_key = np.int32(num_states * n_versions)  # > any rank * J + j
-        # ``np.where`` and masked (``where=``) reductions are an order
-        # of magnitude slower than plain ufuncs on the (B, S, S*J)
-        # working set, so masking is done arithmetically: excluded
-        # entries get a huge additive penalty and plain min/argmin do
-        # the selection.  Unreached states therefore carry the finite
-        # sentinel BIG instead of inf (penalties must compose by
-        # addition without producing nan); any cost at or above REACHED
-        # means "not a real path".  Real path energies are bounded far
-        # below REACHED for any physical input, and reached costs are
-        # exact because masking only ever adds 0.0 to live entries.
-        BIG = 1e300
-        REACHED = 1e250
-
-        # Everything that depends only on the window — the feasible
-        # versions and target state of every (step, state, version) —
-        # is computed for the whole horizon up front; the step loop
-        # below only carries costs and scan order.
-        # vm: highest bitrate sustainable at the top frame rate.
-        cap = np.minimum(seg_s, levels)  # (S,)
-        sustain = dl[..., f_count - 1, None] <= cap  # (B, H, V, S)
-        has_vm = sustain.any(axis=2)  # (B, H, S)
-        vm = np.where(
-            has_vm, v_count - np.argmax(sustain[:, :, ::-1], axis=2), 0
-        )
-        vm_row = np.maximum(vm - 1, 0)  # row 0 doubles as the vm==0 floor
-        floor = (1.0 - cfg.qoe_tolerance) * np.take_along_axis(
-            qo[..., f_count - 1], vm_row, axis=2
-        )
+        j_idx = np.arange(n_versions)
+        # vm: highest bitrate sustainable at the top frame rate (0: none).
+        sustain = dl[..., f_count - 1, None] <= np.minimum(seg_s, levels)
+        vm = (sustain * np.arange(1, v_count + 1)[:, None]).max(axis=2)
+        has_vm = vm > 0  # (H, B, S)
+        # Row 0 doubles as the vm == 0 floor.
+        top_qo = qo[..., f_count - 1].ravel()  # (H * B * V,)
+        hb_base = np.arange(0, top_qo.size, v_count).reshape(horizon, batch, 1)
+        floor = (1.0 - cfg.qoe_tolerance) * top_qo[
+            hb_base + np.maximum(vm - 1, 0)
+        ]
         has_vm4 = has_vm[..., None]
         feasible = (
             ((dl_flat <= level_col) & has_vm4)
             | ((j_idx < f_count) & ~has_vm4)
-        ) & (qo_flat >= floor[..., None])  # (B, H, S, J)
+        ) & (
+            qo.reshape(horizon, batch, 1, n_versions) >= floor[..., None]
+        )  # (H, B, S, J)
         # vm > 0 with nothing feasible: (vm, top f) fallback.
         need_fb = has_vm & ~feasible.any(axis=3)
         if need_fb.any():
-            fb_b, fb_h, fb_s = np.nonzero(need_fb)
-            feasible[fb_b, fb_h, fb_s,
-                     (vm[fb_b, fb_h, fb_s] - 1) * f_count + f_count - 1] = True
+            fb_h, fb_b, fb_s = np.nonzero(need_fb)
+            feasible[fb_h, fb_b, fb_s,
+                     (vm[fb_h, fb_b, fb_s] - 1) * f_count + f_count - 1] = True
+        feasible = feasible.reshape(horizon, -1)  # (H, B * S * J)
+        # Target slot b * S + state of every candidate, scalar-snap
+        # semantics (int(round(x)) == np.rint(x), both half to even),
+        # computed in place.  No clip: 0 < capped <= threshold snaps
+        # into 0 .. S-1.
+        capped = level_col - dl_flat
+        np.maximum(capped, 0.0, out=capped)
+        capped += seg_s
+        np.minimum(capped, cfg.buffer_threshold_s, out=capped)
+        capped /= gran
+        slots = np.rint(capped, out=capped).astype(np.int64)
+        row_base = np.arange(0, n_slots, num_states)  # b * S
+        slots += row_base[:, None, None]
+        slots = slots.reshape(horizon, -1)
+        energies = energy.reshape(horizon, batch, 1, n_versions).repeat(
+            num_states, axis=2
+        ).reshape(horizon, -1)
 
-        # Target state per (step, state, version), scalar-snap semantics;
-        # infeasible candidates target the sink ``num_states``, so they
-        # reach no real state.  One-hot along a target-major
-        # (B, H, S_target, S*J) axis, each step then reduces over the
-        # contiguous candidate axis with plain min/argmin.  Arithmetic
-        # masking: non-hits get +BIG on their cost and +big_key on their
-        # scan key, which keeps every live entry bit-exact
-        # (x + 0.0 == x) while pushing dead ones past any real value.
-        next_level = np.maximum(level_col - dl_flat, 0.0) + seg_s
-        capped = np.minimum(next_level, cfg.buffer_threshold_s)
-        target = np.clip(
-            np.rint(capped / gran).astype(np.int64), 0, num_states - 1
-        )
-        target[~feasible] = num_states
-        target = target.reshape(batch, horizon, 1, -1)
-        t_range = np.arange(num_states)[:, None]
-
-        # int(round(x)) == np.rint(x): both round half to even.  Clip
+        # Per slot b * S + state: the best cost (inf: unreached) and the
+        # flat j of the h = 0 decision on the best path into it.  Clip
         # before the integer cast so huge buffers snap to the top state.
-        start = np.clip(
-            np.rint(buffers / gran), 0, num_states - 1
+        start = row_base + np.minimum(
+            np.maximum(np.rint(buffers / gran), 0), num_states - 1
         ).astype(np.int64)
-        costs = np.full((batch, num_states), BIG)
-        costs[b_idx, start] = 0.0
-        # rank[b, s] = insertion order of state s in the scalar DP's
-        # dict (num_states = never inserted); first_dec[b, s] = flat j
-        # of the h=0 decision on the best path into s.
-        rank = np.full((batch, num_states), num_states, dtype=np.int64)
-        rank[b_idx, start] = 0
-        first_dec = np.full((batch, num_states), -1, dtype=np.int64)
+        unreached = np.full(n_slots, np.inf)
+        costs = unreached.copy()
+        costs[start] = 0.0
+        first = None
+        # The reached slots, row-major and within a row in the scalar
+        # DP's dict insertion order.  Generating candidates from them
+        # in that order makes a candidate's position its scan key: the
+        # scalar scan meets candidates in (row, insertion, j) order.
+        live = start
+        n_cand = batch * num_states * n_versions  # > any scan position
+        positions = np.arange(n_cand)
+        unset = np.full(n_slots, n_cand)
 
         for h in range(horizon):
-            # Candidates out of unreached states need no mask: their
-            # cost already carries BIG, and their scan key is above
-            # every reached state's (ranks order reached states first).
-            flat_tot = (costs[:, :, None] + en_flat[:, h]).reshape(batch, 1, -1)
-            flat_key = (rank[:, :, None] * n_versions + j_idx).reshape(
-                batch, 1, -1
-            )
-            miss = target[:, h] != t_range  # (B, S, S*J)
-            masked_tot = flat_tot + miss * BIG
-            new_costs = masked_tot.min(axis=2)  # (B, S)
-            # Winner = minimal scan key among equal-minimal costs (the
-            # scalar strict-< update keeps the first one).  Equality
-            # with new_costs already implies "hit and minimal": missed,
-            # infeasible or unreached entries sit at least BIG above
-            # any real cost.
-            not_best = masked_tot != new_costs[:, :, None]
-            winner = (flat_key + not_best * big_key).argmin(axis=2)  # (B, S)
-            reached = new_costs < REACHED
-            # Candidate c = state * J + j.
-            if h == 0:
-                new_first = np.where(reached, winner % n_versions, -1)
-            else:
-                new_first = np.where(
-                    reached,
-                    first_dec[b_idx[:, None], winner // n_versions],
-                    -1,
-                )
-            # Insertion order = first candidate reaching t at all.
-            # Reached targets rank first; unreached ones follow in some
-            # arbitrary order, which is fine: their ranks only ever
-            # label states whose candidates never win.
-            reach_key = (flat_key + miss * big_key).min(axis=2)
-            # The inverse of the sorting permutation: rank[b, t] is t's
-            # position in reach_key order.
-            rank = reach_key.argsort(axis=1, kind="stable").argsort(axis=1)
-            costs, first_dec = new_costs, new_first
+            cand = (live[:, None] * n_versions + j_idx).ravel()
+            cand = cand[feasible[h, cand]]
+            source = cand // n_versions
+            total = costs[source] + energies[h, cand]
+            target = slots[h, cand]
+            new_costs = unreached.copy()
+            np.minimum.at(new_costs, target, total)
+            # Winner = the first candidate in scan order among a slot's
+            # equal-minimal costs (the scalar strict-< update keeps it).
+            best = (total == new_costs[target]).nonzero()[0]
+            win = unset.copy()
+            np.minimum.at(win, target[best], best)
+            # Insertion order = the first candidate reaching a slot at
+            # all, whatever its cost.
+            reach = unset.copy()
+            np.minimum.at(reach, target, positions[:target.size])
 
+            won = (win < n_cand).nonzero()[0]
+            winner = win[won]
+            # Read only at won slots: a NaN-cost slot is reached but
+            # never wins, and the final best state always won.
+            new_first = np.zeros(n_slots, dtype=np.int64)
+            if h == 0:
+                new_first[won] = cand[winner] % n_versions
+            else:
+                new_first[won] = first[source[winner]]
+            costs, first = new_costs, new_first
+            # Rows own ascending position blocks, so one sort of the
+            # first-reach positions orders the next step's sources by
+            # row, then insertion; unreached slots sort last.
+            live = reach.argsort(kind="stable")[
+                :np.count_nonzero(reach < n_cand)
+            ]
+
+        costs = costs.reshape(batch, num_states)
         best_cost = costs.min(axis=1)
-        if not np.all(best_cost < REACHED):
+        # Costs this large mean the energy model overflowed the path
+        # (e.g. an absurd segment length): no real plan exists.
+        if not np.all(best_cost < 1e250):
             raise ValueError("no feasible version sequence for some request")
         # Final min over dict iteration order: earliest-inserted state
         # among equal-minimal costs.
         best_state = np.where(
-            costs == best_cost[:, None], rank, num_states + 1
+            costs == best_cost[:, None], reach.reshape(batch, num_states),
+            n_cand,
         ).argmin(axis=1)
-        first = first_dec[b_idx, best_state]
-        quality = first // f_count + 1
-        rate_idx = first % f_count + 1
+        quality, rate_idx = np.divmod(first[row_base + best_state], f_count)
         return [
             MpcDecision(
-                quality=int(quality[b]),
-                frame_rate_index=int(rate_idx[b]),
-                frame_rate=frame_rates[int(rate_idx[b]) - 1],
-                planned_energy_j=float(best_cost[b]),
+                quality=v + 1,
+                frame_rate_index=f + 1,
+                frame_rate=frame_rates[f],
+                planned_energy_j=energy_j,
             )
-            for b in range(batch)
+            for v, f, energy_j in zip(
+                quality.tolist(), rate_idx.tolist(), best_cost.tolist()
+            )
         ]
 
     # ------------------------------------------------------------------

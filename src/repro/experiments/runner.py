@@ -451,14 +451,14 @@ def run_session_groups(
     Each group's context is sliced to the videos its jobs reference, and
     one pool (``workers`` > 1) receives every group's slice once.
 
-    With a ``results`` store, each job is keyed by its group's shard key
-    (the digest of that group's context sliced to the job's video) and
-    its own job digest, so a key names the same session in any group.
-    Each shard is read once, with every distinct key it serves; hits
-    skip execution, each distinct missing key runs once and fills every
-    slot that shares it, and each shard takes one merge of its fresh
+    Each job is keyed by its group's shard key (the digest of that
+    group's context sliced to the job's video) and its own job digest,
+    so a key names the same session in any group; each distinct key
+    runs once and fills every slot that shares it.  With a ``results``
+    store, each shard is read once, with every distinct key it serves;
+    hits skip execution, and each shard takes one merge of its fresh
     results.  A warm re-run is thus pure deserialization while staying
-    byte-identical to an uncached one.  Without a store every job runs.
+    byte-identical to an uncached one.
     """
     start = time.perf_counter()
     # Ship only the videos each group's jobs reference; each worker's
@@ -469,37 +469,36 @@ def run_session_groups(
     ]
     flat = [(g, job) for g, (_, jobs) in enumerate(groups) for job in jobs]
     merged: list[Any] = [None] * len(flat)
-    # Distinct executions, each with the flat slots it fills and, with a
-    # store, the (shard key, job digest) it is merged under.
-    pending: list[tuple[list[int], tuple[str, str] | None]]
-    if results is None:
-        pending = [([i], None) for i in range(len(flat))]
-    else:
-        pending = []
-        shard_keys = [
-            {
-                video_id: results_shard_key(
-                    sweep_context_digest(context.slice({video_id})), video_id
-                )
-                for video_id in dict.fromkeys(job.video_id for job in jobs)
-            }
-            for context, jobs in groups
-        ]
-        rows: dict[str, dict[str, list[int]]] = {}  # shard -> digest -> slots
-        for i, (g, job) in enumerate(flat):
-            rows.setdefault(shard_keys[g][job.video_id], {}).setdefault(
-                session_job_digest(job), []
-            ).append(i)
-        for shard_key, slots_of in rows.items():
-            digests = list(slots_of)
-            hits = results.get_results_batch(shard_key, digests)
-            for digest, hit in zip(digests, hits):
-                if hit is None:
-                    pending.append((slots_of[digest], (shard_key, digest)))
-                else:
-                    for i in slots_of[digest]:
-                        merged[i] = hit
-        pending.sort(key=lambda entry: entry[0][0])  # run in job order
+    shard_keys = [
+        {
+            video_id: results_shard_key(
+                sweep_context_digest(context.slice({video_id})), video_id
+            )
+            for video_id in dict.fromkeys(job.video_id for job in jobs)
+        }
+        for context, jobs in groups
+    ]
+    rows: dict[str, dict[str, list[int]]] = {}  # shard -> digest -> slots
+    for i, (g, job) in enumerate(flat):
+        rows.setdefault(shard_keys[g][job.video_id], {}).setdefault(
+            session_job_digest(job), []
+        ).append(i)
+    # Distinct executions, each with the flat slots it fills and the
+    # (shard key, job digest) it is merged under.
+    pending: list[tuple[list[int], tuple[str, str]]] = []
+    for shard_key, slots_of in rows.items():
+        digests = list(slots_of)
+        hits = (
+            [None] * len(digests) if results is None
+            else results.get_results_batch(shard_key, digests)
+        )
+        for digest, hit in zip(digests, hits):
+            if hit is None:
+                pending.append((slots_of[digest], (shard_key, digest)))
+            else:
+                for i in slots_of[digest]:
+                    merged[i] = hit
+    pending.sort(key=lambda entry: entry[0][0])  # run in job order
     run = _execute_sweep(
         _GroupRunner(tuple(context for context, _ in groups)),
         [flat[slots[0]] for slots, _ in pending],
@@ -518,7 +517,7 @@ def run_session_groups(
                 failures.append(JobFailure(
                     flat[i][1].key, i, failure.error, failure.traceback
                 ))
-        if failure is None and row is not None:
+        if failure is None and results is not None:
             fresh.setdefault(row[0], {})[row[1]] = run.results[position]
     for shard_key, entries in fresh.items():
         results.merge_shard(shard_key, entries)

@@ -24,8 +24,9 @@ VIEWPORT_CACHE_CAP = 1 << 16
 
 A long-running decision service sees an unbounded stream of distinct
 viewports on the shared :data:`DEFAULT_GRID`; clearing at a fixed cap
-keeps the memo's memory flat (about 64 MB at the cap) while a sweep's
-working set stays far below it."""
+keeps the memo's memory flat (about 70 MB at the cap: each entry holds
+the tile set and its bitmask) while a sweep's working set stays far
+below it."""
 
 _DERIVED_FIELDS = ("_col_bounds", "_row_bounds", "_tile_objs", "_tile_set")
 
@@ -191,6 +192,16 @@ class TileGrid:
         Ptile's overlap test, so the geometry sweep repeats many times
         per segment.  The returned frozenset must not be mutated.
         """
+        return self._viewport_entry(viewport, min_overlap)[0]
+
+    def viewport_mask(self, viewport: Viewport, min_overlap: float = 0.1) -> int:
+        """:meth:`viewport_tiles` as an integer bitmask (bit
+        ``row * cols + col``), read from the same memo entry."""
+        return self._viewport_entry(viewport, min_overlap)[1]
+
+    def _viewport_entry(
+        self, viewport: Viewport, min_overlap: float
+    ) -> tuple[frozenset[Tile], int]:
         cache_key = (viewport, min_overlap)
         cache = self._viewport_cache
         cached = cache.get(cache_key)
@@ -206,9 +217,13 @@ class TileGrid:
                 tile = tiles[row][col]
                 overlap_by_tile[tile] = overlap_by_tile.get(tile, 0.0) + area
         threshold = min_overlap * (self.tile_width * self.tile_height)
-        result = frozenset(
+        covered = [
             tile for tile, area in overlap_by_tile.items() if area > threshold
-        )
+        ]
+        mask = 0
+        for tile in covered:
+            mask |= 1 << (tile.row * self.cols + tile.col)
+        result = (frozenset(covered), mask)
         if len(cache) >= VIEWPORT_CACHE_CAP:
             cache.clear()
         cache[cache_key] = result

@@ -115,14 +115,15 @@ class Ptile:
 
     def contains(self, yaw: float, pitch: float) -> bool:
         """Whether a viewing direction falls inside the Ptile."""
-        return self.grid.tile_at(yaw, pitch) in self.tiles
+        tile = self.grid.tile_at(yaw, pitch)
+        return bool(self.tile_mask >> (tile.row * self.grid.cols + tile.col) & 1)
 
     def viewport_overlap(self, viewport: Viewport) -> float:
         """Fraction of the viewport's tiles that the Ptile covers."""
-        fov_tiles = self.grid.viewport_tiles(viewport)
-        if not fov_tiles:
+        fov = self.grid.viewport_mask(viewport)
+        if not fov:
             return 0.0
-        return len(fov_tiles & self.tiles) / len(fov_tiles)
+        return (fov & self.tile_mask).bit_count() / fov.bit_count()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The scalar reference DP for Eq. 8: the parity oracle of the MPC.
 
-Production solves every MPC window with the dense
+Production solves every MPC window with the batched
 :meth:`~repro.core.optimizer.EnergyQoEMpc.choose_batch`.  This module
 keeps the original per-(state, version) dynamic program, written for
 clarity rather than speed, and every MPC parity test compares the

@@ -207,6 +207,28 @@ class TestAblationCli:
         assert pooled == serial
         assert "-- viewport predictor --" in serial
 
+    def test_each_distinct_session_runs_once_without_a_store(
+        self, capsys, monkeypatch
+    ):
+        # Slots are keyed by (shard key, job digest) with or without a
+        # results store: at this scale the sweeps declare 58 session
+        # slots, of which 34 are distinct (video 8's default ``ours``
+        # session alone fills six).
+        from repro.experiments import SweepContext
+
+        jobs = []
+        run_job = SweepContext.run_job
+
+        def counting(self, job):
+            jobs.append(job)
+            return run_job(self, job)
+
+        monkeypatch.setattr(SweepContext, "run_job", counting)
+        assert main(["ablation", "--duration", "30", "--users", "2",
+                     "--workers", "1", "--no-artifact-cache"]) == 0
+        assert "-- viewport predictor --" in capsys.readouterr().out
+        assert len(jobs) == 34
+
     def test_warm_rerun_runs_no_session(self, capsys, monkeypatch,
                                         tmp_path):
         from repro.experiments import SweepContext

@@ -182,7 +182,7 @@ class TestChoice:
 
 
 class TestChooseBatch:
-    """The dense batched DP must be bit-identical to the scalar oracle."""
+    """The batched DP must be bit-identical to the scalar oracle."""
 
     @staticmethod
     def _windows(rng, batch, horizon):

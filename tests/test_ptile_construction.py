@@ -153,3 +153,80 @@ class TestBuildVideoPtiles:
     def test_requires_traces(self, video2):
         with pytest.raises(ValueError):
             build_video_ptiles(video2, [], DEFAULT_GRID)
+
+
+def _match_by_sets(segment, viewport, min_overlap=0.5):
+    """``SegmentPtiles.match`` written over ``frozenset[Tile]``s."""
+    if not segment.ptiles:
+        return None
+    grid = segment.ptiles[0].grid
+    fov = grid.viewport_tiles(viewport)
+
+    def overlap(ptile):
+        return len(fov & ptile.tiles) / len(fov) if fov else 0.0
+
+    best = max(segment.ptiles, key=lambda p: (overlap(p), -p.index))
+    if grid.tile_at(viewport.yaw, viewport.pitch) in best.tiles:
+        return best
+    if overlap(best) >= min_overlap:
+        return best
+    return None
+
+
+class TestMaskedOverlap:
+    """``Ptile.contains``/``viewport_overlap`` answer from integer tile
+    masks; they must agree with the set form on recorded viewports."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, small_dataset, ptiles2, ptiles8):
+        cases = []
+        for vid, segments in ((2, ptiles2), (8, ptiles8)):
+            for trace in small_dataset.test_traces(vid):
+                for step in range(10 * len(segments)):
+                    t = step / 10
+                    cases.append((segments[int(t)], trace.viewport_at(t)))
+        assert len(cases) >= 2000
+        return cases
+
+    def test_match_equals_set_form(self, recorded):
+        matched = 0
+        for segment, vp in recorded:
+            got = segment.match(vp)
+            assert got is _match_by_sets(segment, vp)
+            matched += got is not None
+            fov = DEFAULT_GRID.viewport_tiles(vp)
+            tile = DEFAULT_GRID.tile_at(vp.yaw, vp.pitch)
+            for ptile in segment.ptiles:
+                assert ptile.viewport_overlap(vp) == (
+                    len(fov & ptile.tiles) / len(fov)
+                )
+                assert ptile.contains(vp.yaw, vp.pitch) is (tile in ptile.tiles)
+        assert 0 < matched < len(recorded)
+
+    def test_match_compares_no_tiles(self, recorded, monkeypatch):
+        calls = [0]
+        tile_eq = Tile.__eq__
+
+        def counting_eq(self, other):
+            calls[0] += 1
+            return tile_eq(self, other)
+
+        monkeypatch.setattr(Tile, "__eq__", counting_eq)
+        for segment, vp in recorded:
+            _match_by_sets(segment, vp)
+        by_sets = calls[0]
+        calls[0] = 0
+        for segment, vp in recorded:
+            segment.match(vp)
+        assert by_sets > 0
+        assert calls[0] == 0
+
+    def test_viewport_mask_is_the_memoized_tile_set(self, recorded):
+        grid = DEFAULT_GRID
+        for _, vp in recorded[:200]:
+            mask = grid.viewport_mask(vp)
+            assert mask == sum(
+                1 << (t.row * grid.cols + t.col)
+                for t in grid.viewport_tiles(vp)
+            )
+        assert grid.__getstate__()["_viewport_cache"] == {}

@@ -27,8 +27,8 @@ from repro.video import EncoderModel
 
 
 @pytest.fixture(scope="module")
-def sweep_context(small_dataset, manifest2, ptiles2, ftiles2,
-                  network_traces, device):
+def sweep_context(small_dataset, manifest2, ptiles2, ftiles2, ptiles2_key,
+                  ftiles2_key, network_traces, device):
     trace1, trace2 = network_traces
     return SweepContext(
         schemes=make_schemes(device),
@@ -39,6 +39,8 @@ def sweep_context(small_dataset, manifest2, ptiles2, ftiles2,
         ptiles={2: ptiles2},
         ftiles={2: ftiles2},
         config=SessionConfig(),
+        ptiles_keys={2: ptiles2_key},
+        ftiles_keys={2: ftiles2_key},
     )
 
 
