@@ -19,7 +19,7 @@ from conftest import run_once, shared_setup
 
 def _plan_contexts():
     """Every segment's PlanContext for one video, as run_session builds
-    them (late-horizon future manifests/Ptiles, full-video manifest)."""
+    them (the video, its Ptiles and the clipped lookahead window)."""
     setup = shared_setup()
     vid = setup.videos[0].meta.video_id
     manifest = setup.manifest(vid)
@@ -28,29 +28,20 @@ def _plan_contexts():
     config = setup.session_config
     contexts = []
     for k in range(manifest.num_segments):
-        horizon_end = min(k + config.horizon, manifest.num_segments)
         viewport = head.viewport_at(
             (k + 0.5) * config.segment_seconds, config.fov_deg
         )
         contexts.append(
             PlanContext(
+                video=manifest,
                 segment_index=k,
-                manifest=manifest[k],
                 predicted_viewport=viewport,
                 buffer_s=1.5 + (k % 3) * 0.5,
                 bandwidth_mbps=4.0 + (k % 5) * 2.0,
-                grid=manifest.encoder.grid,
-                fps=manifest.fps,
-                segment_ptiles=ptiles[k],
-                future_manifests=tuple(
-                    manifest[i] for i in range(k, horizon_end)
-                ),
-                future_ptiles=tuple(
-                    ptiles[i] for i in range(k, horizon_end)
-                ),
+                window=min(config.horizon, manifest.num_segments - k),
+                ptiles=ptiles,
                 predicted_speed_deg_s=float(5 + (k % 7) * 4),
                 segment_seconds=config.segment_seconds,
-                video_manifest=manifest,
             )
         )
     return contexts

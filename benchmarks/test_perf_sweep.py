@@ -97,14 +97,17 @@ def test_mpc_choose_batch(benchmark):
 
     def solve():
         return [
-            d
+            mpc.choose_batch(sizes, qoe, rates, bws, bufs)
             for sizes, qoe, bws, bufs in blocks
-            for d in mpc.choose_batch(sizes, qoe, rates, bws, bufs)
         ]
 
-    decisions = benchmark.pedantic(solve, setup=single_round, rounds=_ROUNDS)
+    columns = benchmark.pedantic(solve, setup=single_round, rounds=_ROUNDS)
     batch_s = benchmark.stats["min"]
-    assert decisions == single
+    quality, rate_idx, energy = (np.concatenate(c) for c in zip(*columns))
+    assert list(zip(quality.tolist(), rate_idx.tolist(), energy.tolist())) == [
+        (d.quality - 1, d.frame_rate_index - 1, d.planned_energy_j)
+        for d in single
+    ]
     benchmark.extra_info["rounds"] = _ROUNDS
     benchmark.extra_info["single_s"] = single_s
     benchmark.extra_info["batch_s"] = batch_s

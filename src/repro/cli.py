@@ -588,8 +588,7 @@ def _ablation(args):
         "QoE tolerance": sweep_qoe_tolerance(setup, users=users),
         "frame-rate ladder": sweep_frame_rate_ladder(setup, users=users),
         "bandwidth estimator": sweep_bandwidth_estimator(setup, users=users),
-        "clustering sigma": sweep_clustering_sigma(setup,
-                                                   workers=args.workers),
+        "clustering sigma": sweep_clustering_sigma(setup),
         "edge cache": sweep_edge_cache(setup, users=users),
         "shared edge cache": sweep_shared_cache(
             setup, users=users, tenant_viewers=args.tenant_viewers,

@@ -38,6 +38,7 @@ from ..streaming.schemes import (
     split_wrapped_rect,
 )
 from ..video.framerate import DEFAULT_LADDER, FrameRateLadder
+from ..video.segments import VideoManifest
 from .optimizer import EnergyQoEMpc, MpcConfig
 from .plan_tables import PlanTables, expected_qoe
 
@@ -128,28 +129,26 @@ class OursScheme:
                 plans[i] = self._fallback_plan(ctx)
                 continue
             key = (
-                self._plan_tables(ctx),
-                len(ctx.future_manifests) or 1,
-                ctx.segment_seconds,
+                self._plan_tables(ctx.video), ctx.window, ctx.segment_seconds
             )
             groups.setdefault(key, []).append((i, ctx, selection))
         for (tables, _, seg_s), items in groups.items():
             sizes, qoe = self._windows(tables, [(c, s) for _, c, s in items])
-            decisions = self._mpc(seg_s).choose_batch(
+            v_idx, f_idx, _ = self._mpc(seg_s).choose_batch(
                 sizes, qoe, tables.rates,
                 np.array([ctx.bandwidth_mbps for _, ctx, _ in items]),
                 np.array([ctx.buffer_s for _, ctx, _ in items]),
             )
-            for b, ((i, _, selection), decision) in enumerate(
-                zip(items, decisions)
+            chosen = sizes[np.arange(len(items)), 0, v_idx, f_idx].tolist()
+            for (i, _, selection), v, f, size in zip(
+                items, v_idx.tolist(), f_idx.tolist(), chosen
             ):
                 ptile, coverage, sigma = selection
-                v, f = decision.quality - 1, decision.frame_rate_index - 1
                 plans[i] = DownloadPlan(
                     scheme_name=self.name,
-                    quality=decision.quality,
-                    frame_rate=decision.frame_rate,
-                    total_size_mbit=float(sizes[b, 0, v, f]),
+                    quality=v + 1,
+                    frame_rate=tables.rates[f],
+                    total_size_mbit=size,
                     decode_scheme=TilingScheme.PTILE,
                     hq_rects=split_wrapped_rect(ptile.rect),
                     used_ptile=True,
@@ -210,51 +209,30 @@ class OursScheme:
                     self._mpc_cache[segment_seconds] = mpc
         return mpc
 
-    def _plan_tables(self, ctx: PlanContext) -> PlanTables:
-        """The stacked version tables covering this plan's window.
+    def _plan_tables(self, video: VideoManifest) -> PlanTables:
+        """The stacked version tables of one video, memoized.
 
-        When the context carries the whole video manifest (the session
-        loop always provides it), one :class:`PlanTables` spans every
-        segment and is shared by every plan and session over that video.
-        Contexts built without it (e.g. unit tests driving ``plan()``
-        directly) get tables keyed by the exact window instead.
+        One :class:`PlanTables` spans every segment of the video and is
+        shared by every plan and session over it.
         """
-        rates = self.ladder.rates()
         # The encoding ladder is per-video state carried by the manifest's
         # encoder; one scheme instance may plan the same video under both
         # the fixed and an optimized ladder (the ladder sweep does), so
         # the memo key must separate them.
-        encoding = ctx.manifest.encoder.ladder.digest()
-        video = ctx.video_manifest
-        if video is not None:
-            key = (
-                ctx.manifest.video_id,
-                "video",
-                video.num_segments,
-                ctx.fps,
-                rates,
-                encoding,
-            )
-            return self._tables_for(key, tuple(video), ctx.fps)
-        manifests = ctx.future_manifests or (ctx.manifest,)
         key = (
-            ctx.manifest.video_id,
-            "window",
-            tuple(m.segment_index for m in manifests),
-            ctx.fps,
-            rates,
-            encoding,
+            video[0].video_id,
+            video.num_segments,
+            video.fps,
+            self.ladder.rates(),
+            video.encoder.ladder.digest(),
         )
-        return self._tables_for(key, tuple(manifests), ctx.fps)
-
-    def _tables_for(self, key: tuple, manifests: tuple, fps: float) -> PlanTables:
         tables = self._tables_cache.get(key)
         if tables is None:
             with self._memo_lock:
                 tables = self._tables_cache.get(key)
                 if tables is None:
                     tables = PlanTables(
-                        manifests, self.ladder.rates(), fps,
+                        tuple(video), self.ladder.rates(), video.fps,
                         self.quality_model,
                     )
                     self._tables_cache[key] = tables

@@ -17,6 +17,12 @@ runs in O(H * V * F) per chosen buffer state.  Each step reduces only
 its live candidates — feasible versions out of reached buffer states —
 into per-(request, target state) slots by scatter-min, in the scalar
 scan's order, so ties break exactly as in the scalar DP.
+
+The solver answers in columns: :meth:`EnergyQoEMpc.choose_batch`
+returns the 0-based quality and frame-rate indices and the planned
+energy of every row as arrays, which batch callers index their size,
+rate and energy tables with; :meth:`EnergyQoEMpc.choose` wraps its one
+row as an :class:`MpcDecision`.
 """
 
 from __future__ import annotations
@@ -135,7 +141,8 @@ class EnergyQoEMpc:
     window, the per-frame-rate decode/render energies are cached across
     calls, and each step reduces only its live candidates (feasible
     versions out of reached states) by scatter-min.  :meth:`choose` is
-    its one-row form.  Each decision is bit-identical — including
+    its one-row form and the one place an :class:`MpcDecision` is
+    built.  Each decision is bit-identical — including
     tie-breaking — to the original scalar per-(state, version) dynamic
     program, which the test suite keeps as the parity oracle.
     """
@@ -154,11 +161,18 @@ class EnergyQoEMpc:
         ``window`` holds the current segment first, then up to H-1
         future segments; segments past the horizon are ignored.
         """
-        return self.choose_batch(
+        quality, rate_idx, energy = self.choose_batch(
             window.sizes_mbit[None], window.qoe[None], window.frame_rates,
             np.array([bandwidth_mbps], dtype=float),
             np.array([buffer_s], dtype=float),
-        )[0]
+        )
+        f = int(rate_idx[0])
+        return MpcDecision(
+            quality=int(quality[0]) + 1,
+            frame_rate_index=f + 1,
+            frame_rate=window.frame_rates[f],
+            planned_energy_j=float(energy[0]),
+        )
 
     def choose_batch(
         self,
@@ -167,15 +181,18 @@ class EnergyQoEMpc:
         frame_rates: tuple[float, ...],
         bandwidths_mbps: np.ndarray,
         buffers_s: np.ndarray,
-    ) -> list[MpcDecision]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve B same-shape windows by the live-candidate DP.
 
         ``sizes_mbit`` and ``qoe`` are stacked ``(B, H, V, F)`` tensors
         (one :class:`MpcWindow` per batch row, all sharing one
         frame-rate ladder and horizon length); ``bandwidths_mbps`` and
         ``buffers_s`` are per-request ``(B,)`` vectors.  Returns the
-        per-request decisions in batch order.  Rows never interact, so
-        a row's decision does not depend on the batch it rides in.
+        decisions as ``(B,)`` columns in batch order: the 0-based
+        quality index ``v - 1``, the 0-based frame-rate index ``f - 1``
+        and the planned energy (the DP total over the horizon).  Rows
+        never interact, so a row's decision does not depend on the
+        batch it rides in.
 
         Identity with the scalar reference DP is not just numerical but
         *order-exact*: the scalar scan resolves equal-cost ties by dict
@@ -208,7 +225,8 @@ class EnergyQoEMpc:
         if bandwidths.shape != (batch,) or buffers.shape != (batch,):
             raise ValueError("bandwidths and buffers must be (B,) vectors")
         if batch == 0:
-            return []
+            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                    np.zeros(0))
         # ``not all(x > 0)`` also rejects NaN.
         if not (sizes > 0).all():
             raise ValueError("sizes must be positive")
@@ -217,14 +235,16 @@ class EnergyQoEMpc:
         if not np.isfinite(buffers).all():
             raise ValueError("buffer levels must be finite")
 
-        decisions: list[MpcDecision] = []
+        blocks = []
         for lo in range(0, batch, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            decisions += self._solve_block(
+            blocks.append(self._solve_block(
                 sizes[lo:hi], qo_all[lo:hi], frame_rates,
                 bandwidths[lo:hi], buffers[lo:hi],
-            )
-        return decisions
+            ))
+        if len(blocks) == 1:
+            return blocks[0]
+        return tuple(np.concatenate(column) for column in zip(*blocks))
 
     def _solve_block(
         self,
@@ -233,7 +253,7 @@ class EnergyQoEMpc:
         frame_rates: tuple[float, ...],
         bandwidths: np.ndarray,
         buffers: np.ndarray,
-    ) -> list[MpcDecision]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The live-candidate DP over one validated block of rows."""
         batch = sizes.shape[0]
         cfg = self.config
@@ -373,17 +393,7 @@ class EnergyQoEMpc:
             n_cand,
         ).argmin(axis=1)
         quality, rate_idx = np.divmod(first[row_base + best_state], f_count)
-        return [
-            MpcDecision(
-                quality=v + 1,
-                frame_rate_index=f + 1,
-                frame_rate=frame_rates[f],
-                planned_energy_j=energy_j,
-            )
-            for v, f, energy_j in zip(
-                quality.tolist(), rate_idx.tolist(), best_cost.tolist()
-            )
-        ]
+        return quality, rate_idx, best_cost
 
     # ------------------------------------------------------------------
 

@@ -196,7 +196,7 @@ class PlanTables:
         :meth:`sizes_for` tensors, copying the same table entries a
         row-by-row assembly would.
         """
-        width = len(_window_manifests(items[0][0]))
+        width = items[0][0].window
         batch = len(items)
         rows = np.empty((batch, width), dtype=np.intp)
         geom = np.empty((batch, width), dtype=np.intp)
@@ -204,12 +204,11 @@ class PlanTables:
         tensors: list[np.ndarray] = []
         tensor_slot: dict[int, int] = {}
         for b, (ctx, ptile) in enumerate(items):
-            manifests = _window_manifests(ctx)
-            if len(manifests) != width:
+            if ctx.window != width:
                 raise ValueError("windows() needs one window length")
             speed = max(ctx.predicted_speed_deg_s, 0.0)
             chosen = window_ptiles(ctx, ptile)
-            for offset, manifest in enumerate(manifests):
+            for offset, manifest in enumerate(ctx.window_manifests):
                 # sizes_for memoizes per geometry, so tensor identity is
                 # a stable geometry id within this call.
                 tensor = self.sizes_for(chosen[offset])
@@ -240,10 +239,6 @@ class PlanTables:
         return MpcWindow(sizes_mbit=sizes[0], qoe=qoe[0], frame_rates=self.rates)
 
 
-def _window_manifests(ctx) -> tuple[SegmentManifest, ...]:
-    return ctx.future_manifests or (ctx.manifest,)
-
-
 def window_ptiles(ctx, ptile: Ptile) -> list[Ptile]:
     """The Ptile serving each lookahead offset of ``ctx``'s MPC window.
 
@@ -253,10 +248,8 @@ def window_ptiles(ctx, ptile: Ptile) -> list[Ptile]:
     know better).
     """
     viewport = ctx.predicted_viewport
-    future = ctx.future_ptiles
     chosen = [ptile]
-    for offset in range(1, len(_window_manifests(ctx))):
-        segment = future[offset] if offset < len(future) else None
+    for segment in ctx.window_segment_ptiles[1:]:
         matched = segment.match(viewport) if segment is not None else None
         chosen.append(ptile if matched is None else matched)
     return chosen

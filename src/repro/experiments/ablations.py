@@ -64,7 +64,7 @@ from ..streaming.schemes import (
 from ..streaming.session import SessionConfig
 from ..video.framerate import FrameRateLadder
 from .artifacts import ArtifactStore, ptiles_key
-from .runner import SessionJob, SweepContext, parallel_map, run_session_groups
+from .runner import SessionJob, SweepContext, run_session_groups
 from .setup import ExperimentSetup
 
 __all__ = [
@@ -347,48 +347,38 @@ def sweep_bandwidth_estimator(
     return points
 
 
-def _sigma_point_task(item: tuple):
-    """Build one sigma point's Ptiles (any process), via the store."""
-    video, train, grid, sigma, store_root = item
-    config = PtileConfig(sigma=sigma, delta=sigma / 4.0)
-    store = ArtifactStore(store_root) if store_root is not None else None
-    key = None
-    if store is not None:
-        key = ptiles_key(video, train, grid, config)
-        got = store.get("ptiles", key)
-        if got is not None:
-            return got
-    ptiles = build_video_ptiles(video, train, grid, config)
-    if store is not None:
-        store.put("ptiles", key, ptiles)
-    return ptiles
-
-
 def sweep_clustering_sigma(
     setup: ExperimentSetup,
     sigma_factors: tuple[float, ...] = (0.5, 1.0, 2.0),
     video_id: int = 8,
-    workers: int | None = 1,
 ) -> list[AblationPoint]:
     """Ptile construction versus the cluster size bound sigma.
 
     Reports the Fig. 7-style statistics: mean Ptiles per segment, user
     coverage, and the mean Ptile area (the energy proxy the bound
-    controls).  The per-sigma Algorithm 1 builds are independent, so
-    they fan out across the runner pool (``workers``: 1 = serial, 0 =
-    auto-detect), and each sigma point shares ``setup.artifacts`` —
+    controls).  The per-sigma Algorithm 1 builds run serially (at
+    ``repro-360 ablation`` scale a process pool costs more than the
+    three builds), and each sigma point shares ``setup.artifacts`` —
     every (sigma, delta) resolves to its own content key, so a repeated
     sweep deserializes instead of re-clustering.
     """
     video = setup.dataset.video(video_id)
     train = setup.dataset.train_traces(video_id)
     traces = setup.dataset.traces[video_id]
-    store_root = setup.artifacts.root if setup.artifacts is not None else None
+    store = setup.artifacts
     sigmas = [setup.grid.tile_width * factor for factor in sigma_factors]
-    items = [
-        (video, train, setup.grid, sigma, store_root) for sigma in sigmas
-    ]
-    built = parallel_map(_sigma_point_task, items, workers=workers).results
+    built = []
+    for sigma in sigmas:
+        config = PtileConfig(sigma=sigma, delta=sigma / 4.0)
+        ptiles = key = None
+        if store is not None:
+            key = ptiles_key(video, train, setup.grid, config)
+            ptiles = store.get("ptiles", key)
+        if ptiles is None:
+            ptiles = build_video_ptiles(video, train, setup.grid, config)
+            if store is not None:
+                store.put("ptiles", key, ptiles)
+        built.append(ptiles)
 
     points = []
     for sigma, ptiles in zip(sigmas, built):

@@ -2,13 +2,11 @@
 
 :class:`ServiceClient` implements the session download seam
 (:class:`~repro.streaming.schemes.StreamingScheme`): hand it to
-``run_session`` — or to the population engine via
-``decision_client=`` — and every plan decision is sourced from the
-service instead of the in-process controller, bit-identical to local
-planning.  It works over any transport exposing
-``plan(PlanRequest) -> DownloadPlan`` (and optionally ``plan_many``):
-a :class:`~repro.serving.service.ServiceRunner` for in-process use,
-or a :class:`RemoteClient` for the TCP protocol.
+``run_session`` and every plan decision is sourced from the service
+instead of the in-process controller, bit-identical to local planning.
+It works over any transport exposing ``plan(PlanRequest) ->
+DownloadPlan``: a :class:`~repro.serving.service.ServiceRunner` for
+in-process use, or a :class:`RemoteClient` for the TCP protocol.
 
 Invalid requests surface as :class:`PlanRequestError`, a
 :class:`ValueError` subclass, on the calling thread — the service
@@ -29,7 +27,7 @@ __all__ = ["ServiceClient", "RemoteClient"]
 
 
 class ServiceClient:
-    """The session/population seam: a scheme backed by the service."""
+    """The session seam: a scheme backed by the service."""
 
     def __init__(self, transport, name: str = "ours"):
         self.transport = transport
@@ -38,18 +36,6 @@ class ServiceClient:
     def plan(self, ctx: PlanContext) -> DownloadPlan:
         """StreamingScheme entry point used by ``run_session``."""
         return self.transport.plan(request_from_context(ctx))
-
-    def plan_many(self, requests) -> list[DownloadPlan]:
-        """Resolve raw requests concurrently (results in order).
-
-        Falls back to sequential resolution on transports without a
-        ``plan_many`` — correctness is identical either way, only the
-        service-side batching opportunity differs.
-        """
-        many = getattr(self.transport, "plan_many", None)
-        if many is not None:
-            return many(requests)
-        return [self.transport.plan(request) for request in requests]
 
 
 class RemoteClient:

@@ -9,8 +9,9 @@ every Ptile geometry in the video, so steady-state serving never takes
 the first-touch build path.
 
 Both serving paths rebuild the exact :class:`PlanContext` the session
-loop would have produced and hand it to the scheme's one MPC path,
-:meth:`~repro.core.controller.OursScheme.plan_batch`:
+loop would have produced (the planner's video and Ptiles plus the
+request's segment, window and floats) and hand it to the scheme's one
+MPC path, :meth:`~repro.core.controller.OursScheme.plan_batch`:
 
 * :meth:`plan_one` calls ``scheme.plan`` (``plan_batch`` of one) — the
   sequential single-request reference;
@@ -25,6 +26,7 @@ loop would have produced and hand it to the scheme's one MPC path,
 from __future__ import annotations
 
 from ..core.controller import OursScheme
+from ..geometry.viewport import Viewport
 from ..streaming.schemes import DownloadPlan, PlanContext
 from ..video.segments import VideoManifest
 from .requests import PlanRequest, PlanRequestError
@@ -67,21 +69,11 @@ class VideoPlanner:
             raise ValueError("ptiles must cover every segment")
         self.video_id = manifest[0].video_id
         self.fps = manifest.fps
-        self.grid = manifest.encoder.grid
         self.horizon = scheme.mpc_config.horizon
         # Build the video-spanning tables through the scheme's memo so
         # the sequential path and the batched path slice the exact same
         # tensors, then prime every geometry's size tensor up front.
-        self.tables = scheme._plan_tables(self._context(
-            PlanRequest(
-                video_id=self.video_id,
-                segment_index=0,
-                buffer_s=0.0,
-                bandwidth_mbps=1.0,
-                yaw=0.0,
-                pitch=0.0,
-            )
-        ))
+        self.tables = scheme._plan_tables(manifest)
         if self.ptiles is not None:
             self.tables.prime(
                 p
@@ -119,38 +111,19 @@ class VideoPlanner:
     def context(self, request: PlanRequest) -> PlanContext:
         """The validated :class:`PlanContext` this request maps to."""
         self.validate(request)
-        return self._context(request)
-
-    def _context(self, request: PlanRequest) -> PlanContext:
-        from ..geometry.viewport import Viewport
-
         k = request.segment_index
-        window = request.window
-        if window is None:
-            window = min(self.horizon, self.num_segments - k)
-        end = k + window
-        use_ptiles = request.use_ptile and self.ptiles is not None
         return PlanContext(
+            video=self.manifest,
             segment_index=k,
-            manifest=self.manifest[k],
             predicted_viewport=Viewport(
                 request.yaw, request.pitch, request.fov_h, request.fov_v
             ),
             buffer_s=request.buffer_s,
             bandwidth_mbps=request.bandwidth_mbps,
-            grid=self.grid,
-            fps=self.fps,
-            segment_ptiles=self.ptiles[k] if use_ptiles else None,
-            future_manifests=tuple(
-                self.manifest[i] for i in range(k, end)
-            ),
-            future_ptiles=tuple(
-                self.ptiles[i] if use_ptiles else None
-                for i in range(k, end)
-            ),
+            window=request.window or min(self.horizon, self.num_segments - k),
+            ptiles=self.ptiles if request.use_ptile else None,
             predicted_speed_deg_s=request.speed_deg_s,
             segment_seconds=request.segment_seconds,
-            video_manifest=self.manifest,
         )
 
     # ------------------------------------------------------------------

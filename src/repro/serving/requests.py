@@ -157,7 +157,7 @@ def request_from_context(ctx) -> PlanRequest:
         fov_h=float(viewport.fov_h),
         fov_v=float(viewport.fov_v),
         speed_deg_s=float(ctx.predicted_speed_deg_s),
-        window=len(ctx.future_manifests) or 1,
+        window=ctx.window,
         segment_seconds=float(ctx.segment_seconds),
         fps=float(ctx.fps),
         use_ptile=ctx.segment_ptiles is not None,

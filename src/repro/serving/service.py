@@ -13,12 +13,11 @@ already queued (pure opportunistic batching, no added latency).
 Decisions are bit-identical at any batch size (see
 :mod:`repro.serving.planner`), so batching is purely a throughput
 knob.  Per-request decision latency (enqueue to decision) is recorded
-in :class:`ServiceStats`, which reports p50/p99 and counts violations
-of the configured latency SLO.
+in :class:`ServiceStats`, which reports p50/p99.
 
 :class:`ServiceRunner` hosts a service on a dedicated event-loop
 thread and exposes thread-safe synchronous ``plan``/``plan_many`` —
-the in-process client API used by sessions, the population engine,
+the in-process client API used by service-backed sessions, benchmarks
 and tests.
 """
 
@@ -46,19 +45,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Batching-window and SLO parameters."""
+    """Batching-window parameters."""
 
     max_batch: int = 64
     batch_wait_us: float = 200.0
-    slo_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if self.batch_wait_us < 0:
             raise ValueError("batch_wait_us must be non-negative")
-        if self.slo_ms is not None and self.slo_ms <= 0:
-            raise ValueError("slo_ms must be positive")
 
 
 @dataclass
@@ -69,21 +65,17 @@ class ServiceStats:
     errors: int = 0
     batches: int = 0
     max_batch_seen: int = 0
-    slo_violations: int = 0
     # Bounded reservoir of recent enqueue-to-decision latencies.
     latencies_s: deque = field(default_factory=lambda: deque(maxlen=8192))
 
     def record_batch(
-        self, size: int, errors: int, latencies_s: list[float],
-        slo_s: float | None,
+        self, size: int, errors: int, latencies_s: list[float]
     ) -> None:
         self.requests += size
         self.errors += errors
         self.batches += 1
         self.max_batch_seen = max(self.max_batch_seen, size)
         self.latencies_s.extend(latencies_s)
-        if slo_s is not None:
-            self.slo_violations += sum(1 for t in latencies_s if t > slo_s)
 
     def latency_percentile_ms(self, quantile: float) -> float:
         """Nearest-rank percentile of the recorded latencies, in ms."""
@@ -104,7 +96,6 @@ class ServiceStats:
             else 0.0,
             "p50_ms": self.latency_percentile_ms(0.50),
             "p99_ms": self.latency_percentile_ms(0.99),
-            "slo_violations": self.slo_violations,
         }
 
 
@@ -232,11 +223,7 @@ class DecisionService:
                 errors += isinstance(outcome, PlanRequestError)
         now = self._loop.time()
         self.stats.record_batch(
-            len(batch),
-            errors,
-            [now - t0 for _, _, t0 in batch],
-            None if self.config.slo_ms is None
-            else self.config.slo_ms * 1e-3,
+            len(batch), errors, [now - t0 for _, _, t0 in batch]
         )
 
 

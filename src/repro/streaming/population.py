@@ -31,7 +31,9 @@ passes:
   one :meth:`~repro.core.optimizer.EnergyQoEMpc.choose_batch` call —
   the same solver ``run_session`` uses, one row at a time — which
   removes the predictor/geometry/table-assembly cost that dominates
-  the scalar loop and amortizes the DP's per-call overhead.
+  the scalar loop and amortizes the DP's per-call overhead.  The
+  solver answers in columns (quality and frame-rate indices), which
+  index the step's sizes, rates and energies directly.
 
 Supported: :class:`~repro.streaming.schemes.CtileScheme`,
 :class:`~repro.streaming.schemes.PtileScheme`, and the MPC schemes —
@@ -45,7 +47,8 @@ no probability tensors are stored.  All run against a plain
 ``1 / N`` for a fair share of a link N clients split) with an optional
 :class:`~repro.streaming.cache.EdgeHitModel`.  Resilience overlays and
 custom predictor factories keep per-session control flow and stay on
-``run_session``.
+``run_session``, as do sessions planned through the decision service
+(:class:`~repro.serving.client.ServiceClient`).
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .schemes import (
     LOWEST_QUALITY,
     CtileScheme,
     DownloadPlan,
+    PlanContext,
     PtileScheme,
     _tile_rects,
     ctile_sizes,
@@ -202,8 +206,6 @@ class _TracePlans:
     factor_fps: np.ndarray  # (S,) Eq. 4 factor at the full frame rate
     factors: np.ndarray  # (S, F) Eq. 4 factors per ladder rate (MPC)
     windows: list  # (S,) (sizes, qoe) (W, V, F) MPC window | None
-    viewports: list  # (S,) predicted Viewport (the MPC/planning input)
-    speeds: np.ndarray  # (S,) predicted head speed at the request
 
 
 class PopulationEngine:
@@ -226,7 +228,6 @@ class PopulationEngine:
         ptiles: list[SegmentPtiles] | None = None,
         qoe: QoEModel | None = None,
         config: SessionConfig = SessionConfig(),
-        decision_client=None,
     ):
         if config.fault_plan is not None or config.download_policy is not None:
             raise ValueError(
@@ -273,7 +274,6 @@ class PopulationEngine:
         # module, so a top-level import here would be circular.
         from ..core.controller import OursScheme
         from ..core.plan_tables import qo_table
-        from ..core.robust import RobustScheme
 
         if isinstance(scheme, OursScheme):
             kind = "mpc"
@@ -290,17 +290,6 @@ class PopulationEngine:
                 "the population engine handles ctile, ptile, ours, "
                 "and robust"
             )
-
-        # The service plans with Ours; a robust scheme's selection
-        # needs a prediction horizon a plan request does not carry.
-        if decision_client is not None and (
-            kind != "mpc" or isinstance(scheme, RobustScheme)
-        ):
-            raise ValueError(
-                "decision_client only applies to the Ours scheme: other "
-                "schemes never consult the MPC decision service"
-            )
-        self.decision_client = decision_client
 
         self.scheme = scheme
         self.kind = kind
@@ -380,13 +369,9 @@ class PopulationEngine:
         factor_fps = np.empty(length)
         factors = np.zeros((length, n_rates))
         windows: list = [None] * length
-        viewports: list = [None] * length
-        speeds = np.zeros(length)
         grid = manifest.encoder.grid
         # window length -> [(segment, ctx, selection)] of MPC segments
         mpc_groups: dict[int, list] = {}
-
-        from .schemes import PlanContext  # local: avoids a cycle warning
 
         for k in range(length):
             playback_mid = (k + 0.5) * seg_s
@@ -396,39 +381,27 @@ class PopulationEngine:
             predicted_vp, predicted_speed = feeder.predict(
                 prediction_time, playback_mid
             )
-            viewports[k] = predicted_vp
-            speeds[k] = predicted_speed
 
-            horizon_end = min(k + config.horizon, length)
-            seg_ptiles = self.ptiles[k] if self.ptiles is not None else None
             ctx = PlanContext(
+                video=manifest,
                 segment_index=k,
-                manifest=manifest[k],
                 predicted_viewport=predicted_vp,
                 buffer_s=0.0,  # per-session; only geometry is read here
                 bandwidth_mbps=1.0,
-                grid=grid,
-                fps=fps,
-                segment_ptiles=seg_ptiles,
-                future_manifests=tuple(
-                    manifest[i] for i in range(k, horizon_end)
-                ),
-                future_ptiles=tuple(
-                    self.ptiles[i] if self.ptiles is not None else None
-                    for i in range(k, horizon_end)
-                ),
+                window=min(config.horizon, length - k),
+                ptiles=self.ptiles,
                 predicted_speed_deg_s=predicted_speed,
                 segment_seconds=seg_s,
-                video_manifest=manifest,
                 prediction_horizon_s=playback_mid - prediction_time,
             )
+            seg_ptiles = ctx.segment_ptiles
 
             region = None  # the Ptile serving the segment, if any
             if self.kind == "mpc":
                 selection = self.scheme._select(ctx)
                 if selection is not None:
                     region = selection[0]
-                    mpc_groups.setdefault(horizon_end - k, []).append(
+                    mpc_groups.setdefault(ctx.window, []).append(
                         (k, ctx, selection)
                     )
                     decode_j[k] = 0.0  # per-decision, filled at run time
@@ -473,9 +446,9 @@ class PopulationEngine:
         # The scheme's window gather, one call per window length: the
         # windows OursScheme.plan_batch would assemble for these rows.
         for items in mpc_groups.values():
-            tables = self.scheme._plan_tables(items[0][1])
             w_sizes, w_qoe = self.scheme._windows(
-                tables, [(ctx, selection) for _, ctx, selection in items]
+                self.scheme._plan_tables(manifest),
+                [(ctx, selection) for _, ctx, selection in items]
             )
             for b, (k, _, _) in enumerate(items):
                 windows[k] = (w_sizes[b], w_qoe[b])
@@ -489,8 +462,6 @@ class PopulationEngine:
             factor_fps=factor_fps,
             factors=factors,
             windows=windows,
-            viewports=viewports,
-            speeds=speeds,
         )
         self._plans[trace_index] = plans
         return plans
@@ -727,53 +698,15 @@ class PopulationEngine:
 
             render = np.full(n, self._render_fps_j)
             mpc_rows = np.flatnonzero(MPC[inv, k])
-            if self.decision_client is not None and mpc_rows.size:
-                # Service seam: one plan_many over every co-arriving MPC
-                # request — the service batches them into choose_batch
-                # passes, decisions bit-identical to the in-process path.
-                from ..serving.requests import PlanRequest
-
-                horizon_end = min(k + config.horizon, self.length)
-                video_id = self.manifest.video.meta.video_id
-                requests = []
-                for i in mpc_rows:
-                    p = plans[inv[i]]
-                    vp = p.viewports[k]
-                    requests.append(PlanRequest(
-                        video_id=video_id,
-                        segment_index=k,
-                        buffer_s=float(level_req[i]),
-                        bandwidth_mbps=float(est[i]),
-                        yaw=vp.yaw,
-                        pitch=vp.pitch,
-                        fov_h=vp.fov_h,
-                        fov_v=vp.fov_v,
-                        speed_deg_s=float(p.speeds[k]),
-                        window=horizon_end - k,
-                        segment_seconds=seg_s,
-                        fps=self._fps,
-                    ))
-                for i, plan in zip(
-                    mpc_rows, self.decision_client.plan_many(requests)
-                ):
-                    q_idx[i] = int(plan.quality) - 1
-                    f_idx = self._rates.index(plan.frame_rate)
-                    size[i] = float(plan.total_size_mbit)
-                    frame_rate[i] = plan.frame_rate
-                    decode[i] = self._decode_rate_j[f_idx]
-                    render[i] = self._render_rate_j[f_idx]
-                    factor[i] = FACTS[inv[i], k, f_idx]
-            elif mpc_rows.size:
+            if mpc_rows.size:
                 # Every MPC window of step k has the same (H, V, F), so
                 # all rows go through one choose_batch call.
                 windows = [plans[inv[i]].windows[k] for i in mpc_rows]
                 sizes_b = np.stack([w[0] for w in windows])
-                decisions = self._mpc.choose_batch(
+                v_idx, f_idx, _ = self._mpc.choose_batch(
                     sizes_b, np.stack([w[1] for w in windows]),
                     self._rates, est[mpc_rows], level_req[mpc_rows],
                 )
-                v_idx = np.array([d.quality - 1 for d in decisions])
-                f_idx = np.array([d.frame_rate_index - 1 for d in decisions])
                 q_idx[mpc_rows] = v_idx
                 size[mpc_rows] = sizes_b[np.arange(mpc_rows.size), 0,
                                          v_idx, f_idx]

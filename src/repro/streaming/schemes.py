@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Protocol
+from typing import Protocol, Sequence
 
 from ..geometry.tiling import Tile, TileGrid
 from ..geometry.viewport import Rect, Viewport
@@ -64,29 +64,72 @@ def split_wrapped_rect(rect: Rect) -> tuple[Rect, ...]:
 
 @dataclass(frozen=True)
 class PlanContext:
-    """Everything the client knows when requesting one segment."""
+    """Everything the client knows when requesting one segment.
 
+    The context names its video, segment and lookahead window; the
+    segment's manifest, the tile grid, the frame rate and the window's
+    manifests and Ptiles are read off the video and its per-segment
+    ``ptiles``/``ftiles`` lists, never copied.  ``window`` is the MPC
+    lookahead length, current segment included, already clipped at the
+    video end (and at the session's ``max_segments``).
+    """
+
+    video: VideoManifest
     segment_index: int
-    manifest: SegmentManifest
     predicted_viewport: Viewport
     buffer_s: float
     bandwidth_mbps: float
-    grid: TileGrid
-    fps: float = 30.0
-    segment_ptiles: SegmentPtiles | None = None
-    ftile_partition: FtilePartition | None = None
-    future_manifests: tuple[SegmentManifest, ...] = ()
-    future_ptiles: tuple[SegmentPtiles | None, ...] = ()
+    window: int = 1
+    ptiles: Sequence[SegmentPtiles] | None = None
+    ftiles: Sequence[FtilePartition] | None = None
     predicted_speed_deg_s: float = 0.0
     segment_seconds: float = 1.0
-    # The whole video's manifest, when the caller has it (the session
-    # loop always does).  Lets planners precompute tables spanning every
-    # segment instead of rebuilding the sliding lookahead window.
-    video_manifest: VideoManifest | None = None
     # How far ahead of the head-trace history the predicted viewport
     # is (seconds).  Uncertainty-aware planners scale their error model
     # with it; deterministic schemes ignore it.
     prediction_horizon_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        k = self.segment_index
+        if not (0 <= k and 1 <= self.window <= self.video.num_segments - k):
+            raise ValueError(
+                f"window {self.window!r} at segment {k!r} does not fit "
+                f"the video's {self.video.num_segments} segments"
+            )
+
+    @property
+    def manifest(self) -> SegmentManifest:
+        return self.video[self.segment_index]
+
+    @property
+    def grid(self) -> TileGrid:
+        return self.video.encoder.grid
+
+    @property
+    def fps(self) -> float:
+        return self.video.fps
+
+    @property
+    def segment_ptiles(self) -> SegmentPtiles | None:
+        return None if self.ptiles is None else self.ptiles[self.segment_index]
+
+    @property
+    def ftile_partition(self) -> FtilePartition | None:
+        return None if self.ftiles is None else self.ftiles[self.segment_index]
+
+    @property
+    def window_manifests(self) -> tuple[SegmentManifest, ...]:
+        """The manifests of the lookahead window, current segment first."""
+        k = self.segment_index
+        return self.video[k:k + self.window]
+
+    @property
+    def window_segment_ptiles(self) -> tuple[SegmentPtiles | None, ...]:
+        """Each window segment's Ptiles (all ``None`` without Ptiles)."""
+        if self.ptiles is None:
+            return (None,) * self.window
+        k = self.segment_index
+        return tuple(self.ptiles[i] for i in range(k, k + self.window))
 
 
 @dataclass(frozen=True)

@@ -176,25 +176,17 @@ def run_session(
             prediction_time, playback_mid
         )
 
-        horizon_end = min(k + config.horizon, length)
         ctx = PlanContext(
+            video=manifest,
             segment_index=k,
-            manifest=manifest[k],
             predicted_viewport=predicted_vp,
             buffer_s=level_at_request,
             bandwidth_mbps=bandwidth.estimate(),
-            grid=manifest.encoder.grid,
-            fps=manifest.fps,
-            segment_ptiles=ptiles[k] if ptiles is not None else None,
-            ftile_partition=ftiles[k] if ftiles is not None else None,
-            future_manifests=tuple(manifest[i] for i in range(k, horizon_end)),
-            future_ptiles=tuple(
-                ptiles[i] if ptiles is not None else None
-                for i in range(k, horizon_end)
-            ),
+            window=min(config.horizon, length - k),
+            ptiles=ptiles,
+            ftiles=ftiles,
             predicted_speed_deg_s=predicted_speed,
             segment_seconds=config.segment_seconds,
-            video_manifest=manifest,
             # How far past the freshest head sample the prediction
             # reaches; uncertainty-aware planners scale their error
             # model with it.

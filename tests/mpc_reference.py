@@ -136,3 +136,13 @@ def version_energy(
         + energy_model.decoding_energy_j(TilingScheme.PTILE, frame_rate)
         + energy_model.rendering_energy_j(frame_rate)
     )
+
+
+def decisions_from_columns(columns, frame_rates) -> list[MpcDecision]:
+    """``choose_batch``'s ``(quality, rate index, energy)`` columns as
+    one :class:`MpcDecision` per row, the form the reference returns."""
+    quality, rate_idx, energy = columns
+    return [
+        MpcDecision(v + 1, f + 1, frame_rates[f], e)
+        for v, f, e in zip(quality.tolist(), rate_idx.tolist(), energy.tolist())
+    ]

@@ -188,15 +188,14 @@ class TestAblationCli:
 
     def test_one_session_pool_and_identical_bytes(self, capsys,
                                                   monkeypatch):
-        from repro.experiments import ablations, runner
+        from repro.experiments import runner
 
         session_pools = []
 
         class CountingPool(runner.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 execute, _ = kwargs["initargs"][0]
-                if execute is not ablations._sigma_point_task:
-                    session_pools.append(execute)
+                session_pools.append(execute)
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)

@@ -25,22 +25,19 @@ def ours(device):
 
 
 @pytest.fixture
-def ctx(manifest2, ptiles2, encoder):
+def ctx(manifest2, ptiles2):
     sp = next(sp for sp in ptiles2 if sp.num_ptiles > 0)
     ptile = sp.ptiles[0]
     yaw, pitch = ptile.cluster.centroid()
     idx = sp.segment_index
-    horizon = min(idx + 5, manifest2.num_segments)
     return PlanContext(
+        video=manifest2,
         segment_index=idx,
-        manifest=manifest2[idx],
         predicted_viewport=Viewport(yaw, pitch),
         buffer_s=3.0,
         bandwidth_mbps=6.0,
-        grid=encoder.grid,
-        segment_ptiles=sp,
-        future_manifests=tuple(manifest2[i] for i in range(idx, horizon)),
-        future_ptiles=tuple(ptiles2[i] for i in range(idx, horizon)),
+        window=min(5, manifest2.num_segments - idx),
+        ptiles=ptiles2,
         predicted_speed_deg_s=8.0,
     )
 
@@ -71,7 +68,7 @@ class TestPlan:
     def test_fallback_without_ptiles(self, ours, ctx):
         from dataclasses import replace
 
-        plan = ours.plan(replace(ctx, segment_ptiles=None))
+        plan = ours.plan(replace(ctx, ptiles=None))
         assert not plan.used_ptile
         assert plan.decode_scheme == TilingScheme.CTILE
         assert plan.scheme_name == "ours"
@@ -86,7 +83,7 @@ class TestPlan:
     def test_lookahead_without_future_data(self, ours, ctx):
         from dataclasses import replace
 
-        plan = ours.plan(replace(ctx, future_manifests=(), future_ptiles=()))
+        plan = ours.plan(replace(ctx, window=1))
         assert plan.total_size_mbit > 0
 
     def test_size_consistent_with_version(self, ours, ctx):
@@ -151,7 +148,7 @@ class TestPlanTablesPath:
         plan = ours.plan(ctx)
         sp = ctx.segment_ptiles
         ptile = sp.match(ctx.predicted_viewport)
-        tables = ours._plan_tables(ctx)
+        tables = ours._plan_tables(ctx.video)
         window = tables.window(ctx, ptile)
         mpc = ours._mpc(ctx.segment_seconds)
         want = choose_reference(
@@ -161,28 +158,18 @@ class TestPlanTablesPath:
         assert plan.frame_rate == want.frame_rate
 
     def test_tables_cached_per_video(self, ours, ctx, manifest2):
-        from dataclasses import replace
-
-        full_ctx = replace(ctx, video_manifest=manifest2)
-        first = ours._plan_tables(full_ctx)
-        again = ours._plan_tables(full_ctx)
+        first = ours._plan_tables(manifest2)
+        again = ours._plan_tables(ctx.video)
         assert first is again
-
-    def test_window_path_without_video_manifest(self, ours, ctx):
-        # The ctx fixture carries no video_manifest: the controller
-        # must fall back to per-window tables and still produce a plan.
-        assert ctx.video_manifest is None
-        plan = ours.plan(ctx)
-        assert plan.total_size_mbit > 0
-        assert plan.used_ptile
+        assert first.num_segments == manifest2.num_segments
 
     def test_row_lookup_rejects_unknown_segment(self, manifest2, ours, ctx):
-        tables = ours._plan_tables(ctx)
+        tables = ours._plan_tables(ctx.video)
         with pytest.raises(ValueError):
             tables.row(10_000)
 
     def test_window_serves_offset_zero_with_the_given_ptile(
-        self, ours, manifest8, ptiles8, encoder
+        self, ours, manifest8, ptiles8
     ):
         # Regression: window() used to re-match the predicted viewport at
         # offset 0 too, so a Ptile other than the match was ignored there.
@@ -191,20 +178,16 @@ class TestPlanTablesPath:
         viewport = Viewport(*matched.cluster.centroid())
         assert sp.match(viewport) is matched
         idx = sp.segment_index
-        end = min(idx + 5, manifest8.num_segments)
         ctx = PlanContext(
+            video=manifest8,
             segment_index=idx,
-            manifest=manifest8[idx],
             predicted_viewport=viewport,
             buffer_s=1.0,
             bandwidth_mbps=6.0,
-            grid=encoder.grid,
-            segment_ptiles=sp,
-            future_manifests=tuple(manifest8[i] for i in range(idx, end)),
-            future_ptiles=tuple(ptiles8[i] for i in range(idx, end)),
-            video_manifest=manifest8,
+            window=min(5, manifest8.num_segments - idx),
+            ptiles=ptiles8,
         )
-        tables = ours._plan_tables(ctx)
+        tables = ours._plan_tables(manifest8)
         row = tables.row(idx)
         want = tables.sizes_for(other)[row]
         assert not np.array_equal(want, tables.sizes_for(matched)[row])
@@ -239,10 +222,10 @@ def batch_schemes():
 
 
 @st.composite
-def plan_contexts(draw, manifest, ptiles, grid):
+def plan_contexts(draw, manifest, ptiles):
     """One context: any segment (so windows of 1-5 near the video end),
     a viewport on a Ptile centroid or anywhere (unmatched: fallback),
-    1 s or 2 s segments, and sometimes no future data at all."""
+    1 s or 2 s segments, and sometimes a one-segment window."""
     n = manifest.num_segments
     k = draw(st.integers(0, n - 1))
     sp = ptiles[k]
@@ -253,25 +236,17 @@ def plan_contexts(draw, manifest, ptiles, grid):
         viewport = Viewport(
             draw(st.floats(0.0, 359.0)), draw(st.floats(-80.0, 80.0))
         )
-    if draw(st.booleans()):
-        future_manifests, future_ptiles = (), ()
-    else:
-        end = min(k + draw(st.integers(1, 5)), n)
-        future_manifests = tuple(manifest[i] for i in range(k, end))
-        future_ptiles = tuple(ptiles[i] for i in range(k, end))
+    window = 1 if draw(st.booleans()) else min(draw(st.integers(1, 5)), n - k)
     return PlanContext(
+        video=manifest,
         segment_index=k,
-        manifest=manifest[k],
         predicted_viewport=viewport,
         buffer_s=draw(st.floats(0.0, 4.0)),
         bandwidth_mbps=draw(st.floats(0.5, 40.0)),
-        grid=grid,
-        segment_ptiles=sp,
-        future_manifests=future_manifests,
-        future_ptiles=future_ptiles,
+        window=window,
+        ptiles=ptiles,
         predicted_speed_deg_s=draw(st.floats(0.0, 60.0)),
         segment_seconds=draw(st.sampled_from((1.0, 2.0))),
-        video_manifest=manifest,
         prediction_horizon_s=draw(st.floats(0.0, 2.0)),
     )
 
@@ -281,11 +256,11 @@ class TestPlanBatchParity:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_plan_batch_equals_plan_per_context(
-        self, batch_schemes, manifest2, ptiles2, encoder, name, data
+        self, batch_schemes, manifest2, ptiles2, name, data
     ):
         scheme = batch_schemes[name]
         ctxs = data.draw(st.lists(
-            plan_contexts(manifest2, ptiles2, encoder.grid),
+            plan_contexts(manifest2, ptiles2),
             min_size=1, max_size=8,
         ))
         assert scheme.plan_batch(ctxs) == [scheme.plan(c) for c in ctxs]
@@ -296,10 +271,10 @@ class TestPlanBatchParity:
         # Each QoE entry mixed toward its segment's lowest-quality entry
         # by the expected coverage, written out entry by entry.
         scheme = batch_schemes["robust"]
-        ctx = replace(ctx, video_manifest=manifest2, prediction_horizon_s=1.0)
+        ctx = replace(ctx, prediction_horizon_s=1.0)
         ptile, coverage, sigma = scheme._select(ctx)
         assert sigma > 0.0
-        base = scheme._plan_tables(ctx).window(ctx, ptile)
+        base = scheme._plan_tables(manifest2).window(ctx, ptile)
         qoe = np.empty_like(base.qoe)
         for (h, v, f), value in np.ndenumerate(base.qoe):
             c = min(max(float(coverage[h]), 0.0), 1.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.core import EnergyQoEMpc, MpcConfig, MpcWindow
 from repro.power import EnergyModel, PIXEL_3
 
-from .mpc_reference import choose_reference
+from .mpc_reference import choose_reference, decisions_from_columns
 
 RATES = (21.0, 24.0, 27.0, 30.0)
 
@@ -213,7 +213,9 @@ class TestChooseBatch:
             batch = int(rng.integers(1, 9))
             horizon = int(rng.integers(1, 6))
             sizes, qoe, bw, buf = self._windows(rng, batch, horizon)
-            decisions = mpc.choose_batch(sizes, qoe, RATES, bw, buf)
+            decisions = decisions_from_columns(
+                mpc.choose_batch(sizes, qoe, RATES, bw, buf), RATES
+            )
             assert len(decisions) == batch
             for b, got in enumerate(decisions):
                 window = MpcWindow(
@@ -235,7 +237,9 @@ class TestChooseBatch:
         block boundary, equals the scalar oracle on tie-heavy windows."""
         rng = np.random.default_rng([batch, horizon])
         sizes, qoe, bw, buf = self._windows(rng, batch, horizon)
-        decisions = mpc.choose_batch(sizes, qoe, RATES, bw, buf)
+        decisions = decisions_from_columns(
+            mpc.choose_batch(sizes, qoe, RATES, bw, buf), RATES
+        )
         assert len(decisions) == batch
         for b, got in enumerate(decisions):
             window = MpcWindow(
@@ -291,8 +295,8 @@ class TestChooseBatch:
         # The state index is clipped before the integer cast, which
         # would otherwise overflow.
         sizes, qoe = make_segment()
-        huge, top = mpc.choose_batch(
+        huge, top = decisions_from_columns(mpc.choose_batch(
             np.stack([sizes[None]] * 2), np.stack([qoe[None]] * 2), RATES,
             np.array([4.0, 4.0]), np.array([1e300, 3.0]),
-        )
+        ), RATES)
         assert huge == top

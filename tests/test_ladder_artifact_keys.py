@@ -157,22 +157,9 @@ class TestResultsKeys:
 class TestServingMemos:
     def test_plan_tables_memo_split_by_ladder(self, video8, encoder,
                                               alt_encoder, device):
-        from repro.geometry import DEFAULT_GRID, Viewport
-        from repro.streaming.schemes import PlanContext
-
         scheme = OursScheme(device=device)
         for enc in (encoder, alt_encoder):
-            manifest = VideoManifest(video8, enc)
-            ctx = PlanContext(
-                segment_index=0,
-                manifest=manifest[0],
-                predicted_viewport=Viewport(yaw=0.0, pitch=0.0),
-                buffer_s=2.0,
-                bandwidth_mbps=20.0,
-                grid=DEFAULT_GRID,
-                video_manifest=manifest,
-            )
-            scheme._plan_tables(ctx)
+            scheme._plan_tables(VideoManifest(video8, enc))
         # One memo entry per ladder: the optimized ladder never replays
         # the fixed ladder's tables.
         assert len(scheme._tables_cache) == 2

@@ -109,21 +109,9 @@ class TestSessionParity:
     ):
         # Serving path: identical ladders share one memoized PlanTables
         # entry — the digest-keyed memo does not split the default case.
-        from repro.geometry import DEFAULT_GRID, Viewport
-        from repro.streaming.schemes import PlanContext
-
         scheme = OursScheme(device=device)
         for manifest in (manifest8, explicit_manifest):
-            ctx = PlanContext(
-                segment_index=0,
-                manifest=manifest[0],
-                predicted_viewport=Viewport(yaw=0.0, pitch=0.0),
-                buffer_s=2.0,
-                bandwidth_mbps=20.0,
-                grid=DEFAULT_GRID,
-                video_manifest=manifest,
-            )
-            scheme._plan_tables(ctx)
+            scheme._plan_tables(manifest)
         assert len(scheme._tables_cache) == 1
 
 

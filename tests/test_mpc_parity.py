@@ -19,7 +19,11 @@ from repro.power import PIXEL_3
 from repro.power.energy import EnergyModel
 from repro.video.framerate import DEFAULT_LADDER
 
-from .mpc_reference import choose_reference, version_energy
+from .mpc_reference import (
+    choose_reference,
+    decisions_from_columns,
+    version_energy,
+)
 
 
 def random_window(
@@ -48,6 +52,28 @@ def assert_same(got, want, context: str = "") -> None:
     # Bit-identical, not approximately equal: the batched solver must
     # preserve the reference's floating-point operation order.
     assert got.planned_energy_j == want.planned_energy_j
+
+
+def assert_columns_match_reference(mpc, windows, bandwidths, buffers):
+    """``choose_batch``'s three columns (0-based quality, 0-based rate
+    index, planned energy) equal the scalar reference row by row."""
+    quality, rate_idx, energy = mpc.choose_batch(
+        np.stack([w.sizes_mbit for w in windows]),
+        np.stack([w.qoe for w in windows]),
+        windows[0].frame_rates,
+        np.asarray(bandwidths, dtype=float),
+        np.asarray(buffers, dtype=float),
+    )
+    assert quality.shape == rate_idx.shape == energy.shape == (len(windows),)
+    for b, window in enumerate(windows):
+        want = choose_reference(
+            mpc, window, float(bandwidths[b]), float(buffers[b])
+        )
+        assert (int(quality[b]), int(rate_idx[b])) == (
+            want.quality - 1, want.frame_rate_index - 1
+        ), f"row {b} of {len(windows)}"
+        # Bit-identical energy, not approximately equal.
+        assert float(energy[b]) == want.planned_energy_j, f"row {b}"
 
 
 def assert_same_decision(mpc, window, bandwidth, buffer_s):
@@ -172,11 +198,11 @@ class TestBatchedWindowParity:
                 windows.append(window)
         bandwidths = 10 ** rng.uniform(-0.5, 1.5, size=len(windows))
         buffers = rng.uniform(0.0, 3.0, size=len(windows))
-        decisions = mpc.choose_batch(
+        decisions = decisions_from_columns(mpc.choose_batch(
             np.stack([w.sizes_mbit for w in windows]),
             np.stack([w.qoe for w in windows]),
             rates, bandwidths, buffers,
-        )
+        ), rates)
         for b, window in enumerate(windows):
             assert_same(
                 decisions[b],
@@ -248,6 +274,7 @@ class TestLiveCandidateReduction:
         bandwidth = 2.0 / 0.9
         got = mpc.choose(window, bandwidth, buffer_s)
         assert_same(got, choose_reference(mpc, window, bandwidth, buffer_s))
+        assert_columns_match_reference(mpc, [window], [bandwidth], [buffer_s])
         assert got.quality == 1
         energies = [
             version_energy(model, float(size), bandwidth * 0.9, 30.0)
@@ -259,6 +286,7 @@ class TestLiveCandidateReduction:
         }
         assert got.planned_energy_j in mixed
 
+    # _BLOCK_ROWS - 1, _BLOCK_ROWS + 1 and 2 * _BLOCK_ROWS + 1 rows.
     @pytest.mark.parametrize("offset", [-1, 1, _BLOCK_ROWS + 1])
     def test_rows_across_block_boundaries(self, offset):
         rng = np.random.default_rng(1000 + offset)
@@ -272,11 +300,11 @@ class TestLiveCandidateReduction:
                 windows.append(window)
         bandwidths = 10 ** rng.uniform(-1.0, 2.0, size=n_rows)
         buffers = rng.uniform(0.0, 3.0, size=n_rows)
-        decisions = mpc.choose_batch(
+        decisions = decisions_from_columns(mpc.choose_batch(
             np.stack([w.sizes_mbit for w in windows]),
             np.stack([w.qoe for w in windows]),
             rates, bandwidths, buffers,
-        )
+        ), rates)
         assert len(decisions) == n_rows
         for b, window in enumerate(windows):
             assert_same(
@@ -284,6 +312,7 @@ class TestLiveCandidateReduction:
                 mpc.choose(window, float(bandwidths[b]), float(buffers[b])),
                 f"row {b} of {n_rows}",
             )
+        assert_columns_match_reference(mpc, windows, bandwidths, buffers)
 
     @pytest.mark.parametrize("threshold_s", [0.5, 0.2])
     def test_one_and_two_state_configs(self, threshold_s):
@@ -330,11 +359,11 @@ class TestLiveCandidateReduction:
         with pytest.raises(ValueError, match="no feasible"):
             mpc.choose(huge, 10.0, 1.0)
         good = [0, 2]
-        decisions = mpc.choose_batch(
+        decisions = decisions_from_columns(mpc.choose_batch(
             np.stack([rows[b].sizes_mbit for b in good]),
             np.stack([rows[b].qoe for b in good]),
             rates, bandwidths[good], buffers[good],
-        )
+        ), rates)
         for decision, b in zip(decisions, good):
             assert_same(
                 decision,

@@ -33,7 +33,7 @@ from repro.serving.protocol import (
     encode_request_line,
     encode_response_line,
 )
-from repro.streaming import PopulationEngine, SessionConfig, run_session
+from repro.streaming import SessionConfig, run_session
 
 CFG = SessionConfig(max_segments=10)
 
@@ -508,45 +508,6 @@ class TestStreamingSeams:
                                  network_traces[1], device, ptiles=ptiles2,
                                  config=CFG)
         assert served.records == baseline.records
-
-    def test_population_engine_via_service(self, scheme, planner2,
-                                           manifest2, ptiles2,
-                                           small_dataset, network_traces,
-                                           device):
-        traces = small_dataset.test_traces(2)[:4]
-        baseline = PopulationEngine(
-            scheme, manifest2, traces, network_traces[1], device,
-            ptiles=ptiles2, config=CFG,
-        ).run()
-        service = DecisionService(
-            [planner2], ServiceConfig(max_batch=16, batch_wait_us=100.0)
-        )
-        with ServiceRunner(service) as runner:
-            served = PopulationEngine(
-                scheme, manifest2, traces, network_traces[1], device,
-                ptiles=ptiles2, config=CFG,
-                decision_client=ServiceClient(runner),
-            ).run()
-        for name in ("transmission_j", "decoding_j", "rendering_j",
-                     "qoe_sum", "quality_sum", "frame_rate_sum",
-                     "total_size_mbit", "total_stall_s"):
-            np.testing.assert_array_equal(
-                getattr(served, name), getattr(baseline, name),
-                err_msg=name,
-            )
-        assert service.stats.requests > 0
-        assert service.stats.errors == 0
-
-    def test_decision_client_rejected_for_other_schemes(
-            self, manifest2, small_dataset, network_traces, device):
-        from repro.streaming import CtileScheme
-
-        with pytest.raises(ValueError, match="decision_client"):
-            PopulationEngine(
-                CtileScheme(), manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, config=CFG,
-                decision_client=object(),
-            )
 
 
 class TestExperimentSetupService:

@@ -19,34 +19,31 @@ from repro.streaming import (
 
 
 @pytest.fixture
-def ctx(manifest2, ptiles2, ftiles2, encoder):
+def ctx(manifest2, ptiles2, ftiles2):
     """A planning context looking at the Ptile of segment 0."""
     sp = next(sp for sp in ptiles2 if sp.num_ptiles > 0)
     ptile = sp.ptiles[0]
     yaw, pitch = ptile.cluster.centroid()
     return PlanContext(
+        video=manifest2,
         segment_index=sp.segment_index,
-        manifest=manifest2[sp.segment_index],
         predicted_viewport=Viewport(yaw, pitch),
         buffer_s=3.0,
         bandwidth_mbps=8.0,
-        grid=encoder.grid,
-        segment_ptiles=sp,
-        ftile_partition=ftiles2[sp.segment_index],
+        ptiles=ptiles2,
+        ftiles=ftiles2,
     )
 
 
 @pytest.fixture
-def ctx_no_ptile(manifest2, ftiles2, encoder):
+def ctx_no_ptile(manifest2, ftiles2):
     return PlanContext(
+        video=manifest2,
         segment_index=0,
-        manifest=manifest2[0],
         predicted_viewport=Viewport(100.0, 0.0),
         buffer_s=3.0,
         bandwidth_mbps=8.0,
-        grid=encoder.grid,
-        segment_ptiles=None,
-        ftile_partition=ftiles2[0],
+        ftiles=ftiles2,
     )
 
 
@@ -112,7 +109,7 @@ class TestFtileScheme:
         from dataclasses import replace
 
         with pytest.raises(ValueError):
-            FtileScheme().plan(replace(ctx, ftile_partition=None))
+            FtileScheme().plan(replace(ctx, ftiles=None))
 
 
 class TestNontileScheme:
@@ -187,3 +184,89 @@ class TestPtileScheme:
         ctile_plan = CtileScheme().plan(ctx)
         if ptile_plan.quality >= ctile_plan.quality:
             assert ptile_plan.total_size_mbit < ctile_plan.total_size_mbit * 1.05
+
+
+class TestPlanContextDerivedFields:
+    """A context names its video, segment and window; everything else is
+    read off the video.  The derived values equal what the context
+    builders of the session loop, the population engine and the
+    decision service used to copy in: the segment's manifest, the grid
+    and fps, the segment's Ptiles/Ftiles, and the window slices
+    ``k .. min(k + horizon, length)`` of manifests and Ptiles."""
+
+    @staticmethod
+    def _copied(manifest, k, end, ptiles, ftiles):
+        # The fields the builders copied, written out as they were.
+        return {
+            "manifest": manifest[k],
+            "grid": manifest.encoder.grid,
+            "fps": manifest.fps,
+            "segment_ptiles": ptiles[k] if ptiles is not None else None,
+            "ftile_partition": ftiles[k] if ftiles is not None else None,
+            "window_manifests": tuple(manifest[i] for i in range(k, end)),
+            "window_segment_ptiles": tuple(
+                ptiles[i] if ptiles is not None else None
+                for i in range(k, end)
+            ),
+        }
+
+    @staticmethod
+    def _session_contexts(manifest, dataset, network, ptiles, ftiles, config):
+        seen = []
+
+        class Spy(CtileScheme):
+            def plan(self, ctx):
+                seen.append(ctx)
+                return super().plan(ctx)
+
+        run_session(Spy(), manifest, dataset.test_traces(2)[0], network,
+                    PIXEL_3, ptiles=ptiles, ftiles=ftiles, config=config)
+        return seen
+
+    @pytest.mark.parametrize(
+        "case", ["video_end", "max_segments", "no_ptile_request", "ftile"]
+    )
+    def test_derived_fields_equal_the_copied_slices(
+        self, case, manifest2, ptiles2, ftiles2, small_dataset,
+        network_traces, device,
+    ):
+        from repro.core import OursScheme
+        from repro.serving import PlanRequest, VideoPlanner
+        from repro.streaming import SessionConfig
+
+        n = manifest2.num_segments
+        horizon = SessionConfig().horizon
+        ptiles, ftiles, length = ptiles2, None, n
+        if case == "no_ptile_request":
+            ptiles = None
+            planner = VideoPlanner(OursScheme(device=device), manifest2,
+                                   ptiles2)
+            ctxs = [
+                planner.context(PlanRequest(
+                    video_id=planner.video_id, segment_index=k,
+                    buffer_s=1.0, bandwidth_mbps=5.0, yaw=10.0, pitch=0.0,
+                    use_ptile=False,
+                ))
+                for k in range(n)
+            ]
+        else:
+            config = SessionConfig()
+            if case == "max_segments":
+                config = SessionConfig(max_segments=3)
+                length = 3
+            if case == "ftile":
+                ptiles, ftiles = None, ftiles2
+            ctxs = self._session_contexts(
+                manifest2, small_dataset, network_traces[1], ptiles, ftiles,
+                config,
+            )
+        assert [c.segment_index for c in ctxs] == list(range(length))
+        # The last contexts' windows are clipped at the stream's end.
+        assert ctxs[-1].window == 1
+        for k, ctx in enumerate(ctxs):
+            end = min(k + horizon, length)
+            assert ctx.video is manifest2
+            assert ctx.window == end - k
+            want = self._copied(manifest2, k, end, ptiles, ftiles)
+            got = {name: getattr(ctx, name) for name in want}
+            assert got == want, f"segment {k}"

@@ -334,7 +334,7 @@ class TestTruncatedHorizon:
             seen: list = []
 
             def plan(self, ctx):
-                for m in ctx.future_manifests:
+                for m in ctx.window_manifests:
                     SpyScheme.seen.append(m.segment_index)
                 return super().plan(ctx)
 
