@@ -11,7 +11,19 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured comparison of every table and figure.
 """
 
-from .core import EnergyQoEMpc, MpcConfig, OursScheme
+
+def fold_sum(values, start=0):
+    """The builtin ``sum()`` without the float compensation CPython 3.12
+    added: a left fold, the same bits on every interpreter.  Every float
+    total in the package goes through it (the subpackages below import
+    it, so it comes first)."""
+    acc = start
+    for x in values:
+        acc += x
+    return acc
+
+
+from .core import EnergyQoEMpc, MpcConfig, OursScheme  # noqa: E402
 from .power import (
     DEVICES,
     DevicePowerModel,
@@ -53,6 +65,7 @@ from .video import EncoderModel, FrameRateLadder, VideoManifest, build_catalog
 __version__ = "1.0.0"
 
 __all__ = [
+    "fold_sum",
     "EnergyQoEMpc",
     "MpcConfig",
     "OursScheme",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import fold_sum
 from ..power.energy import EnergyModel
 from ..power.models import TilingScheme
 from ..traces.network import NetworkTrace
@@ -137,7 +138,7 @@ def solve_offline(
         key=lambda item: item[1][0],
     )
     energy, _, path = entry
-    qoe = sum(
+    qoe = fold_sum(
         float(seg_qoe[v - 1, f - 1]) for seg_qoe, (v, f) in zip(window.qoe, path)
     )
     return OfflinePlan(

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import fold_sum
 from ..ptile.construction import Ptile, partition_remainder
 from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
 from ..qoe.quality import QualityModel
@@ -155,7 +156,7 @@ class PlanTables:
         ])
         sizes = np.empty((len(self.manifests), len(self.levels), len(factors)))
         for row, manifest in enumerate(self.manifests):
-            background = sum(
+            background = fold_sum(
                 manifest.region_size_mbit(b.key, b.area_fraction, LOWEST_QUALITY)
                 for b in remainder
             )

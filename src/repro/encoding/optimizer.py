@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import fold_sum
 from ..qoe.quality import QualityModel
 from .ladder import CRF_MAX, MIN_CRF_SPACING, EncodingLadder
 
@@ -129,10 +130,10 @@ class VideoLadderResult:
     @property
     def bits_saved_frac(self) -> float:
         """Fraction of summed per-level FoV bits the new ladder sheds."""
-        base = sum(self.fov_mbps_base)
+        base = fold_sum(self.fov_mbps_base)
         if base <= 0:
             return 0.0
-        return 1.0 - sum(self.fov_mbps_opt) / base
+        return 1.0 - fold_sum(self.fov_mbps_opt) / base
 
     @property
     def targets_met(self) -> tuple[bool, ...]:

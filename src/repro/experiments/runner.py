@@ -45,6 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
 
+from .. import fold_sum
 from ..power.models import DevicePowerModel
 from ..ptile.construction import SegmentPtiles
 from .artifacts import (
@@ -58,7 +59,7 @@ from .artifacts import (
 from ..streaming.ftile import FtilePartition
 from ..streaming.metrics import SessionResult
 from ..streaming.schemes import StreamingScheme
-from ..streaming.session import SessionConfig, run_session
+from ..streaming.session import SessionConfig, SessionKernel
 from ..traces.head_movement import HeadTrace
 from ..traces.network import NetworkTrace
 from ..video.segments import VideoManifest
@@ -158,39 +159,46 @@ class SweepContext:
 
     def run_job(self, job: SessionJob) -> SessionResult:
         """Execute one job against this context (pure; any process)."""
+        return self.run_jobs([job])[0]
+
+    def config_for(self, job: SessionJob) -> SessionConfig:
+        """The job's config, else its video's, else the context's."""
+        return (job.config or self.video_configs.get(job.video_id)
+                or self.config)
+
+    def run_jobs(self, jobs: Sequence[SessionJob]) -> list[SessionResult]:
+        """Execute jobs of one video and one :meth:`config_for` as one
+        batch of kernel rows; each result is the one :meth:`run_job`
+        gives."""
+        video_id = jobs[0].video_id
         try:
-            scheme = self.schemes[job.scheme]
+            manifest = self.manifests[video_id]
         except KeyError:
-            raise KeyError(f"unknown scheme {job.scheme!r}") from None
-        try:
-            network = self.networks[job.network]
-        except KeyError:
-            raise KeyError(f"unknown network {job.network!r}") from None
-        try:
-            manifest = self.manifests[job.video_id]
-        except KeyError:
-            raise KeyError(f"unknown video {job.video_id!r}") from None
-        heads = self.head_traces[job.video_id]
-        if not (0 <= job.user_index < len(heads)):
-            raise IndexError(
-                f"user index {job.user_index} outside 0..{len(heads) - 1}"
-                f" for video {job.video_id}"
-            )
-        config = (
-            job.config
-            or self.video_configs.get(job.video_id)
-            or self.config
-        )
-        return run_session(
-            scheme,
-            manifest,
-            heads[job.user_index],
-            network,
-            self.device,
-            ptiles=self.ptiles.get(job.video_id) if job.use_ptiles else None,
-            ftiles=self.ftiles.get(job.video_id) if job.use_ftiles else None,
-            config=config,
-        )
+            raise KeyError(f"unknown video {video_id!r}") from None
+        heads = self.head_traces[video_id]
+        rows = []
+        for job in jobs:
+            try:
+                scheme = self.schemes[job.scheme]
+            except KeyError:
+                raise KeyError(f"unknown scheme {job.scheme!r}") from None
+            try:
+                network = self.networks[job.network]
+            except KeyError:
+                raise KeyError(f"unknown network {job.network!r}") from None
+            if not (0 <= job.user_index < len(heads)):
+                raise IndexError(
+                    f"user index {job.user_index} outside 0..{len(heads) - 1}"
+                    f" for video {video_id}"
+                )
+            rows.append((
+                scheme, heads[job.user_index], network,
+                self.ptiles.get(video_id) if job.use_ptiles else None,
+                self.ftiles.get(video_id) if job.use_ftiles else None,
+            ))
+        kernel = SessionKernel(manifest, self.device,
+                               config=self.config_for(jobs[0]))
+        return kernel.sessions(rows)
 
 
 _PER_VIDEO_FIELDS = (  # the SweepContext fields keyed by video id
@@ -265,7 +273,7 @@ class SweepRun:
                 " the results cache"
             )
         if self.timings:
-            total = sum(t.elapsed_s for t in self.timings)
+            total = fold_sum(t.elapsed_s for t in self.timings)
             slowest = max(self.timings, key=lambda t: t.elapsed_s)
             lines.append(
                 f"  cpu-time {total:.2f}s; slowest job {slowest.key!r}"
@@ -331,17 +339,36 @@ def _run_indexed(
     items: Sequence[Any],
     indices: list[int],
 ) -> list[tuple[int, Any, tuple[str, str] | None, float]]:
-    """Run a chunk; never raises — failures become structured entries."""
+    """Run a chunk; never raises — failures become structured entries.
+
+    An ``execute`` with a ``batches`` method runs each batch it forms
+    from the chunk in one ``run_batch`` call (each job's time is its
+    share of the batch); a batch that raises re-runs its jobs one at a
+    time, so every failure stays attributed to its own job.
+    """
     out = []
-    for i in indices:
-        start = time.perf_counter()
-        try:
-            result = execute(items[i])
-            error = None
-        except Exception as exc:  # noqa: BLE001 - reported to the caller
-            result = None
-            error = (f"{type(exc).__name__}: {exc}", traceback.format_exc())
-        out.append((i, result, error, time.perf_counter() - start))
+    for batch in getattr(execute, "batches", lambda _, i: [[x] for x in i])(
+        items, indices
+    ):
+        if len(batch) > 1:
+            start = time.perf_counter()
+            try:
+                results = execute.run_batch([items[i] for i in batch])
+            except Exception:  # noqa: BLE001 - re-run one at a time below
+                pass
+            else:
+                share = (time.perf_counter() - start) / len(batch)
+                out.extend((i, r, None, share) for i, r in zip(batch, results))
+                continue
+        for i in batch:
+            start = time.perf_counter()
+            try:
+                result = execute(items[i])
+                error = None
+            except Exception as exc:  # noqa: BLE001 - reported to the caller
+                result = None
+                error = (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+            out.append((i, result, error, time.perf_counter() - start))
     return out
 
 
@@ -420,14 +447,26 @@ def _execute_sweep(
 
 @dataclass(frozen=True)
 class _GroupRunner:
-    """Runs a ``(group index, job)`` item against that group's context;
-    picklable, so one pool ships every group's context at once."""
+    """Runs ``(group index, job)`` items against their group's context;
+    picklable, so one pool ships every group's context at once.  A
+    chunk's jobs of one group, video and config run as one batch."""
 
     contexts: tuple[SweepContext, ...]
 
     def __call__(self, item: tuple[int, SessionJob]) -> SessionResult:
         group, job = item
         return self.contexts[group].run_job(job)
+
+    def batches(self, items, indices: list[int]) -> list[list[int]]:
+        batches: dict[tuple, list[int]] = {}
+        for i in indices:
+            group, job = items[i]
+            config = self.contexts[group].config_for(job)
+            batches.setdefault((group, job.video_id, id(config)), []).append(i)
+        return list(batches.values())
+
+    def run_batch(self, items) -> list[SessionResult]:
+        return self.contexts[items[0][0]].run_jobs([job for _, job in items])
 
 
 def run_session_groups(

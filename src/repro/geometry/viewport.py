@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import fold_sum
+
 __all__ = ["Rect", "Viewport", "DEFAULT_FOV_DEG"]
 
 DEFAULT_FOV_DEG = 100.0
@@ -121,7 +123,7 @@ class Viewport:
     @property
     def area(self) -> float:
         """Viewing-area size in square degrees (after vertical clamping)."""
-        return sum(r.area for r in self.rects())
+        return fold_sum(r.area for r in self.rects())
 
     def area_fraction(self) -> float:
         """Fraction of the full equirectangular frame the viewport covers."""

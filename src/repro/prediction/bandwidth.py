@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .. import fold_sum
+
 __all__ = ["HarmonicMeanEstimator", "EwmaEstimator", "LastSampleEstimator"]
 
 
@@ -40,7 +42,7 @@ class HarmonicMeanEstimator:
         """Harmonic-mean estimate; raises if no samples were added."""
         if not self._samples:
             raise RuntimeError("no throughput samples yet")
-        return len(self._samples) / sum(1.0 / s for s in self._samples)
+        return len(self._samples) / fold_sum(1.0 / s for s in self._samples)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import fold_sum
 from .quality import QualityModel
 
 __all__ = ["QoEWeights", "SegmentQoE", "QoEModel", "SessionQoE"]
@@ -111,25 +112,29 @@ class SessionQoE:
     def mean_q(self) -> float:
         """Session QoE: mean Eq. 2 value over all segments."""
         self._require_segments()
-        return sum(s.q for s in self.segments) / len(self.segments)
+        return fold_sum(s.q for s in self.segments) / len(self.segments)
 
     @property
     def mean_qo(self) -> float:
         """Average video quality (first QoE component in Fig. 11(d))."""
         self._require_segments()
-        return sum(s.qo for s in self.segments) / len(self.segments)
+        return fold_sum(s.qo for s in self.segments) / len(self.segments)
 
     @property
     def mean_variation(self) -> float:
         """Average quality-variation impairment."""
         self._require_segments()
-        return sum(s.variation_penalty for s in self.segments) / len(self.segments)
+        return fold_sum(
+            s.variation_penalty for s in self.segments
+        ) / len(self.segments)
 
     @property
     def mean_rebuffer(self) -> float:
         """Average rebuffering impairment."""
         self._require_segments()
-        return sum(s.rebuffer_penalty for s in self.segments) / len(self.segments)
+        return fold_sum(
+            s.rebuffer_penalty for s in self.segments
+        ) / len(self.segments)
 
     @property
     def rebuffer_count(self) -> int:

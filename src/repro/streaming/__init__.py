@@ -38,7 +38,7 @@ from .schemes import (
     StreamingScheme,
     split_wrapped_rect,
 )
-from .session import SessionConfig, run_session
+from .session import SessionConfig, SessionKernel, run_session
 
 __all__ = [
     "ThroughputBufferABR",
@@ -77,4 +77,5 @@ __all__ = [
     "split_wrapped_rect",
     "SessionConfig",
     "run_session",
+    "SessionKernel",
 ]

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["ThroughputBufferABR"]
 
 
@@ -33,22 +35,31 @@ class ThroughputBufferABR:
         if not (0 < self.safety <= 1):
             raise ValueError("safety must be in (0, 1]")
 
-    def budget_mbit(
-        self, bandwidth_mbps: float, buffer_s: float, segment_s: float = 1.0
-    ) -> float:
-        """Megabits the client is willing to spend on this segment."""
-        if bandwidth_mbps <= 0:
+    def budget_mbit(self, bandwidth_mbps, buffer_s, segment_s: float = 1.0):
+        """Megabits the client is willing to spend on this segment
+        (elementwise: the session kernel passes one row per session)."""
+        if np.any(bandwidth_mbps <= 0):
             raise ValueError("bandwidth must be positive")
-        if buffer_s < 0:
+        if np.any(buffer_s < 0):
             raise ValueError("buffer must be non-negative")
-        budget_time = segment_s
-        if buffer_s < self.low_buffer_s:
-            budget_time = segment_s * self.low_buffer_scale
-        elif buffer_s > self.surplus_start_s:
-            budget_time = segment_s + self.surplus_scale * (
-                buffer_s - self.surplus_start_s
-            )
+        budget_time = np.where(
+            buffer_s < self.low_buffer_s,
+            segment_s * self.low_buffer_scale,
+            np.where(
+                buffer_s > self.surplus_start_s,
+                segment_s + self.surplus_scale * (buffer_s - self.surplus_start_s),
+                segment_s,
+            ),
+        )
         return bandwidth_mbps * self.safety * budget_time
+
+    @staticmethod
+    def pick(sizes: np.ndarray, budget: np.ndarray) -> np.ndarray:
+        """Per row of ``(n, Q)`` sizes over ascending qualities: the
+        index of the highest quality within ``budget``, else 0."""
+        fits = sizes <= budget[:, None]
+        last = (fits.shape[1] - 1) - np.argmax(fits[:, ::-1], axis=1)
+        return np.where(fits.any(axis=1), last, 0)
 
     def choose_quality(
         self,

@@ -12,7 +12,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BufferEvent", "PlaybackBuffer"]
+import numpy as np
+
+__all__ = ["BufferEvent", "PlaybackBuffer", "request_gate", "drain"]
+
+
+def request_gate(level_s, threshold_s):
+    """``(wait, level at request)``: the player idles ``dt = max(B -
+    beta, 0)`` before requesting, draining the buffer by as much.
+    Elementwise over arrays (one level per session)."""
+    wait = np.maximum(level_s - threshold_s, 0.0)
+    return wait, level_s - wait
+
+
+def drain(level_at_request_s, download_time_s, segment_s):
+    """``(stall, level after)`` of a download issued at
+    ``level_at_request_s`` (Eq. 6): the buffer drains while it runs, a
+    download outlasting it stalls, and the segment adds ``segment_s``."""
+    stall = np.maximum(download_time_s - level_at_request_s, 0.0)
+    level = np.maximum(level_at_request_s - download_time_s, 0.0) + segment_s
+    return stall, level
 
 
 @dataclass(frozen=True)
@@ -46,7 +65,7 @@ class PlaybackBuffer:
 
     def wait_time(self) -> float:
         """dt_k = max(B_k - beta, 0): idle time before the next request."""
-        return max(self._level - self.threshold_s, 0.0)
+        return float(request_gate(self._level, self.threshold_s)[0])
 
     def advance(self, download_time_s: float) -> BufferEvent:
         """Simulate waiting for the gate, downloading, and enqueueing.
@@ -57,14 +76,13 @@ class PlaybackBuffer:
         """
         if download_time_s < 0:
             raise ValueError("download time must be non-negative")
-        wait = self.wait_time()
-        level_at_request = self._level - wait  # drains while waiting
-        stall = max(download_time_s - level_at_request, 0.0)
-        self._level = max(level_at_request - download_time_s, 0.0) + self.segment_s
+        wait, level_at_request = request_gate(self._level, self.threshold_s)
+        stall, level = drain(level_at_request, download_time_s, self.segment_s)
+        self._level = float(level)
         return BufferEvent(
-            wait_s=wait,
-            stall_s=stall,
-            level_before_s=level_at_request,
+            wait_s=float(wait),
+            stall_s=float(stall),
+            level_before_s=float(level_at_request),
             level_after_s=self._level,
         )
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from .. import fold_sum
 from ..geometry.tiling import TileGrid
 from ..ptile.construction import SegmentPtiles
 from ..traces.head_movement import HeadTrace
@@ -273,7 +274,7 @@ class EdgeHitModel:
     def mean_hit_ratio(self) -> float:
         if not self.hit_ratios:
             return 0.0
-        return sum(self.hit_ratios) / len(self.hit_ratios)
+        return fold_sum(self.hit_ratios) / len(self.hit_ratios)
 
 
 def build_edge_hit_model(
@@ -428,7 +429,7 @@ class SharedCacheResult:
         if not self.models:
             return 0.0
         ratios = [m.mean_hit_ratio for m in self.models.values()]
-        return sum(ratios) / len(ratios)
+        return fold_sum(ratios) / len(ratios)
 
 
 def build_shared_edge_hit_models(

@@ -22,11 +22,15 @@ from typing import Iterable
 
 import numpy as np
 
+from .. import fold_sum
 from ..power.energy import SegmentEnergy
 from ..power.models import TilingScheme
 from ..qoe.metrics import SegmentQoE, SessionQoE
 
-__all__ = ["SegmentRecord", "SessionResult", "mean_sessions"]
+__all__ = [
+    "FLOAT_COLUMNS", "INT_COLUMNS", "SCHEME_CODES", "SegmentRecord",
+    "SessionResult", "mean_sessions",
+]
 
 
 @dataclass(frozen=True)
@@ -76,25 +80,25 @@ class SegmentRecord:
 # segments whose level was a float, so each value keeps its Python type.
 # Cached results are stored in this layout: changing the rows, their
 # order or ``_restore`` needs a RESULTS_SCHEMA_VERSION bump.
-_FLOAT_COLUMNS = (
+FLOAT_COLUMNS = (
     "quality", "frame_rate", "size_mbit", "download_time_s", "wait_s",
     "stall_s", "buffer_before_s", "coverage", "qo_effective",
     "qo", "variation_penalty", "rebuffer_penalty",
     "transmission_j", "decoding_j", "rendering_j",
     "edge_hit_mbit", "expected_coverage", "uncertainty_deg",
 )
-_INT_COLUMNS = (
+INT_COLUMNS = (
     "index", "quality", "float_quality", "decode_scheme", "used_ptile",
     "retries", "timeouts", "degraded_level",
 )
-_F = {name: i for i, name in enumerate(_FLOAT_COLUMNS)}
-_I = {name: i for i, name in enumerate(_INT_COLUMNS)}
+_F = {name: i for i, name in enumerate(FLOAT_COLUMNS)}
+_I = {name: i for i, name in enumerate(INT_COLUMNS)}
 _QOE = slice(_F["qo"], _F["rebuffer_penalty"] + 1)
 _ENERGY = slice(_F["transmission_j"], _F["rendering_j"] + 1)
 _FLOAT = np.dtype("<f8")
 _INT = np.dtype("<i8")
 _SCHEMES = tuple(TilingScheme)
-_SCHEME_CODE = {scheme: code for code, scheme in enumerate(_SCHEMES)}
+SCHEME_CODES = {scheme: code for code, scheme in enumerate(_SCHEMES)}
 
 
 def _float_row(r: SegmentRecord) -> tuple:
@@ -111,7 +115,7 @@ def _int_row(r: SegmentRecord) -> tuple:
     float_quality = not isinstance(r.quality, (int, np.integer))
     return (
         r.index, 0 if float_quality else r.quality, float_quality,
-        _SCHEME_CODE[r.decode_scheme], r.used_ptile,
+        SCHEME_CODES[r.decode_scheme], r.used_ptile,
         r.retries, r.timeouts, r.degraded_level,
     )
 
@@ -144,9 +148,16 @@ class SessionResult:
         ints = np.array([_int_row(r) for r in records], dtype=_INT)
         self._init(
             scheme_name, video_id, user_id, device_name, network_name,
-            floats.reshape(-1, len(_FLOAT_COLUMNS)).T.copy(),
-            ints.reshape(-1, len(_INT_COLUMNS)).T.copy(),
+            floats.reshape(-1, len(FLOAT_COLUMNS)).T.copy(),
+            ints.reshape(-1, len(INT_COLUMNS)).T.copy(),
         )
+
+    @classmethod
+    def from_columns(cls, *header_and_columns) -> "SessionResult":
+        """A result over ready C-order float64 and int64 column blocks."""
+        result = cls.__new__(cls)
+        result._init(*header_and_columns)
+        return result
 
     def _init(self, scheme_name, video_id, user_id, device_name,
               network_name, floats: np.ndarray, ints: np.ndarray) -> None:
@@ -155,8 +166,8 @@ class SessionResult:
         self.user_id = user_id
         self.device_name = device_name
         self.network_name = network_name
-        self._floats = floats  # (len(_FLOAT_COLUMNS), n), C order
-        self._ints = ints  # (len(_INT_COLUMNS), n), C order
+        self._floats = floats  # (len(FLOAT_COLUMNS), n), C order
+        self._ints = ints  # (len(INT_COLUMNS), n), C order
         self._records: list[SegmentRecord] | None = None
 
     def __reduce__(self):
@@ -272,7 +283,7 @@ class SessionResult:
 
     def _mean_of(self, values: np.ndarray) -> float:
         self._require_records()
-        return sum(values.tolist()) / self.num_segments
+        return fold_sum(values.tolist()) / self.num_segments
 
     @property
     def mean_qoe(self) -> float:
@@ -319,7 +330,7 @@ class SessionResult:
 
     @property
     def total_stall_s(self) -> float:
-        return sum(self._f("stall_s").tolist())
+        return fold_sum(self._f("stall_s").tolist())
 
     @property
     def rebuffer_count(self) -> int:
@@ -340,12 +351,12 @@ class SessionResult:
     @property
     def total_edge_hit_mbit(self) -> float:
         """Bytes the edge cache served across the whole session."""
-        return sum(self._f("edge_hit_mbit").tolist())
+        return fold_sum(self._f("edge_hit_mbit").tolist())
 
     @property
     def total_size_mbit(self) -> float:
         """Bytes downloaded across the whole session."""
-        return sum(self._f("size_mbit").tolist())
+        return fold_sum(self._f("size_mbit").tolist())
 
     @property
     def edge_hit_fraction(self) -> float:
@@ -404,13 +415,11 @@ def _restore(scheme_name, video_id, user_id, device_name, network_name,
              floats: bytes, ints: bytes) -> SessionResult:
     """Unpickle a :class:`SessionResult` from its header and raw column
     bytes: one ``np.frombuffer`` per block, no per-segment objects."""
-    result = SessionResult.__new__(SessionResult)
-    result._init(
+    return SessionResult.from_columns(
         scheme_name, video_id, user_id, device_name, network_name,
-        np.frombuffer(floats, dtype=_FLOAT).reshape(len(_FLOAT_COLUMNS), -1),
-        np.frombuffer(ints, dtype=_INT).reshape(len(_INT_COLUMNS), -1),
+        np.frombuffer(floats, dtype=_FLOAT).reshape(len(FLOAT_COLUMNS), -1),
+        np.frombuffer(ints, dtype=_INT).reshape(len(INT_COLUMNS), -1),
     )
-    return result
 
 
 def mean_sessions(results: list[SessionResult]) -> dict[str, float]:

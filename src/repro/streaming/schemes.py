@@ -25,9 +25,10 @@ how it will be decoded).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Protocol, Sequence
 
+from .. import fold_sum
 from ..geometry.tiling import Tile, TileGrid
 from ..geometry.viewport import Rect, Viewport
 from ..power.models import TilingScheme
@@ -37,6 +38,7 @@ from .abr import ThroughputBufferABR
 from .ftile import FtilePartition
 
 __all__ = [
+    "AbrOptions",
     "PlanContext",
     "DownloadPlan",
     "StreamingScheme",
@@ -153,16 +155,22 @@ class DownloadPlan:
 
     def coverage_of(self, viewport: Viewport) -> float:
         """Fraction of the viewport area served at high quality."""
-        if self.full_coverage:
-            return 1.0
-        total = viewport.area
-        if total <= 0 or not self.hq_rects:
-            return 0.0
-        covered = 0.0
-        for vp_rect in viewport.rects():
-            for hq in self.hq_rects:
-                covered += vp_rect.intersection_area(hq)
-        return min(covered / total, 1.0)
+        return hq_coverage(self.hq_rects, self.full_coverage, viewport)
+
+
+def hq_coverage(hq_rects: Sequence[Rect], full_coverage: bool,
+                viewport: Viewport) -> float:
+    """Fraction of ``viewport`` inside the high-quality ``hq_rects``."""
+    if full_coverage:
+        return 1.0
+    total = viewport.area
+    if total <= 0 or not hq_rects:
+        return 0.0
+    covered = 0.0
+    for vp_rect in viewport.rects():
+        for hq in hq_rects:
+            covered += vp_rect.intersection_area(hq)
+    return min(covered / total, 1.0)
 
 
 class StreamingScheme(Protocol):
@@ -181,13 +189,13 @@ def _tile_rects(grid: TileGrid, tiles: set[Tile]) -> tuple[Rect, ...]:
 def _level_totals(hq_rows, lowest, num_levels: int) -> list[float]:
     """Per-level sizes: ``hq_rows`` (size-table rows as lists of floats)
     at each level plus the ``lowest``-level sizes around them.  Each is
-    the builtin ``sum()`` of a column in set-iteration order: the calls,
-    so the bits, of summing scalar sizes, even where ``sum()``
-    compensates (CPython 3.12+) and a numpy add would not match.
+    the left fold (:func:`~repro.fold_sum`) of a column in set-iteration
+    order: the bits of summing the scalar sizes one by one, on every
+    interpreter.
     """
-    background = sum(lowest)
+    background = fold_sum(lowest)
     columns = zip(*hq_rows) if hq_rows else [()] * num_levels
-    return [sum(column) + background for column in columns]
+    return [fold_sum(column) + background for column in columns]
 
 
 def ctile_sizes(manifest: SegmentManifest, fov_tiles) -> list[float]:
@@ -214,21 +222,37 @@ def ptile_sizes(manifest: SegmentManifest, ptile, remainder) -> list[float]:
     return _level_totals([row], _lowest(manifest, remainder), len(row))
 
 
-def _abr_plan(scheme, ctx: PlanContext, sizes: list[float], qualities,
-              decode_scheme: TilingScheme, **extra) -> DownloadPlan:
-    """The plan at the ABR's pick among ``qualities``, whose per-level
-    total sizes are ``sizes``."""
-    quality = scheme.abr.choose_quality(
-        sizes, ctx.bandwidth_mbps, ctx.buffer_s, ctx.segment_seconds,
-        qualities=qualities,
+class AbrOptions(NamedTuple):
+    """A baseline scheme's candidates for one segment: per-level total
+    ``sizes`` of the ``qualities`` (ascending), the ABR that picks among
+    them, and what the picked plan decodes and covers."""
+
+    abr: ThroughputBufferABR
+    sizes: list[float]
+    qualities: tuple
+    decode_scheme: TilingScheme
+    hq_rects: tuple[Rect, ...] = ()
+    full_coverage: bool = False
+    used_ptile: bool = False
+
+
+def _abr_plan(name: str, ctx: PlanContext, options: AbrOptions) -> DownloadPlan:
+    """The plan at the ABR's pick among ``options``.  The baselines plan
+    through this; the session kernel reads their ``options`` per (head
+    trace, segment) and picks for every session at once."""
+    quality = options.abr.choose_quality(
+        options.sizes, ctx.bandwidth_mbps, ctx.buffer_s, ctx.segment_seconds,
+        qualities=options.qualities,
     )
     return DownloadPlan(
-        scheme_name=scheme.name,
+        scheme_name=name,
         quality=quality,
         frame_rate=ctx.fps,
-        total_size_mbit=sizes[qualities.index(quality)],
-        decode_scheme=decode_scheme,
-        **extra,
+        total_size_mbit=options.sizes[options.qualities.index(quality)],
+        decode_scheme=options.decode_scheme,
+        hq_rects=options.hq_rects,
+        full_coverage=options.full_coverage,
+        used_ptile=options.used_ptile,
     )
 
 
@@ -240,9 +264,12 @@ class CtileScheme:
     name: str = "ctile"
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
+        return _abr_plan(self.name, ctx, self.options(ctx))
+
+    def options(self, ctx: PlanContext) -> AbrOptions:
         fov_tiles = ctx.grid.viewport_tiles(ctx.predicted_viewport)
-        return _abr_plan(
-            self, ctx, ctile_sizes(ctx.manifest, fov_tiles),
+        return AbrOptions(
+            self.abr, ctile_sizes(ctx.manifest, fov_tiles),
             ctx.manifest.encoder.ladder.levels, TilingScheme.CTILE,
             hq_rects=_tile_rects(ctx.grid, fov_tiles),
         )
@@ -256,6 +283,9 @@ class FtileScheme:
     name: str = "ftile"
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
+        return _abr_plan(self.name, ctx, self.options(ctx))
+
+    def options(self, ctx: PlanContext) -> AbrOptions:
         if ctx.ftile_partition is None:
             raise ValueError("FtileScheme requires a per-segment partition")
         cells = ctx.ftile_partition.cells
@@ -269,8 +299,8 @@ class FtileScheme:
              for c in hq_cells],
             _lowest(manifest, lq_cells), len(levels),
         )
-        return _abr_plan(self, ctx, sizes, levels, TilingScheme.FTILE,
-                         hq_rects=tuple(c.rect for c in hq_cells))
+        return AbrOptions(self.abr, sizes, levels, TilingScheme.FTILE,
+                          hq_rects=tuple(c.rect for c in hq_cells))
 
 
 @dataclass(frozen=True)
@@ -300,9 +330,12 @@ class NontileScheme:
         return tuple(1.0 + i * self.ladder_step for i in range(steps + 1))
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
+        return _abr_plan(self.name, ctx, self.options(ctx))
+
+    def options(self, ctx: PlanContext) -> AbrOptions:
         qualities = self.qualities(ctx.manifest.encoder.ladder.num_levels)
-        return _abr_plan(
-            self, ctx, ctx.manifest.frame_sizes(qualities).tolist(), qualities,
+        return AbrOptions(
+            self.abr, ctx.manifest.frame_sizes(qualities).tolist(), qualities,
             TilingScheme.NONTILE, full_coverage=True,
         )
 
@@ -321,20 +354,21 @@ class PtileScheme:
     fallback: CtileScheme = field(default_factory=CtileScheme)
 
     def plan(self, ctx: PlanContext) -> DownloadPlan:
+        return _abr_plan(self.name, ctx, self.options(ctx))
+
+    def options(self, ctx: PlanContext) -> AbrOptions:
+        # The fallback reports under this scheme's name but keeps its
+        # own ABR and the Ctile decode costs.
         if ctx.segment_ptiles is None:
-            return self._fallback_plan(ctx)
+            return self.fallback.options(ctx)
         ptile = ctx.segment_ptiles.match(ctx.predicted_viewport)
         if ptile is None:
-            return self._fallback_plan(ctx)
+            return self.fallback.options(ctx)
         sizes = ptile_sizes(
             ctx.manifest, ptile, ctx.segment_ptiles.remainder_for(ptile)
         )
-        return _abr_plan(
-            self, ctx, sizes, ctx.manifest.encoder.ladder.levels,
+        return AbrOptions(
+            self.abr, sizes, ctx.manifest.encoder.ladder.levels,
             TilingScheme.PTILE, hq_rects=split_wrapped_rect(ptile.rect),
             used_ptile=True,
         )
-
-    def _fallback_plan(self, ctx: PlanContext) -> DownloadPlan:
-        # Report under this scheme's name but keep Ctile decode costs.
-        return replace(self.fallback.plan(ctx), scheme_name=self.name)

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .. import fold_sum
 from ..geometry.tiling import Tile, TileGrid
 from .content import Video
 from .encoder import EncoderModel
@@ -134,7 +135,7 @@ class SegmentManifest:
 
     def tiles_size_mbit(self, tiles: Iterable[Tile], quality: float) -> float:
         """Total size of a set of separately encoded conventional tiles."""
-        return sum(self.tile_size_mbit(t, quality) for t in tiles)
+        return fold_sum(self.tile_size_mbit(t, quality) for t in tiles)
 
     def region_size_mbit(
         self,

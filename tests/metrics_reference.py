@@ -3,7 +3,9 @@
 :class:`RecordLoopResult` is the per-record implementation that
 :class:`~repro.streaming.metrics.SessionResult` used while it stored a
 list of :class:`~repro.streaming.metrics.SegmentRecord` objects: every
-aggregate is a Python loop over the records.  The columnar result must
+aggregate is a Python loop over the records (float totals through the
+interpreter-independent left fold, :func:`repro.fold_sum`).  The
+columnar result must
 equal it bit for bit, including the Python type of each value, on every
 interpreter (``tests/test_streaming_metrics.py``).
 """
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import fold_sum
 from repro.power import SegmentEnergy
 from repro.qoe import SessionQoE
 from repro.streaming import SegmentRecord
@@ -97,7 +100,7 @@ class RecordLoopResult:
 
     @property
     def total_stall_s(self) -> float:
-        return sum(r.stall_s for r in self.records)
+        return fold_sum(r.stall_s for r in self.records)
 
     @property
     def rebuffer_count(self) -> int:
@@ -110,15 +113,15 @@ class RecordLoopResult:
 
     @property
     def total_size_mbit(self) -> float:
-        return sum(r.size_mbit for r in self.records)
+        return fold_sum(r.size_mbit for r in self.records)
 
     @property
     def total_edge_hit_mbit(self) -> float:
-        return sum(r.edge_hit_mbit for r in self.records)
+        return fold_sum(r.edge_hit_mbit for r in self.records)
 
     @property
     def edge_hit_fraction(self) -> float:
-        total = sum(r.size_mbit for r in self.records)
+        total = fold_sum(r.size_mbit for r in self.records)
         if total <= 0:
             return 0.0
         return self.total_edge_hit_mbit / total

@@ -216,13 +216,13 @@ class TestAblationCli:
         from repro.experiments import SweepContext
 
         jobs = []
-        run_job = SweepContext.run_job
+        run_jobs = SweepContext.run_jobs
 
-        def counting(self, job):
-            jobs.append(job)
-            return run_job(self, job)
+        def counting(self, batch):
+            jobs.extend(batch)
+            return run_jobs(self, batch)
 
-        monkeypatch.setattr(SweepContext, "run_job", counting)
+        monkeypatch.setattr(SweepContext, "run_jobs", counting)
         assert main(["ablation", "--duration", "30", "--users", "2",
                      "--workers", "1", "--no-artifact-cache"]) == 0
         assert "-- viewport predictor --" in capsys.readouterr().out
@@ -235,10 +235,10 @@ class TestAblationCli:
         cache = ("--artifact-cache", str(tmp_path / "cache"))
         cold = self._out(capsys, *cache)
 
-        def boom(self, job):  # pragma: no cover - must not run
+        def boom(self, jobs):  # pragma: no cover - must not run
             raise AssertionError("a session ran on a warm results cache")
 
-        monkeypatch.setattr(SweepContext, "run_job", boom)
+        monkeypatch.setattr(SweepContext, "run_jobs", boom)
         assert self._out(capsys, *cache) == cold
 
 

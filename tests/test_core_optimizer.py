@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import EnergyQoEMpc, MpcConfig, MpcWindow
+from repro.core.optimizer import _BLOCK_ROWS
 from repro.power import EnergyModel, PIXEL_3
 
 from .mpc_reference import choose_reference, decisions_from_columns
@@ -231,10 +232,15 @@ class TestChooseBatch:
                 assert got.planned_energy_j == want.planned_energy_j
 
     @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("batch", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("batch", sorted({
+        1, 2, 63, 64, 65, 130,
+        _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 2,
+    }))
     def test_block_boundary_matches_reference(self, mpc, batch, horizon):
-        """Every row of a batch, on either side of the solver's 64-row
-        block boundary, equals the scalar oracle on tie-heavy windows."""
+        """Every row of a batch equals the scalar oracle on tie-heavy
+        windows: batches inside one block, one row short of the solver's
+        ``_BLOCK_ROWS``-row block, exactly one block, one row over, and
+        two full blocks plus a two-row tail."""
         rng = np.random.default_rng([batch, horizon])
         sizes, qoe, bw, buf = self._windows(rng, batch, horizon)
         decisions = decisions_from_columns(

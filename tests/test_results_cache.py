@@ -129,10 +129,10 @@ class TestWarmIdentity:
         store = ArtifactStore(tmp_path)
         run_session_jobs(sweep_context, jobs, workers=1, results=store)
 
-        def boom(self, job):  # pragma: no cover - must not run
+        def boom(self, jobs):  # pragma: no cover - must not run
             raise AssertionError("a session ran on a warm results cache")
 
-        monkeypatch.setattr(SweepContext, "run_job", boom)
+        monkeypatch.setattr(SweepContext, "run_jobs", boom)
         warm = run_session_jobs(sweep_context, jobs, workers=1,
                                 results=ArtifactStore(tmp_path))
         assert warm.cache_hits == len(jobs)
@@ -189,10 +189,10 @@ class TestGroupedRuns:
     ):
         off = run_session_groups(groups).results
         calls, merges = [], []
-        run_job, merge_shard = SweepContext.run_job, ArtifactStore.merge_shard
+        run_jobs, merge_shard = SweepContext.run_jobs, ArtifactStore.merge_shard
         monkeypatch.setattr(
-            SweepContext, "run_job",
-            lambda self, job: calls.append(job) or run_job(self, job),
+            SweepContext, "run_jobs",
+            lambda self, jobs: calls.extend(jobs) or run_jobs(self, jobs),
         )
         monkeypatch.setattr(
             ArtifactStore, "merge_shard",
@@ -224,10 +224,10 @@ class TestGroupedRuns:
         cold = run_session_groups(groups, workers=workers, results=store)
         assert store.stats.writes == {"results": self.DISTINCT}
 
-        def boom(self, job):  # pragma: no cover - must not run
+        def boom(self, jobs):  # pragma: no cover - must not run
             raise AssertionError("a session ran on a warm results cache")
 
-        monkeypatch.setattr(SweepContext, "run_job", boom)
+        monkeypatch.setattr(SweepContext, "run_jobs", boom)
         warm_store = ArtifactStore(tmp_path)
         warm = run_session_groups(groups, workers=workers,
                                   results=warm_store)

@@ -464,13 +464,13 @@ class TestSweepIdentity:
         run_session_jobs(sweep_context, jobs, workers=1,
                          results=ArtifactStore(tmp_path))
 
-        def boom(self, job):  # pragma: no cover - must not run
+        def boom(self, jobs):  # pragma: no cover - must not run
             raise AssertionError("a session ran on a warm shard store")
 
         def no_pickle_get(self, kind, digest):  # pragma: no cover
             raise AssertionError("per-object pickle read on a warm shard")
 
-        monkeypatch.setattr(SweepContext, "run_job", boom)
+        monkeypatch.setattr(SweepContext, "run_jobs", boom)
         monkeypatch.setattr(ArtifactStore, "get", no_pickle_get)
         warm = run_session_jobs(sweep_context, jobs, workers=1,
                                 results=ArtifactStore(tmp_path))
@@ -598,10 +598,10 @@ class TestRunComparisonShards:
         assert len(shards) == 2, [s.name for s in shards]
         assert not list(tmp_path.rglob("results/*.pkl"))
 
-        def boom(self, job):  # pragma: no cover - must not run
+        def boom(self, jobs):  # pragma: no cover - must not run
             raise AssertionError("a session ran on a warm shard store")
 
-        monkeypatch.setattr(SweepContext, "run_job", boom)
+        monkeypatch.setattr(SweepContext, "run_jobs", boom)
         warm_store = ArtifactStore(tmp_path)
         warm = run_comparison(setup, device, results_store=warm_store,
                               **kwargs)

@@ -4,7 +4,8 @@ The manifest's size table factors every size into a per-area encoder
 formula vector and a per-region noise draw.  These tests pin that every
 table entry and every scalar reader is bit-identical to asking the
 encoder directly with the region's noise key; that the per-level totals
-the schemes read equal the scalar ``sum()`` in set-iteration order;
+the schemes read equal the left fold of the scalar sizes in
+set-iteration order (:func:`repro.fold_sum`, on every interpreter);
 that a golden digest of every size of one video never moves; that a
 cold run draws each region's noise exactly once; and that pickling a
 warmed manifest changes nothing.
@@ -12,6 +13,7 @@ warmed manifest changes nothing.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
 import math
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import fold_sum
 from repro.core import OursScheme, PlanTables
 from repro.encoding.ladder import EncodingLadder
 from repro.geometry import DEFAULT_GRID, TileGrid
@@ -34,7 +37,6 @@ from repro.power import PIXEL_3
 from repro.ptile.construction import RemainderBlock
 from repro.qoe import QualityModel
 from repro.streaming import NontileScheme, run_session
-from repro.streaming import schemes
 from repro.streaming.schemes import _level_totals, ctile_sizes, ptile_sizes
 from repro.video import DEFAULT_LADDER, EncoderModel, VideoManifest
 from repro.video.encoder import _stable_key_ints
@@ -381,7 +383,7 @@ def test_table_entries_equal_scalar_encoder(encoder, fields, data):
 
 
 # ----------------------------------------------------------------------
-# Per-level totals == per-level scalar sum() in set-iteration order
+# Per-level totals == per-level left fold in set-iteration order
 # ----------------------------------------------------------------------
 
 
@@ -392,10 +394,10 @@ def test_ctile_totals_equal_sum_in_iteration_order(encoder, fields, fov):
     seg = SegmentManifest(*fields, encoder)
     grid = encoder.grid
     tile = 1.0 / grid.num_tiles
-    background = sum(_scalar(seg, ("tile", t.row, t.col), tile, 1)
-                     for t in set(grid.tiles()) - fov)
+    background = fold_sum(_scalar(seg, ("tile", t.row, t.col), tile, 1)
+                          for t in set(grid.tiles()) - fov)
     want = [
-        sum(_scalar(seg, ("tile", t.row, t.col), tile, q) for t in fov)
+        fold_sum(_scalar(seg, ("tile", t.row, t.col), tile, q) for t in fov)
         + background
         for q in encoder.ladder.levels
     ]
@@ -405,8 +407,9 @@ def test_ctile_totals_equal_sum_in_iteration_order(encoder, fields, fov):
 def test_empty_tile_set_is_zero_plus_background(manifest2):
     seg = manifest2[0]
     grid = seg.grid
-    background = sum(_scalar(seg, ("tile", t.row, t.col), 1 / grid.num_tiles, 1)
-                     for t in set(grid.tiles()))
+    background = fold_sum(
+        _scalar(seg, ("tile", t.row, t.col), 1 / grid.num_tiles, 1)
+        for t in set(grid.tiles()))
     assert ctile_sizes(seg, frozenset()) == [
         0 + background for _ in seg.encoder.ladder.levels]
 
@@ -424,8 +427,8 @@ def test_ptile_totals_equal_sum_in_iteration_order(encoder, fields, data):
         RemainderBlock(key=f"rem-0-{i}", tiles=frozenset(), area_fraction=a)
         for i, a in enumerate(data.draw(st.lists(area, max_size=3)))
     ]
-    background = sum(_scalar(seg, (b.key,), b.area_fraction, 1)
-                     for b in remainder)
+    background = fold_sum(_scalar(seg, (b.key,), b.area_fraction, 1)
+                          for b in remainder)
     want = [
         _scalar(seg, (ptile.region_key,), ptile.area_fraction, q) + background
         for q in encoder.ladder.levels
@@ -436,11 +439,11 @@ def test_ptile_totals_equal_sum_in_iteration_order(encoder, fields, data):
 @given(st.lists(st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
                 max_size=12),
        st.lists(st.floats(0.0, 1e3), max_size=12))
-# Left-to-right addition and a compensated sum() disagree here.
+# Left-to-right addition and a compensated sum() (3.12+) disagree here.
 @example(rows=[[1.0] * 3, [1e16] * 3, [1.0] * 3], lowest=[1.0, 1e16, 1.0])
 def test_level_totals_equal_per_level_sum(rows, lowest):
     assert _level_totals(rows, lowest, 3) == [
-        sum(r[v] for r in rows) + sum(lowest) for v in range(3)]
+        fold_sum(r[v] for r in rows) + fold_sum(lowest) for v in range(3)]
 
 
 def _compensated_sum(values, start=0):
@@ -460,24 +463,34 @@ def _compensated_sum(values, start=0):
        st.frozensets(st.sampled_from(tuple(DEFAULT_GRID.tiles()))))
 @settings(max_examples=30, deadline=None)
 def test_totals_follow_the_interpreters_sum(encoder, fields, fov):
-    # The totals must be whatever ``sum()`` gives on the running
-    # interpreter, so they match on 3.12+, where sum() compensates.
+    # The totals are the left fold of the scalar sizes on every
+    # interpreter: a compensated builtin sum() (CPython 3.12+) must not
+    # change them.
     seg = SegmentManifest(*fields, encoder)
     grid = encoder.grid
     tile = 1.0 / grid.num_tiles
-    with mock.patch.object(schemes, "sum", _compensated_sum, create=True):
+    with mock.patch.object(builtins, "sum", _compensated_sum):
         got = ctile_sizes(seg, fov)
         spread = _level_totals(
             [[1.0] * 3, [1e16] * 3, [1.0] * 3], [1.0, 1e16, 1.0], 3)
-    background = _compensated_sum(
+    background = fold_sum(
         _scalar(seg, ("tile", t.row, t.col), tile, 1)
         for t in set(grid.tiles()) - fov)
     assert got == [
-        _compensated_sum(_scalar(seg, ("tile", t.row, t.col), tile, q)
-                         for t in fov) + background
+        fold_sum(_scalar(seg, ("tile", t.row, t.col), tile, q)
+                 for t in fov) + background
         for q in encoder.ladder.levels
     ]
-    assert spread == [2 * (1e16 + 2.0)] * 3
+    assert spread == [2e16] * 3
+    assert _compensated_sum([1.0, 1e16, 1.0]) == 1e16 + 2.0
+
+
+def test_fold_sum_is_a_left_fold():
+    assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    # The builtin sum()'s start: an empty total stays the int 0.
+    assert fold_sum([]) == 0 and type(fold_sum([])) is int
+    assert fold_sum([0.5], 0.25) == 0.75
 
 
 @given(st.integers(1, 6), st.integers(1, 9), st.data())

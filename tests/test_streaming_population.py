@@ -1,10 +1,12 @@
-"""Parity and unit tests for the batched population session engine.
+"""Parity and unit tests for population runs on the session kernel.
 
-The engine's contract is numeric agreement with
-:func:`~repro.streaming.session.run_session` on identical inputs, so
-most tests here run both paths and compare per-session aggregates; the
-scalar reference sessions must also satisfy the per-segment invariants
-of ``tests/session_invariants.py``.
+The engine steps many sessions through the same kernel ``run_session``
+steps one through, so every aggregate both sides take by the same left
+fold (energies, QoE means, stalls, byte totals, rebuffer counts) must
+agree exactly; the aggregates ``SessionResult`` takes with ``np.mean``
+(pairwise summation) keep a tolerance.  The scalar reference sessions
+must also satisfy the per-segment invariants of
+``tests/session_invariants.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.controller import OursScheme
+from repro.prediction import static_predictor_factory
+from repro.resilience import DownloadPolicy, generate_fault_plan
 from repro.streaming import (
     CtileScheme,
+    FtileScheme,
+    NontileScheme,
     PopulationEngine,
     PtileScheme,
     SessionConfig,
@@ -30,39 +36,50 @@ CFG = SessionConfig(max_segments=10)
 
 
 def _assert_parity(engine, scheme, manifest, traces, network, device,
-                   ptiles, config, user_indices, **run_kwargs):
+                   ptiles, config, user_indices, ftiles=None, **run_kwargs):
     res = engine.run(user_indices, **run_kwargs)
     for j, u in enumerate(user_indices):
         scalar = run_session(
             scheme, manifest, traces[u], network, device,
-            ptiles=ptiles, config=config,
+            ptiles=ptiles, ftiles=ftiles, config=config,
         )
         check_invariants(scalar, config)
         sq = scalar.session_qoe
-        pairs = [
+        exact = [
             ("transmission_j", res.transmission_j[j], scalar.energy.transmission_j),
             ("decoding_j", res.decoding_j[j], scalar.energy.decoding_j),
             ("rendering_j", res.rendering_j[j], scalar.energy.rendering_j),
             ("total_energy_j", res.total_energy_j[j], scalar.total_energy_j),
             ("mean_qoe", res.mean_qoe[j], sq.mean_q),
+            ("mean_qoe", res.mean_qoe[j], scalar.mean_qoe),
             ("mean_qo", res.mean_qo[j], sq.mean_qo),
             ("mean_variation", res.mean_variation[j], sq.mean_variation),
             ("mean_rebuffer", res.mean_rebuffer[j], sq.mean_rebuffer),
             ("total_stall_s", res.total_stall_s[j], scalar.total_stall_s),
+            ("total_edge_hit_mbit", res.total_edge_hit_mbit[j],
+             scalar.total_edge_hit_mbit),
+            ("total_size_mbit", res.total_size_mbit[j],
+             scalar.total_size_mbit),
+            ("rebuffer_count", res.rebuffer_count[j], scalar.rebuffer_count),
+        ]
+        for name, got, want in exact:
+            assert got == want, (
+                f"{name} diverged for session {j} (user {u}): "
+                f"engine={got!r} scalar={want!r}"
+            )
+        # SessionResult takes these with np.mean (pairwise summation).
+        close = [
             ("mean_quality_level", res.mean_quality_level[j],
              scalar.mean_quality_level),
             ("mean_frame_rate", res.mean_frame_rate[j], scalar.mean_frame_rate),
             ("mean_coverage", res.mean_coverage[j], scalar.mean_coverage),
             ("ptile_hit_rate", res.ptile_hit_rate[j], scalar.ptile_hit_rate),
-            ("total_edge_hit_mbit", res.total_edge_hit_mbit[j],
-             scalar.total_edge_hit_mbit),
         ]
-        for name, got, want in pairs:
+        for name, got, want in close:
             assert got == pytest.approx(want, rel=RTOL, abs=1e-12), (
                 f"{name} diverged for session {j} (user {u}): "
                 f"engine={got!r} scalar={want!r}"
             )
-        assert int(res.rebuffer_count[j]) == scalar.rebuffer_count
     return res
 
 
@@ -164,6 +181,73 @@ class TestParity:
         _assert_parity(engine, scheme, manifest2, traces, trace, device,
                        None, CFG, [0, 1])
 
+    def test_resilience_config_parity(self, manifest2, ptiles2,
+                                      small_dataset, network_traces, device):
+        # The resilience overlay is a per-row branch of the same step.
+        traces = small_dataset.test_traces(2)
+        config = SessionConfig(
+            max_segments=10, download_policy=DownloadPolicy(),
+            fault_plan=generate_fault_plan("stress", 300.0),
+        )
+        scheme = OursScheme(device=device)
+        engine = PopulationEngine(
+            scheme, manifest2, traces, network_traces[1], device,
+            ptiles=ptiles2, config=config,
+        )
+        _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
+                       device, ptiles2, config, [0, 1, 0])
+
+    def test_custom_predictor_parity(self, manifest2, ptiles2, small_dataset,
+                                     network_traces, device):
+        traces = small_dataset.test_traces(2)
+        config = SessionConfig(
+            max_segments=10, predictor_factory=static_predictor_factory
+        )
+        scheme = PtileScheme()
+        engine = PopulationEngine(
+            scheme, manifest2, traces, network_traces[1], device,
+            ptiles=ptiles2, config=config,
+        )
+        _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
+                       device, ptiles2, config, [0, 1, 0])
+
+    def test_playhead_bound_late_fetch_parity(self, manifest2, ptiles2,
+                                              small_dataset, network_traces,
+                                              device):
+        # Past 0.5 L + min(L, threshold) the playhead binds some
+        # prediction times; those segments plan through scheme.plan.
+        traces = small_dataset.test_traces(2)
+        config = SessionConfig(max_segments=10, late_fetch_horizon_s=2.0)
+        scheme = OursScheme(device=device)
+        engine = PopulationEngine(
+            scheme, manifest2, traces, network_traces[1], device,
+            ptiles=ptiles2, config=config,
+        )
+        _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
+                       device, ptiles2, config, [0, 1, 2])
+
+    def test_nontile_parity(self, manifest2, small_dataset, network_traces,
+                            device):
+        # Nontile picks from a fractional ladder.
+        traces = small_dataset.test_traces(2)
+        scheme = NontileScheme()
+        engine = PopulationEngine(
+            scheme, manifest2, traces, network_traces[1], device, config=CFG
+        )
+        _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
+                       device, None, CFG, [0, 1])
+
+    def test_ftile_parity(self, manifest2, ftiles2, small_dataset,
+                          network_traces, device):
+        traces = small_dataset.test_traces(2)
+        scheme = FtileScheme()
+        engine = PopulationEngine(
+            scheme, manifest2, traces, network_traces[1], device,
+            ftiles=ftiles2, config=CFG,
+        )
+        _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
+                       device, None, CFG, [0, 1], ftiles=ftiles2)
+
 
 class TestRunSemantics:
     def test_start_times_shift_network_phase(self, manifest2, small_dataset,
@@ -217,49 +301,6 @@ class TestConstructorValidation:
             PopulationEngine(
                 CtileScheme(), manifest2, small_dataset.test_traces(2),
                 dead, device, config=CFG,
-            )
-
-    def test_rejects_resilience_config(self, manifest2, small_dataset,
-                                       network_traces, device):
-        from repro.resilience import DownloadPolicy
-
-        config = SessionConfig(
-            max_segments=10, download_policy=DownloadPolicy()
-        )
-        with pytest.raises(ValueError, match="run_session"):
-            PopulationEngine(
-                CtileScheme(), manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, config=config,
-            )
-
-    def test_rejects_custom_predictor(self, manifest2, small_dataset,
-                                      network_traces, device):
-        config = SessionConfig(
-            max_segments=10, predictor_factory=lambda *a: None
-        )
-        with pytest.raises(ValueError, match="predictor"):
-            PopulationEngine(
-                CtileScheme(), manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, config=config,
-            )
-
-    def test_rejects_oversized_late_fetch(self, manifest2, small_dataset,
-                                          network_traces, device):
-        config = SessionConfig(max_segments=10, late_fetch_horizon_s=2.0)
-        with pytest.raises(ValueError, match="late_fetch"):
-            PopulationEngine(
-                CtileScheme(), manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, config=config,
-            )
-
-    def test_rejects_unknown_scheme(self, manifest2, small_dataset,
-                                    network_traces, device):
-        from repro.streaming import NontileScheme
-
-        with pytest.raises(ValueError, match="unsupported scheme"):
-            PopulationEngine(
-                NontileScheme(), manifest2, small_dataset.test_traces(2),
-                network_traces[1], device, config=CFG,
             )
 
 
