@@ -10,7 +10,6 @@ from .quaternion import (
     quaternion_to_direction,
 )
 from .sphere import (
-    angular_distance,
     equirect_distance,
     orientation_angles,
     orientation_vector,
@@ -27,7 +26,6 @@ __all__ = [
     "quaternion_rotate",
     "quaternion_to_angles",
     "quaternion_to_direction",
-    "angular_distance",
     "equirect_distance",
     "orientation_angles",
     "orientation_vector",

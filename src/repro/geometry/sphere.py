@@ -14,8 +14,10 @@ consecutive orientation vectors::
     S_fov = arccos(o1 . o2 / (|o1| |o2|)) / (t2 - t1)
 
 expressed in degrees per second.  This module provides the orientation
-vector conversion, great-circle (angular) distances, and vectorized
-switching-speed computation used throughout the library.
+vector conversion, equirectangular distances, and vectorized
+switching-speed computation used throughout the library (great-circle
+distances between directions are
+:func:`repro.prediction.uncertainty.angular_distance_deg`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 __all__ = [
     "orientation_vector",
     "orientation_angles",
-    "angular_distance",
     "equirect_distance",
     "switching_speed_series",
 ]
@@ -69,20 +70,6 @@ def orientation_angles(vector: Sequence[float]) -> tuple[float, float]:
     pitch = math.degrees(math.asin(max(-1.0, min(1.0, z / norm))))
     yaw = math.degrees(math.atan2(y, x)) % 360.0
     return yaw, pitch
-
-
-def angular_distance(
-    yaw1: float, pitch1: float, yaw2: float, pitch2: float
-) -> float:
-    """Great-circle angle (degrees) between two viewing directions.
-
-    This is the ``arccos`` term of Eq. 5 in the paper, evaluated for unit
-    orientation vectors.
-    """
-    o1 = orientation_vector(yaw1, pitch1)
-    o2 = orientation_vector(yaw2, pitch2)
-    dot = float(np.dot(o1, o2))
-    return math.degrees(math.acos(max(-1.0, min(1.0, dot))))
 
 
 def equirect_distance(

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import DevicePowerModel, TilingScheme
 
 __all__ = ["SegmentEnergy", "EnergyModel"]
@@ -67,9 +69,10 @@ class EnergyModel:
         download_time_s = size_mbit / bandwidth_mbps
         return self.device.transmission_mw * _MW_TO_W * download_time_s
 
-    def transmission_energy_from_time_j(self, download_time_s: float) -> float:
-        """E_t when the download time has already been simulated."""
-        if download_time_s < 0:
+    def transmission_energy_from_time_j(self, download_time_s):
+        """E_t when the download time has already been simulated
+        (elementwise: the session kernel passes one time per session)."""
+        if (np.asarray(download_time_s) < 0).any():
             raise ValueError("download time must be non-negative")
         return self.device.transmission_mw * _MW_TO_W * download_time_s
 

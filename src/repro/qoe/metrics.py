@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .. import fold_sum
 from .quality import QualityModel
 
@@ -61,26 +63,29 @@ class QoEModel:
     quality: QualityModel = field(default_factory=QualityModel)
     weights: QoEWeights = field(default_factory=QoEWeights)
 
-    def rebuffer_ratio(self, download_time_s: float, buffer_s: float) -> float:
-        """``max(S/R - B, 0) / B`` with floor/cap for robustness."""
-        if download_time_s < 0:
-            raise ValueError("download time must be non-negative")
-        if buffer_s < 0:
-            raise ValueError("buffer must be non-negative")
-        stall = max(download_time_s - buffer_s, 0.0)
-        if stall == 0.0:
-            return 0.0
-        ratio = stall / max(buffer_s, _BUFFER_FLOOR_S)
-        return min(ratio, _REBUFFER_RATIO_CAP)
+    def rebuffer_ratio(self, download_time_s, buffer_s):
+        """``max(S/R - B, 0) / B`` with floor/cap for robustness.
 
-    def segment_qoe(
-        self,
-        qo: float,
-        prev_qo: float | None,
-        download_time_s: float,
-        buffer_s: float,
-    ) -> SegmentQoE:
-        """Eq. 2 for one segment.
+        Elementwise: floats give a float, ``(N,)`` arrays (one entry per
+        session, as the session kernel passes them) give an array.
+        """
+        download_time_s = np.asarray(download_time_s)
+        buffer_s = np.asarray(buffer_s)
+        if (download_time_s < 0).any():
+            raise ValueError("download time must be non-negative")
+        if (buffer_s < 0).any():
+            raise ValueError("buffer must be non-negative")
+        stall = np.maximum(download_time_s - buffer_s, 0.0)
+        ratio = np.where(
+            stall == 0.0, 0.0,
+            np.minimum(stall / np.maximum(buffer_s, _BUFFER_FLOOR_S),
+                       _REBUFFER_RATIO_CAP),
+        )
+        return ratio if ratio.ndim else float(ratio)
+
+    def segment_qoe(self, qo, prev_qo, download_time_s, buffer_s) -> SegmentQoE:
+        """Eq. 2 for one segment (elementwise, like :meth:`rebuffer_ratio`:
+        with arrays, each field holds one value per session).
 
         ``prev_qo`` is the previous segment's Q_o (None for the first
         segment, which has no variation penalty).  ``buffer_s`` is the

@@ -14,7 +14,6 @@ from .cache import (
     ptile_vs_ctile_caching,
     simulate_cache,
 )
-from .events import TimelineEntry, session_timeline, timeline_csv
 from .ftile import (
     FtileCell,
     FtilePartition,
@@ -54,9 +53,6 @@ __all__ = [
     "interleave_tenant_requests",
     "ptile_vs_ctile_caching",
     "simulate_cache",
-    "TimelineEntry",
-    "session_timeline",
-    "timeline_csv",
     "PopulationEngine",
     "PopulationResult",
     "FtileCell",

@@ -78,6 +78,9 @@ class ThroughputBufferABR:
             raise ValueError("need at least one quality level")
         if len(sizes) != len(qualities):
             raise ValueError(f"need one size per quality level, got {len(sizes)}")
+        # The one-row case of the kernel's pick, over ascending qualities.
+        order = sorted(range(len(qualities)), key=qualities.__getitem__)
         budget = self.budget_mbit(bandwidth_mbps, buffer_s, segment_s)
-        fitting = [q for q, size in zip(qualities, sizes) if size <= budget]
-        return max(fitting) if fitting else min(qualities)
+        best = self.pick(np.array([[sizes[i] for i in order]], dtype=float),
+                         np.reshape(budget, 1))[0]
+        return qualities[order[best]]

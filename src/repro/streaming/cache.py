@@ -208,38 +208,6 @@ def _ptile_segment_requests(seg, sp: SegmentPtiles, traces, quality: int,
             )
 
 
-def _ctile_requests(
-    manifest: VideoManifest,
-    traces: list[HeadTrace],
-    grid: TileGrid,
-    quality: int,
-    fov_deg: float,
-):
-    """Requests a Ctile viewer population generates.
-
-    Viewers watch concurrently, so the stream interleaves per segment:
-    every viewer's requests for segment k arrive before segment k+1 —
-    the temporal locality an edge cache actually sees.
-    """
-    for seg in manifest:
-        yield from _ctile_segment_requests(seg, traces, grid, quality,
-                                           fov_deg)
-
-
-def _ptile_requests(
-    manifest: VideoManifest,
-    traces: list[HeadTrace],
-    ptiles: list[SegmentPtiles],
-    quality: int,
-    fov_deg: float,
-):
-    """Ptile viewer population's requests, interleaved per segment."""
-    for seg in manifest:
-        yield from _ptile_segment_requests(
-            seg, ptiles[seg.segment_index], traces, quality, fov_deg
-        )
-
-
 @dataclass(frozen=True)
 class EdgeHitModel:
     """Per-segment byte hit ratios of an edge cache, for sessions.
@@ -299,22 +267,12 @@ def build_edge_hit_model(
     """
     if not traces:
         raise ValueError("need at least one viewer")
-    n = manifest.num_segments
-    requested = [0.0] * n
-    hit = [0.0] * n
-    cache = EdgeCache(capacity_mbit=capacity_mbit, policy=policy)
-    for key, size in _ptile_requests(manifest, traces, ptiles, quality,
-                                     fov_deg):
-        segment_index = key[1]
-        requested[segment_index] += size
-        if cache.request(key, size):
-            hit[segment_index] += size
-    ratios = tuple(
-        h / r if r > 0 else 0.0 for h, r in zip(hit, requested)
+    tenant = _tenant(manifest, traces, ptiles)
+    requested, hit, _, _ = _replay(
+        (tenant,), capacity_mbit, policy, "ptile", quality, fov_deg
     )
-    return EdgeHitModel(
-        hit_ratios=ratios, edge_bandwidth_mbps=edge_bandwidth_mbps
-    )
+    return _hit_model(requested[tenant.video_id], hit[tenant.video_id],
+                      edge_bandwidth_mbps)
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +390,47 @@ class SharedCacheResult:
         return fold_sum(ratios) / len(ratios)
 
 
+def _replay(tenants, capacity_mbit, policy, scheme, quality, fov_deg):
+    """Replay the tenants' interleaved request stream through one
+    :class:`EdgeCache`: per-video, per-segment requested and served
+    bytes, per-video :class:`CacheStats` and the overall stats."""
+    requested = {t.video_id: [0.0] * t.manifest.num_segments for t in tenants}
+    hit = {t.video_id: [0.0] * t.manifest.num_segments for t in tenants}
+    per_video = {t.video_id: CacheStats() for t in tenants}
+    overall = CacheStats()
+    cache = EdgeCache(capacity_mbit=capacity_mbit, policy=policy)
+    for video_id, seg_index, key, size in interleave_tenant_requests(
+        tenants, scheme=scheme, quality=quality, fov_deg=fov_deg
+    ):
+        stats = per_video[video_id]
+        stats.requests += 1
+        stats.bytes_requested_mbit += size
+        overall.requests += 1
+        overall.bytes_requested_mbit += size
+        requested[video_id][seg_index] += size
+        if cache.request(key, size):
+            stats.hits += 1
+            overall.hits += 1
+            hit[video_id][seg_index] += size
+        else:
+            stats.bytes_backhaul_mbit += size
+            overall.bytes_backhaul_mbit += size
+    return requested, hit, per_video, overall
+
+
+def _tenant(manifest: VideoManifest, traces, ptiles) -> CacheTenant:
+    """One video's population as the only tenant of a private cache."""
+    return CacheTenant(manifest.video.meta.video_id, manifest, traces, ptiles)
+
+
+def _hit_model(requested, hit, edge_bandwidth_mbps: float) -> EdgeHitModel:
+    return EdgeHitModel(
+        hit_ratios=tuple(h / r if r > 0 else 0.0
+                         for h, r in zip(hit, requested)),
+        edge_bandwidth_mbps=edge_bandwidth_mbps,
+    )
+
+
 def build_shared_edge_hit_models(
     tenants,
     *,
@@ -464,28 +463,9 @@ def build_shared_edge_hit_models(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate tenant video ids {sorted(ids)}")
 
-    requested = {t.video_id: [0.0] * t.manifest.num_segments for t in tenants}
-    hit = {t.video_id: [0.0] * t.manifest.num_segments for t in tenants}
-    per_video = {t.video_id: CacheStats() for t in tenants}
-    overall = CacheStats()
-    cache = EdgeCache(capacity_mbit=capacity_mbit, policy=policy)
-    for video_id, seg_index, key, size in interleave_tenant_requests(
-        tenants, scheme=scheme, quality=quality, fov_deg=fov_deg
-    ):
-        stats = per_video[video_id]
-        stats.requests += 1
-        stats.bytes_requested_mbit += size
-        overall.requests += 1
-        overall.bytes_requested_mbit += size
-        requested[video_id][seg_index] += size
-        if cache.request(key, size):
-            stats.hits += 1
-            overall.hits += 1
-            hit[video_id][seg_index] += size
-        else:
-            stats.bytes_backhaul_mbit += size
-            overall.bytes_backhaul_mbit += size
-
+    requested, hit, per_video, overall = _replay(
+        tenants, capacity_mbit, policy, scheme, quality, fov_deg
+    )
     if overall.requests == 0:
         raise ValueError(
             "tenant populations produced an empty request stream "
@@ -493,13 +473,8 @@ def build_shared_edge_hit_models(
             "all-miss hit models"
         )
     models = {
-        video_id: EdgeHitModel(
-            hit_ratios=tuple(
-                h / r if r > 0 else 0.0
-                for h, r in zip(hit[video_id], requested[video_id])
-            ),
-            edge_bandwidth_mbps=edge_bandwidth_mbps,
-        )
+        video_id: _hit_model(requested[video_id], hit[video_id],
+                             edge_bandwidth_mbps)
         for video_id in requested
     }
     return SharedCacheResult(
@@ -528,16 +503,9 @@ def ptile_vs_ctile_caching(
     """
     if not traces:
         raise ValueError("need at least one viewer")
-    grid = manifest.encoder.grid
+    tenant = _tenant(manifest, traces, ptiles)
     return {
-        "ctile": simulate_cache(
-            _ctile_requests(manifest, traces, grid, quality, fov_deg),
-            capacity_mbit,
-            policy,
-        ),
-        "ptile": simulate_cache(
-            _ptile_requests(manifest, traces, ptiles, quality, fov_deg),
-            capacity_mbit,
-            policy,
-        ),
+        scheme: _replay((tenant,), capacity_mbit, policy, scheme, quality,
+                        fov_deg)[2][tenant.video_id]
+        for scheme in ("ctile", "ptile")
     }

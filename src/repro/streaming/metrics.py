@@ -334,10 +334,9 @@ class SessionResult:
 
     @property
     def rebuffer_count(self) -> int:
-        """Stalled segments, excluding the cold-start first download."""
-        return int(np.count_nonzero(
-            (self._f("stall_s") > 0) & (self._i("index") > 0)
-        ))
+        """Stalled segments: every recorded stall (the cold-start first
+        download records one only under ``count_startup_stall``)."""
+        return int(np.count_nonzero(self._f("stall_s") > 0))
 
     @property
     def ptile_hit_rate(self) -> float:

@@ -253,8 +253,7 @@ class PopulationEngine:
                     F[_F["qo"]] - F[_F["variation_penalty"]]
                     - F[_F["rebuffer_penalty"]]
                 )
-                if k > 0:
-                    rebuffer_count[lo:hi] += F[_F["stall_s"]] > 0
+                rebuffer_count[lo:hi] += F[_F["stall_s"]] > 0
                 used_count[lo:hi] += I[_USED]
         return PopulationResult(
             scheme_name=self.scheme.name,

@@ -52,10 +52,11 @@ import numpy as np
 from ..core.plan_tables import qo_table
 from ..power.energy import EnergyModel
 from ..power.models import DevicePowerModel, TilingScheme
+from ..prediction.bandwidth import HarmonicMeanEstimator
 from ..prediction.viewport import TraceFeeder
 from ..ptile.construction import SegmentPtiles
 from ..qoe.framerate import alpha_from_behavior, frame_rate_factor
-from ..qoe.metrics import _BUFFER_FLOOR_S, _REBUFFER_RATIO_CAP, QoEModel
+from ..qoe.metrics import QoEModel
 from ..traces.head_movement import HeadTrace
 from ..traces.network import NetworkTrace
 from ..video.segments import VideoManifest
@@ -220,7 +221,6 @@ class SessionKernel:
         self.qoe = qoe or QoEModel()
         self.length = length
         self._energy = EnergyModel(device, config.segment_seconds)
-        self._trans_w = device.transmission_mw * 1e-3
         self._render_fps_j = self._energy.rendering_energy_j(video.fps)
         self._manifests = video[0:length]
         self._qo_low = qo_table(
@@ -400,8 +400,6 @@ class SessionKernel:
         config = self.config
         seg_s = config.segment_seconds
         late = config.late_fetch_horizon_s
-        window = config.bandwidth_window
-        weights = self.qoe.weights
         edge = config.edge_model
         fps = self.video.fps
         n = rows.size
@@ -414,11 +412,8 @@ class SessionKernel:
 
         level = np.zeros(n)
         wall = np.asarray(starts, dtype=float).copy()
-        # Bandwidth-estimator windows, oldest sample first; empty slots
-        # hold inf, whose reciprocal adds 0.0 ahead of the first sample.
-        ring = np.full((n, window), np.inf)
-        count = np.zeros(n, dtype=np.int64)
-        prev_qo = np.zeros(n)
+        estimator = HarmonicMeanEstimator(config.bandwidth_window)
+        prev_qo = None
         feeders: dict[int, TraceFeeder] = {}
 
         # Startup probe: the client measures throughput while fetching
@@ -429,15 +424,12 @@ class SessionKernel:
             probe[i] = networks[i].next_positive_bandwidth(
                 float(wall[i])
             )
-        _ring_add(ring, count, np.ones(n, dtype=bool), probe)
+        estimator.add(probe)
 
         for k in range(self.length):
             wait, level_req = request_gate(level, config.buffer_threshold_s)
             wall = wall + wait
-            recip = 1.0 / ring[:, 0]
-            for j in range(1, window):
-                recip = recip + 1.0 / ring[:, j]
-            est = count / recip
+            est = estimator.estimate()
 
             # The user has watched up to the playhead; late viewport-tile
             # updates refine the prediction until shortly before the
@@ -543,7 +535,9 @@ class SessionKernel:
                 self._derive(i, k, plan, plans[rows[i]].view, skipped[i],
                              size, quality, is_int, frame_rate, factor,
                              qo_high, decode, render, F, I)
-            _ring_add(ring, count, add, sample)
+            # A row whose fetch measured no throughput takes no sample.
+            estimator.add(sample if add.all()
+                          else np.ma.masked_array(sample, ~add))
 
             # --- buffer (Eq. 6/7)
             stall, level = drain(level_req, dt, seg_s)
@@ -556,17 +550,14 @@ class SessionKernel:
             ) * factor
             if skipped.any():
                 qo_eff[skipped] = 0.0
-            variation = np.abs(qo_eff - prev_qo) if k else np.zeros(n)
             # The first download is startup delay, not a rebuffering
             # event, unless the config opts in; the recorded stall and
-            # the QoE penalty agree on this.
+            # the QoE penalty agree on this (the QoE model derives the
+            # stall from the download it is charged for, as drain does).
+            charged = dt
             if k == 0 and not config.count_startup_stall:
-                stall = np.zeros(n)
-            ratio = np.where(
-                stall == 0.0, 0.0,
-                np.minimum(stall / np.maximum(level_req, _BUFFER_FLOOR_S),
-                           _REBUFFER_RATIO_CAP),
-            )
+                stall = charged = np.zeros(n)
+            seg_qoe = self.qoe.segment_qoe(qo_eff, prev_qo, charged, level_req)
             prev_qo = qo_eff
 
             F[_F["quality"]] = quality
@@ -577,11 +568,13 @@ class SessionKernel:
             F[_F["stall_s"]] = stall
             F[_F["buffer_before_s"]] = level_req
             F[_F["qo_effective"]] = F[_F["qo"]] = qo_eff
-            F[_F["variation_penalty"]] = weights.variation * variation
-            F[_F["rebuffer_penalty"]] = weights.rebuffering * ratio * qo_eff
+            F[_F["variation_penalty"]] = seg_qoe.variation_penalty
+            F[_F["rebuffer_penalty"]] = seg_qoe.rebuffer_penalty
             # Eq. 1: transmission from radio-active time, decode and
             # render from what actually plays.
-            F[_F["transmission_j"]] = self._trans_w * active
+            F[_F["transmission_j"]] = (
+                self._energy.transmission_energy_from_time_j(active)
+            )
             F[_F["decoding_j"]] = decode
             F[_F["rendering_j"]] = render
             F[_F["edge_hit_mbit"]] = edge_hit
@@ -742,9 +735,7 @@ class _Networks:
     def bandwidth_at(self, t: np.ndarray) -> np.ndarray:
         out = np.empty(self.n)
         for net, sel in self.groups:
-            bw = net.bandwidth_mbps
-            out[sel] = bw[(t[sel] / net.bin_seconds).astype(np.int64)
-                          % bw.size]
+            out[sel] = net.bandwidth_at(t[sel])
         return out
 
     def download(self, size: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -752,21 +743,6 @@ class _Networks:
         for net, sel in self.groups:
             elapsed[sel] = net.download_times(size[sel], start[sel])
         return elapsed
-
-
-def _ring_add(ring: np.ndarray, count: np.ndarray, mask: np.ndarray,
-              values: np.ndarray) -> None:
-    """Append ``values`` to the masked rows' estimator windows."""
-    if mask.all():
-        ring[:, :-1] = ring[:, 1:]
-        ring[:, -1] = values
-        np.minimum(count + 1, ring.shape[1], out=count)
-        return
-    sel = np.flatnonzero(mask)
-    if sel.size:
-        ring[sel, :-1] = ring[sel, 1:]
-        ring[sel, -1] = values[sel]
-        count[sel] = np.minimum(count[sel] + 1, ring.shape[1])
 
 
 def run_session(

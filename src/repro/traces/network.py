@@ -48,12 +48,21 @@ class NetworkTrace:
     def duration_s(self) -> float:
         return float(self.bandwidth_mbps.size * self.bin_seconds)
 
-    def bandwidth_at(self, t: float) -> float:
-        """Bandwidth (Mbps) at absolute time ``t`` (cyclic)."""
+    def bandwidth_at(self, t):
+        """Bandwidth (Mbps) at absolute time ``t`` (cyclic).
+
+        Elementwise: an array of times (one per session, as the session
+        kernel passes them) gives an array; a float keeps the scalar
+        walk of :meth:`download_time` free of numpy overhead.
+        """
+        bw = self.bandwidth_mbps
+        if isinstance(t, np.ndarray):
+            if (t < 0).any():
+                raise ValueError("time must be non-negative")
+            return bw[(t / self.bin_seconds).astype(np.int64) % bw.size]
         if t < 0:
             raise ValueError("time must be non-negative")
-        index = int(t / self.bin_seconds) % self.bandwidth_mbps.size
-        return float(self.bandwidth_mbps[index])
+        return float(bw[int(t / self.bin_seconds) % bw.size])
 
     def next_positive_bandwidth(self, t: float) -> float:
         """First strictly positive bandwidth sample at or after ``t``.
@@ -140,10 +149,10 @@ class NetworkTrace:
         active = np.flatnonzero(remaining > 1e-12)
         guard = 0
         while active.size:
-            bins = (t[active] / bin_s).astype(np.int64)
-            bw = bw_arr[bins % bw_arr.size]
-            bin_end = (bins + 1) * bin_s
-            span = bin_end - t[active]
+            now = t[active]
+            bw = self.bandwidth_at(now)
+            bin_end = ((now / bin_s).astype(np.int64) + 1) * bin_s
+            span = bin_end - now
             capacity = bw * span
             done = capacity >= remaining[active]
             rows = active[done]

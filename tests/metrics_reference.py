@@ -104,7 +104,7 @@ class RecordLoopResult:
 
     @property
     def rebuffer_count(self) -> int:
-        return sum(1 for r in self.records if r.stall_s > 0 and r.index > 0)
+        return sum(1 for r in self.records if r.stall_s > 0)
 
     @property
     def ptile_hit_rate(self) -> float:

@@ -65,10 +65,10 @@ class TestViewRenderer:
         directions = renderer.sample_directions(vp).reshape(-1, 2)
         # Gnomonic corners extend past the planar FoV box, but every
         # sample must stay within the diagonal half-angle of the cone.
-        from repro.geometry import angular_distance
+        from repro.prediction import angular_distance_deg
 
         max_angle = max(
-            angular_distance(200.0, 0.0, float(y), float(p))
+            angular_distance_deg(200.0, 0.0, float(y), float(p))
             for y, p in directions
         )
         assert max_angle < 75.0  # corner of a 100x100 gnomonic view

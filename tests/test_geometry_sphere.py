@@ -7,12 +7,12 @@ import pytest
 
 from repro.geometry import (
     Viewport,
-    angular_distance,
     equirect_distance,
     orientation_angles,
     orientation_vector,
     switching_speed_series,
 )
+from repro.prediction import angular_distance_deg
 from repro.traces import HeadTrace
 
 
@@ -77,25 +77,25 @@ class TestOrientationVector:
 
 class TestAngularDistance:
     def test_identical_is_zero(self):
-        assert angular_distance(45.0, 10.0, 45.0, 10.0) == pytest.approx(0.0, abs=1e-5)
+        assert angular_distance_deg(45.0, 10.0, 45.0, 10.0) == pytest.approx(0.0, abs=1e-5)
 
     def test_quarter_turn(self):
-        assert angular_distance(0.0, 0.0, 90.0, 0.0) == pytest.approx(90.0)
+        assert angular_distance_deg(0.0, 0.0, 90.0, 0.0) == pytest.approx(90.0)
 
     def test_antipodal(self):
-        assert angular_distance(0.0, 0.0, 180.0, 0.0) == pytest.approx(180.0)
+        assert angular_distance_deg(0.0, 0.0, 180.0, 0.0) == pytest.approx(180.0)
 
     def test_pole_distance(self):
-        assert angular_distance(0.0, 0.0, 0.0, 90.0) == pytest.approx(90.0)
+        assert angular_distance_deg(0.0, 0.0, 0.0, 90.0) == pytest.approx(90.0)
 
     def test_symmetric(self):
-        d1 = angular_distance(10.0, 20.0, 200.0, -40.0)
-        d2 = angular_distance(200.0, -40.0, 10.0, 20.0)
+        d1 = angular_distance_deg(10.0, 20.0, 200.0, -40.0)
+        d2 = angular_distance_deg(200.0, -40.0, 10.0, 20.0)
         assert d1 == pytest.approx(d2)
 
     def test_yaw_irrelevant_at_pole(self):
         # Both directions are the north pole regardless of yaw.
-        assert angular_distance(0.0, 90.0, 123.0, 90.0) == pytest.approx(0.0)
+        assert angular_distance_deg(0.0, 90.0, 123.0, 90.0) == pytest.approx(0.0)
 
 
 class TestEquirectDistance:
@@ -131,8 +131,8 @@ class TestSwitchingSpeed:
         pitch = [0.0, 0.0, 0.0]
         series = switching_speed_series(t, yaw, pitch)
         # Eq. 5: great-circle angle over elapsed time, sample by sample.
-        assert series[0] == pytest.approx(angular_distance(0, 0, 1, 0) / 0.1)
-        assert series[1] == pytest.approx(angular_distance(1, 0, 3, 0) / 0.1)
+        assert series[0] == pytest.approx(angular_distance_deg(0, 0, 1, 0) / 0.1)
+        assert series[1] == pytest.approx(angular_distance_deg(1, 0, 3, 0) / 0.1)
 
     def test_series_handles_seam(self):
         # 359 -> 1 degree is a 2-degree move, not 358.

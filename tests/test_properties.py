@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from repro.geometry import (
     DEFAULT_GRID,
     Viewport,
-    angular_distance,
     equirect_distance,
     orientation_angles,
     orientation_vector,
 )
+from repro.prediction import angular_distance_deg
 from repro.ptile import ViewingCenter, cluster_viewing_centers
 from repro.qoe import QualityModel, alpha_from_behavior, frame_rate_factor
 from repro.streaming import PlaybackBuffer, ThroughputBufferABR
@@ -31,13 +31,13 @@ class TestGeometryProperties:
     @given(yaw_st, pitch_st)
     def test_orientation_round_trip(self, yaw, pitch):
         yaw2, pitch2 = orientation_angles(orientation_vector(yaw, pitch))
-        assert angular_distance(yaw, pitch, yaw2, pitch2) < 1e-4
+        assert angular_distance_deg(yaw, pitch, yaw2, pitch2) < 1e-4
 
     @given(yaw_st, pitch_st, yaw_st, pitch_st)
     def test_angular_distance_bounds_and_symmetry(self, y1, p1, y2, p2):
-        d = angular_distance(y1, p1, y2, p2)
+        d = angular_distance_deg(y1, p1, y2, p2)
         assert 0.0 <= d <= 180.0
-        assert d == pytest_approx(angular_distance(y2, p2, y1, p1))
+        assert d == pytest_approx(angular_distance_deg(y2, p2, y1, p1))
 
     @given(yaw_st, pitch_st, yaw_st, pitch_st)
     def test_equirect_distance_dominates_components(self, y1, p1, y2, p2):
@@ -225,7 +225,7 @@ class TestQuaternionProperties:
         from repro.geometry import angles_to_quaternion, quaternion_to_angles
 
         yaw2, pitch2 = quaternion_to_angles(angles_to_quaternion(yaw, pitch))
-        assert angular_distance(yaw, pitch, yaw2, pitch2) < 1e-4
+        assert angular_distance_deg(yaw, pitch, yaw2, pitch2) < 1e-4
 
 
 class TestCacheProperties:

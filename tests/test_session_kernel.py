@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 
 from repro.core import OursScheme, RobustScheme
 from repro.encoding import EncodingLadder
-from repro.prediction import AngularErrorModel
+from repro.power import EnergyModel
+from repro.prediction import AngularErrorModel, HarmonicMeanEstimator
+from repro.qoe import QoEModel
 from repro.serving import (
     DecisionService,
     ServiceClient,
@@ -170,3 +172,34 @@ def test_alone_batched_served_and_offset_sessions_agree(
             assert at_zero.total_energy_j[j] == want.total_energy_j
             assert at_zero.mean_qoe[j] == want.mean_qoe
             assert at_zero.total_stall_s[j] == want.total_stall_s
+
+
+def test_step_calls_each_model_once_per_segment(videos, device, monkeypatch):
+    """The kernel evaluates Eq. 2, the bandwidth estimate and Eq. 1
+    transmission through the model classes, one call per segment for
+    all rows at once (plus the estimator's startup probe sample)."""
+    calls: dict[str, int] = {}
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    count(QoEModel, "segment_qoe")
+    count(HarmonicMeanEstimator, "add")
+    count(HarmonicMeanEstimator, "estimate")
+    count(EnergyModel, "transmission_energy_from_time_j")
+    manifest, ptiles, ftiles, traces = videos[8]
+    network = NetworkTrace("net", np.array([3.0, 9.0, 0.4]))
+    rows = [(CtileScheme(), traces[0], network, ptiles, ftiles),
+            (PtileScheme(), traces[1], network, ptiles, ftiles)]
+    kernel = SessionKernel(manifest, device,
+                           config=SessionConfig(max_segments=3))
+    results = kernel.sessions(rows)
+    assert [r.num_segments for r in results] == [3, 3]
+    assert calls == {"segment_qoe": 3, "add": 4, "estimate": 3,
+                     "transmission_energy_from_time_j": 3}

@@ -1,5 +1,7 @@
 """Unit tests for the edge-cache extension."""
 
+import dataclasses
+
 import pytest
 
 from repro.streaming import (
@@ -259,6 +261,21 @@ class TestBuildEdgeHitModel:
     def test_requires_viewers(self, manifest2, ptiles2):
         with pytest.raises(ValueError):
             build_edge_hit_model(manifest2, [], ptiles2)
+
+    def test_all_fallback_population_trains_zero_ratios(
+        self, manifest2, small_dataset, ptiles2
+    ):
+        # No viewer matches a Ptile, so the replay is empty: a private
+        # model reads zero hits where the shared replay would refuse.
+        no_ptiles = [dataclasses.replace(sp, ptiles=()) for sp in ptiles2]
+        model = build_edge_hit_model(
+            manifest2, small_dataset.traces[2][:2], no_ptiles
+        )
+        assert model.hit_ratios == (0.0,) * manifest2.num_segments
+        tenant = CacheTenant(2, manifest2, small_dataset.traces[2][:2],
+                             no_ptiles)
+        with pytest.raises(ValueError, match="empty request stream"):
+            build_shared_edge_hit_models([tenant])
 
 
 class TestSharedEdgeCache:

@@ -72,13 +72,15 @@ class TestSessionResult:
         assert session.mean_frame_rate == 30.0
         assert session.mean_coverage == pytest.approx(0.9)
 
-    def test_rebuffer_count_excludes_startup(self):
+    def test_rebuffer_count_counts_every_recorded_stall(self):
+        # A first segment records a stall only when the config counts
+        # the startup delay; then it is a rebuffering event like any.
         session = SessionResult("c", 1, 0, "d", "n", [
             make_record(index=0, stall=1.0),
             make_record(index=1, stall=0.5),
             make_record(index=2, stall=0.0),
         ])
-        assert session.rebuffer_count == 1
+        assert session.rebuffer_count == 2
         assert session.total_stall_s == pytest.approx(1.5)
 
     def test_ptile_hit_rate(self):

@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.core import OursScheme
 from repro.power import TilingScheme
 from repro.streaming import (
     CtileScheme,
     NontileScheme,
+    PopulationEngine,
     PtileScheme,
     SessionConfig,
     run_session,
@@ -140,6 +142,27 @@ class TestStartupAndStalls:
         assert result.records[0].stall_s == pytest.approx(
             result.records[0].download_time_s
         )
+
+    @pytest.mark.parametrize("ours", [False, True], ids=["ctile", "ours"])
+    def test_counted_startup_stall_is_a_rebuffer(
+        self, small_dataset, manifest8, ptiles8, network_traces, device, ours
+    ):
+        # Every recorded stall is a rebuffering event: the session
+        # result, the Eq. 2 accumulator and the population engine count
+        # the opted-in startup stall alike.
+        scheme = OursScheme(device) if ours else CtileScheme()
+        cfg = SessionConfig(count_startup_stall=True, max_segments=10)
+        result = _run(scheme, manifest8, small_dataset, network_traces,
+                      device, vid=8, ptiles=ptiles8, config=cfg)
+        stalled = sum(r.stall_s > 0 for r in result.records)
+        assert result.records[0].stall_s > 0.0
+        assert result.rebuffer_count == stalled
+        assert result.session_qoe.rebuffer_count == stalled
+        population = PopulationEngine(
+            scheme, manifest8, small_dataset.test_traces(8)[:1],
+            network_traces[1], device, ptiles=ptiles8, config=cfg,
+        ).run()
+        assert population.rebuffer_count.tolist() == [stalled]
 
     def test_buffer_bounded(self, small_dataset, manifest2, network_traces,
                             device):
