@@ -1,5 +1,7 @@
 """Resilience subsystem: deterministic fault injection and the
 deadline-aware download policy (retry, backoff, graceful degradation).
+A fault plan acts on a download through the one trace walk,
+:meth:`~repro.traces.network.NetworkTrace.download_within`.
 
 See ``docs/MODELING.md`` §10 for the fault semantics and the policy's
 timeout/ladder rules.
@@ -13,7 +15,6 @@ from .faults import (
     Outage,
     generate_fault_plan,
 )
-from .network import FaultyNetwork
 from .policy import (
     DegradationLevel,
     DownloadOutcome,
@@ -28,7 +29,6 @@ __all__ = [
     "LatencySpike",
     "Outage",
     "generate_fault_plan",
-    "FaultyNetwork",
     "DegradationLevel",
     "DownloadOutcome",
     "DownloadPolicy",

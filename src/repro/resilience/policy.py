@@ -10,7 +10,9 @@ a fallback covering the non-Ptile area (Sec. IV-A) — and deadline-driven
 fetching (Flare) already motivates ``late_fetch_horizon_s``.
 
 :func:`execute_download` runs one segment's fetch under a
-:class:`DownloadPolicy` against a (possibly fault-overlaid) network:
+:class:`DownloadPolicy` against a network trace, each attempt walked
+over the link the fault plan leaves
+(:meth:`~repro.traces.network.NetworkTrace.download_within`):
 
 * **Deadline budget.**  When segment ``k`` is requested with ``B``
   seconds buffered, the playback deadline is ``B`` seconds away.  The
@@ -183,9 +185,10 @@ def execute_download(
 ) -> DownloadOutcome:
     """Fetch one segment under the retry/degradation policy.
 
-    ``net`` is a :class:`~repro.traces.network.NetworkTrace` or a
-    :class:`~repro.resilience.network.FaultyNetwork` — anything with
-    ``download_within``.  ``edge_model`` splits each attempt as in the
+    ``net`` is the :class:`~repro.traces.network.NetworkTrace` the
+    fetch runs over; its ``download_within`` walks each attempt over
+    the link ``fault_plan`` leaves (outages and collapse windows
+    scale the trace).  ``edge_model`` splits each attempt as in the
     ideal session (cached fraction at the edge rate), except that a
     fault plan's edge failure zeroes the hit ratio from its fault time.
     ``unlimited_deadline`` marks the cold-start segment, whose fetch
@@ -248,7 +251,7 @@ def execute_download(
             continue
         miss_mbit = lplan.total_size_mbit - edge_mbit
         delivered, used, completed = net.download_within(
-            miss_mbit, t + latency + edge_time, avail - edge_time
+            miss_mbit, t + latency + edge_time, avail - edge_time, fault_plan
         )
         attempt_active = edge_time + used
         if not completed:

@@ -78,7 +78,6 @@ from .schemes import (
 )
 # After .schemes: repro.resilience imports it.
 from ..resilience.faults import FaultPlan
-from ..resilience.network import FaultyNetwork
 from ..resilience.policy import DownloadPolicy, execute_download
 
 
@@ -633,16 +632,16 @@ class SessionKernel:
         fetch is startup delay, not a deadline violation: unbounded."""
         config = self.config
         faults = config.fault_plan
-        faulted = faults is not None and not faults.is_idle
+        if faults is not None and faults.is_idle:
+            faults = None
         out = np.zeros((4, rows.size))  # dt, active, edge hit, sample
         picks = zip(q_idx.tolist(), rate_idx.tolist(), size.tolist(),
                     wall.tolist(), level_req.tolist())
         for i, (q, f, size_i, wall_t, level_i) in enumerate(picks):
-            net = FaultyNetwork(networks[i], faults) if faulted else networks[i]
             plan = objects.get(i) or self._plan_of(plans[rows[i]], k, q, f,
                                                    size_i)
             outcome = execute_download(
-                net, plan, self._manifests[k], self.video.fps,
+                networks[i], plan, self._manifests[k], self.video.fps,
                 policy=self._policy, fault_plan=faults, start_wall_t=wall_t,
                 buffer_level_s=level_i, segment_index=k,
                 edge_model=config.edge_model, unlimited_deadline=k == 0,
@@ -656,7 +655,7 @@ class SessionKernel:
             else:
                 # Skipped/instant segment: sample the effective link at
                 # the end of the fetch, unless an outage zeroes it.
-                sample = net.bandwidth_at(wall_t + elapsed)
+                sample = networks[i].bandwidth_at(wall_t + elapsed, faults)
             out[:, i] = (elapsed, outcome.active_s, outcome.edge_hit_mbit,
                          sample)
             I[_I["retries"], i] = outcome.retries

@@ -6,7 +6,9 @@ has mean 3.9 Mbps ranging 2.3-8.4 Mbps, and *trace 1* is exactly twice
 trace 2 (Section V-A).
 
 :class:`NetworkTrace` stores per-second bandwidth bins and simulates
-downloads against them; :func:`generate_lte_trace` synthesizes a trace
+downloads against them with one bin walk (bounded by a deadline,
+optionally over the link a resilience fault plan leaves) and its
+columnar twin; :func:`generate_lte_trace` synthesizes a trace
 with trace 2's published statistics (log-AR(1) variation plus occasional
 handover dips); :func:`paper_traces` returns the (trace 1, trace 2)
 pair.
@@ -14,10 +16,15 @@ pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..resilience.faults import FaultPlan
 
 __all__ = ["NetworkTrace", "generate_lte_trace", "paper_traces"]
 
@@ -48,12 +55,15 @@ class NetworkTrace:
     def duration_s(self) -> float:
         return float(self.bandwidth_mbps.size * self.bin_seconds)
 
-    def bandwidth_at(self, t):
+    def bandwidth_at(self, t, faults=None):
         """Bandwidth (Mbps) at absolute time ``t`` (cyclic).
 
         Elementwise: an array of times (one per session, as the session
         kernel passes them) gives an array; a float keeps the scalar
-        walk of :meth:`download_time` free of numpy overhead.
+        walk of :meth:`download_within` free of numpy overhead.  A
+        float ``t`` may take a :class:`~repro.resilience.FaultPlan`,
+        whose factor at ``t`` scales the sample: the effective link,
+        0 inside an outage.
         """
         bw = self.bandwidth_mbps
         if isinstance(t, np.ndarray):
@@ -62,7 +72,8 @@ class NetworkTrace:
             return bw[(t / self.bin_seconds).astype(np.int64) % bw.size]
         if t < 0:
             raise ValueError("time must be non-negative")
-        return float(bw[int(t / self.bin_seconds) % bw.size])
+        sample = float(bw[int(t / self.bin_seconds) % bw.size])
+        return sample if faults is None else sample * faults.bandwidth_factor(t)
 
     def next_positive_bandwidth(self, t: float) -> float:
         """First strictly positive bandwidth sample at or after ``t``.
@@ -84,102 +95,39 @@ class NetworkTrace:
         )
 
     def download_time(self, size_mbit: float, start_t: float) -> float:
-        """Seconds needed to download ``size_mbit`` starting at ``start_t``.
-
-        Integrates the piecewise-constant bandwidth, crossing bin
-        boundaries (and wrapping cyclically) as needed.
-        """
-        if size_mbit < 0:
-            raise ValueError("size must be non-negative")
-        if start_t < 0:
-            raise ValueError("start time must be non-negative")
-        if size_mbit == 0:
-            return 0.0
-        positive = self.bandwidth_mbps[self.bandwidth_mbps > 0]
-        if positive.size == 0:
+        """Seconds needed to download ``size_mbit`` starting at ``start_t``:
+        :meth:`download_within` with no deadline, which only a trace
+        with zero bandwidth everywhere leaves incomplete."""
+        _, elapsed, completed = self.download_within(
+            size_mbit, start_t, math.inf
+        )
+        if not completed:
             raise ValueError(
                 f"cannot download {size_mbit:g} Mbit: trace "
                 f"{self.name!r} has zero bandwidth everywhere"
             )
-        remaining = size_mbit
-        t = start_t
-        elapsed = 0.0
-        guard = 0
-        # Bound the bin crossings: even if only one bin per cycle is
-        # positive, each cycle delivers at least positive.min() * bin_s.
-        num_bins = self.bandwidth_mbps.size
-        max_iterations = num_bins * (
-            10 + int(size_mbit / (float(positive.min()) * self.bin_seconds))
-        ) + 16
-        while remaining > 1e-12:
-            bw = self.bandwidth_at(t)
-            bin_end = (int(t / self.bin_seconds) + 1) * self.bin_seconds
-            window = bin_end - t
-            capacity = bw * window
-            if capacity >= remaining:
-                dt = remaining / bw
-                return elapsed + dt
-            remaining -= capacity
-            elapsed += window
-            t = bin_end
-            guard += 1
-            if guard > max_iterations:  # pragma: no cover - safety net
-                raise RuntimeError("download did not converge")
-        return elapsed
-
-    def download_times(self, sizes: np.ndarray,
-                       starts: np.ndarray) -> np.ndarray:
-        """:meth:`download_time` of each ``(size, start)`` pair: its bin
-        walk, operation for operation, over arrays (a few pairs take
-        the scalar walk, which is cheaper than numpy at that size)."""
-        if sizes.size <= 4:
-            return np.array([self.download_time(size, start) for size, start
-                             in zip(sizes.tolist(), starts.tolist())])
-        bw_arr, bin_s = self.bandwidth_mbps, self.bin_seconds
-        positive = bw_arr[bw_arr > 0]
-        if positive.size == 0:
-            raise ValueError(f"trace {self.name!r} has zero bandwidth "
-                             "everywhere")
-        max_iterations = bw_arr.size * (
-            10 + int(float(sizes.max()) / (float(positive.min()) * bin_s))
-        ) + 16
-        remaining = sizes.astype(float)
-        t = starts.astype(float)
-        elapsed = np.zeros_like(remaining)
-        active = np.flatnonzero(remaining > 1e-12)
-        guard = 0
-        while active.size:
-            now = t[active]
-            bw = self.bandwidth_at(now)
-            bin_end = ((now / bin_s).astype(np.int64) + 1) * bin_s
-            span = bin_end - now
-            capacity = bw * span
-            done = capacity >= remaining[active]
-            rows = active[done]
-            elapsed[rows] += remaining[rows] / bw[done]
-            rows = active[~done]
-            remaining[rows] -= capacity[~done]
-            elapsed[rows] += span[~done]
-            t[rows] = bin_end[~done]
-            active = rows[remaining[rows] > 1e-12]
-            guard += 1
-            if guard > max_iterations:  # pragma: no cover - safety net
-                raise RuntimeError("download did not converge")
         return elapsed
 
     def download_within(
-        self, size_mbit: float, start_t: float, budget_s: float
+        self, size_mbit: float, start_t: float, budget_s: float,
+        faults: FaultPlan | None = None,
     ) -> tuple[float, float, bool]:
-        """Download under a wall-clock budget (deadline-aware fetching).
+        """Download ``size_mbit`` from ``start_t`` under a wall-clock
+        budget, over the link a fault plan leaves (deadline-aware
+        fetching).
 
-        Integrates the same piecewise-constant bandwidth as
-        :meth:`download_time` but stops once ``budget_s`` seconds have
-        elapsed.  Returns ``(delivered_mbit, elapsed_s, completed)``:
-        either the full object arrived early (``elapsed_s <= budget_s``,
-        ``completed=True``) or the budget ran out mid-transfer and the
-        partial bytes are reported (``elapsed_s == budget_s``,
-        ``completed=False``).  The resilience download policy uses this
-        to charge timed-out attempts their real trace time.
+        Integrates the piecewise-constant bandwidth piece by piece,
+        crossing bin boundaries (and wrapping cyclically).  A piece ends
+        at the first of the bin edge, the deadline and the next fault
+        boundary; ``faults`` scales its bandwidth, so an outage adds
+        wall time and no bytes.  Returns ``(delivered_mbit, elapsed_s,
+        completed)``: either the full object arrived early
+        (``elapsed_s <= budget_s``, ``completed=True``) or the budget
+        ran out mid-transfer and the partial bytes are reported
+        (``elapsed_s == budget_s``, ``completed=False``).  The resilience
+        download policy uses this to charge timed-out attempts their
+        real trace time; :meth:`download_time` is the unbounded,
+        fault-free case.
         """
         if size_mbit < 0:
             raise ValueError("size must be non-negative")
@@ -191,36 +139,75 @@ class NetworkTrace:
             return 0.0, 0.0, True
         if budget_s == 0:
             return 0.0, 0.0, False
+        bin_s = self.bin_seconds
         remaining = size_mbit
         t = start_t
+        elapsed = 0.0
         deadline = start_t + budget_s
-        guard = 0
-        # Each iteration either completes (returns) or advances t to the
-        # next bin boundary, so the loop is bounded by the number of bin
-        # crossings inside the budget window.
-        max_iterations = int(budget_s / self.bin_seconds) + 16
         while remaining > 1e-12 and t < deadline:
-            bw = self.bandwidth_at(t)
-            if bw <= 0 and not np.any(self.bandwidth_mbps > 0):
+            bw = self.bandwidth_at(t, faults)
+            if bw <= 0 and not (self.bandwidth_mbps > 0).any():
                 # A dead link delivers nothing: the whole budget elapses
                 # with zero bytes (a timeout, not an error — callers
                 # treat partial delivery as a deadline miss and degrade
-                # or retry).  Checked only at an empty bin, so a
+                # or retry).  Checked only at an empty piece, so a
                 # transfer over live bins never pays the scan.
                 return 0.0, budget_s, False
-            bin_end = (int(t / self.bin_seconds) + 1) * self.bin_seconds
-            piece_end = min(bin_end, deadline)
+            piece_end = min((int(t / bin_s) + 1) * bin_s, deadline)
+            if faults is not None:
+                piece_end = min(piece_end, faults.next_boundary_after(t))
             window = piece_end - t
+            if window <= 0:  # pragma: no cover - safety net
+                raise RuntimeError("download made no progress")
             capacity = bw * window
             if capacity >= remaining:
-                dt = remaining / bw
-                return size_mbit, (t - start_t) + dt, True
+                return size_mbit, elapsed + remaining / bw, True
             remaining -= capacity
+            elapsed += window
             t = piece_end
-            guard += 1
-            if guard > max_iterations:  # pragma: no cover - safety net
-                raise RuntimeError("bounded download did not converge")
-        return size_mbit - remaining, budget_s, False
+        if remaining > 1e-12:
+            return size_mbit - remaining, budget_s, False
+        return size_mbit, elapsed, True  # all but a sub-1e-12 Mbit residual
+
+    def download_times(self, sizes: np.ndarray,
+                       starts: np.ndarray) -> np.ndarray:
+        """:meth:`download_time` of each ``(size, start)`` pair: the walk
+        of :meth:`download_within`, operation for operation, over arrays
+        (a few pairs take the scalar walk, which is cheaper than numpy
+        at that size)."""
+        if sizes.size <= 4:
+            return np.array([self.download_time(size, start) for size, start
+                             in zip(sizes.tolist(), starts.tolist())])
+        bins, bin_s = self.bandwidth_mbps, self.bin_seconds
+        if (sizes < 0).any():
+            raise ValueError("size must be non-negative")
+        if (starts < 0).any():
+            raise ValueError("start time must be non-negative")
+        if (sizes > 0).any() and not (bins > 0).any():
+            raise ValueError(f"trace {self.name!r} has zero bandwidth "
+                             "everywhere")
+        remaining = sizes.astype(float)
+        t = starts.astype(float)
+        elapsed = np.zeros_like(remaining)
+        active = np.flatnonzero(remaining > 1e-12)
+        while active.size:
+            now = t[active]
+            index = (now / bin_s).astype(np.int64)
+            bw = bins[index % bins.size]
+            bin_end = (index + 1) * bin_s
+            span = bin_end - now
+            if not (span > 0).all():  # pragma: no cover - safety net
+                raise RuntimeError("download made no progress")
+            capacity = bw * span
+            done = capacity >= remaining[active]
+            rows = active[done]
+            elapsed[rows] += remaining[rows] / bw[done]
+            rows = active[~done]
+            remaining[rows] -= capacity[~done]
+            elapsed[rows] += span[~done]
+            t[rows] = bin_end[~done]
+            active = rows[remaining[rows] > 1e-12]
+        return elapsed
 
     def scaled(self, factor: float, name: str | None = None) -> "NetworkTrace":
         """Linearly scaled copy (the paper's trace 1 = 2 x trace 2)."""

@@ -15,7 +15,6 @@ from repro.resilience import (
     CollapseWindow,
     DownloadPolicy,
     FaultPlan,
-    FaultyNetwork,
     LatencySpike,
     Outage,
     execute_download,
@@ -90,7 +89,7 @@ class TestDownloadEngineProperties:
         trace = _flat_trace()
         seg = _FakeSegment()
         outcome = execute_download(
-            FaultyNetwork(trace, plan_f), _plan(size), seg, 30.0,
+            trace, _plan(size), seg, 30.0,
             policy=policy,
             fault_plan=plan_f,
             start_wall_t=start,
@@ -118,7 +117,7 @@ class TestDownloadEngineProperties:
         seg = _FakeSegment()
         runs = [
             execute_download(
-                FaultyNetwork(trace, plan_f), _plan(size), seg, 30.0,
+                trace, _plan(size), seg, 30.0,
                 policy=policy,
                 fault_plan=plan_f,
                 start_wall_t=start,

@@ -23,7 +23,6 @@ from repro.resilience import (
     DegradationLevel,
     DownloadPolicy,
     FaultPlan,
-    FaultyNetwork,
     LatencySpike,
     Outage,
     execute_download,
@@ -201,39 +200,56 @@ class TestDownloadWithin:
 
 
 class TestFaultyNetwork:
+    """The trace walk over the link a fault plan leaves."""
+
     def test_idle_plan_matches_base(self, flat_trace):
-        net = FaultyNetwork(flat_trace, FaultPlan())
-        assert net.bandwidth_at(7.2) == flat_trace.bandwidth_at(7.2)
-        assert net.download_within(6.0, 1.0, 10.0) == (
+        plan = FaultPlan()
+        assert flat_trace.bandwidth_at(7.2, plan) == flat_trace.bandwidth_at(7.2)
+        assert flat_trace.download_within(6.0, 1.0, 10.0, plan) == (
             flat_trace.download_within(6.0, 1.0, 10.0)
         )
-        assert net.name == "flat+none"
 
     def test_outage_blocks_bytes_but_time_passes(self, flat_trace):
         plan = FaultPlan(outages=(Outage(5.0, 8.0),))
-        net = FaultyNetwork(flat_trace, plan)
-        assert net.bandwidth_at(6.0) == 0.0
-        delivered, elapsed, completed = net.download_within(4.0, 5.0, 2.0)
+        assert flat_trace.bandwidth_at(6.0, plan) == 0.0
+        delivered, elapsed, completed = flat_trace.download_within(
+            4.0, 5.0, 2.0, plan
+        )
         assert not completed
         assert delivered == 0.0
         assert elapsed == 2.0
 
     def test_download_crossing_outage_pays_the_gap(self, flat_trace):
         plan = FaultPlan(outages=(Outage(5.0, 8.0),))
-        net = FaultyNetwork(flat_trace, plan)
         # 8 Mbit at 4 Mbps = 2 s of transfer; starting at 4 s the outage
         # inserts exactly 3 dead seconds after the first second.
-        delivered, elapsed, completed = net.download_within(8.0, 4.0, 20.0)
+        delivered, elapsed, completed = flat_trace.download_within(
+            8.0, 4.0, 20.0, plan
+        )
         assert completed
         assert delivered == 8.0
         assert elapsed == pytest.approx(5.0)
 
     def test_collapse_scales_throughput(self, flat_trace):
         plan = FaultPlan(collapses=(CollapseWindow(0.0, 60.0, 0.25),))
-        net = FaultyNetwork(flat_trace, plan)
-        delivered, elapsed, completed = net.download_within(4.0, 0.0, 30.0)
+        delivered, elapsed, completed = flat_trace.download_within(
+            4.0, 0.0, 30.0, plan
+        )
         assert completed
         assert elapsed == pytest.approx(4.0)  # 4 Mbit at 1 Mbps effective
+
+    def test_dead_link_times_out_at_once(self, monkeypatch):
+        # A dead trace delivers nothing under any plan: the walk returns
+        # the whole budget from its first piece instead of stepping
+        # through a billion seconds of them.
+        pieces = []
+        factor = FaultPlan.bandwidth_factor
+        monkeypatch.setattr(FaultPlan, "bandwidth_factor",
+                            lambda plan, t: pieces.append(t) or factor(plan, t))
+        dead = NetworkTrace("dead", np.zeros(4))
+        plan = generate_fault_plan("stress", 60.0, seed=3)
+        assert dead.download_within(2.0, 1.5, 1e9, plan) == (0.0, 1e9, False)
+        assert pieces == [1.5]
 
 
 def _plan(size_mbit=4.0, quality=3, fr=30.0):
@@ -294,7 +310,7 @@ class TestExecuteDownload:
         # the segment is skipped with the full coverage penalty.
         plan_f = FaultPlan(outages=(Outage(0.0, 50.0),))
         outcome = execute_download(
-            FaultyNetwork(flat_trace, plan_f), _plan(), manifest8[0], 30.0,
+            flat_trace, _plan(), manifest8[0], 30.0,
             policy=DownloadPolicy(retry_budget=2),
             fault_plan=plan_f,
             start_wall_t=1.0,
@@ -311,7 +327,7 @@ class TestExecuteDownload:
         plan_f = FaultPlan(failure_rate=1.0)
         policy = DownloadPolicy(retry_budget=2, backoff_base_s=0.1)
         outcome = execute_download(
-            FaultyNetwork(flat_trace, plan_f), _plan(), manifest8[0], 30.0,
+            flat_trace, _plan(), manifest8[0], 30.0,
             policy=policy,
             fault_plan=plan_f,
             start_wall_t=0.0,
@@ -331,7 +347,7 @@ class TestExecuteDownload:
         for budget in (0, 1, 3):
             plan_f = FaultPlan(failure_rate=1.0)
             outcome = execute_download(
-                FaultyNetwork(flat_trace, plan_f), _plan(), manifest8[0],
+                flat_trace, _plan(), manifest8[0],
                 30.0,
                 policy=DownloadPolicy(retry_budget=budget),
                 fault_plan=plan_f,
@@ -362,7 +378,7 @@ class TestExecuteDownload:
     def test_latency_spike_charges_wall_time(self, flat_trace, manifest8):
         plan_f = FaultPlan(latency_spikes=(LatencySpike(0.0, 30.0, 0.4),))
         outcome = execute_download(
-            FaultyNetwork(flat_trace, plan_f), _plan(), manifest8[0], 30.0,
+            flat_trace, _plan(), manifest8[0], 30.0,
             policy=DownloadPolicy(),
             fault_plan=plan_f,
             start_wall_t=1.0,

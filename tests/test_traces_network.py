@@ -1,8 +1,13 @@
 """Unit tests for LTE network traces."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.resilience import FaultPlan
 from repro.traces import NetworkTrace, generate_lte_trace, paper_traces
 
 
@@ -114,6 +119,61 @@ class TestDownloadTime:
         dl = trace.download_time(size, 3.3)
         realized = size / dl
         assert trace.min_mbps <= realized <= trace.max_mbps
+
+
+# Zero bins mid-trace and a 7-s cycle that long downloads wrap around.
+_GAPPY = NetworkTrace("gappy", np.array([3.0, 0.0, 0.0, 5.5, 0.7, 0.0, 2.2]))
+
+_sizes = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+_starts = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+
+
+class TestWalkParity:
+    """Bit-for-bit agreement of the one scalar bin walk, its unbounded
+    and fault-free cases and its columnar twin."""
+
+    @given(pairs=st.lists(st.tuples(_sizes, _starts), min_size=5,
+                          max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_download_times_is_the_scalar_walk(self, pairs):
+        sizes = np.array([size for size, _ in pairs])
+        starts = np.array([start for _, start in pairs])
+        expected = [_GAPPY.download_time(size, start) for size, start in pairs]
+        assert _GAPPY.download_times(sizes, starts).tolist() == expected
+
+    def test_download_times_edge_rows(self):
+        # Zero-size rows, starts on bin edges, a start inside an empty
+        # bin and one download longer than the whole cycle.
+        sizes = np.array([0.0, 3.0, 0.0, 2.0, 60.0, 1.1, 0.0])
+        starts = np.array([0.0, 1.0, 3.0, 5.0, 6.0, 7.0, 12.5])
+        expected = [_GAPPY.download_time(size, start)
+                    for size, start in zip(sizes.tolist(), starts.tolist())]
+        assert _GAPPY.download_times(sizes, starts).tolist() == expected
+
+    def test_download_times_on_a_dead_trace(self):
+        # As the scalar walk: nothing to fetch takes no time, anything
+        # else can never arrive.
+        dead = NetworkTrace("dead", np.zeros(3))
+        starts = np.arange(5.0)
+        assert dead.download_times(np.zeros(5), starts).tolist() == [0.0] * 5
+        with pytest.raises(ValueError, match="zero bandwidth everywhere"):
+            dead.download_times(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), starts)
+
+    @given(size=_sizes, start=_starts)
+    @settings(max_examples=200, deadline=None)
+    def test_unbounded_walk_is_download_time(self, size, start):
+        delivered, elapsed, completed = _GAPPY.download_within(
+            size, start, math.inf
+        )
+        assert elapsed == _GAPPY.download_time(size, start)
+        assert completed and delivered == size
+
+    @given(size=_sizes, start=_starts, budget=st.floats(0.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_idle_fault_plan_is_no_plan(self, size, start, budget):
+        assert _GAPPY.download_within(size, start, budget, FaultPlan()) == (
+            _GAPPY.download_within(size, start, budget)
+        )
 
 
 class TestScaling:
