@@ -4,16 +4,17 @@ Gates the PR-level guarantee: with a degenerate error model
 (sigma = 0) :class:`~repro.core.robust.RobustScheme` delegates to the
 point-prediction ``ours`` path, reproducing its sessions byte for byte
 while costing at most ~15% extra wall time (the sigma check per
-segment plus subclass dispatch).  The measured overhead ratio lands in
-``extra_info`` for the CI regression gate (``baseline.json`` holds the
-1.15 ceiling); the active-sigma ratio is recorded alongside for trend
-visibility without gating — probabilistic tile selection does real
-extra work by design.
+segment plus subclass dispatch).  The median of the paired per-round
+overhead ratios lands in ``extra_info`` for the CI regression gate
+(``baseline.json`` holds the 1.15 ceiling); the active-sigma ratio is
+recorded alongside for trend visibility without gating — probabilistic
+tile selection does real extra work by design.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import time
 
 from repro.core import OursScheme, RobustScheme
@@ -74,25 +75,28 @@ def test_robust_layer_overhead(benchmark):
     _run_all(degenerate, manifest, ptiles, heads, setup.trace2, config)
     _run_all(active, manifest, ptiles, heads, setup.trace2, config)
 
-    # Min-of-rounds on both sides, each round ``passes`` replays of the
-    # session list (>= _ROUND_S), so one noisy pass cannot dominate the
-    # ratio.  The rounds alternate (a point-prediction round before each sigma=0
-    # robust one), so a slow spell of the host hits both sides.
+    # Each round is ``passes`` replays of the session list (>= _ROUND_S),
+    # so one noisy pass cannot dominate it.  The rounds alternate (a
+    # point-prediction round before each sigma=0 robust one) and the
+    # gate reads the median of the paired per-round ratios: a slow spell
+    # of the host hits both halves of a pair, and the median ignores the
+    # odd disturbed pair.  A ratio of the two sides' minima pairs rounds
+    # that ran at different times; it read up to 1.28 on identical work.
     baseline: list = []
-    baseline_s = float("inf")
+    point_rounds: list[float] = []
 
     def point_round():
-        nonlocal baseline_s
         t0 = time.perf_counter()
         baseline[:] = _run_all(
             point, manifest, ptiles, heads, setup.trace2, config, passes
         )
-        baseline_s = min(baseline_s, time.perf_counter() - t0)
+        point_rounds.append(time.perf_counter() - t0)
         return (degenerate, manifest, ptiles, heads, setup.trace2,
                 config, passes), {}
 
     robust = benchmark.pedantic(_run_all, setup=point_round, rounds=_ROUNDS)
-    robust_s = benchmark.stats["min"]
+    robust_rounds = benchmark.stats.stats.data
+    baseline_s = min(point_rounds)
 
     # Bit-parity: the records must be identical (session objects differ
     # only in the scheme name they carry).
@@ -111,11 +115,14 @@ def test_robust_layer_overhead(benchmark):
                  passes)
         active_s = min(active_s, time.perf_counter() - t0)
 
-    ratio = robust_s / baseline_s if baseline_s > 0 else float("inf")
+    ratio = statistics.median(
+        r / p for r, p in zip(robust_rounds, point_rounds)
+    )
     active_ratio = active_s / baseline_s if baseline_s > 0 else float("inf")
-    benchmark.extra_info["point_s"] = baseline_s
-    benchmark.extra_info["robust_s"] = robust_s
+    benchmark.extra_info["point_s"] = statistics.median(point_rounds)
+    benchmark.extra_info["robust_s"] = statistics.median(robust_rounds)
     benchmark.extra_info["active_s"] = active_s
     benchmark.extra_info["passes"] = passes
+    benchmark.extra_info["min_ratio"] = min(robust_rounds) / baseline_s
     benchmark.extra_info["overhead_ratio"] = ratio
     benchmark.extra_info["active_overhead_ratio"] = active_ratio

@@ -12,7 +12,10 @@ extrapolates to the playback time of the next segment.
 :class:`TraceFeeder` replays a head trace into a predictor as the
 playhead advances.  It memoizes the ridge predictor's output on the
 trace, so the sessions that replay one trace (every scheme, every
-network) fit the model once per (history, target) between them.
+network) fit the model once per (history, target) between them, and
+:meth:`TraceFeeder.predict_many` fills a whole trace's entries in one
+columnar pass, the windows' fits stacked per window length;
+:meth:`ViewportPredictor.predict_center` is that pass's one-row case.
 
 :class:`AngularErrorModel` quantifies how wrong those extrapolations
 are: a per-horizon angular-error scale (sigma, in degrees) either fit
@@ -24,6 +27,7 @@ or given parametrically (``base + growth * horizon``).  Robust planning
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -46,7 +50,11 @@ __all__ = [
 class RidgeRegressor:
     """Closed-form ridge regression ``w = (X'X + lam*I)^-1 X'y``.
 
-    The intercept column is never regularized.
+    The intercept column is never regularized.  :meth:`fit` takes one
+    problem, ``(n, k)`` features and ``(n,)`` targets, or a stack of
+    them, ``(..., n, k)`` and ``(..., n)``, solved in one call per
+    numpy operation; each stacked problem gets the same BLAS/LAPACK
+    calls (and so the same bits) as when it is fitted alone.
     """
 
     def __init__(self, lam: float = 1.0):
@@ -71,23 +79,115 @@ class RidgeRegressor:
         y = np.asarray(targets, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        if x.shape[0] != y.shape[0]:
+        if x.shape[:-1] != y.shape:
             raise ValueError("feature/target row mismatch")
-        if x.shape[0] == 0:
+        if x.shape[-2] == 0:
             raise ValueError("cannot fit on empty data")
-        design = np.hstack([np.ones((x.shape[0], 1)), x])
-        penalty = self.lam * np.eye(design.shape[1])
+        design = _with_intercept(x)
+        penalty = self.lam * np.eye(design.shape[-1])
         penalty[0, 0] = 0.0  # free intercept
-        gram = design.T @ design + penalty
-        self._weights = np.linalg.solve(gram, design.T @ y)
+        design_t = design.swapaxes(-1, -2)
+        gram = design_t @ design + penalty  # syrk per problem
+        rhs = design_t @ y[..., None]  # gemv per problem
+        self._weights = np.linalg.solve(gram, rhs)[..., 0]
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         x = np.asarray(features, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
-        design = np.hstack([np.ones((x.shape[0], 1)), x])
-        return design @ self.weights
+        return (_with_intercept(x) @ self.weights[..., None])[..., 0]
+
+
+def _with_intercept(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+
+
+def _window_index(ends, rows, count: int) -> np.ndarray:
+    """``(len(rows), count)`` sample indices of equal-length windows."""
+    return np.array([ends[r] - count for r in rows])[:, None] + np.arange(count)
+
+
+def _ridge_centers(times, yaws, pitches, ends, counts, targets, predictor):
+    """:meth:`ViewportPredictor.predict_center` of many windows at once.
+
+    Row ``r`` is the window of samples ``[ends[r] - counts[r], ends[r])``
+    of the observed ``times``/``yaws``/``pitches`` (yaw unwrapped as
+    :meth:`ViewportPredictor.observe` unwraps it), asked for
+    ``targets[r]``.  The rows that fit a trend are fitted per window
+    length as one stack, yaw and pitch together; the fallback and
+    clamp are the scalar code's, row by row.  Returns ``(yaw, pitch)``
+    float pairs.
+    """
+    p = predictor
+    last = [end - 1 for end in ends]
+    lasts = list(zip(times[last].tolist(), yaws[last].tolist(),
+                     pitches[last].tolist()))
+    groups: dict[int, list] = {}  # window length -> rows that fit
+    horizons: dict[int, float] = {}
+    for r, (count, target, (t_last, _, _)) in enumerate(
+            zip(counts, targets, lasts)):
+        if count >= 4 and not target <= t_last:
+            groups.setdefault(count, []).append(r)
+            # Head trends are only predictive for a second or so;
+            # beyond that, persistence (the current trend's endpoint)
+            # beats blind linear extrapolation across the whole buffer
+            # pipeline.
+            horizons[r] = min(target - t_last, p.max_extrapolation_s)
+    hats: dict[int, tuple] = {}
+    for count, rows in groups.items():
+        g = len(rows)
+        window = _window_index(ends, rows, count)
+        t_last = np.array([lasts[r][0] for r in rows])
+        rel = times[window] - t_last[:, None]
+        model = RidgeRegressor(p.lam).fit(
+            np.concatenate([rel, rel])[..., None],
+            np.concatenate([yaws[window], pitches[window]]),
+        )
+        horizon = np.array([horizons[r] for r in rows])
+        hat = model.predict(
+            np.concatenate([horizon, horizon])[:, None, None])[:, 0].tolist()
+        hats.update(zip(rows, zip(hat[:g], hat[g:])))
+
+    centers = []
+    for r, (_, yaw_last, pitch_last) in enumerate(lasts):
+        if r not in hats:
+            centers.append((yaw_last % 360.0,
+                            float(min(max(pitch_last, -90.0), 90.0))))
+            continue
+        yaw_hat, pitch_hat = hats[r]
+        # Clamp the implied trend speed.  min/max on plain floats gives
+        # np.clip's result (NaN and -0.0 included) without a numpy
+        # scalar round trip per clamp.  A zero move keeps the last
+        # sample itself: adding it would turn a last pitch of -0.0 into
+        # +0.0.
+        max_move = p.max_trend_deg_s * horizons[r]
+        yaw_move = float(min(max(yaw_hat - yaw_last, -max_move), max_move))
+        pitch_move = float(min(max(pitch_hat - pitch_last, -max_move),
+                               max_move))
+        yaw_hat = yaw_last + yaw_move if yaw_move else yaw_last
+        pitch_hat = pitch_last + pitch_move if pitch_move else pitch_last
+        centers.append((yaw_hat % 360.0,
+                        float(min(max(pitch_hat, -90.0), 90.0))))
+    return centers
+
+
+def _window_speeds(times, yaws, pitches, ends, counts, quantile):
+    """:meth:`ViewportPredictor.recent_speed_deg_s` of many windows (rows
+    as in :func:`_ridge_centers`), one quantile per window length."""
+    speeds = [0.0] * len(ends)
+    groups: dict[int, list] = {}
+    for r, count in enumerate(counts):
+        if count >= 2:
+            groups.setdefault(count, []).append(r)
+    for count, rows in groups.items():
+        window = _window_index(ends, rows, count)
+        steps = np.hypot(np.diff(yaws[window]), np.diff(pitches[window]))
+        dt = np.diff(times[window])
+        values = np.quantile(steps / dt, quantile, axis=1).tolist()
+        for r, value in zip(rows, values):
+            speeds[r] = value
+    return speeds
 
 
 @dataclass
@@ -109,12 +209,19 @@ class ViewportPredictor:
     _history: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window must be positive")
-        # Written to reject NaN too: a NaN bound would make the trend
-        # clamp a no-op.
+        # Written to reject NaN too: a NaN window is never trimmed, a
+        # NaN lam gives a NaN viewport, and Python's min drops a NaN
+        # extrapolation bound, where np.minimum would keep it.
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ValueError("window must be positive and finite")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be non-negative and finite")
+        # A NaN trend bound would make the trend clamp a no-op.
         if not self.max_trend_deg_s >= 0:
             raise ValueError("max trend speed must be non-negative")
+        if not (math.isfinite(self.max_extrapolation_s)
+                and self.max_extrapolation_s > 0):
+            raise ValueError("max extrapolation must be positive and finite")
 
     def observe(self, t: float, yaw: float, pitch: float) -> None:
         """Record a head sample; yaw is unwrapped against the history."""
@@ -143,33 +250,15 @@ class ViewportPredictor:
         """
         if not self._history:
             raise RuntimeError("no observations yet")
-        times = np.array([h[0] for h in self._history])
-        yaws = np.array([h[1] for h in self._history])
-        pitches = np.array([h[2] for h in self._history])
-        t_last, yaw_last, pitch_last = self._history[-1]
-        if len(self._history) < 4 or t_target <= t_last:
-            return yaw_last % 360.0, float(min(max(pitch_last, -90.0), 90.0))
+        n = len(self._history)
+        return _ridge_centers(*self._arrays(), [n], [n], [t_target], self)[0]
 
-        rel = (times - t_last)[:, None]
-        yaw_model = RidgeRegressor(self.lam).fit(rel, yaws)
-        pitch_model = RidgeRegressor(self.lam).fit(rel, pitches)
-        # Head trends are only predictive for a second or so; beyond
-        # that, persistence (the current trend's endpoint) beats blind
-        # linear extrapolation across the whole buffer pipeline.
-        horizon = min(t_target - t_last, self.max_extrapolation_s)
-        yaw_hat = float(yaw_model.predict(np.array([[horizon]]))[0])
-        pitch_hat = float(pitch_model.predict(np.array([[horizon]]))[0])
-
-        # Clamp the implied trend speed.  min/max on plain floats gives
-        # np.clip's result (NaN and -0.0 included) without a numpy scalar
-        # round trip per clamp.  A zero move keeps the last sample itself:
-        # adding it would turn a last pitch of -0.0 into +0.0.
-        max_move = self.max_trend_deg_s * horizon
-        yaw_move = float(min(max(yaw_hat - yaw_last, -max_move), max_move))
-        pitch_move = float(min(max(pitch_hat - pitch_last, -max_move), max_move))
-        yaw_hat = yaw_last + yaw_move if yaw_move else yaw_last
-        pitch_hat = pitch_last + pitch_move if pitch_move else pitch_last
-        return yaw_hat % 360.0, float(min(max(pitch_hat, -90.0), 90.0))
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window's times, yaws and pitches."""
+        history = self._history
+        return (np.array([h[0] for h in history]),
+                np.array([h[1] for h in history]),
+                np.array([h[2] for h in history]))
 
     def predict_viewport(self, t_target: float) -> Viewport:
         yaw, pitch = self.predict_center(t_target)
@@ -197,14 +286,10 @@ class ViewportPredictor:
         evaluation: blur tolerance is set by the faster motion within a
         window, not its average.
         """
-        if len(self._history) < 2:
+        n = len(self._history)
+        if n < 2:
             return 0.0
-        times = np.array([h[0] for h in self._history])
-        yaws = np.array([h[1] for h in self._history])
-        pitches = np.array([h[2] for h in self._history])
-        steps = np.hypot(np.diff(yaws), np.diff(pitches))
-        dt = np.diff(times)
-        return float(np.quantile(steps / dt, quantile))
+        return _window_speeds(*self._arrays(), [n], [n], quantile)[0]
 
 
 _SPEED_QUANTILE = 0.75  # ViewportPredictor.recent_speed_deg_s's default
@@ -264,13 +349,54 @@ class TraceFeeder:
             return self._shared_prediction(t_target)
         return self.trace.viewport_at(0.0, self.fov_deg), 0.0
 
-    def _shared_prediction(self, t_target: float) -> tuple[Viewport, float]:
+    def predict_many(self, pairs) -> list[tuple[Viewport, float]]:
+        """:meth:`predict` over ``(video_time, t_target)`` pairs, in order.
+
+        A :meth:`ridge` feeder answers the pairs it has no memo entry
+        for in one columnar pass over the trace: the windows' fits are
+        stacked per window length, and the entries are the ones
+        :meth:`predict` would have stored, bit for bit.
+        """
+        if not self.shared:
+            return [self.predict(v, t) for v, t in pairs]
+        trace = self.trace
+        times = trace.timestamps
+        seen = np.searchsorted(times, [v for v, _ in pairs], side="right")
+        fed = np.maximum.accumulate(np.append(self.fed, seen)).tolist()
+        self.fed = fed[-1]
+        keys = [self._key(f, t) for f, (_, t) in zip(fed[1:], pairs)]
+        cache = trace._kinematics_cache
+        missing = [key for key in dict.fromkeys(keys)
+                   if key[-2] > 0 and key not in cache]
+        if missing:
+            p = self.predictor
+            ends = [key[-2] for key in missing]
+            # observe() keeps the samples within window_s of the last.
+            starts = np.searchsorted(
+                times, times[np.array(ends) - 1] - p.window_s, side="left")
+            counts = (np.array(ends) - starts).tolist()
+            arrays = (times, _observed_yaw(trace), trace.pitch)
+            centers = _ridge_centers(*arrays, ends, counts,
+                                     [key[-1] for key in missing], p)
+            speeds = _window_speeds(*arrays, ends, counts, _SPEED_QUANTILE)
+            for key, (yaw, pitch), speed in zip(missing, centers, speeds):
+                cache[key] = (Viewport(yaw, pitch, p.fov_deg, p.fov_deg),
+                              speed)
+        return [cache[key] if key[-2] > 0
+                else (trace.viewport_at(0.0, self.fov_deg), 0.0)
+                for key in keys]
+
+    def _key(self, fed: int, t_target: float) -> tuple:
         p = self.predictor
-        key = (
+        return (
             "ridge", p.window_s, p.lam, p.max_trend_deg_s,
-            p.max_extrapolation_s, p.fov_deg, _SPEED_QUANTILE, self.fed,
+            p.max_extrapolation_s, p.fov_deg, _SPEED_QUANTILE, fed,
             t_target,
         )
+
+    def _shared_prediction(self, t_target: float) -> tuple[Viewport, float]:
+        p = self.predictor
+        key = self._key(self.fed, t_target)
         cache = self.trace._kinematics_cache
         entry = cache.get(key)
         if entry is None:
@@ -289,6 +415,22 @@ class TraceFeeder:
                 float(trace.pitch[i]),
             )
         self._observed = self.fed
+
+
+def _observed_yaw(trace: HeadTrace) -> np.ndarray:
+    """The trace's yaws as a predictor fed from its first sample holds
+    them: each unwrapped against the one before, as
+    :meth:`ViewportPredictor.observe` does it (sequential, so a float
+    loop).  Memoized on the trace."""
+    yaw = trace._kinematics_cache.get("observed_yaw")
+    if yaw is None:
+        values = trace.yaw_unwrapped.tolist()
+        last = values[0]
+        for i in range(1, len(values)):
+            last = values[i] = last + ((values[i] - last + 180.0) % 360.0
+                                       - 180.0)
+        yaw = trace._kinematics_cache["observed_yaw"] = np.array(values)
+    return yaw
 
 
 @dataclass(frozen=True)

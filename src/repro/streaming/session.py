@@ -252,17 +252,18 @@ class SessionKernel:
             return self._views[id(trace)]
         config = self.config
         seg_s = config.segment_seconds
-        feeder = self._feeder(trace)
-        predictions, watched, alpha = [], [], []
-        for k, seg in enumerate(self._manifests):
-            mid = (k + 0.5) * seg_s
-            t = max(mid - config.late_fetch_horizon_s, 0.0)
-            predictions.append((*feeder.predict(t, mid), mid - t))
-            watched.append(trace.viewport_at(mid, config.fov_deg))
-            alpha.append(alpha_from_behavior(
-                trace.speed_quantile_in(k * seg_s, (k + 1) * seg_s), seg.ti
-            ))
-        view = _TraceView(trace, predictions, watched, alpha)
+        mids = [(k + 0.5) * seg_s for k in range(self.length)]
+        times = [max(mid - config.late_fetch_horizon_s, 0.0) for mid in mids]
+        predicted = self._feeder(trace).predict_many(list(zip(times, mids)))
+        speeds = trace.speed_quantiles_in(
+            [(k * seg_s, (k + 1) * seg_s) for k in range(self.length)])
+        view = _TraceView(
+            trace,
+            [(*p, mid - t) for p, mid, t in zip(predicted, mids, times)],
+            [trace.viewport_at(mid, config.fov_deg) for mid in mids],
+            [alpha_from_behavior(speed, seg.ti)
+             for speed, seg in zip(speeds, self._manifests)],
+        )
         self._views[id(trace)] = view
         return view
 

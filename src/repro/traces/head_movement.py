@@ -141,31 +141,43 @@ class HeadTrace:
         (Eq. 4) uses an upper quantile (default 0.75): motion blur
         tolerance during a segment is governed by its faster portions,
         and a one-second mean washes out the saccades that matter.
+        The one-window case of :meth:`speed_quantiles_in`.
         """
-        if t1 <= t0:
-            raise ValueError("window must have positive length")
+        return self.speed_quantiles_in(((t0, t1),), quantile)[0]
+
+    def speed_quantiles_in(
+        self, windows, quantile: float | None = 0.75
+    ) -> list[float]:
+        """:meth:`speed_quantile_in` of each ``(t0, t1)`` window.
+
+        A window holds the speeds whose sample-interval midpoints fall
+        in ``[t0, t1)``; windows are found by ``searchsorted`` and
+        reduced one stack per sample count.  An empty window (between
+        samples) falls back to the enclosing interval's speed.
+        Memoized per window, with :meth:`speed_quantile_in`.
+        """
         if quantile is not None and not (0.0 <= quantile <= 1.0):
             raise ValueError("quantile must be in [0, 1]")
-        cache_key = ("speed_quantile", t0, t1, quantile)
-        cached = self._kinematics_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        speeds = self.switching_speeds()
-        mids = 0.5 * (self.timestamps[:-1] + self.timestamps[1:])
-        mask = (mids >= t0) & (mids < t1)
-        if not np.any(mask):
-            # Window between samples: fall back to the enclosing interval.
-            idx = int(np.searchsorted(mids, t0))
-            idx = min(max(idx, 0), speeds.size - 1)
-            result = float(speeds[idx])
-        else:
-            window = speeds[mask]
-            if quantile is None:
-                result = float(np.mean(window))
-            else:
-                result = float(np.quantile(window, quantile))
-        self._kinematics_cache[cache_key] = result
-        return result
+        keys = []
+        for t0, t1 in windows:
+            if not t1 > t0:  # NaN bounds too
+                raise ValueError("window must have positive length")
+            keys.append(("speed_quantile", t0, t1, quantile))
+        cache = self._kinematics_cache
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        if missing:
+            speeds = self.switching_speeds()
+            mids = 0.5 * (self.timestamps[:-1] + self.timestamps[1:])
+            lo = np.searchsorted(mids, [key[1] for key in missing])
+            counts = np.searchsorted(mids, [key[2] for key in missing]) - lo
+            values = speeds[np.minimum(lo, speeds.size - 1)]
+            for count in np.unique(counts[counts > 0]).tolist():
+                rows = np.flatnonzero(counts == count)
+                window = speeds[lo[rows, None] + np.arange(count)]
+                values[rows] = (np.mean(window, axis=1) if quantile is None
+                                else np.quantile(window, quantile, axis=1))
+            cache.update(zip(missing, values.tolist()))
+        return [cache[key] for key in keys]
 
     # ------------------------------------------------------------------
     # Persistence

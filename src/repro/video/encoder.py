@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -147,6 +147,10 @@ class EncoderModel:
         Defaults to the paper's fixed 38..18 ladder; the per-content
         optimizer (``repro.encoding.optimizer``) swaps in per-video
         ladders via ``dataclasses.replace``.
+
+    :meth:`region_size_mbit` keeps its content-free factors per
+    ``(area_fraction, quality)`` in a memo on the instance; pickling
+    drops it.
     """
 
     grid: TileGrid = DEFAULT_GRID
@@ -165,6 +169,19 @@ class EncoderModel:
             raise ValueError("reference bitrate must be positive and finite")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError("noise sigma must be non-negative and finite")
+        # (area fraction, quality) -> the factors of region_size_mbit
+        # that do not depend on the content (SI/TI).
+        object.__setattr__(self, "_factors", {})
+
+    def __getstate__(self) -> dict:
+        # The factor memo is pure derived state: a warmed encoder pickles
+        # like a fresh one, and an unpickled one starts cold.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for key, value in state.items():
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "_factors", {})
 
     # ------------------------------------------------------------------
     # Rate-quality law
@@ -180,8 +197,11 @@ class EncoderModel:
         The ladder-free rate law; the per-content ladder search sweeps
         this directly over its CRF grid.
         """
-        rate = self.ref_bitrate_mbps * 2.0 ** ((_CRF_REF - crf) / _RATE_HALVING_CRF)
-        return rate * self.content_factor(si, ti)
+        return self._crf_rate(crf) * self.content_factor(si, ti)
+
+    def _crf_rate(self, crf: float) -> float:
+        """Full-frame bitrate (Mbps) at a raw CRF for content factor 1."""
+        return self.ref_bitrate_mbps * 2.0 ** ((_CRF_REF - crf) / _RATE_HALVING_CRF)
 
     def full_frame_bitrate_mbps(
         self, quality: float, si: float, ti: float
@@ -302,16 +322,26 @@ class EncoderModel:
         """
         if not (0.0 < area_fraction <= 1.0):
             raise ValueError(f"area fraction {area_fraction} outside (0, 1]")
-        n = area_fraction * self.grid.num_tiles
-        bitrate = self.full_frame_bitrate_mbps(quality, si, ti)
+        key = (area_fraction, quality)
+        factors = self._factors.get(key)
+        if factors is None:
+            # Everything but the content factor, multiplied below in
+            # the order the whole formula multiplies them, so a size is
+            # the same bits memoized or not.  ladder.crf validates the
+            # quality before anything is stored.
+            n = area_fraction * self.grid.num_tiles
+            factors = self._factors[key] = (
+                self._crf_rate(self.ladder.crf(quality)),
+                self.efficiency(n, quality),
+                self.overhead_fraction(quality),
+                max(n, _MIN_UNIT_TILES) ** _OVERHEAD_AREA_EXP,
+            )
+        rate, efficiency, overhead_fraction, area_term = factors
+        bitrate = rate * self.content_factor(si, ti)
         unit_bits = bitrate * self.segment_seconds / self.grid.num_tiles
         content = bitrate * self.segment_seconds * area_fraction
-        content *= self.efficiency(n, quality)
-        overhead = (
-            self.overhead_fraction(quality)
-            * unit_bits
-            * max(n, _MIN_UNIT_TILES) ** _OVERHEAD_AREA_EXP
-        )
+        content *= efficiency
+        overhead = overhead_fraction * unit_bits * area_term
         size = content + overhead
         if frame_rate is not None:
             size *= self.frame_rate_factor(frame_rate, fps)

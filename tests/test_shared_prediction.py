@@ -32,6 +32,7 @@ from repro.streaming import (
     SessionConfig,
     run_session,
 )
+from repro.streaming.session import SessionKernel
 
 from .session_invariants import check_invariants
 
@@ -205,12 +206,15 @@ class TestTraceFeeder:
 class TestFitCount:
     def test_two_fits_per_fed_count_and_target(self, inputs, network_traces,
                                                monkeypatch):
+        # Fits are stacked (one RidgeRegressor.fit per window length in
+        # the per-trace pass), so this counts solved rows: each fitting
+        # (fed, target) key is solved once per coordinate.
         manifest, ptiles, ftiles, trace, device = inputs
-        fits = []
+        rows = []
         original = RidgeRegressor.fit
 
         def counting_fit(self, features, targets):
-            fits.append(len(targets))
+            rows.append(int(np.prod(np.shape(targets)[:-1])))
             return original(self, features, targets)
 
         monkeypatch.setattr(RidgeRegressor, "fit", counting_fit)
@@ -220,16 +224,43 @@ class TestFitCount:
                             ptiles=ptiles, ftiles=ftiles, config=CFG)
         keys = _ridge_keys(trace)
         assert len({(key[-2], key[-1]) for key in keys}) == len(keys)
-        # predict_center fits only with >= 4 samples in the window and a
-        # target past the last one; the rest answer with that sample.
-        t = trace.timestamps
-        fitting = [
-            key for key in keys
-            if np.count_nonzero(t[:key[-2]] >= t[key[-2] - 1] - key[1]) >= 4
-            and key[-1] > t[key[-2] - 1]
-        ]
+        fitting = _fitting_windows(trace)
         assert len(fitting) >= CFG.max_segments - 2
-        assert len(fits) == 2 * len(fitting)
+        assert sum(rows) == 2 * len(fitting)
+
+    def test_view_solves_once_per_window_length(self, inputs, monkeypatch):
+        # A fresh trace's per-trace pass stacks every fit of one window
+        # length into one np.linalg.solve call.
+        manifest, _, _, trace, device = inputs
+        calls = []
+        original = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(np.shape(a)[:-2])
+            return original(a, b)
+
+        kernel = SessionKernel(manifest, device, config=CFG)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        kernel._view(trace)
+        fitting = _fitting_windows(trace)
+        assert fitting
+        assert len(calls) <= 2 * len(set(fitting))
+        # Every fit was solved in those calls: one row per coordinate.
+        assert sum(int(np.prod(shape)) for shape in calls) == 2 * len(fitting)
+
+
+def _fitting_windows(trace) -> list[int]:
+    """The window length of each memo entry that fit a trend:
+    predict_center fits only with >= 4 samples in the window and a
+    target past the last one; the rest answer with that sample."""
+    t = trace.timestamps
+    lengths = []
+    for key in _ridge_keys(trace):
+        window_s, fed, target = key[1], key[-2], key[-1]
+        n = np.count_nonzero(t[:fed] >= t[fed - 1] - window_s)
+        if n >= 4 and target > t[fed - 1]:
+            lengths.append(n)
+    return lengths
 
 
 class TestPickling:

@@ -303,6 +303,80 @@ def test_tile_sizes_equal_encoder(encoder, fields, data):
 
 
 # ----------------------------------------------------------------------
+# The encoder's factor memo == the formula evaluated whole
+# ----------------------------------------------------------------------
+
+
+def _formula(encoder: EncoderModel, quality, si, ti, area_fraction,
+             frame_rate=None, fps=30.0, noise_key=None) -> float:
+    """``region_size_mbit`` written out with no memo."""
+    n = area_fraction * encoder.grid.num_tiles
+    bitrate = encoder.full_frame_bitrate_mbps(quality, si, ti)
+    unit_bits = bitrate * encoder.segment_seconds / encoder.grid.num_tiles
+    content = bitrate * encoder.segment_seconds * area_fraction
+    content *= encoder.efficiency(n, quality)
+    overhead = (encoder.overhead_fraction(quality) * unit_bits
+                * max(n, 0.05) ** 0.25)
+    size = content + overhead
+    if frame_rate is not None:
+        size *= encoder.frame_rate_factor(frame_rate, fps)
+    if noise_key is not None:
+        size *= encoder.noise_factor(noise_key)
+    return size
+
+
+def _areas(num_tiles: int):
+    """Areas below the 0.05-tile floor, up to the 9-tile peak, on the
+    9-16-tile plateau and between the plateau and the full frame."""
+    tile = 1.0 / num_tiles
+    return (st.floats(1e-6, 0.05 * tile)
+            | st.floats(0.05 * tile, 9.0 * tile)
+            | st.floats(9.0 * tile, 16.0 * tile)
+            | st.floats(16.0 * tile, 1.0)
+            | st.sampled_from([tile, 9.0 * tile, 16.0 * tile, 1.0]))
+
+
+@given(encoders(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_memoized_formula_equals_the_formula(encoder, data):
+    levels = encoder.ladder.num_levels
+    num_tiles = encoder.grid.num_tiles
+    # Repeat (area, quality) pairs under other content, so later calls
+    # read the memo.
+    pairs = data.draw(st.lists(st.tuples(
+        _areas(num_tiles),
+        st.integers(1, levels) | st.floats(1.0, float(levels)),
+    ), min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(1, 12))):
+        area, quality = data.draw(st.sampled_from(pairs))
+        si, ti = data.draw(segment_fields)[2:]
+        frame_rate = data.draw(st.none() | st.sampled_from([10.0, 15.0]))
+        key = data.draw(st.none() | st.tuples(st.integers(0, 9)))
+        got = encoder.region_size_mbit(quality, si, ti, area,
+                                       frame_rate=frame_rate, noise_key=key)
+        want = _formula(encoder, quality, si, ti, area, frame_rate,
+                        noise_key=key)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_warm_encoder_pickles_like_a_fresh_one():
+    fresh = EncoderModel()
+    warm = EncoderModel()
+    for area in (1 / 32, 9 / 32, 0.001, 0.8, 1.0):
+        for quality in (1, 2.5, 5):
+            warm.region_size_mbit(quality, 30.0, 12.0, area)
+    assert warm._factors
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    cold = pickle.loads(pickle.dumps(warm))
+    assert cold == warm and not cold._factors
+    # Invalid queries raise every time and leave no entry.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cold.region_size_mbit(6, 30.0, 12.0, 0.5)
+    assert not cold._factors
+
+
+# ----------------------------------------------------------------------
 # Size-table entries == the scalar encoder path
 # ----------------------------------------------------------------------
 
