@@ -103,8 +103,15 @@ def _with_intercept(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
 
 
-def _window_index(ends, rows, count: int) -> np.ndarray:
-    """``(len(rows), count)`` sample indices of equal-length windows."""
+def _unwrap(last: float, yaw: float) -> float:
+    """The representation of ``yaw`` closest to ``last`` (degrees)."""
+    return last + ((yaw - last + 180.0) % 360.0 - 180.0)
+
+
+def _window_index(ends, rows, count: int):
+    """Index of ``(len(rows), count)`` equal-length sample windows."""
+    if len(rows) == 1:  # one window: a view, no gather
+        return None, slice(ends[rows[0]] - count, ends[rows[0]])
     return np.array([ends[r] - count for r in rows])[:, None] + np.arange(count)
 
 
@@ -229,9 +236,7 @@ class ViewportPredictor:
             last_t, last_yaw, _ = self._history[-1]
             if t <= last_t:
                 raise ValueError("observations must be time-ordered")
-            # Unwrap: choose the representation closest to the last yaw.
-            delta = (yaw - last_yaw + 180.0) % 360.0 - 180.0
-            yaw = last_yaw + delta
+            yaw = _unwrap(last_yaw, yaw)
         self._history.append((t, yaw, float(min(max(pitch, -90.0), 90.0))))
         cutoff = t - self.window_s
         while self._history and self._history[0][0] < cutoff:
@@ -300,8 +305,7 @@ class TraceFeeder:
     """Feeds a head trace to a viewport predictor as the playhead advances.
 
     ``fed`` is the running maximum count of samples at or before a
-    requested video time; the predictor observes them only when a
-    prediction must be computed.
+    requested video time.
 
     A feeder built by :meth:`ridge` reads its predictions through a memo
     in the trace's kinematics cache.  After the first ``fed`` samples a
@@ -310,9 +314,12 @@ class TraceFeeder:
     ``window_s`` of sample ``fed - 1``, each yaw unwrapped against the
     one before), so keyed on those and the target time, an entry is the
     one every session replaying the trace would compute, whatever its
-    network, buffer or faults did to ``fed``.  Other predictors (static,
-    oracle, custom) are fed and asked every time and never touch the
-    memo.
+    network, buffer or faults did to ``fed``.  :meth:`predict_many`
+    computes missing entries from the trace's arrays, and :meth:`predict`
+    is its one-row case; the predictor itself never observes a sample.
+    Other predictors (static, oracle, custom) observe the fed samples
+    when asked for a prediction, are asked every time and never touch
+    the memo.
     """
 
     trace: HeadTrace
@@ -338,15 +345,14 @@ class TraceFeeder:
         """Predicted viewport at ``t_target`` and recent head speed from
         the samples up to ``video_time`` (the trace's start, at rest,
         before the first sample)."""
+        if self.shared:
+            return self.predict_many([(video_time, t_target)])[0]
         seen = np.searchsorted(self.trace.timestamps, video_time, side="right")
         self.fed = max(self.fed, int(seen))
-        if not self.shared:
-            self._catch_up()
-            if self.predictor.num_observations > 0:
-                return (self.predictor.predict_viewport(t_target),
-                        self.predictor.recent_speed_deg_s())
-        elif self.fed > 0:
-            return self._shared_prediction(t_target)
+        self._catch_up()
+        if self.predictor.num_observations > 0:
+            return (self.predictor.predict_viewport(t_target),
+                    self.predictor.recent_speed_deg_s())
         return self.trace.viewport_at(0.0, self.fov_deg), 0.0
 
     def predict_many(self, pairs) -> list[tuple[Viewport, float]]:
@@ -394,18 +400,6 @@ class TraceFeeder:
             t_target,
         )
 
-    def _shared_prediction(self, t_target: float) -> tuple[Viewport, float]:
-        p = self.predictor
-        key = self._key(self.fed, t_target)
-        cache = self.trace._kinematics_cache
-        entry = cache.get(key)
-        if entry is None:
-            self._catch_up()
-            entry = (p.predict_viewport(t_target),
-                     p.recent_speed_deg_s(_SPEED_QUANTILE))
-            cache[key] = entry
-        return entry
-
     def _catch_up(self) -> None:
         trace = self.trace
         for i in range(self._observed, self.fed):
@@ -427,8 +421,7 @@ def _observed_yaw(trace: HeadTrace) -> np.ndarray:
         values = trace.yaw_unwrapped.tolist()
         last = values[0]
         for i in range(1, len(values)):
-            last = values[i] = last + ((values[i] - last + 180.0) % 360.0
-                                       - 180.0)
+            last = values[i] = _unwrap(last, values[i])
         yaw = trace._kinematics_cache["observed_yaw"] = np.array(values)
     return yaw
 

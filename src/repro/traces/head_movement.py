@@ -169,14 +169,22 @@ class HeadTrace:
             speeds = self.switching_speeds()
             mids = 0.5 * (self.timestamps[:-1] + self.timestamps[1:])
             lo = np.searchsorted(mids, [key[1] for key in missing])
-            counts = np.searchsorted(mids, [key[2] for key in missing]) - lo
-            values = speeds[np.minimum(lo, speeds.size - 1)]
-            for count in np.unique(counts[counts > 0]).tolist():
-                rows = np.flatnonzero(counts == count)
-                window = speeds[lo[rows, None] + np.arange(count)]
-                values[rows] = (np.mean(window, axis=1) if quantile is None
-                                else np.quantile(window, quantile, axis=1))
-            cache.update(zip(missing, values.tolist()))
+            hi = np.searchsorted(mids, [key[2] for key in missing])
+            values = speeds[np.minimum(lo, speeds.size - 1)].tolist()
+            groups: dict[int, list] = {}  # sample count -> windows
+            for r, count in enumerate((hi - lo).tolist()):
+                if count > 0:
+                    groups.setdefault(count, []).append(r)
+            for count, rows in groups.items():
+                if len(rows) == 1:  # one window: a view, no gather
+                    window = speeds[lo[rows[0]]:hi[rows[0]]]
+                else:
+                    window = speeds[lo[rows, None] + np.arange(count)]
+                stats = (np.mean(window, axis=-1) if quantile is None
+                         else np.quantile(window, quantile, axis=-1))
+                for r, value in zip(rows, np.reshape(stats, -1).tolist()):
+                    values[r] = value
+            cache.update(zip(missing, values))
         return [cache[key] for key in keys]
 
     # ------------------------------------------------------------------

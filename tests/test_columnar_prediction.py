@@ -175,9 +175,10 @@ class TestPredictManyParity:
     @given(trace=traces(), params=predictor_params)
     @settings(max_examples=40, deadline=None)
     def test_memo_entries_match_one_row_lookups(self, trace, params):
-        # The batch fills the keys the one-row lookup reads: a feeder
-        # asking after the batch reads the batch's entries, and a fresh
-        # trace answered one pair at a time stores equal ones.
+        # A row's entry does not depend on the rows stacked with it: a
+        # fresh trace answered one pair at a time (predict, the one-row
+        # case) stores the batch's entries, and a feeder asking after
+        # the batch reads them.
         t = trace.timestamps
         pairs = [(float(s), float(s) + 0.7) for s in t]
         batch = _shared_feeder(trace, params).predict_many(pairs)

@@ -201,6 +201,9 @@ class TestTraceFeeder:
             else:
                 want = (trace.viewport_at(0.0, 100.0), 0.0)
             assert got == want, video_time
+        # One path fills the memo: predict is predict_many of one pair,
+        # which reads the trace's arrays and never feeds the predictor.
+        assert feeder.predictor.num_observations == 0
 
 
 class TestFitCount:
