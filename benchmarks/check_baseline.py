@@ -25,9 +25,9 @@ Two kinds of metric, with deliberately different strictness:
   runners.
 
 * **Overhead metrics** (``ceiling``) — same-machine cost ratios that
-  must stay *small*, such as the resilient download engine's wall-time
-  overhead relative to the legacy faults-off path.  Scale-invariant
-  like the floors, so they get a hard ceiling.
+  must stay *small*, such as a benign fault plan's session wall-time
+  overhead over a faults-off session.  Scale-invariant like the
+  floors, so they get a hard ceiling.
 
 * **Recorded metrics** (``record``) — tracked for trend visibility but
   never failed, such as the decision service's p50/p99 flood latency:
@@ -89,6 +89,10 @@ def extract_metrics(report: dict) -> dict[str, float]:
         "shared_prediction_speedup": _extra(
             report, "test_shared_prediction_speedup",
             "shared_prediction_speedup"
+        ),
+        "shared_prediction_fit_ratio": _extra(
+            report, "test_shared_prediction_counts",
+            "shared_prediction_fit_ratio"
         ),
         "size_formula_evaluation_ratio": _extra(
             report, "test_size_table_counts", "formula_evaluation_ratio"

@@ -1,9 +1,10 @@
 """Resilience-layer overhead benchmark.
 
-Gates the PR-level guarantee: with faults disabled, the resilient
-download engine (idle :class:`FaultPlan` + a no-retry, effectively
-deadline-free :class:`DownloadPolicy`) must reproduce the legacy
-session byte for byte while costing at most ~10% extra wall time.
+Gates the guarantee that a benign fault config costs nothing: an idle
+:class:`FaultPlan` plus a no-retry, effectively deadline-free
+:class:`DownloadPolicy` must reproduce the faults-off session byte for
+byte (both fetch every segment through the same bounded walk) while
+costing at most ~10% extra wall time.
 The median of the paired per-round overhead ratios lands in
 ``extra_info`` for the CI regression gate (``baseline.json`` holds the
 1.10 ceiling).
@@ -47,52 +48,54 @@ def _run_all(scheme, manifest, ptiles, heads, trace, config):
 def test_resilience_layer_overhead(benchmark):
     setup, manifest, ptiles, heads = _session_inputs()
     scheme = PtileScheme()
-    legacy_config = setup.session_config
-    # Benign resilient config: the engine runs on every segment but an
-    # idle plan plus a zero-retry, deadline-free policy makes each
-    # download a single clean attempt — results must match exactly.
+    faults_off_config = setup.session_config
+    # Benign resilient config: every fetch is bounded by the policy's
+    # timeout, but an idle plan plus a zero-retry, deadline-free policy
+    # makes each download a single clean attempt — results must match
+    # exactly.
     benign_config = replace(
-        legacy_config,
+        faults_off_config,
         fault_plan=FaultPlan(),
         download_policy=DownloadPolicy(retry_budget=0, timeout_slack_s=1e9),
     )
 
     # Warm shared memos (plan tables, trace integrals) outside the
     # timed regions so both variants see identical cache state.
-    _run_all(scheme, manifest, ptiles, heads, setup.trace2, legacy_config)
+    _run_all(scheme, manifest, ptiles, heads, setup.trace2,
+             faults_off_config)
 
-    # The rounds alternate (a legacy round before each resilient one)
+    # The rounds alternate (a faults-off round before each benign one)
     # and the gate reads the median of the paired per-round ratios: a
     # slow spell of the host hits both halves of a pair, and the median
     # ignores the odd disturbed pair.  A ratio of the two sides' minima
     # pairs rounds that ran at different times, so it moved by ±0.1
     # between runs of the same code.
-    legacy: list = []
-    legacy_rounds: list[float] = []
+    faults_off: list = []
+    faults_off_rounds: list[float] = []
 
-    def legacy_round():
+    def faults_off_round():
         t0 = time.perf_counter()
-        legacy[:] = _run_all(
-            scheme, manifest, ptiles, heads, setup.trace2, legacy_config
+        faults_off[:] = _run_all(
+            scheme, manifest, ptiles, heads, setup.trace2, faults_off_config
         )
-        legacy_rounds.append(time.perf_counter() - t0)
+        faults_off_rounds.append(time.perf_counter() - t0)
         return (scheme, manifest, ptiles, heads, setup.trace2,
                 benign_config), {}
 
-    resilient = benchmark.pedantic(
-        _run_all, setup=legacy_round, rounds=_ROUNDS
+    benign = benchmark.pedantic(
+        _run_all, setup=faults_off_round, rounds=_ROUNDS
     )
-    resilient_rounds = benchmark.stats.stats.data
+    benign_rounds = benchmark.stats.stats.data
 
-    assert resilient == legacy, (
-        "benign resilient sessions diverged from the legacy path"
+    assert benign == faults_off, (
+        "benign fault-config sessions diverged from the faults-off sessions"
     )
     ratio = statistics.median(
-        r / l for r, l in zip(resilient_rounds, legacy_rounds)
+        r / l for r, l in zip(benign_rounds, faults_off_rounds)
     )
-    benchmark.extra_info["legacy_s"] = statistics.median(legacy_rounds)
-    benchmark.extra_info["resilient_s"] = statistics.median(resilient_rounds)
+    benchmark.extra_info["faults_off_s"] = statistics.median(faults_off_rounds)
+    benchmark.extra_info["benign_s"] = statistics.median(benign_rounds)
     benchmark.extra_info["min_ratio"] = (
-        min(resilient_rounds) / min(legacy_rounds)
+        min(benign_rounds) / min(faults_off_rounds)
     )
     benchmark.extra_info["overhead_ratio"] = ratio

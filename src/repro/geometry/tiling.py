@@ -128,11 +128,6 @@ class TileGrid:
         y1 = 90.0 - tile.row * self.tile_height
         return Rect(x0, y1 - self.tile_height, x0 + self.tile_width, y1)
 
-    def tile_area_fraction(self, tile: Tile) -> float:
-        """Fraction of the full frame covered by one tile."""
-        self._check(tile)
-        return 1.0 / self.num_tiles
-
     def tile_at(self, yaw: float, pitch: float) -> Tile:
         """The tile containing a direction (edges belong to the
         lower-index tile on ties, except the frame boundary)."""

@@ -39,20 +39,6 @@ class BatteryModel:
         """Total energy in joules (mAh x V x 3.6)."""
         return self.capacity_mah * self.nominal_voltage_v * 3.6
 
-    def session_drain_fraction(
-        self,
-        streaming_power_w: float,
-        duration_s: float,
-        include_screen: bool = False,
-    ) -> float:
-        """Share of the battery one session consumes."""
-        if streaming_power_w < 0 or duration_s < 0:
-            raise ValueError("power and duration must be non-negative")
-        power = streaming_power_w
-        if include_screen:
-            power += self.screen_power_mw * 1e-3
-        return power * duration_s / self.capacity_j
-
     def streaming_hours(
         self, streaming_power_w: float, include_screen: bool = True
     ) -> float:
@@ -65,24 +51,6 @@ class BatteryModel:
         if power == 0:
             return float("inf")
         return self.capacity_j / power / 3600.0
-
-    def extra_hours_from_saving(
-        self,
-        baseline_power_w: float,
-        saved_fraction: float,
-        include_screen: bool = True,
-    ) -> float:
-        """Extra streaming hours a relative power saving buys.
-
-        E.g. the paper's 49.7 % saving applied to a 2.3 W Ctile session.
-        """
-        if not (0.0 <= saved_fraction < 1.0):
-            raise ValueError("saved fraction must be in [0, 1)")
-        before = self.streaming_hours(baseline_power_w, include_screen)
-        after = self.streaming_hours(
-            baseline_power_w * (1.0 - saved_fraction), include_screen
-        )
-        return after - before
 
 
 TYPICAL_PHONE_BATTERY = BatteryModel()

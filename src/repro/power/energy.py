@@ -87,18 +87,3 @@ class EnergyModel:
     def rendering_energy_j(self, frame_rate: float) -> float:
         """E_r = P_r(f) * L."""
         return self.device.rendering_mw(frame_rate) * _MW_TO_W * self.segment_seconds
-
-    def segment_energy(
-        self,
-        *,
-        size_mbit: float,
-        bandwidth_mbps: float,
-        scheme: TilingScheme,
-        frame_rate: float,
-    ) -> SegmentEnergy:
-        """Full Eq. 1 breakdown for one segment."""
-        return SegmentEnergy(
-            transmission_j=self.transmission_energy_j(size_mbit, bandwidth_mbps),
-            decoding_j=self.decoding_energy_j(scheme, frame_rate),
-            rendering_j=self.rendering_energy_j(frame_rate),
-        )

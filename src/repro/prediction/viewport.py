@@ -269,21 +269,6 @@ class ViewportPredictor:
         yaw, pitch = self.predict_center(t_target)
         return Viewport(yaw, pitch, self.fov_deg, self.fov_deg)
 
-    def prediction_end_s(self, t_target: float) -> float:
-        """The time :meth:`predict_center` actually extrapolates to.
-
-        Trend extrapolation is clamped to ``max_extrapolation_s`` past
-        the last observation, so for targets beyond that the prediction
-        is for an *earlier* time than requested; the error model charges
-        the full requested horizon for that staleness.
-        """
-        if not self._history:
-            raise RuntimeError("no observations yet")
-        t_last = self._history[-1][0]
-        if len(self._history) < 4 or t_target <= t_last:
-            return t_last
-        return t_last + min(t_target - t_last, self.max_extrapolation_s)
-
     def recent_speed_deg_s(self, quantile: float = 0.75) -> float:
         """Switching-speed statistic over the history window (Eq. 4).
 

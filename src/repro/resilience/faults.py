@@ -149,8 +149,16 @@ class FaultPlan:
             and self.edge_fail_at_s is None
         )
 
-    def bandwidth_factor(self, t: float) -> float:
-        """Multiplier on the trace bandwidth at absolute time ``t``."""
+    def bandwidth_factor(self, t):
+        """Multiplier on the trace bandwidth at absolute time ``t``,
+        elementwise over an array of times."""
+        if isinstance(t, np.ndarray):
+            factor = np.ones_like(t)
+            for w in self.collapses:
+                factor[(w.start_s <= t) & (t < w.end_s)] *= w.factor
+            for w in self.outages:
+                factor[(w.start_s <= t) & (t < w.end_s)] = 0.0
+            return factor
         for w in self.outages:
             if w.start_s <= t < w.end_s:
                 return 0.0
@@ -160,15 +168,28 @@ class FaultPlan:
                 factor *= w.factor
         return factor
 
-    def next_boundary_after(self, t: float) -> float:
-        """Earliest fault boundary strictly after ``t`` (inf if none)."""
-        for edge in self._boundaries:  # type: ignore[attr-defined]
+    def next_boundary_after(self, t):
+        """Earliest fault boundary strictly after ``t`` (inf if none),
+        elementwise over an array of times."""
+        edges = self._boundaries  # type: ignore[attr-defined]
+        if isinstance(t, np.ndarray):
+            edges = np.append(edges, np.inf)
+            return edges[np.searchsorted(edges, t, side="right")]
+        for edge in edges:
             if edge > t:
                 return edge
         return float("inf")
 
-    def extra_latency(self, t: float) -> float:
-        """First-byte latency added to a request issued at ``t``."""
+    def extra_latency(self, t):
+        """First-byte latency added to a request issued at ``t``,
+        elementwise over an array of times."""
+        if isinstance(t, np.ndarray):
+            latency = np.zeros_like(t)
+            for w in self.latency_spikes:
+                inside = (w.start_s <= t) & (t < w.end_s)
+                latency[inside] = np.maximum(latency[inside],
+                                             w.extra_latency_s)
+            return latency
         latency = 0.0
         for w in self.latency_spikes:
             if w.start_s <= t < w.end_s:
@@ -191,8 +212,9 @@ class FaultPlan:
         draw = struct.unpack("<Q", raw[:8])[0] / float(2**64)
         return draw < self.failure_rate
 
-    def edge_available(self, t: float) -> bool:
-        """Whether the edge-cache node is still alive at time ``t``."""
+    def edge_available(self, t):
+        """Whether the edge-cache node is still alive at time ``t``
+        (elementwise over an array of times, or True for all)."""
         return self.edge_fail_at_s is None or t < self.edge_fail_at_s
 
 

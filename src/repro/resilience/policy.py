@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
+import numpy as np
+
 from ..streaming.schemes import LOWEST_QUALITY, DownloadPlan
 from .faults import FaultPlan
 
@@ -100,6 +102,16 @@ class DownloadPolicy:
         """Total tolerable fetch time before degrading, from the buffer
         level at request time (the playback deadline)."""
         return max(self.min_timeout_s, buffer_level_s + self.timeout_slack_s)
+
+    def first_timeouts_s(self, buffer_level_s: np.ndarray,
+                         cold_start: bool) -> np.ndarray:
+        """Each row's first-attempt timeout, as :func:`execute_download`
+        sets it, from its buffer level at request time."""
+        if cold_start:
+            return np.full(buffer_level_s.shape, _UNBOUNDED_S)
+        return np.minimum(np.maximum(
+            self.min_timeout_s, buffer_level_s + self.timeout_slack_s
+        ), _UNBOUNDED_S)
 
 
 @dataclass(frozen=True)
@@ -188,9 +200,10 @@ def execute_download(
     ``net`` is the :class:`~repro.traces.network.NetworkTrace` the
     fetch runs over; its ``download_within`` walks each attempt over
     the link ``fault_plan`` leaves (outages and collapse windows
-    scale the trace).  ``edge_model`` splits each attempt as in the
-    ideal session (cached fraction at the edge rate), except that a
-    fault plan's edge failure zeroes the hit ratio from its fault time.
+    scale the trace).  ``edge_model`` splits each attempt: the cached
+    fraction takes edge-link time, added after the backhaul walk of the
+    miss, which starts at the first byte.  A fault plan's edge failure
+    zeroes the hit ratio from its fault time.
     ``unlimited_deadline`` marks the cold-start segment, whose fetch
     time is startup delay rather than a stall.
     """
@@ -206,9 +219,8 @@ def execute_download(
     timeouts = 0
     failures = 0
     rung = 0
-    # Rung plans are built lazily: the clean path (no faults, first
-    # attempt succeeds) never materialises the degraded plans, which
-    # keeps the faults-off overhead of this engine near zero.
+    # Rung plans are built lazily: a fetch that degrades builds only
+    # the rungs it reaches.
     rung_built = -1
     level, lplan = DegradationLevel.FULL, plan
     while rung < _LADDER_DEPTH and attempts_left > 0:
@@ -251,7 +263,7 @@ def execute_download(
             continue
         miss_mbit = lplan.total_size_mbit - edge_mbit
         delivered, used, completed = net.download_within(
-            miss_mbit, t + latency + edge_time, avail - edge_time, fault_plan
+            miss_mbit, t + latency, avail - edge_time, fault_plan
         )
         attempt_active = edge_time + used
         if not completed:

@@ -63,10 +63,6 @@ class PlaybackBuffer:
     def level_s(self) -> float:
         return self._level
 
-    def wait_time(self) -> float:
-        """dt_k = max(B_k - beta, 0): idle time before the next request."""
-        return float(request_gate(self._level, self.threshold_s)[0])
-
     def advance(self, download_time_s: float) -> BufferEvent:
         """Simulate waiting for the gate, downloading, and enqueueing.
 
@@ -85,6 +81,3 @@ class PlaybackBuffer:
             level_before_s=float(level_at_request),
             level_after_s=self._level,
         )
-
-    def reset(self) -> None:
-        self._level = 0.0

@@ -37,8 +37,10 @@ lookahead window (``_select``/``_windows``; one ``choose_batch`` per
 MPC scheme per step).  Any other scheme (e.g.
 :class:`~repro.serving.client.ServiceClient`), and a segment whose
 prediction time the playhead binds, plans through ``scheme.plan(ctx)``
-inside the same step.  A resilient session's fetch goes through
-:func:`~repro.resilience.policy.execute_download`, row by row.
+inside the same step.  A row's fetch is one bin walk over its network
+trace and the fault plan, bounded by its first attempt's timeout; only
+a timed-out or corrupted attempt reruns through
+:func:`~repro.resilience.policy.execute_download`.
 """
 
 from __future__ import annotations
@@ -107,10 +109,8 @@ class SessionConfig:
     predictor_factory: Callable | None = None
     # Resilience (docs/MODELING.md §10): a deterministic fault overlay
     # on the network trace plus the client's deadline/retry/degradation
-    # policy.  With both None the session runs the exact ideal-network
-    # code path; setting either engages the resilient download engine
-    # (a missing policy falls back to DownloadPolicy() defaults, a
-    # missing plan to no faults).
+    # policy.  With both None every fetch is unbounded and fault-free;
+    # a plan without a policy takes DownloadPolicy() defaults.
     fault_plan: FaultPlan | None = None
     download_policy: DownloadPolicy | None = None
 
@@ -127,10 +127,6 @@ class SessionConfig:
             raise ValueError(
                 f"predictor_window_s must be finite and > 0, got {window!r}"
             )
-
-    @property
-    def resilient(self) -> bool:
-        return self.fault_plan is not None or self.download_policy is not None
 
 
 _F = {name: i for i, name in enumerate(FLOAT_COLUMNS)}
@@ -231,7 +227,11 @@ class SessionKernel:
         self._abrs: dict = {}  # ABR -> index (equal ABRs pick alike)
         self._mpcs: dict[int, int] = {}  # id(MPC scheme) -> index in _mpc
         self._mpc: list[_Mpc] = []
-        self._policy = config.download_policy or DownloadPolicy()
+        faults = config.fault_plan  # an idle plan perturbs nothing
+        self._faults = None if faults is None or faults.is_idle else faults
+        self._policy = config.download_policy or (
+            None if faults is None else DownloadPolicy()
+        )
 
     # ------------------------------------------------------------------
     # Per-(head trace, segment) precompute
@@ -400,7 +400,6 @@ class SessionKernel:
         config = self.config
         seg_s = config.segment_seconds
         late = config.late_fetch_horizon_s
-        edge = config.edge_model
         fps = self.video.fps
         n = rows.size
         ar = np.arange(n)
@@ -408,7 +407,7 @@ class SessionKernel:
         generic = st.generic[rows]
         int_quality = st.int_quality[rows]
         qvalues = st.qvalues[rows]
-        nets = _Networks(networks)
+        groups = _by_network(networks)
 
         level = np.zeros(n)
         wall = np.asarray(starts, dtype=float).copy()
@@ -419,7 +418,9 @@ class SessionKernel:
         # Startup probe: the client measures throughput while fetching
         # the manifest; a trace may open inside an outage second, so
         # probe forward to the first positive sample.
-        probe = nets.bandwidth_at(wall)
+        probe = np.empty(n)
+        for net, sel in groups:
+            probe[sel] = net.bandwidth_at(wall[sel])
         for i in np.flatnonzero(probe <= 0).tolist():
             probe[i] = networks[i].next_positive_bandwidth(
                 float(wall[i])
@@ -500,42 +501,17 @@ class SessionKernel:
                     p, k, prediction, float(level_req[i]), float(est[i])
                 ))
 
-            # --- download: edge-cached bytes at the edge link rate, the
-            #     miss across the backhaul; or the resilience overlay
-            skipped = np.zeros(n, dtype=bool)
-            if config.resilient:
-                dt, active, edge_hit, sample, add = self._fetch(
-                    k, plans, rows, networks, objects, q_idx, rate_idx, size,
-                    wall, level_req, skipped, I,
-                )
-            else:
-                if edge is not None:
-                    edge_hit = size * edge.hit_ratio(k)
-                    miss = size - edge_hit
-                else:
-                    edge_hit, miss = np.zeros(n), size
-                for i, plan in objects.items():
-                    size[i] = plan.total_size_mbit
-                    if edge is not None:
-                        edge_hit[i] = size[i] * edge.hit_ratio(k)
-                        miss[i] = size[i] - edge_hit[i]
-                dt = nets.download(miss, wall)
-                if edge is not None:
-                    dt = dt + edge_hit / edge.edge_bandwidth_mbps
-                active = dt
-                # An instantaneous download carries no throughput ratio:
-                # sample the trace at the request instead, unless it is
-                # inside a zero-bandwidth bin.
-                add = dt > 0
-                sample = np.divide(size, dt, out=np.zeros(n), where=add)
-                if not add.all():
-                    sample = np.where(add, sample, nets.bandwidth_at(wall))
-                    add = add | (sample > 0)
+            # --- download: one fetch per row
+            dt, active, edge_hit, sample, skipped = self._fetch(
+                k, plans, rows, networks, groups, objects, q_idx, rate_idx,
+                size, wall, level_req, I,
+            )
             for i, plan in objects.items():
                 self._derive(i, k, plan, plans[rows[i]].view, skipped[i],
                              size, quality, is_int, frame_rate, factor,
                              qo_high, decode, render, F, I)
             # A row whose fetch measured no throughput takes no sample.
+            add = sample > 0
             estimator.add(sample if add.all()
                           else np.ma.masked_array(sample, ~add))
 
@@ -624,45 +600,78 @@ class SessionKernel:
         )
         render[i] = self._energy.rendering_energy_j(plan.frame_rate)
 
-    def _fetch(self, k, plans, rows, networks, objects, q_idx, rate_idx,
-               size, wall, level_req, skipped, I):
-        """Every row's segment-``k`` fetch through the resilience overlay
-        (deadline, retry/backoff, degradation ladder) over its network
-        with the fault plan applied; ``objects`` takes each delivered
-        plan the precomputed values do not describe.  The cold-start
-        fetch is startup delay, not a deadline violation: unbounded."""
-        config = self.config
-        faults = config.fault_plan
-        if faults is not None and faults.is_idle:
-            faults = None
-        out = np.zeros((4, rows.size))  # dt, active, edge hit, sample
-        picks = zip(q_idx.tolist(), rate_idx.tolist(), size.tolist(),
-                    wall.tolist(), level_req.tolist())
-        for i, (q, f, size_i, wall_t, level_i) in enumerate(picks):
-            plan = objects.get(i) or self._plan_of(plans[rows[i]], k, q, f,
-                                                   size_i)
+    def _fetch(self, k, plans, rows, networks, groups, objects, q_idx,
+               rate_idx, size, wall, level_req, I):
+        """Every row's segment-``k`` fetch: ``(dt, active, edge_hit,
+        sample, skipped)`` columns.  First attempts run in columns (fault
+        latency, edge split, the bin walk under the first timeout); a row
+        whose attempt times out, or every row of a segment whose first
+        attempt the plan corrupts, reruns through the resilience overlay.
+        ``objects`` takes each delivered plan the precompute missed."""
+        policy, faults = self._policy, self._faults
+        edge, n = self.config.edge_model, rows.size
+        skipped = np.zeros(n, dtype=bool)
+        for i, plan in objects.items():
+            size[i] = plan.total_size_mbit
+        latency = 0.0 if faults is None else faults.extra_latency(wall)
+        if edge is None:
+            edge_hit, edge_time = np.zeros(n), 0.0
+        else:
+            ratio = edge.hit_ratio(k)
+            if faults is not None:
+                ratio = np.where(faults.edge_available(wall), ratio, 0.0)
+            edge_hit = size * ratio
+            edge_time = np.divide(edge_hit, edge.edge_bandwidth_mbps,
+                                  out=np.zeros(n), where=edge_hit > 0)
+        if policy is None:  # no fault plan either: nothing times out
+            retry, budget = np.zeros(n, dtype=bool), np.full(n, np.inf)
+        else:
+            timeout = policy.first_timeouts_s(level_req, k == 0)
+            avail = timeout - latency
+            retry = (latency >= timeout) | ((edge_time >= avail) & (size > 0))
+            if faults is not None and faults.attempt_fails(k, 0):
+                retry[:] = True
+            budget = np.where(retry, 0.0, avail - edge_time)
+        miss, start = size - edge_hit, wall + latency
+        used, done = np.empty(n), np.empty(n, dtype=bool)
+        for net, sel in groups:
+            used[sel], done[sel] = net.download_times(
+                miss[sel], start[sel], budget[sel], faults
+            )
+        retry |= ~done
+        active = edge_time + used
+        dt = latency + active
+        for i in np.flatnonzero(retry).tolist():
+            plan = objects.get(i) or self._plan_of(
+                plans[rows[i]], k, int(q_idx[i]), int(rate_idx[i]),
+                float(size[i]),
+            )
             outcome = execute_download(
                 networks[i], plan, self._manifests[k], self.video.fps,
-                policy=self._policy, fault_plan=faults, start_wall_t=wall_t,
-                buffer_level_s=level_i, segment_index=k,
-                edge_model=config.edge_model, unlimited_deadline=k == 0,
+                policy=policy, fault_plan=faults,
+                start_wall_t=float(wall[i]),
+                buffer_level_s=float(level_req[i]), segment_index=k,
+                edge_model=edge, unlimited_deadline=k == 0,
             )
-            delivered, elapsed = outcome.plan, outcome.elapsed_s
-            if delivered is not plan or i in objects:
-                objects[i] = delivered
+            if outcome.plan is not plan or i in objects:
+                objects[i] = outcome.plan
+            size[i] = outcome.plan.total_size_mbit
             skipped[i] = outcome.skipped
-            if elapsed > 0 and delivered.total_size_mbit > 0:
-                sample = delivered.total_size_mbit / elapsed
-            else:
-                # Skipped/instant segment: sample the effective link at
-                # the end of the fetch, unless an outage zeroes it.
-                sample = networks[i].bandwidth_at(wall_t + elapsed, faults)
-            out[:, i] = (elapsed, outcome.active_s, outcome.edge_hit_mbit,
-                         sample)
+            dt[i], active[i] = outcome.elapsed_s, outcome.active_s
+            edge_hit[i] = outcome.edge_hit_mbit
             I[_I["retries"], i] = outcome.retries
             I[_I["timeouts"], i] = outcome.timeouts
             I[_I["degraded_level"], i] = outcome.level
-        return out[0], out[1], out[2], out[3], out[3] > 0
+        # An instantaneous or skipped fetch carries no throughput ratio:
+        # sample the effective link where it ends instead, unless an
+        # outage or a zero-bandwidth bin zeroes it.
+        measured = (dt > 0) & (size > 0)
+        sample = np.divide(size, dt, out=np.zeros(n), where=measured)
+        if not measured.all():
+            for i in np.flatnonzero(~measured).tolist():
+                sample[i] = networks[i].bandwidth_at(
+                    float(wall[i] + dt[i]), faults)
+        return dt, active, edge_hit, sample, skipped
 
     # ------------------------------------------------------------------
     # Whole sessions
@@ -722,27 +731,15 @@ class _Stacked:
                 self.factors[i, :, :p.factors.shape[1]] = p.factors
 
 
-class _Networks:
-    """Each row's network trace, grouped: the rows on each trace."""
-
-    def __init__(self, per_row: Sequence[NetworkTrace]):
-        groups: dict[int, tuple] = {}
-        for i, net in enumerate(per_row):
-            groups.setdefault(id(net), (net, []))[1].append(i)
-        self.groups = [(net, np.array(sel)) for net, sel in groups.values()]
-        self.n = len(per_row)
-
-    def bandwidth_at(self, t: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n)
-        for net, sel in self.groups:
-            out[sel] = net.bandwidth_at(t[sel])
-        return out
-
-    def download(self, size: np.ndarray, start: np.ndarray) -> np.ndarray:
-        elapsed = np.empty(self.n)
-        for net, sel in self.groups:
-            elapsed[sel] = net.download_times(size[sel], start[sel])
-        return elapsed
+def _by_network(per_row: Sequence[NetworkTrace]) -> list[tuple]:
+    """The rows on each network trace: ``(trace, rows)`` pairs, where one
+    shared trace takes ``slice(None)``, a view rather than a gather."""
+    groups: dict[int, tuple] = {}
+    for i, net in enumerate(per_row):
+        groups.setdefault(id(net), (net, []))[1].append(i)
+    if len(groups) == 1:
+        return [(per_row[0], slice(None))]
+    return [(net, np.array(sel)) for net, sel in groups.values()]
 
 
 def run_session(

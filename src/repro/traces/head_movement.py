@@ -13,7 +13,6 @@ wrapped value.  Traces round-trip through a simple CSV format
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,10 +127,6 @@ class HeadTrace:
             self._kinematics_cache["speeds"] = speeds
         return speeds
 
-    def mean_speed_in(self, t0: float, t1: float) -> float:
-        """Mean switching speed over a time window (e.g. one segment)."""
-        return self.speed_quantile_in(t0, t1, quantile=None)
-
     def speed_quantile_in(
         self, t0: float, t1: float, quantile: float | None = 0.75
     ) -> float:
@@ -195,11 +190,6 @@ class HeadTrace:
         """Write the trace as ``t,yaw,pitch`` CSV (wrapped yaw)."""
         with open(path, "w", encoding="utf-8") as fh:
             self._write(fh)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
 
     def _write(self, fh) -> None:
         fh.write("t,yaw,pitch\n")

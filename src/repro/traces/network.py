@@ -169,45 +169,83 @@ class NetworkTrace:
             return size_mbit - remaining, budget_s, False
         return size_mbit, elapsed, True  # all but a sub-1e-12 Mbit residual
 
-    def download_times(self, sizes: np.ndarray,
-                       starts: np.ndarray) -> np.ndarray:
-        """:meth:`download_time` of each ``(size, start)`` pair: the walk
-        of :meth:`download_within`, operation for operation, over arrays
-        (a few pairs take the scalar walk, which is cheaper than numpy
-        at that size)."""
+    def download_times(
+        self, sizes: np.ndarray, starts: np.ndarray, budgets: np.ndarray,
+        faults: FaultPlan | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`download_within` of each ``(size, start, budget)`` row,
+        operation for operation: the ``(elapsed, completed)`` columns (a
+        few rows take the scalar walk, cheaper than numpy at that size).
+        An unbounded row that cannot complete (on a trace with zero
+        bandwidth everywhere) raises, as in :meth:`download_time`."""
         if sizes.size <= 4:
-            return np.array([self.download_time(size, start) for size, start
-                             in zip(sizes.tolist(), starts.tolist())])
-        bins, bin_s = self.bandwidth_mbps, self.bin_seconds
+            walks = [self.download_within(size, start, budget, faults)
+                     for size, start, budget in zip(
+                         sizes.tolist(), starts.tolist(), budgets.tolist())]
+            elapsed = np.array([walk[1] for walk in walks], dtype=float)
+            completed = np.array([walk[2] for walk in walks], dtype=bool)
+        else:
+            elapsed, completed = self._walk(sizes, starts, budgets, faults)
+        if not completed.all() and np.isinf(budgets[~completed]).any():
+            raise ValueError(f"trace {self.name!r} has zero bandwidth "
+                             "everywhere")
+        return elapsed, completed
+
+    def _walk(self, sizes, starts, budgets, faults):
+        """The columnar :meth:`download_within`: each walking row's piece
+        ends at the first of its bin edge, its deadline and the fault
+        plan's next boundary."""
         if (sizes < 0).any():
             raise ValueError("size must be non-negative")
         if (starts < 0).any():
             raise ValueError("start time must be non-negative")
-        if (sizes > 0).any() and not (bins > 0).any():
-            raise ValueError(f"trace {self.name!r} has zero bandwidth "
-                             "everywhere")
+        if (budgets < 0).any():
+            raise ValueError("budget must be non-negative")
+        bins, bin_s = self.bandwidth_mbps, self.bin_seconds
         remaining = sizes.astype(float)
         t = starts.astype(float)
         elapsed = np.zeros_like(remaining)
-        active = np.flatnonzero(remaining > 1e-12)
+        walking = remaining > 1e-12
+        # Only a finite deadline can end a piece or the walk early.
+        bounded = not np.isinf(budgets).all()
+        if bounded:
+            deadline = t + budgets
+            walking &= t < deadline
+        # A dead link delivers nothing: each walking row times out.
+        active = np.flatnonzero(walking) if bins.any() else np.arange(0)
         while active.size:
             now = t[active]
             index = (now / bin_s).astype(np.int64)
             bw = bins[index % bins.size]
-            bin_end = (index + 1) * bin_s
-            span = bin_end - now
-            if not (span > 0).all():  # pragma: no cover - safety net
+            end = (index + 1) * bin_s
+            if bounded:
+                end = np.minimum(end, deadline[active])
+            if faults is not None:
+                bw = bw * faults.bandwidth_factor(now)
+                end = np.minimum(end, faults.next_boundary_after(now))
+            window = end - now
+            if not (window > 0).all():  # pragma: no cover - safety net
                 raise RuntimeError("download made no progress")
-            capacity = bw * span
-            done = capacity >= remaining[active]
-            rows = active[done]
-            elapsed[rows] += remaining[rows] / bw[done]
-            rows = active[~done]
-            remaining[rows] -= capacity[~done]
-            elapsed[rows] += span[~done]
-            t[rows] = bin_end[~done]
+            capacity = bw * window
+            fits = capacity >= remaining[active]
+            rows = active[fits]
+            elapsed[rows] += remaining[rows] / bw[fits]
+            remaining[rows] = 0.0  # arrived
+            rows = active[~fits]
+            remaining[rows] -= capacity[~fits]
+            elapsed[rows] += window[~fits]
+            t[rows] = end[~fits]
             active = rows[remaining[rows] > 1e-12]
-        return elapsed
+            if bounded:
+                active = active[t[active] < deadline[active]]
+        # A row left with a sub-1e-12 Mbit residual arrived; any other
+        # ran out of budget.
+        timed_out = remaining > 1e-12
+        elapsed[timed_out] = budgets[timed_out]
+        completed = ~timed_out
+        if bounded:  # a zero budget fetches nothing, however little
+            completed &= (sizes == 0) | (budgets != 0)
+        return elapsed, completed
 
     def scaled(self, factor: float, name: str | None = None) -> "NetworkTrace":
         """Linearly scaled copy (the paper's trace 1 = 2 x trace 2)."""

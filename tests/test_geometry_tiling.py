@@ -39,7 +39,9 @@ class TestGridBasics:
         assert tiles[-1] == Tile(3, 7)
 
     def test_area_fraction(self):
-        assert DEFAULT_GRID.tile_area_fraction(Tile(0, 0)) == pytest.approx(1 / 32)
+        r = DEFAULT_GRID.tile_rect(Tile(0, 0))
+        area = (r.x1 - r.x0) * (r.y1 - r.y0)
+        assert area / (360.0 * 180.0) == pytest.approx(1 / 32)
 
 
 class TestTileRect:

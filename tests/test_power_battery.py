@@ -14,18 +14,12 @@ class TestBatteryModel:
         # ~3000 mAh at 3.85 V: about 41.6 kJ.
         assert TYPICAL_PHONE_BATTERY.capacity_j == pytest.approx(41580.0)
 
-    def test_session_drain(self):
-        battery = BatteryModel(capacity_mah=1000.0, nominal_voltage_v=1.0,
-                               screen_power_mw=0.0)
-        # 1 W for 360 s = 360 J of 3600 J = 10 %.
-        assert battery.session_drain_fraction(1.0, 360.0) == pytest.approx(0.1)
-
     def test_screen_included(self):
         battery = BatteryModel(capacity_mah=1000.0, nominal_voltage_v=1.0,
                                screen_power_mw=1000.0)
-        with_screen = battery.session_drain_fraction(1.0, 360.0,
-                                                     include_screen=True)
-        assert with_screen == pytest.approx(0.2)
+        # 3600 J at 1 W of streaming plus 1 W of screen: half an hour.
+        with_screen = battery.streaming_hours(1.0, include_screen=True)
+        assert with_screen == pytest.approx(0.5)
 
     def test_streaming_hours(self):
         battery = BatteryModel(capacity_mah=1000.0, nominal_voltage_v=3.6,
@@ -40,13 +34,13 @@ class TestBatteryModel:
         assert battery.streaming_hours(0.0, include_screen=False) == float("inf")
 
     def test_savings_extend_lifetime(self):
-        extra = TYPICAL_PHONE_BATTERY.extra_hours_from_saving(2.3, 0.497)
-        assert extra > 0.5  # the paper's saving buys real hours
+        # The paper's 49.7 % saving on a 2.3 W session buys real hours.
+        hours = TYPICAL_PHONE_BATTERY.streaming_hours
+        assert hours(2.3 * (1 - 0.497)) - hours(2.3) > 0.5
 
     def test_saving_monotone(self):
-        small = TYPICAL_PHONE_BATTERY.extra_hours_from_saving(2.3, 0.3)
-        large = TYPICAL_PHONE_BATTERY.extra_hours_from_saving(2.3, 0.5)
-        assert large > small
+        hours = TYPICAL_PHONE_BATTERY.streaming_hours
+        assert hours(2.3 * 0.5) > hours(2.3 * 0.7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -54,8 +48,4 @@ class TestBatteryModel:
         with pytest.raises(ValueError):
             BatteryModel(screen_power_mw=-1.0)
         with pytest.raises(ValueError):
-            TYPICAL_PHONE_BATTERY.session_drain_fraction(-1.0, 10.0)
-        with pytest.raises(ValueError):
             TYPICAL_PHONE_BATTERY.streaming_hours(-1.0)
-        with pytest.raises(ValueError):
-            TYPICAL_PHONE_BATTERY.extra_hours_from_saving(2.0, 1.0)

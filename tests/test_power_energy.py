@@ -57,11 +57,10 @@ class TestEnergyModel:
         )
 
     def test_full_breakdown(self, model):
-        e = model.segment_energy(
-            size_mbit=3.9,
-            bandwidth_mbps=3.9,
-            scheme=TilingScheme.CTILE,
-            frame_rate=30.0,
+        e = SegmentEnergy(
+            model.transmission_energy_j(3.9, 3.9),
+            model.decoding_energy_j(TilingScheme.CTILE, 30.0),
+            model.rendering_energy_j(30.0),
         )
         assert e.transmission_j == pytest.approx(1.42908)
         assert e.decoding_j == pytest.approx((574.89 + 15.46 * 30) * 1e-3)

@@ -182,24 +182,23 @@ class TestClampParity:
 
 
 class TestPredictionBoundary:
-    """Targets past the usable horizon clamp — and say so (S1).
+    """Targets past the usable horizon clamp (S1).
 
     ``predict_center`` extrapolates at most ``max_extrapolation_s``
-    past the last observation; ``prediction_end_s`` exposes the time a
-    prediction is actually *for*, so callers (the error-model fit, the
-    robust planner) never mistake a clamped prediction for a
-    full-horizon one.
+    past the last observation, so the prediction for a far target is
+    the one for the clamped end time; the error-model fit charges the
+    full requested horizon for that staleness.
     """
 
     def test_prediction_end_clamps_to_extrapolation_cap(self):
         p = ViewportPredictor(lam=1e-6, max_extrapolation_s=1.0)
         for i in range(20):
-            p.observe(i * 0.1, 100.0 + i, 0.0)  # last sample at t=1.9
-        assert p.prediction_end_s(10.0) == pytest.approx(2.9)
+            p.observe(i * 0.1, 100.0 + i, 0.0)  # 10 deg/s, last at t=1.9
+        assert p.predict_center(10.0)[0] == pytest.approx(129.0)
         # In-range targets are honored exactly.
-        assert p.prediction_end_s(2.4) == pytest.approx(2.4)
+        assert p.predict_center(2.4)[0] == pytest.approx(124.0)
         # Past targets clamp to the last observation.
-        assert p.prediction_end_s(0.5) == pytest.approx(1.9)
+        assert p.predict_center(0.5) == (119.0, 0.0)
 
     def test_prediction_end_matches_capped_prediction(self):
         # The prediction for a far target equals the prediction at the
@@ -208,23 +207,22 @@ class TestPredictionBoundary:
         for i in range(20):
             p.observe(i * 0.1, 100.0 + i, 0.0)
         far = p.predict_center(50.0)
-        capped = p.predict_center(p.prediction_end_s(50.0))
+        capped = p.predict_center(1.9 + 1.0)
         assert far[0] == pytest.approx(capped[0])
         assert far[1] == pytest.approx(capped[1])
 
     def test_prediction_end_with_sparse_history(self):
         # Below the 4-sample trend threshold the predictor holds the
-        # last observation, and prediction_end_s reports exactly that.
+        # last observation.
         p = ViewportPredictor()
         p.observe(0.0, 10.0, 0.0)
         p.observe(0.1, 11.0, 0.0)
-        assert p.prediction_end_s(5.0) == pytest.approx(0.1)
         yaw, _ = p.predict_center(5.0)
         assert yaw == pytest.approx(11.0)
 
     def test_prediction_end_requires_observations(self):
         with pytest.raises(RuntimeError):
-            ViewportPredictor().prediction_end_s(1.0)
+            ViewportPredictor().predict_center(1.0)
 
     def test_fit_excludes_windows_past_trace_end(self):
         # A trace too short to ground-truth the long horizon: the fit

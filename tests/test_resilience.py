@@ -34,6 +34,7 @@ from repro.streaming import (
     SessionConfig,
     run_session,
 )
+from repro.streaming.cache import EdgeHitModel
 from repro.traces import NetworkTrace
 
 
@@ -397,16 +398,19 @@ class TestSessionIntegration:
         head = small_dataset.test_traces(8)[0]
         return manifest8, head, trace2, device
 
-    def test_faults_off_resilient_path_matches_legacy(
-        self, session_inputs, ptiles8
-    ):
+    @staticmethod
+    def _assert_benign_matches_faults_off(session_inputs, ptiles8,
+                                          edge_model):
         manifest, head, trace, device = session_inputs
+        faults_off = SessionConfig(edge_model=edge_model)
         legacy = run_session(
-            PtileScheme(), manifest, head, trace, device, ptiles=ptiles8
+            PtileScheme(), manifest, head, trace, device, ptiles=ptiles8,
+            config=faults_off,
         )
         # An idle plan plus a policy that can never time out or retry
         # must reproduce the ideal session byte for byte.
-        benign = SessionConfig(
+        benign = replace(
+            faults_off,
             fault_plan=FaultPlan(),
             download_policy=DownloadPolicy(
                 retry_budget=0, timeout_slack_s=1e9
@@ -417,6 +421,21 @@ class TestSessionIntegration:
             config=benign,
         )
         assert resilient == legacy
+
+    def test_faults_off_resilient_path_matches_legacy(
+        self, session_inputs, ptiles8
+    ):
+        self._assert_benign_matches_faults_off(session_inputs, ptiles8, None)
+
+    def test_faults_off_resilient_path_matches_legacy_with_edge_cache(
+        self, session_inputs, ptiles8
+    ):
+        # The edge-served bytes take edge time on both paths in the same
+        # order: the backhaul walk starts at the request, and the edge
+        # time is added after it.
+        self._assert_benign_matches_faults_off(
+            session_inputs, ptiles8, EdgeHitModel((0.5,) * 40)
+        )
 
     def test_fault_session_is_deterministic(self, session_inputs, ptiles8):
         manifest, head, trace, device = session_inputs

@@ -15,7 +15,7 @@ class TestPlaybackBuffer:
     def test_cold_start(self):
         buf = PlaybackBuffer()
         assert buf.level_s == 0.0
-        assert buf.wait_time() == 0.0
+        assert buf.advance(0.5).wait_s == 0.0
 
     def test_first_download_stalls_for_its_duration(self):
         buf = PlaybackBuffer()
@@ -36,9 +36,9 @@ class TestPlaybackBuffer:
         buf = PlaybackBuffer(threshold_s=3.0, segment_s=1.0)
         for _ in range(6):
             buf.advance(0.1)
-        assert buf.wait_time() > 0.0
         level_before = buf.level_s
         event = buf.advance(0.1)
+        assert event.wait_s > 0.0
         assert event.wait_s == pytest.approx(max(level_before - 3.0, 0.0))
 
     def test_eq6_formula(self):
@@ -61,19 +61,13 @@ class TestPlaybackBuffer:
         for _ in range(5):
             buf.advance(0.05)
         level = buf.level_s
-        wait = buf.wait_time()
         event = buf.advance(0.05)
-        assert event.level_before_s == pytest.approx(level - wait)
+        assert event.wait_s > 0.0
+        assert event.level_before_s == pytest.approx(level - event.wait_s)
 
     def test_negative_download_rejected(self):
         with pytest.raises(ValueError):
             PlaybackBuffer().advance(-0.1)
-
-    def test_reset(self):
-        buf = PlaybackBuffer()
-        buf.advance(0.1)
-        buf.reset()
-        assert buf.level_s == 0.0
 
     def test_level_never_negative(self):
         buf = PlaybackBuffer()

@@ -11,12 +11,14 @@ must also satisfy the per-segment invariants of
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.controller import OursScheme
 from repro.prediction import static_predictor_factory
-from repro.resilience import DownloadPolicy, generate_fault_plan
+from repro.resilience import DownloadPolicy, FaultPlan, generate_fault_plan
 from repro.streaming import (
     CtileScheme,
     FtileScheme,
@@ -26,7 +28,7 @@ from repro.streaming import (
     SessionConfig,
     run_session,
 )
-from repro.streaming.cache import build_edge_hit_model
+from repro.streaming.cache import EdgeHitModel, build_edge_hit_model
 from repro.traces import DiurnalPoissonArrivals, NetworkTrace, assign_users
 
 from .session_invariants import check_invariants
@@ -196,6 +198,36 @@ class TestParity:
         )
         _assert_parity(engine, scheme, manifest2, traces, network_traces[1],
                        device, ptiles2, config, [0, 1, 0])
+
+    def test_idle_plan_with_edge_model_matches_faults_off(
+            self, manifest2, ptiles2, small_dataset, network_traces, device):
+        # An idle plan and a policy that never times out or retries
+        # fetch every row in one attempt, edge split included: the
+        # faults-off sessions bit for bit, over the columnar walk.
+        traces = small_dataset.test_traces(2)
+        faults_off = SessionConfig(edge_model=EdgeHitModel((0.5,) * 40))
+        benign = replace(
+            faults_off, fault_plan=FaultPlan(),
+            download_policy=DownloadPolicy(retry_budget=0,
+                                           timeout_slack_s=1e9),
+        )
+        scheme = PtileScheme()
+        users = [0, 1, 2, 3, 0, 1]
+        results = [
+            _assert_parity(
+                PopulationEngine(scheme, manifest2, traces,
+                                 network_traces[1], device, ptiles=ptiles2,
+                                 config=config),
+                scheme, manifest2, traces, network_traces[1], device,
+                ptiles2, config, users,
+            )
+            for config in (faults_off, benign)
+        ]
+        for name in ("transmission_j", "qoe_sum", "total_stall_s",
+                     "total_edge_hit_mbit", "total_size_mbit"):
+            assert np.array_equal(getattr(results[0], name),
+                                  getattr(results[1], name)), name
+        assert np.all(results[1].total_edge_hit_mbit > 0)
 
     def test_custom_predictor_parity(self, manifest2, ptiles2, small_dataset,
                                      network_traces, device):

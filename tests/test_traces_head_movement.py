@@ -90,7 +90,7 @@ class TestKinematics:
 
     def test_mean_speed_in_window(self):
         trace = make_trace(np.arange(0, 20, 1.0), dt=0.1)
-        assert trace.mean_speed_in(0.0, 1.0) == pytest.approx(10.0, abs=0.1)
+        assert trace.speed_quantile_in(0.0, 1.0, quantile=None) == pytest.approx(10.0, abs=0.1)
 
     def test_speed_quantile(self):
         # Half slow, half fast within the window.
@@ -102,13 +102,13 @@ class TestKinematics:
 
     def test_window_between_samples_falls_back(self):
         trace = make_trace([0.0, 10.0, 20.0], dt=5.0)
-        speed = trace.mean_speed_in(1.0, 1.5)
+        speed = trace.speed_quantile_in(1.0, 1.5, quantile=None)
         assert speed > 0
 
     def test_invalid_window(self):
         trace = make_trace([0.0, 1.0])
         with pytest.raises(ValueError):
-            trace.mean_speed_in(1.0, 1.0)
+            trace.speed_quantile_in(1.0, 1.0, quantile=None)
 
     def test_invalid_quantile(self):
         trace = make_trace([0.0, 1.0])
@@ -131,7 +131,8 @@ class TestPersistence:
         rng = np.random.default_rng(5)
         yaws = np.cumsum(rng.normal(0, 3, 60))
         trace = make_trace(yaws, rng.uniform(-40, 40, 60))
-        loaded = HeadTrace.from_csv_string(trace.to_csv_string())
+        trace.to_csv(tmp_path / "trace.csv")
+        loaded = HeadTrace.from_csv(tmp_path / "trace.csv")
         assert np.allclose(
             loaded.switching_speeds(), trace.switching_speeds(), atol=1e-3
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resilience import FaultPlan
+from repro.resilience import CollapseWindow, FaultPlan, Outage
 from repro.traces import NetworkTrace, generate_lte_trace, paper_traces
 
 
@@ -126,6 +126,17 @@ _GAPPY = NetworkTrace("gappy", np.array([3.0, 0.0, 0.0, 5.5, 0.7, 0.0, 2.2]))
 
 _sizes = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
 _starts = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+_budgets = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 50.0))
+_windows = st.tuples(st.floats(0.0, 30.0), st.floats(0.05, 8.0))
+_fault_plans = st.builds(
+    lambda outages, collapses: FaultPlan(
+        outages=tuple(Outage(t0, t0 + span) for t0, span in outages),
+        collapses=tuple(CollapseWindow(t0, t0 + span, factor)
+                        for (t0, span), factor in collapses),
+    ),
+    st.lists(_windows, max_size=3),
+    st.lists(st.tuples(_windows, st.floats(0.05, 0.95)), max_size=4),
+)
 
 
 class TestWalkParity:
@@ -139,7 +150,11 @@ class TestWalkParity:
         sizes = np.array([size for size, _ in pairs])
         starts = np.array([start for _, start in pairs])
         expected = [_GAPPY.download_time(size, start) for size, start in pairs]
-        assert _GAPPY.download_times(sizes, starts).tolist() == expected
+        elapsed, completed = _GAPPY.download_times(
+            sizes, starts, np.full(sizes.size, math.inf)
+        )
+        assert elapsed.tolist() == expected
+        assert completed.all()
 
     def test_download_times_edge_rows(self):
         # Zero-size rows, starts on bin edges, a start inside an empty
@@ -148,16 +163,71 @@ class TestWalkParity:
         starts = np.array([0.0, 1.0, 3.0, 5.0, 6.0, 7.0, 12.5])
         expected = [_GAPPY.download_time(size, start)
                     for size, start in zip(sizes.tolist(), starts.tolist())]
-        assert _GAPPY.download_times(sizes, starts).tolist() == expected
+        elapsed, _ = _GAPPY.download_times(sizes, starts,
+                                           np.full(7, math.inf))
+        assert elapsed.tolist() == expected
 
     def test_download_times_on_a_dead_trace(self):
-        # As the scalar walk: nothing to fetch takes no time, anything
-        # else can never arrive.
+        # As the scalar walk: nothing to fetch takes no time, a bounded
+        # row times out with its whole budget, and an unbounded row can
+        # never arrive.
         dead = NetworkTrace("dead", np.zeros(3))
         starts = np.arange(5.0)
-        assert dead.download_times(np.zeros(5), starts).tolist() == [0.0] * 5
+        unbounded = np.full(5, math.inf)
+        elapsed, completed = dead.download_times(np.zeros(5), starts,
+                                                 unbounded)
+        assert elapsed.tolist() == [0.0] * 5 and completed.all()
+        sizes = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="zero bandwidth everywhere"):
-            dead.download_times(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), starts)
+            dead.download_times(sizes, starts, unbounded)
+        budgets = np.array([0.0, 2.0, 0.0, 1.5, 3.0])
+        for n in (3, 5):  # the scalar walk and the columns
+            got = dead.download_times(sizes[:n] + 1.0, starts[:n],
+                                      budgets[:n])
+            assert [g.tolist() for g in got] == [budgets[:n].tolist(),
+                                                 [False] * n]
+
+    @given(rows=st.lists(st.tuples(_sizes, _starts, _budgets), min_size=1,
+                         max_size=12),
+           plan=_fault_plans, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_faulty_walk_is_download_within(self, rows, plan, data):
+        # Some rows start exactly on a fault boundary.
+        edges = st.sampled_from((0.0, *plan._boundaries))
+        rows = [(size, data.draw(edges) if data.draw(st.booleans())
+                 else start, budget) for size, start, budget in rows]
+        sizes, starts, budgets = (np.array(col) for col in zip(*rows))
+        elapsed, completed = _GAPPY.download_times(sizes, starts, budgets,
+                                                   plan)
+        for i, (size, start, budget) in enumerate(rows):
+            _, want_elapsed, want_completed = _GAPPY.download_within(
+                size, start, budget, plan
+            )
+            assert elapsed[i] == want_elapsed
+            assert completed[i] == want_completed
+
+    def test_faulty_walk_edge_rows(self):
+        # Stacked collapses, an outage across a bin edge, starts on fault
+        # boundaries, zero and infinite budgets: the columns (7 rows)
+        # against the scalar walk row by row.
+        plan = FaultPlan(
+            outages=(Outage(2.5, 4.0),),
+            collapses=(CollapseWindow(0.5, 6.0, 0.5),
+                       CollapseWindow(1.0, 2.5, 0.3)),
+        )
+        sizes = np.array([4.0, 4.0, 0.0, 3.0, 9.0, 1e-13, 2.0])
+        starts = np.array([0.5, 2.5, 4.0, 1.0, 6.0, 0.0, 4.0])
+        budgets = np.array([math.inf, 3.0, 0.0, 0.0, math.inf, 1.0, 0.25])
+        elapsed, completed = _GAPPY.download_times(sizes, starts, budgets,
+                                                   plan)
+        for i in range(sizes.size):
+            _, want_elapsed, want_completed = _GAPPY.download_within(
+                sizes[i], starts[i], budgets[i], plan
+            )
+            assert (elapsed[i], completed[i]) == (want_elapsed,
+                                                  want_completed)
+        assert completed.tolist() == [True, False, True, False, True, True,
+                                      False]
 
     @given(size=_sizes, start=_starts)
     @settings(max_examples=200, deadline=None)
